@@ -34,11 +34,6 @@ class PreorderGraph:
     size: int
     succ: List[Set[int]]
 
-    def edges(self):
-        for w, ys in enumerate(self.succ):
-            for y in sorted(ys):
-                yield (w, y)
-
 
 def left_preorder(table: KLTable) -> PreorderGraph:
     group = table.group

@@ -64,13 +64,6 @@ class _CyclicClasses:
 
 
 @dataclass
-class ClassFunction:
-    """Values of a class function, aligned with a table's class order."""
-
-    values: Tuple[Cyclotomic, ...]
-
-
-@dataclass
 class CharacterTable:
     group: object
     classes: object

@@ -455,11 +455,6 @@ def cm_multiplicities(data: CMCellData) -> Dict[Tuple[int, int], int]:
     return out
 
 
-def cm_families(data: CMCellData) -> List[List[int]]:
-    """det^j ~ det^k iff kappa_j = kappa_k (same blocks as the cells)."""
-    return [list(b) for b in data.families]
-
-
 def cm_report(data: CMCellData) -> dict:
     """JSON-ready rendering of one parameter point."""
     params = data.params

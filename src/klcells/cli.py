@@ -118,6 +118,23 @@ def _parse_rationals(text: str) -> List[Fraction]:
     return out
 
 
+def _read_cached_table(path: str, algebra: HeckeAlgebra, key: str) -> Optional[KLTable]:
+    """The KL table cached at `path`, or None when there is no file or it
+    does not load: invalid JSON, a malformed document, or a `key` field
+    that differs from the content key."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (FileNotFoundError, ValueError):  # ValueError: not JSON, not UTF-8
+        return None
+    if not isinstance(doc, dict) or doc.get("key") != key:
+        return None
+    try:
+        return KLTable.from_json_dict(doc, algebra)
+    except (KeyError, TypeError, IndexError, ValueError, AttributeError):
+        return None
+
+
 def _load_table(args) -> KLTable:
     spec = parse_spec(_read_spec(args.specfile))
     group = build_group(spec.matrix, gen_names=spec.gen_names,
@@ -126,12 +143,12 @@ def _load_table(args) -> KLTable:
     cache_dir = None if args.no_cache else args.cache_dir
     if cache_dir is None:
         return kl_basis(algebra)
-    probe = KLTable(algebra, [], {})
-    path = os.path.join(cache_dir, f"kl_{probe.content_key()}.json")
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return KLTable.from_json_dict(doc, algebra)
+    key = KLTable(algebra, [], {}).content_key()
+    path = os.path.join(cache_dir, f"kl_{key}.json")
+    table = _read_cached_table(path, algebra, key)
+    if table is not None:
+        return table
+    # A missing or unreadable cache is a miss: recompute and replace it.
     table = kl_basis(algebra)
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")

@@ -2,18 +2,32 @@
 
 Elements are finitely supported maps W -> Z[G] in the T-basis.  The
 Kazhdan-Lusztig basis {C_w} is the unique basis with i(C_w) = C_w and
-C_w - T_w supported on strictly negative exponents; it is computed by
-length induction: take the bar-invariant candidate C_s * C_{sw} for a
-left descent s, then cancel the non-negative exponent parts of lower
-coefficients by subtracting bar-symmetric multiples of shorter C_y,
-longest support element first.
+C_w - T_w supported on strictly negative exponents.  `kl_basis` builds
+it, together with the C-basis expansion of every C_s C_w, in one pass
+over w in length order.  Each left descent s of w, with u = sw, falls
+into one of four cases:
+
+* construction step: s is the first letter of w's reduced word and
+  L(s) > 0.  The bar-invariant product C_s C_u is reduced to C_w by
+  subtracting bar-symmetric multiples m_y C_y of shorter elements,
+  longest support element first; C_s C_u = C_w + sum_y m_y C_y.
+* other ascent pairs: any other left descent s of w with L(s) > 0.  The
+  same cancellation runs on C_s C_u and only its corrections m_y are
+  kept, since C_w is already known.
+* L(s) = 0: T_s^2 = 1, so C_w = T_s C_u with no cancellation, and
+  C_s C_u = C_w, C_s C_w = C_u.
+* descent pairs with L(s) > 0: C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w.
+
+Nothing is multiplied out in the T-basis and then re-expanded: the
+product table comes straight from the construction.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .coxeter import CoxeterGroup, WeightFunction, validate_weights
 from .ordered_coeffs import LaurentElt
@@ -39,7 +53,6 @@ class HeckeAlgebra:
             self._v_plus.append(LaurentElt.v_power(L))
             self._v_minus.append(LaurentElt.v_power(-L))
             self._xi.append(self._v_plus[g] - self._v_minus[g])
-        self._i_of_t: Optional[List[HeckeCoeffs]] = None
 
     # -- element helpers ----------------------------------------------
 
@@ -81,16 +94,13 @@ class HeckeAlgebra:
 
     # -- multiplication -----------------------------------------------
 
-    def mul_ts(self, s: int, h: HeckeCoeffs, side: str = "left") -> HeckeCoeffs:
-        """T_s * h (side='left') or h * T_s (side='right')."""
+    def mul_ts(self, s: int, h: HeckeCoeffs) -> HeckeCoeffs:
+        """T_s * h."""
         group = self.group
         out: HeckeCoeffs = {}
         xi = self._xi[s]
         for w, c in h.items():
-            if side == "left":
-                sw = group.lmul_gen(s, w)
-            else:
-                sw = group.rmul_gen(w, s)
+            sw = group.lmul_gen(s, w)
             cur = out.get(sw)
             out[sw] = c if cur is None else cur + c
             if xi and group.length(sw) < group.length(w):
@@ -98,55 +108,6 @@ class HeckeAlgebra:
                 cur = out.get(w)
                 out[w] = extra if cur is None else cur + extra
         return self.clean(out)
-
-    def t_inv_times(self, s: int, h: HeckeCoeffs) -> HeckeCoeffs:
-        """T_s^{-1} * h, using T_s^{-1} = T_s - (v^{L(s)} - v^{-L(s)})."""
-        out = self.mul_ts(s, h)
-        if self._xi[s]:
-            out = self.sub(out, self.scale(self._xi[s], h))
-        return out
-
-    def multiply(self, a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoeffs:
-        """Bilinear product; T_w * b is computed along the reduced word of w."""
-        out: HeckeCoeffs = {}
-        for w, c in a.items():
-            part = b
-            for g in reversed(self.group.word(w)):
-                part = self.mul_ts(g, part)
-            out = self.add(out, self.scale(c, part))
-        return out
-
-    # -- bar involution -------------------------------------------------
-
-    def _i_of_t_table(self) -> List[HeckeCoeffs]:
-        """i(T_w) for every w, built by length induction."""
-        if self._i_of_t is None:
-            group = self.group
-            table: List[HeckeCoeffs] = [self.unit()]
-            for w in range(1, len(group)):
-                word = group.word(w)
-                s = word[0]
-                u = group.element_by_word(word[1:])
-                table.append(self.t_inv_times(s, table[u]))
-            self._i_of_t = table
-        return self._i_of_t
-
-    def bar(self, h: HeckeCoeffs) -> HeckeCoeffs:
-        """The ring involution with i(v^g) = v^{-g} and i(T_s) = T_s^{-1}."""
-        table = self._i_of_t_table()
-        out: HeckeCoeffs = {}
-        for w, c in h.items():
-            out = self.add(out, self.scale(c.bar(), table[w]))
-        return out
-
-    # -- KL generators ---------------------------------------------------
-
-    def c_gen(self, s: int) -> HeckeCoeffs:
-        """C_s = T_s + v^{-L(s)} T_e for L(s) > 0, or T_s when L(s) = 0."""
-        if self.weights[s].sign() > 0:
-            return {self.group.generator(s): self.one_coeff(),
-                    self.group.identity: self._v_minus[s]}
-        return {self.group.generator(s): self.one_coeff()}
 
 
 class KLTable:
@@ -226,71 +187,94 @@ def _symmetrize_correction(r: LaurentElt) -> LaurentElt:
     return out
 
 
+def _add_into(h: HeckeCoeffs, y: int, c: LaurentElt) -> None:
+    """h[y] += c in place, dropping the entry if it cancels."""
+    cur = h.get(y)
+    if cur is None:
+        h[y] = c
+    else:
+        total = cur + c
+        if total:
+            h[y] = total
+        else:
+            del h[y]
+
+
+def _cs_times_c(algebra: HeckeAlgebra, s: int, u: int, w: int,
+                c_exp: List[HeckeCoeffs]) -> Tuple[HeckeCoeffs, HeckeCoeffs]:
+    """For an ascent w = su > u with L(s) > 0, return (C_w, {y: m_y}) with
+    C_s C_u = C_w + sum_y m_y C_y.
+
+    C_s C_u = T_s C_u + v^{-L(s)} C_u is bar-invariant; the non-negative
+    part of each lower coefficient is cancelled by subtracting a
+    bar-symmetric multiple m_y C_y, longest support element first (highest
+    index among equal lengths).  Subtracting m_y C_y changes only y and
+    elements shorter than y, so a heap of pending indices gives that
+    order: element indices are in ShortLex order, so a larger index is
+    never shorter.
+
+    Only y with sy < y are visited: C_s C_u lies in the span of the C_y
+    with sy < y (Lusztig, Hecke algebras with unequal parameters,
+    Theorem 6.6; the argument needs only L(s) > 0), so m_y = 0 for the
+    others and their coefficients are already strictly negative.
+    """
+    group = algebra.group
+    v_plus, v_minus = algebra._v_plus[s], algebra._v_minus[s]
+    # C_s T_y = T_{sy} + v^{L(s)} T_y when sy < y, else T_{sy} + v^{-L(s)} T_y.
+    cand: HeckeCoeffs = {}
+    for y, c in c_exp[u].items():
+        sy = group.lmul_gen(s, y)
+        _add_into(cand, sy, c)
+        _add_into(cand, y, (v_plus if sy < y else v_minus) * c)
+    heap = [-y for y in cand if y != w and group.lmul_gen(s, y) < y]
+    heapq.heapify(heap)
+    queued = set(cand)
+    correction: HeckeCoeffs = {}
+    while heap:
+        y = -heapq.heappop(heap)
+        c = cand.get(y)
+        if c is None:
+            continue
+        m = _symmetrize_correction(c)
+        if not m:
+            continue
+        correction[y] = m
+        for z, cz in c_exp[y].items():
+            _add_into(cand, z, -(m * cz))
+            if z not in queued:
+                queued.add(z)
+                if group.lmul_gen(s, z) < z:
+                    heapq.heappush(heap, -z)
+    return cand, correction
+
+
 def kl_basis(algebra: HeckeAlgebra) -> KLTable:
-    """Compute the full KL basis and the C-basis expansions of C_s C_w."""
+    """Compute the full KL basis and the C-basis expansions of C_s C_w.
+
+    Every left descent s of w, with u = sw, gives both table entries
+    (s, u) and (s, w); see the module docstring for the four cases.
+    """
     group = algebra.group
     n = len(group)
-    c_exp: List[HeckeCoeffs] = [algebra.unit()]
+    one = algebra.one_coeff()
+    v_sum = [algebra._v_plus[s] + algebra._v_minus[s] for s in range(group.rank)]
+    c_exp: List[HeckeCoeffs] = [algebra.unit()] + [{}] * (n - 1)
     cs_in_c: Dict[Tuple[int, int], HeckeCoeffs] = {}
-
-    lengths = [group.length(w) for w in range(n)]
     for w in range(1, n):
-        word = group.word(w)
-        s = word[0]
-        u = group.element_by_word(word[1:])
-        # Bar-invariant candidate C_s C_u, expanded in the T-basis.
-        cand = algebra.mul_ts(s, c_exp[u])
-        if algebra.weights[s].sign() > 0:
-            cand = algebra.add(cand, algebra.scale(
-                LaurentElt.v_power(-algebra.weights[s]), c_exp[u]))
-        # Cancel non-negative parts, longest support element first;
-        # subtractions only ever introduce strictly shorter elements.
-        correction: HeckeCoeffs = {}
-        processed = {w}
-        while True:
-            pending = [y for y in cand if y not in processed]
-            if not pending:
-                break
-            y = max(pending, key=lambda x: (lengths[x], x))
-            processed.add(y)
-            m = _symmetrize_correction(cand[y])
-            if m:
-                correction[y] = m
-                cand = algebra.sub(cand, algebra.scale(m, c_exp[y]))
-        c_exp.append(cand)
-        # The construction already exhibits C_s C_u in the C-basis.
-        prod = dict(correction)
-        prod[w] = algebra.one_coeff()
-        cs_in_c[(s, u)] = algebra.clean(prod)
-
-    table = KLTable(algebra, c_exp, cs_in_c)
-    for s in range(group.rank):
-        for w in range(n):
-            if (s, w) not in cs_in_c:
-                prod = algebra.multiply(algebra.c_gen(s), c_exp[w])
-                cs_in_c[(s, w)] = express_in_kl(prod, table)
-    return table
-
-
-def express_in_kl(h: HeckeCoeffs, table: KLTable) -> HeckeCoeffs:
-    """Unique expansion of h in the C-basis, by back-substitution from the
-    longest support element down."""
-    algebra = table.algebra
-    group = table.group
-    rest = algebra.clean(dict(h))
-    out: HeckeCoeffs = {}
-    while rest:
-        y = max(rest, key=lambda x: (group.length(x), x))
-        c = rest.pop(y)
-        out[y] = c
-        expansion = table.c_expansion(y)
-        for z, cz in expansion.items():
-            if z == y:
+        first = group.word(w)[0]
+        for s in group.left_descents(w):
+            u = group.lmul_gen(s, w)
+            if algebra.weights[s].sign() == 0:
+                # T_s^2 = 1: C_w = T_s C_u = C_s C_u needs no cancellation.
+                if s == first:
+                    c_exp[w] = algebra.mul_ts(s, c_exp[u])
+                cs_in_c[(s, u)] = {w: one}
+                cs_in_c[(s, w)] = {u: one}
                 continue
-            cur = rest.get(z, algebra.zero_coeff())
-            val = cur - c * cz
-            if val:
-                rest[z] = val
-            else:
-                rest.pop(z, None)
-    return out
+            cw, prod = _cs_times_c(algebra, s, u, w, c_exp)
+            if s == first:
+                c_exp[w] = cw
+            prod[w] = one
+            cs_in_c[(s, u)] = prod
+            cs_in_c[(s, w)] = {w: v_sum[s]}
+    return KLTable(algebra, c_exp, cs_in_c)

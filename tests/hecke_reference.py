@@ -1,0 +1,122 @@
+"""General Hecke algebra arithmetic kept as the reference for tests.
+
+`kl_basis` builds every C_s C_w without multiplying out products; the
+routines here do it the long way (T-basis products along reduced words,
+the bar involution from i(T_w), back-substitution into the C-basis), so
+tests can check the production table against an independent route.
+"""
+
+from __future__ import annotations
+
+import weakref
+
+from klcells.hecke import HeckeAlgebra, HeckeCoeffs, KLTable
+from klcells.ordered_coeffs import LaurentElt
+
+_I_OF_T: "weakref.WeakKeyDictionary[HeckeAlgebra, list]" = weakref.WeakKeyDictionary()
+
+
+def xi(algebra: HeckeAlgebra, s: int):
+    """v^{L(s)} - v^{-L(s)}; zero when L(s) = 0."""
+    L = algebra.weights[s]
+    return LaurentElt.v_power(L) - LaurentElt.v_power(-L)
+
+
+def mul_ts_right(algebra: HeckeAlgebra, h: HeckeCoeffs, s: int) -> HeckeCoeffs:
+    """h * T_s."""
+    group = algebra.group
+    x = xi(algebra, s)
+    out: HeckeCoeffs = {}
+    for w, c in h.items():
+        ws = group.rmul_gen(w, s)
+        out[ws] = out[ws] + c if ws in out else c
+        if x and group.length(ws) < group.length(w):
+            out[w] = out[w] + x * c if w in out else x * c
+    return algebra.clean(out)
+
+
+def t_inv_times(algebra: HeckeAlgebra, s: int, h: HeckeCoeffs) -> HeckeCoeffs:
+    """T_s^{-1} * h, using T_s^{-1} = T_s - (v^{L(s)} - v^{-L(s)})."""
+    out = algebra.mul_ts(s, h)
+    x = xi(algebra, s)
+    if x:
+        out = algebra.sub(out, algebra.scale(x, h))
+    return out
+
+
+def _accumulate(out: HeckeCoeffs, c, h: HeckeCoeffs) -> None:
+    """out += c * h in place (zero entries are left for `clean`)."""
+    for w, x in h.items():
+        term = c * x
+        out[w] = out[w] + term if w in out else term
+
+
+def multiply(algebra: HeckeAlgebra, a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoeffs:
+    """Bilinear product; T_w * b is computed along the reduced word of w."""
+    out: HeckeCoeffs = {}
+    for w, c in a.items():
+        part = b
+        for g in reversed(algebra.group.word(w)):
+            part = algebra.mul_ts(g, part)
+        _accumulate(out, c, part)
+    return algebra.clean(out)
+
+
+def i_of_t_table(algebra: HeckeAlgebra) -> list:
+    """i(T_w) for every w, built by length induction (cached per algebra)."""
+    table = _I_OF_T.get(algebra)
+    if table is None:
+        group = algebra.group
+        table = [algebra.unit()]
+        for w in range(1, len(group)):
+            word = group.word(w)
+            u = group.element_by_word(word[1:])
+            table.append(t_inv_times(algebra, word[0], table[u]))
+        _I_OF_T[algebra] = table
+    return table
+
+
+def bar(algebra: HeckeAlgebra, h: HeckeCoeffs) -> HeckeCoeffs:
+    """The ring involution with i(v^g) = v^{-g} and i(T_s) = T_s^{-1}."""
+    table = i_of_t_table(algebra)
+    out: HeckeCoeffs = {}
+    for w, c in h.items():
+        _accumulate(out, c.bar(), table[w])
+    return algebra.clean(out)
+
+
+def c_gen(algebra: HeckeAlgebra, s: int) -> HeckeCoeffs:
+    """C_s = T_s + v^{-L(s)} T_e for L(s) > 0, or T_s when L(s) = 0."""
+    gen = algebra.group.generator(s)
+    if algebra.weights[s].sign() > 0:
+        return {gen: algebra.one_coeff(),
+                algebra.group.identity: LaurentElt.v_power(-algebra.weights[s])}
+    return {gen: algebra.one_coeff()}
+
+
+def express_in_kl(h: HeckeCoeffs, table: KLTable) -> HeckeCoeffs:
+    """Unique expansion of h in the C-basis, by back-substitution from the
+    longest support element down."""
+    algebra = table.algebra
+    group = table.group
+    rest = algebra.clean(dict(h))
+    out: HeckeCoeffs = {}
+    while rest:
+        y = max(rest, key=lambda x: (group.length(x), x))
+        c = rest.pop(y)
+        out[y] = c
+        for z, cz in table.c_expansion(y).items():
+            if z == y:
+                continue
+            val = rest.get(z, algebra.zero_coeff()) - c * cz
+            if val:
+                rest[z] = val
+            else:
+                rest.pop(z, None)
+    return out
+
+
+def cs_product_reference(table: KLTable, s: int, w: int) -> HeckeCoeffs:
+    """C_s C_w in the C-basis, by multiplying out and back-substituting."""
+    algebra = table.algebra
+    return express_in_kl(multiply(algebra, c_gen(algebra, s), table.c_expansion(w)), table)

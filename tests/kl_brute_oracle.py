@@ -3,13 +3,14 @@ system p_z - bar(p_z) = g_z directly, using only bar expansions of the
 T-basis.  No descent products, no correction loop: a genuinely different
 route to the same basis."""
 
+from hecke_reference import bar
 from klcells.hecke import HeckeAlgebra
 
 
 def brute_kl_expansions(algebra: HeckeAlgebra):
     group = algebra.group
     n = len(group)
-    bar_t = [algebra.bar(algebra.t(w)) for w in range(n)]
+    bar_t = [bar(algebra, algebra.t(w)) for w in range(n)]
 
     expansions = []
     for w in range(n):
@@ -31,6 +32,6 @@ def brute_kl_expansions(algebra: HeckeAlgebra):
         expansion = {w: algebra.one_coeff()}
         expansion.update(p)
         # Full verification: the candidate really is bar-invariant.
-        assert algebra.equal(algebra.bar(expansion), expansion)
+        assert algebra.equal(bar(algebra, expansion), expansion)
         expansions.append(expansion)
     return expansions

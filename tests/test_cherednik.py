@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from klcells.cherednik_rank1 import (AlgebraElt, NonzeroConstantTerm,
-                                     Rank1Params, c_to_kappa, cm_families,
+                                     Rank1Params, c_to_kappa,
                                      cm_multiplicities, cm_report, commutator,
                                      epsilon_idempotent, euler_element,
                                      inertia_and_cells, is_central, kappa_to_c,
@@ -202,7 +202,7 @@ def test_d3_two_equal_kappas():
     P = Rank1Params.from_kappa(3, [1, 1, -2])
     data = inertia_and_cells(P)
     assert sorted(map(sorted, data.cells)) == [[0], [1, 2]]
-    assert sorted(map(sorted, cm_families(data))) == [[0], [1, 2]]
+    assert sorted(map(sorted, data.families)) == [[0], [1, 2]]
     assert len(data.fiber) == 2
 
 
@@ -232,7 +232,7 @@ def test_families_match_cells_under_det_pairing():
     for d in (3, 4, 5):
         P = rational_params(d, random_c(rng, d))
         data = inertia_and_cells(P)
-        assert cm_families(data) == [list(b) for b in data.cells]
+        assert data.families == [list(b) for b in data.cells]
 
 
 def test_all_kappa_distinct_gives_singletons():

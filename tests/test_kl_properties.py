@@ -1,0 +1,66 @@
+"""Property tests: on random small Coxeter groups with random weights, the
+KL basis equals the brute-force solver's and every C_s C_w in the table
+equals the product multiplied out and re-expanded in the C-basis."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hecke_reference import cs_product_reference
+from kl_brute_oracle import brute_kl_expansions
+from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
+                             conjugate_generator_components,
+                             named_coxeter_matrix)
+from klcells.hecke import HeckeAlgebra, kl_basis
+
+A1_X_A2 = CoxeterMatrix.from_rows([[1, 2, 2], [2, 1, 3], [2, 3, 1]])
+
+
+@st.composite
+def coxeter_matrices(draw):
+    kind = draw(st.sampled_from(["I2", "A1xA2", "A3", "B3"]))
+    if kind == "I2":
+        return named_coxeter_matrix("I2", draw(st.integers(2, 6)))
+    if kind == "A1xA2":
+        return A1_X_A2
+    return named_coxeter_matrix(kind[0], 3)
+
+
+@st.composite
+def weight_functions(draw, matrix):
+    """Weights constant on conjugacy classes of generators: positive
+    rationals, the same with at least one class at zero, or lexicographic
+    units e_i (0 allowed) in Z^2."""
+    comp = conjugate_generator_components(matrix)
+    classes = max(comp) + 1
+    kind = draw(st.sampled_from(["rational", "zero", "lex"]))
+    if kind == "lex":
+        units = draw(st.lists(st.sampled_from([1, 2, None]),
+                              min_size=classes, max_size=classes))
+        return WeightFunction.from_lex_units([units[c] for c in comp], 2)
+    positive = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+    values = draw(st.lists(positive, min_size=classes, max_size=classes))
+    if kind == "zero":
+        values[draw(st.integers(0, classes - 1))] = 0
+    return WeightFunction.rational([values[c] for c in comp])
+
+
+@st.composite
+def algebras(draw):
+    matrix = draw(coxeter_matrices())
+    return HeckeAlgebra(build_group(matrix), draw(weight_functions(matrix)))
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(algebras())
+def test_kl_table_matches_brute_oracle_and_reference(alg):
+    table = kl_basis(alg)
+    W = alg.group
+    brute = brute_kl_expansions(alg)
+    for w in range(len(W)):
+        assert alg.equal(table.c_expansion(w), brute[w]), W.name(w)
+    for s in range(W.rank):
+        for w in range(len(W)):
+            assert alg.equal(table.cs_product_in_c(s, w),
+                             cs_product_reference(table, s, w)), (W.gen_names[s], W.name(w))

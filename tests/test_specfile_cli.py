@@ -215,3 +215,27 @@ def test_cli_conjecture_no_b2(capsys):
     doc = json.loads(out)
     assert doc["b2_regimes"] == []
     assert doc["verdict"] == "MATCH"
+
+
+def test_unreadable_cache_is_recomputed(tmp_path, capsys):
+    spec = write(tmp_path / "b2.spec", "group B 2\nL s = 1\nL t = 2\n")
+    code, cold, _ = run_cli(capsys, "cells", spec, "--no-cache")
+    assert code == 0
+    cache = tmp_path / "cache"
+    code, _, _ = run_cli(capsys, "cells", spec, "--cache-dir", str(cache))
+    assert code == 0
+    [path] = cache.iterdir()
+    good = path.read_text(encoding="utf-8")
+    foreign = json.loads(good)
+    foreign["key"] = "0" * 64
+    malformed = json.loads(good)
+    malformed["c_basis"]["e"] = "1*v^(0)"
+    for broken in ("{", "{}", "[]", good[: len(good) // 2], json.dumps(foreign),
+                   json.dumps(malformed)):
+        path.write_text(broken, encoding="utf-8")
+        code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", str(cache))
+        assert (code, err) == (0, ""), broken[:20]
+        assert out == cold
+        # The bad file was replaced by a good one, atomically.
+        assert path.read_text(encoding="utf-8") == good
+        assert [p.name for p in cache.iterdir()] == [path.name]
