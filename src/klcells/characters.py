@@ -14,6 +14,8 @@ works; CoxeterGroup does, and CyclicGroup below covers mu_d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
@@ -74,6 +76,21 @@ class CharacterTable:
     @property
     def degrees(self) -> List[int]:
         return [int(row[0].to_fraction()) for row in self.rows]
+
+    @cached_property
+    def dual(self) -> Tuple[int, List[List[Tuple[int, ...]]]]:
+        """(scale, dual) with dual[r][l] the power-basis coefficients of
+        D * |C_l| * conj(chi_r(l)) as ints and scale = D * |W|, where D is
+        the lcm of their denominators, so that
+        <f, chi_r> = sum_l f(l) * dual[r][l] / scale.  Built on first use,
+        since most tables are never used to decompose."""
+        sizes = self.classes.sizes
+        conj = [[v.conj() * size for v, size in zip(row, sizes)]
+                for row in self.rows]
+        d = lcm(*(c.denominator for row in conj for v in row for c in v.coeffs))
+        dual = [[tuple(int(c * d) for c in v.coeffs) for v in row]
+                for row in conj]
+        return d * sum(sizes), dual
 
     def from_integers(self, values: Sequence[int]) -> List[Cyclotomic]:
         return [self.field.from_fraction(v) for v in values]
@@ -397,20 +414,40 @@ def inner_product(f: Sequence[Cyclotomic], g: Sequence[Cyclotomic],
 def decompose(f: Sequence[Cyclotomic], table: CharacterTable
               ) -> Tuple[List[Cyclotomic], bool]:
     """Multiplicity vector of f against the irreducible rows, plus a flag
-    telling whether every entry is a nonnegative rational integer."""
-    coeffs = [inner_product(f, row, table) for row in table.rows]
+    telling whether every entry is a nonnegative rational integer.
+
+    A rational-valued f (every cell character) is decomposed in integers
+    against the cached dual table; any other f goes through inner_product."""
+    if all(v.is_rational() for v in f):
+        values = [v.to_fraction() for v in f]
+        e = lcm(*(x.denominator for x in values))
+        ints = [x.numerator * (e // x.denominator) for x in values]
+        scale, dual = table.dual
+        den = scale * e
+        deg = table.field.degree
+        coeffs = []
+        for drow in dual:
+            acc = [0] * deg
+            for a, dv in zip(ints, drow):
+                if a:
+                    for j, c in enumerate(dv):
+                        if c:
+                            acc[j] += a * c
+            coeffs.append(Cyclotomic(table.field,
+                                     tuple(Fraction(c, den) for c in acc)))
+    else:
+        coeffs = [inner_product(f, row, table) for row in table.rows]
     ok = all(c.is_rational() and c.to_fraction().denominator == 1
              and c.to_fraction() >= 0 for c in coeffs)
     return coeffs, ok
 
 
 def verify_orthogonality(table: CharacterTable) -> bool:
-    """Exact row orthogonality and the degree sum |W| = sum chi(1)^2."""
-    k = len(table.rows)
-    for i in range(k):
-        for j in range(k):
-            ip = inner_product(table.rows[i], table.rows[j], table)
-            if not ip == (1 if i == j else 0):
-                return False
+    """Exact row orthogonality (row i decomposes to the i-th unit vector)
+    and the degree sum |W| = sum chi(1)^2."""
+    for i, row in enumerate(table.rows):
+        coeffs, _ = decompose(row, table)
+        if not all(c == (1 if i == j else 0) for j, c in enumerate(coeffs)):
+            return False
     n = sum(table.classes.sizes)
     return sum(d * d for d in table.degrees) == n

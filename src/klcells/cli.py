@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional, TextIO
 
 from .cells import NonIntegerMultiplicity, cells_report
 from .characters import character_table
@@ -151,18 +151,36 @@ def _load_table(args) -> KLTable:
     # A missing or unreadable cache is a miss: recompute and replace it.
     table = kl_basis(algebra)
     os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        json.dump(table.to_json_dict(), fh, sort_keys=True, indent=2)
-    os.replace(tmp, path)
+    doc = table.to_json_dict()
+    _replace_file(path, lambda fh: json.dump(doc, fh, sort_keys=True, indent=2))
     return table
+
+
+def _replace_file(path: str, write: Callable[[TextIO], None]) -> None:
+    """Write `path` through a temporary file in its directory and an atomic
+    rename, so readers see the old file or the whole new one.  The file
+    gets the mode a plain open() would give it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(doc: dict, output: Optional[str]) -> None:
     payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            _replace_file(output, lambda fh: fh.write(payload))
+        except OSError as exc:
+            raise InputError(f"cannot write {output!r}: {exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -228,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (InternalCheckError, NonIntegerMultiplicity, AssertionError,
-            ArithmeticError) as exc:
+            ArithmeticError, KeyError, IndexError, TypeError) as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
         return 2
 

@@ -1,12 +1,35 @@
+import dataclasses
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mn_oracle import coxeter_class_cycle_types, symmetric_group_table
 from klcells.characters import (CyclicGroup, character_table,
                                 decompose, dixon_prime, inner_product,
                                 verify_orthogonality)
-from klcells.coxeter import build_group, named_coxeter_matrix
+from klcells.coxeter import CoxeterMatrix, build_group, named_coxeter_matrix
+
+# Groups for the decomposition tests: Weyl groups with rational tables,
+# H3, I2(5), I2(8) whose tables have irrational real values, and Z/5,
+# whose characters are not real, so that complex conjugation matters.
+DECOMPOSE_GROUPS = {
+    "A3": lambda: build_group(named_coxeter_matrix("A", 3)),
+    "B3": lambda: build_group(named_coxeter_matrix("B", 3)),
+    "D4": lambda: build_group(named_coxeter_matrix("D", 4)),
+    "H3": lambda: build_group(CoxeterMatrix.from_rows([[1, 5, 2], [5, 1, 3], [2, 3, 1]])),
+    "I2(5)": lambda: build_group(named_coxeter_matrix("I2", 5)),
+    "I2(8)": lambda: build_group(named_coxeter_matrix("I2", 8)),
+    "Z/5": lambda: CyclicGroup(5),
+}
+IRRATIONAL_TABLES = ("H3", "I2(5)", "I2(8)", "Z/5")
+
+
+@cache
+def decompose_table(name):
+    return character_table(DECOMPOSE_GROUPS[name]())
 
 
 class TrivialGroup:
@@ -167,3 +190,77 @@ def test_json_rendering_is_integral():
         for coeff_vec in row:
             for c in coeff_vec:
                 assert "/" not in c  # algebraic integers: integer coefficients
+
+
+def _ok_flag(coeffs):
+    return all(c.is_rational() and c.to_fraction().denominator == 1
+               and c.to_fraction() >= 0 for c in coeffs)
+
+
+@st.composite
+def rational_class_functions(draw):
+    table = decompose_table(draw(st.sampled_from(sorted(DECOMPOSE_GROUPS))))
+    k = len(table.classes.blocks)
+    value = st.one_of(st.integers(-60, 60),
+                      st.fractions(min_value=-20, max_value=20, max_denominator=12))
+    return table, table.from_integers(draw(st.lists(value, min_size=k, max_size=k)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(rational_class_functions())
+def test_decompose_matches_inner_products(case):
+    table, f = case
+    coeffs, ok = decompose(f, table)
+    expected = [inner_product(f, row, table) for row in table.rows]
+    assert coeffs == expected
+    assert ok == _ok_flag(expected)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(sorted(DECOMPOSE_GROUPS)), st.data())
+def test_virtual_characters_decompose_to_their_coefficients(name, data):
+    table = decompose_table(name)
+    k = len(table.rows)
+    n = data.draw(st.lists(st.integers(-2, 3), min_size=k, max_size=k))
+    f = [sum((row[l] * m for m, row in zip(n, table.rows)), table.field.zero())
+         for l in range(len(table.classes.blocks))]
+    coeffs, ok = decompose(f, table)
+    assert coeffs == [table.field.from_fraction(m) for m in n]
+    assert ok == all(m >= 0 for m in n)
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_GROUPS))
+def test_irreducible_rows_decompose_to_unit_vectors(name):
+    table = decompose_table(name)
+    k = len(table.rows)
+    for i, row in enumerate(table.rows):
+        coeffs, ok = decompose(row, table)
+        assert ok
+        assert coeffs == [table.field.from_fraction(int(i == j)) for j in range(k)]
+    # Irrational rows go through the inner_product branch.
+    irrational = any(not v.is_rational() for row in table.rows for v in row)
+    assert irrational == (name in IRRATIONAL_TABLES)
+
+
+def test_dual_table_is_built_on_first_decompose():
+    table = character_table(build_group(named_coxeter_matrix("A", 2)))
+    assert "dual" not in vars(table)
+    decompose(table.trivial_character(), table)
+    scale, dual = vars(table)["dual"]
+    assert scale == 6 and len(dual) == len(table.rows)
+
+
+def test_altered_tables():
+    """On tables that are not character tables, decompose still agrees with
+    inner_product and verify_orthogonality says no."""
+    table = character_table(build_group(named_coxeter_matrix("A", 2)))
+    triv, sign, std = table.rows
+    # A repeated row keeps every norm and the degree sum, but not
+    # orthogonality; a row with value 1/2 needs a denominator in the dual.
+    half = [v * Fraction(1, 2) for v in sign]
+    f = table.from_integers([3, -1, Fraction(2, 3)])
+    for rows in ([triv, triv, std], [triv, std, half]):
+        altered = dataclasses.replace(table, rows=rows)
+        assert not verify_orthogonality(altered)
+        coeffs, _ = decompose(f, altered)
+        assert coeffs == [inner_product(f, row, altered) for row in rows]

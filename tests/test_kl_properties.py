@@ -1,6 +1,7 @@
 """Property tests: on random small Coxeter groups with random weights, the
-KL basis equals the brute-force solver's and every C_s C_w in the table
-equals the product multiplied out and re-expanded in the C-basis."""
+KL basis equals the brute-force solver's, every C_s C_w in the table
+equals the product multiplied out and re-expanded in the C-basis, and the
+cells satisfy the invariants that hold for every weight function."""
 
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from hecke_reference import cs_product_reference
 from kl_brute_oracle import brute_kl_expansions
+from klcells.cells import cells, left_cell_character, left_preorder
+from klcells.characters import character_table
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              conjugate_generator_components,
                              named_coxeter_matrix)
@@ -64,3 +67,30 @@ def test_kl_table_matches_brute_oracle_and_reference(alg):
         for w in range(len(W)):
             assert alg.equal(table.cs_product_in_c(s, w),
                              cs_product_reference(table, s, w)), (W.gen_names[s], W.name(w))
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(algebras())
+def test_cell_invariants(alg):
+    """The left cell characters sum to the regular character, every left
+    and every right cell lies in one two-sided cell, and the right cells
+    are the inverses of the left cells."""
+    table = kl_basis(alg)
+    W = alg.group
+    chars = character_table(W)
+    graph = left_preorder(table)
+    left = cells(graph, "left", W)
+    right = cells(graph, "right", W)
+    two_sided = cells(graph, "two-sided", W)
+    total = [0] * len(chars.rows)
+    values = [0] * len(chars.classes.blocks)
+    for block in left.blocks:
+        cc = left_cell_character(table, block, chars)
+        total = [a + b for a, b in zip(total, cc.multiplicities)]
+        values = [a + b for a, b in zip(values, cc.values)]
+        assert len({two_sided.block_of[w] for w in block}) == 1, block
+    for block in right.blocks:
+        assert len({two_sided.block_of[w] for w in block}) == 1, block
+    assert total == chars.degrees
+    assert chars.from_integers(values) == chars.regular_character()
+    assert right.as_sets() == {frozenset(W.inv(w) for w in b) for b in left.blocks}

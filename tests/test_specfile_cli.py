@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,55 @@ def test_cli_output_flag(tmp_path, capsys):
     assert out == ""
     doc = json.loads(out_path.read_text())
     assert "c_basis" in doc
+
+
+def test_cli_output_is_atomic_and_equals_stdout(tmp_path, capsys, monkeypatch):
+    spec = write(tmp_path / "b2.spec", "group B 2\nL s = 1\nL t = 2\n")
+    code, out, _ = run_cli(capsys, "cells", spec, "--no-cache")
+    assert code == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out_path = out_dir / "cells.json"
+    out_path.write_text("stale", encoding="utf-8")
+    code, printed, _ = run_cli(capsys, "cells", spec, "--no-cache",
+                               "--output", str(out_path))
+    assert (code, printed) == (0, "")
+    assert out_path.read_bytes() == out.encode("utf-8")
+    assert [p.name for p in out_dir.iterdir()] == ["cells.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~umask
+    # A write that fails before the rename leaves the old file whole and
+    # no temporary file behind.
+    out_path.write_text("stale", encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, _, err = run_cli(capsys, "cells", spec, "--no-cache",
+                           "--output", str(out_path))
+    assert code == 1 and "cannot write" in err and "disk full" in err
+    assert out_path.read_text(encoding="utf-8") == "stale"
+    assert [p.name for p in out_dir.iterdir()] == ["cells.json"]
+    # An output path that cannot be written is an input error.
+    code, _, err = run_cli(capsys, "cells", spec, "--no-cache",
+                           "--output", str(tmp_path / "missing" / "cells.json"))
+    assert code == 1 and "cannot write" in err
+
+
+@pytest.mark.parametrize("exc", [KeyError("w"), IndexError("list index out of range"),
+                                 TypeError("unsupported operand")])
+def test_stray_internal_errors_exit_2(tmp_path, capsys, monkeypatch, exc):
+    spec = write(tmp_path / "a1.spec", "group A 1\nL s = 1\n")
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("klcells.cli.cells_report", broken)
+    code, out, err = run_cli(capsys, "cells", spec, "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == f"internal invariant violation: {exc}\n"
 
 
 def test_cache_hit_is_byte_identical(tmp_path, capsys):
