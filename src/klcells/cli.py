@@ -120,18 +120,20 @@ def _parse_rationals(text: str) -> List[Fraction]:
 
 def _read_cached_table(path: str, algebra: HeckeAlgebra, key: str) -> Optional[KLTable]:
     """The KL table cached at `path`, or None when there is no file or it
-    does not load: invalid JSON, a malformed document, or a `key` field
-    that differs from the content key."""
+    does not load: an unreadable path, invalid JSON, a malformed document,
+    an exponent off the algebra's grid, or a `key` field that differs from
+    the content key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (FileNotFoundError, ValueError):  # ValueError: not JSON, not UTF-8
+    except (OSError, ValueError):  # ValueError: not JSON, not UTF-8
         return None
     if not isinstance(doc, dict) or doc.get("key") != key:
         return None
     try:
         return KLTable.from_json_dict(doc, algebra)
-    except (KeyError, TypeError, IndexError, ValueError, AttributeError):
+    except (KeyError, TypeError, IndexError, ValueError, AttributeError,
+            ArithmeticError):
         return None
 
 
@@ -149,10 +151,14 @@ def _load_table(args) -> KLTable:
     if table is not None:
         return table
     # A missing or unreadable cache is a miss: recompute and replace it.
+    # A cache that cannot be written costs a warning, never the result.
     table = kl_basis(algebra)
-    os.makedirs(cache_dir, exist_ok=True)
     doc = table.to_json_dict()
-    _replace_file(path, lambda fh: json.dump(doc, fh, sort_keys=True, indent=2))
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        _replace_file(path, lambda fh: json.dump(doc, fh, sort_keys=True, indent=2))
+    except OSError as exc:
+        sys.stderr.write(f"warning: KL cache not written: {exc}\n")
     return table
 
 

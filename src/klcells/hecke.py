@@ -30,13 +30,14 @@ import json
 from typing import Dict, List, Tuple
 
 from .coxeter import CoxeterGroup, WeightFunction, validate_weights
-from .ordered_coeffs import LaurentElt
+from .ordered_coeffs import LaurentElt, OrderedExponent
 
 HeckeCoeffs = Dict[int, LaurentElt]
 
 
 class HeckeAlgebra:
-    """Context object: group, validated weights, and per-generator constants."""
+    """Context object: group, validated weights, the grid every coefficient
+    keeps its int exponent keys on, and v^{L(s)}, v^{-L(s)} per generator."""
 
     def __init__(self, group: CoxeterGroup, weights: WeightFunction):
         validate_weights(group.matrix, weights, group.gen_names)
@@ -44,70 +45,15 @@ class HeckeAlgebra:
         self.weights = weights
         self.mode = weights.mode
         self.arity = weights.arity
-        # v^{L(s)} - v^{-L(s)}; zero when L(s) = 0.
-        self._xi: List[LaurentElt] = []
-        self._v_plus: List[LaurentElt] = []
-        self._v_minus: List[LaurentElt] = []
-        for g in range(group.rank):
-            L = weights[g]
-            self._v_plus.append(LaurentElt.v_power(L))
-            self._v_minus.append(LaurentElt.v_power(-L))
-            self._xi.append(self._v_plus[g] - self._v_minus[g])
-
-    # -- element helpers ----------------------------------------------
-
-    def zero_coeff(self) -> LaurentElt:
-        return LaurentElt.zero(self.mode, self.arity)
+        self.grid = OrderedExponent.grid_of(self.mode, self.arity, weights.exps)
+        self._v_plus = [LaurentElt.v_power(L, grid=self.grid) for L in weights.exps]
+        self._v_minus = [LaurentElt.v_power(-L, grid=self.grid) for L in weights.exps]
 
     def one_coeff(self) -> LaurentElt:
-        return LaurentElt.one(self.mode, self.arity)
-
-    def t(self, w: int) -> HeckeCoeffs:
-        return {w: self.one_coeff()}
+        return LaurentElt(self.grid, {0: 1})
 
     def unit(self) -> HeckeCoeffs:
-        return self.t(self.group.identity)
-
-    @staticmethod
-    def clean(h: HeckeCoeffs) -> HeckeCoeffs:
-        return {w: c for w, c in h.items() if c}
-
-    def add(self, a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoeffs:
-        out = dict(a)
-        for w, c in b.items():
-            cur = out.get(w)
-            out[w] = c if cur is None else cur + c
-        return self.clean(out)
-
-    def scale(self, c: LaurentElt, h: HeckeCoeffs) -> HeckeCoeffs:
-        return self.clean({w: c * x for w, x in h.items()})
-
-    def sub(self, a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoeffs:
-        out = dict(a)
-        for w, c in b.items():
-            cur = out.get(w)
-            out[w] = (-c) if cur is None else cur - c
-        return self.clean(out)
-
-    def equal(self, a: HeckeCoeffs, b: HeckeCoeffs) -> bool:
-        return self.clean(a) == self.clean(b)
-
-    # -- multiplication -----------------------------------------------
-
-    def mul_ts(self, s: int, h: HeckeCoeffs) -> HeckeCoeffs:
-        """T_s * h."""
-        group = self.group
-        out: HeckeCoeffs = {}
-        xi = self._xi[s]
-        for w, c in h.items():
-            sw = group.lmul_gen(s, w)
-            cur = out.get(sw)
-            out[sw] = c if cur is None else cur + c
-            if xi and group.length(sw) < group.length(w):
-                extra = xi * c
-                cur = out.get(w)
-                out[w] = extra if cur is None else cur + extra
-        return self.clean(out)
+        return {self.group.identity: self.one_coeff()}
 
 
 class KLTable:
@@ -163,11 +109,10 @@ class KLTable:
 
     @staticmethod
     def from_json_dict(doc: dict, algebra: HeckeAlgebra) -> "KLTable":
-        group = algebra.group
-        mode, arity = algebra.mode, algebra.arity
+        group, grid = algebra.group, algebra.grid
 
         def coeffs(obj: dict) -> HeckeCoeffs:
-            return {group.element_by_name(nm): LaurentElt.parse(txt, mode, arity)
+            return {group.element_by_name(nm): LaurentElt.parse(txt, grid=grid)
                     for nm, txt in obj.items()}
 
         c_exp = [coeffs(doc["c_basis"][group.name(w)]) for w in range(len(group))]
@@ -179,25 +124,13 @@ class KLTable:
         return KLTable(algebra, c_exp, cs)
 
 
-def _symmetrize_correction(r: LaurentElt) -> LaurentElt:
-    """zero part + positive part + bar(positive part): the bar-invariant
-    multiple whose subtraction leaves only negative exponents."""
-    _, const, pos = r.split_by_sign()
-    out = LaurentElt.integer(const, r.mode, r.arity) + pos + pos.bar()
-    return out
-
-
 def _add_into(h: HeckeCoeffs, y: int, c: LaurentElt) -> None:
     """h[y] += c in place, dropping the entry if it cancels."""
-    cur = h.get(y)
-    if cur is None:
-        h[y] = c
+    total = h[y] + c if y in h else c
+    if total:
+        h[y] = total
     else:
-        total = cur + c
-        if total:
-            h[y] = total
-        else:
-            del h[y]
+        del h[y]
 
 
 def _cs_times_c(algebra: HeckeAlgebra, s: int, u: int, w: int,
@@ -235,12 +168,13 @@ def _cs_times_c(algebra: HeckeAlgebra, s: int, u: int, w: int,
         c = cand.get(y)
         if c is None:
             continue
-        m = _symmetrize_correction(c)
+        m = c.nonneg_symmetrized()
         if not m:
             continue
         correction[y] = m
+        neg_m = -m
         for z, cz in c_exp[y].items():
-            _add_into(cand, z, -(m * cz))
+            _add_into(cand, z, neg_m * cz)
             if z not in queued:
                 queued.add(z)
                 if group.lmul_gen(s, z) < z:
@@ -257,7 +191,7 @@ def kl_basis(algebra: HeckeAlgebra) -> KLTable:
     group = algebra.group
     n = len(group)
     one = algebra.one_coeff()
-    v_sum = [algebra._v_plus[s] + algebra._v_minus[s] for s in range(group.rank)]
+    v_sum = [p + m for p, m in zip(algebra._v_plus, algebra._v_minus)]
     c_exp: List[HeckeCoeffs] = [algebra.unit()] + [{}] * (n - 1)
     cs_in_c: Dict[Tuple[int, int], HeckeCoeffs] = {}
     for w in range(1, n):
@@ -265,9 +199,10 @@ def kl_basis(algebra: HeckeAlgebra) -> KLTable:
         for s in group.left_descents(w):
             u = group.lmul_gen(s, w)
             if algebra.weights[s].sign() == 0:
-                # T_s^2 = 1: C_w = T_s C_u = C_s C_u needs no cancellation.
+                # T_s^2 = 1, so T_s T_y = T_{sy}: C_w = T_s C_u = C_s C_u
+                # is C_u relabelled, with no cancellation.
                 if s == first:
-                    c_exp[w] = algebra.mul_ts(s, c_exp[u])
+                    c_exp[w] = {group.lmul_gen(s, y): c for y, c in c_exp[u].items()}
                 cs_in_c[(s, u)] = {w: one}
                 cs_in_c[(s, w)] = {u: one}
                 continue

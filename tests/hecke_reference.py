@@ -16,10 +16,54 @@ from klcells.ordered_coeffs import LaurentElt
 _I_OF_T: "weakref.WeakKeyDictionary[HeckeAlgebra, list]" = weakref.WeakKeyDictionary()
 
 
+def clean(h: HeckeCoeffs) -> HeckeCoeffs:
+    return {w: c for w, c in h.items() if c}
+
+
+def zero_coeff(algebra: HeckeAlgebra) -> LaurentElt:
+    return LaurentElt(algebra.grid, {})
+
+
+def t_basis(algebra: HeckeAlgebra, w: int) -> HeckeCoeffs:
+    return {w: algebra.one_coeff()}
+
+
+def add(a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoeffs:
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out[w] + c if w in out else c
+    return clean(out)
+
+
+def sub(a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoeffs:
+    return add(a, {w: -c for w, c in b.items()})
+
+
+def scale(c: LaurentElt, h: HeckeCoeffs) -> HeckeCoeffs:
+    return clean({w: c * x for w, x in h.items()})
+
+
+def equal(a: HeckeCoeffs, b: HeckeCoeffs) -> bool:
+    return clean(a) == clean(b)
+
+
 def xi(algebra: HeckeAlgebra, s: int):
     """v^{L(s)} - v^{-L(s)}; zero when L(s) = 0."""
     L = algebra.weights[s]
     return LaurentElt.v_power(L) - LaurentElt.v_power(-L)
+
+
+def mul_ts(algebra: HeckeAlgebra, s: int, h: HeckeCoeffs) -> HeckeCoeffs:
+    """T_s * h."""
+    group = algebra.group
+    x = xi(algebra, s)
+    out: HeckeCoeffs = {}
+    for w, c in h.items():
+        sw = group.lmul_gen(s, w)
+        out[sw] = out[sw] + c if sw in out else c
+        if x and group.length(sw) < group.length(w):
+            out[w] = out[w] + x * c if w in out else x * c
+    return clean(out)
 
 
 def mul_ts_right(algebra: HeckeAlgebra, h: HeckeCoeffs, s: int) -> HeckeCoeffs:
@@ -32,15 +76,15 @@ def mul_ts_right(algebra: HeckeAlgebra, h: HeckeCoeffs, s: int) -> HeckeCoeffs:
         out[ws] = out[ws] + c if ws in out else c
         if x and group.length(ws) < group.length(w):
             out[w] = out[w] + x * c if w in out else x * c
-    return algebra.clean(out)
+    return clean(out)
 
 
 def t_inv_times(algebra: HeckeAlgebra, s: int, h: HeckeCoeffs) -> HeckeCoeffs:
     """T_s^{-1} * h, using T_s^{-1} = T_s - (v^{L(s)} - v^{-L(s)})."""
-    out = algebra.mul_ts(s, h)
+    out = mul_ts(algebra, s, h)
     x = xi(algebra, s)
     if x:
-        out = algebra.sub(out, algebra.scale(x, h))
+        out = sub(out, scale(x, h))
     return out
 
 
@@ -57,9 +101,9 @@ def multiply(algebra: HeckeAlgebra, a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoef
     for w, c in a.items():
         part = b
         for g in reversed(algebra.group.word(w)):
-            part = algebra.mul_ts(g, part)
+            part = mul_ts(algebra, g, part)
         _accumulate(out, c, part)
-    return algebra.clean(out)
+    return clean(out)
 
 
 def i_of_t_table(algebra: HeckeAlgebra) -> list:
@@ -82,7 +126,7 @@ def bar(algebra: HeckeAlgebra, h: HeckeCoeffs) -> HeckeCoeffs:
     out: HeckeCoeffs = {}
     for w, c in h.items():
         _accumulate(out, c.bar(), table[w])
-    return algebra.clean(out)
+    return clean(out)
 
 
 def c_gen(algebra: HeckeAlgebra, s: int) -> HeckeCoeffs:
@@ -99,7 +143,7 @@ def express_in_kl(h: HeckeCoeffs, table: KLTable) -> HeckeCoeffs:
     longest support element down."""
     algebra = table.algebra
     group = table.group
-    rest = algebra.clean(dict(h))
+    rest = clean(dict(h))
     out: HeckeCoeffs = {}
     while rest:
         y = max(rest, key=lambda x: (group.length(x), x))
@@ -108,7 +152,7 @@ def express_in_kl(h: HeckeCoeffs, table: KLTable) -> HeckeCoeffs:
         for z, cz in table.c_expansion(y).items():
             if z == y:
                 continue
-            val = rest.get(z, algebra.zero_coeff()) - c * cz
+            val = rest.get(z, zero_coeff(algebra)) - c * cz
             if val:
                 rest[z] = val
             else:

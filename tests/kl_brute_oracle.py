@@ -3,14 +3,14 @@ system p_z - bar(p_z) = g_z directly, using only bar expansions of the
 T-basis.  No descent products, no correction loop: a genuinely different
 route to the same basis."""
 
-from hecke_reference import bar
+from hecke_reference import bar, equal, t_basis, zero_coeff
 from klcells.hecke import HeckeAlgebra
 
 
 def brute_kl_expansions(algebra: HeckeAlgebra):
     group = algebra.group
     n = len(group)
-    bar_t = [bar(algebra, algebra.t(w)) for w in range(n)]
+    bar_t = [bar(algebra, t_basis(algebra, w)) for w in range(n)]
 
     expansions = []
     for w in range(n):
@@ -18,7 +18,7 @@ def brute_kl_expansions(algebra: HeckeAlgebra):
         shorter.sort(key=lambda z: (-group.length(z), z))
         p = {}
         for z in shorter:
-            g = bar_t[w].get(z, algebra.zero_coeff())
+            g = bar_t[w].get(z, zero_coeff(algebra))
             for y, py in p.items():
                 if group.length(y) > group.length(z):
                     r = bar_t[y].get(z)
@@ -32,6 +32,6 @@ def brute_kl_expansions(algebra: HeckeAlgebra):
         expansion = {w: algebra.one_coeff()}
         expansion.update(p)
         # Full verification: the candidate really is bar-invariant.
-        assert algebra.equal(bar(algebra, expansion), expansion)
+        assert equal(bar(algebra, expansion), expansion)
         expansions.append(expansion)
     return expansions

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from klcells.ordered_coeffs import (LEX, RATIONAL, LaurentElt,
+from klcells.ordered_coeffs import (LEX, LEX_BOUND, RATIONAL, LaurentElt,
                                     ModeMismatchError, OrderedExponent)
 
 
@@ -153,3 +155,80 @@ def test_render_parse_roundtrip():
     assert LaurentElt.parse("0").is_zero()
     assert LaurentElt.parse("-2*v^(-1/2) + 1*v^(3)") == \
         v(Fraction(-1, 2), -2) + v(3)
+
+
+# -- the int codec: additive, order preserving, exact round trip --------
+
+codec_settings = settings(max_examples=200, deadline=None, database=None)
+
+
+@st.composite
+def rational_pairs(draw):
+    scale = draw(st.integers(1, 720))
+    a, b = (Fraction(draw(st.integers(-10**6, 10**6)), scale) for _ in range(2))
+    return (RATIONAL, None, scale), OrderedExponent.rational(a), OrderedExponent.rational(b)
+
+
+@st.composite
+def lex_pairs(draw, bound=LEX_BOUND // 2):
+    arity = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-bound, bound), min_size=arity, max_size=arity)
+    return (LEX, arity, 1), OrderedExponent.lex(draw(vec)), OrderedExponent.lex(draw(vec))
+
+
+@codec_settings
+@given(st.one_of(rational_pairs(), lex_pairs()))
+def test_codec_is_additive_order_preserving_and_exact(case):
+    grid, a, b = case
+    ka, kb = a.encode(grid), b.encode(grid)
+    assert (a + b).encode(grid) == ka + kb
+    assert (-a).encode(grid) == -ka
+    assert (a < b) == (ka < kb)
+    assert a.sign() == (ka > 0) - (ka < 0)
+    assert OrderedExponent.decode(ka, grid) == a
+    assert OrderedExponent.decode(ka + kb, grid) == a + b
+
+
+@codec_settings
+@given(st.one_of(rational_pairs(), lex_pairs()))
+def test_ring_agrees_with_exponent_arithmetic(case):
+    _, a, b = case
+    prod = LaurentElt.v_power(a, 2) * LaurentElt.v_power(b, 3)
+    assert list(prod.terms()) == [(a + b, 6)]
+    assert prod == LaurentElt.v_power(a + b, 6)
+    assert LaurentElt.parse(prod.render(), a.mode, a.arity) == prod
+
+
+@st.composite
+def lex_overflow_pairs(draw):
+    """Two in-bound lex vectors whose sum leaves the bound in one coordinate."""
+    grid, a, b = draw(lex_pairs(bound=LEX_BOUND))
+    a, b = list(a.value), list(b.value)
+    i = draw(st.integers(0, grid[1] - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    x = draw(st.integers(1, LEX_BOUND))
+    a[i], b[i] = sign * x, sign * draw(st.integers(LEX_BOUND - x + 1, LEX_BOUND))
+    return grid, OrderedExponent.lex(a), OrderedExponent.lex(b)
+
+
+@codec_settings
+@given(lex_overflow_pairs())
+def test_lex_past_the_bound_raises_instead_of_wrapping(case):
+    grid, a, b = case
+    with pytest.raises(ValueError):
+        (a + b).encode(grid)
+    prod = LaurentElt.v_power(a) * LaurentElt.v_power(b)
+    with pytest.raises(ValueError):
+        list(prod.terms())
+    with pytest.raises(ValueError):
+        prod.render()
+
+
+def test_off_grid_exponents_are_rejected():
+    with pytest.raises(ValueError):
+        OrderedExponent.rational(Fraction(1, 3)).encode((RATIONAL, None, 2))
+    with pytest.raises(ValueError):
+        LaurentElt.parse("1*v^(1/3)", grid=(RATIONAL, None, 1))
+    with pytest.raises(ValueError):
+        LaurentElt.parse("1*v^(1,0,0)", grid=(LEX, 2, 1))
+    assert v(Fraction(1, 3)).coefficient(OrderedExponent.rational(Fraction(1, 2))) == 0

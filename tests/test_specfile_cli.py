@@ -280,8 +280,14 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     foreign["key"] = "0" * 64
     malformed = json.loads(good)
     malformed["c_basis"]["e"] = "1*v^(0)"
+    # An exponent off the algebra's grid: weights 1 and 2 put every
+    # exponent in Z, so v^(1/3) cannot come from this table.
+    off_grid = json.loads(good)
+    off_grid["c_basis"]["s"]["e"] = "1*v^(1/3)"
+    zero_den = json.loads(good)
+    zero_den["c_basis"]["s"]["e"] = "1*v^(1/0)"
     for broken in ("{", "{}", "[]", good[: len(good) // 2], json.dumps(foreign),
-                   json.dumps(malformed)):
+                   json.dumps(malformed), json.dumps(off_grid), json.dumps(zero_den)):
         path.write_text(broken, encoding="utf-8")
         code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", str(cache))
         assert (code, err) == (0, ""), broken[:20]
@@ -289,3 +295,29 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
         # The bad file was replaced by a good one, atomically.
         assert path.read_text(encoding="utf-8") == good
         assert [p.name for p in cache.iterdir()] == [path.name]
+
+    # A lex vector of the wrong arity is off the grid too.
+    lex_spec = write(tmp_path / "b2lex.spec", "group B 2\nL lex s = e_1\nL lex t = e_2\n")
+    code, lex_cold, _ = run_cli(capsys, "cells", lex_spec, "--cache-dir", str(cache))
+    assert code == 0
+    [lex_path] = [p for p in cache.iterdir() if p.name != path.name]
+    lex_good = lex_path.read_text(encoding="utf-8")
+    wrong_arity = json.loads(lex_good)
+    wrong_arity["c_basis"]["s"]["e"] = "1*v^(-1,0,0)"
+    lex_path.write_text(json.dumps(wrong_arity), encoding="utf-8")
+    code, out, err = run_cli(capsys, "cells", lex_spec, "--cache-dir", str(cache))
+    assert (code, err, out) == (0, "", lex_cold)
+    assert lex_path.read_text(encoding="utf-8") == lex_good
+
+
+def test_unusable_cache_dir_is_a_miss(tmp_path, capsys):
+    spec = write(tmp_path / "a1.spec", "group A 1\nL s = 1\n")
+    code, cold, _ = run_cli(capsys, "cells", spec, "--no-cache")
+    assert code == 0
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory", encoding="utf-8")
+    code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", str(blocker / "sub"))
+    assert code == 0
+    assert out == cold
+    [line] = err.splitlines()
+    assert line.startswith("warning: ")
