@@ -14,7 +14,6 @@ works; CoxeterGroup does, and CyclicGroup below covers mu_d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
@@ -87,8 +86,8 @@ class CharacterTable:
         sizes = self.classes.sizes
         conj = [[v.conj() * size for v, size in zip(row, sizes)]
                 for row in self.rows]
-        d = lcm(*(c.denominator for row in conj for v in row for c in v.coeffs))
-        dual = [[tuple(int(c * d) for c in v.coeffs) for v in row]
+        d = lcm(*(v.den for row in conj for v in row))
+        dual = [[tuple(c * (d // v.den) for c in v.num) for v in row]
                 for row in conj]
         return d * sum(sizes), dual
 
@@ -114,7 +113,8 @@ class CharacterTable:
                 for i, r in enumerate(reps)
             ],
             "irreducibles": [
-                [[str(c) for c in value.coeffs] for value in row]
+                [[str(c) for c in (value.num if value.den == 1 else value.coeffs)]
+                 for value in row]
                 for row in self.rows
             ],
             "degrees": self.degrees,
@@ -380,11 +380,13 @@ def character_table(group) -> CharacterTable:
                 mults.append((c * minv) % p)
             if sum(mults) % p != chi1 % p:
                 raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
-            value = field.zero()
+            value = [0] * field.degree
             for j, c in enumerate(mults):
                 if c:
-                    value = value + field.zeta(j * (exponent // m)) * c
-            row.append(value)
+                    for i, t in enumerate(field.zeta(j * (exponent // m)).num):
+                        if t:
+                            value[i] += c * t
+            row.append(field.from_numerators(value))
         rows_out.append(row)
 
     # Deterministic row order: trivial first, then (degree, value key).
@@ -419,9 +421,8 @@ def decompose(f: Sequence[Cyclotomic], table: CharacterTable
     A rational-valued f (every cell character) is decomposed in integers
     against the cached dual table; any other f goes through inner_product."""
     if all(v.is_rational() for v in f):
-        values = [v.to_fraction() for v in f]
-        e = lcm(*(x.denominator for x in values))
-        ints = [x.numerator * (e // x.denominator) for x in values]
+        e = lcm(*(v.den for v in f))
+        ints = [v.num[0] * (e // v.den) for v in f]
         scale, dual = table.dual
         den = scale * e
         deg = table.field.degree
@@ -433,12 +434,10 @@ def decompose(f: Sequence[Cyclotomic], table: CharacterTable
                     for j, c in enumerate(dv):
                         if c:
                             acc[j] += a * c
-            coeffs.append(Cyclotomic(table.field,
-                                     tuple(Fraction(c, den) for c in acc)))
+            coeffs.append(table.field.from_numerators(acc, den))
     else:
         coeffs = [inner_product(f, row, table) for row in table.rows]
-    ok = all(c.is_rational() and c.to_fraction().denominator == 1
-             and c.to_fraction() >= 0 for c in coeffs)
+    ok = all(c.den == 1 and c.num[0] >= 0 and c.is_rational() for c in coeffs)
     return coeffs, ok
 
 

@@ -238,7 +238,7 @@ def _group_part_z(params: Rank1Params) -> Dict[int, Cyclotomic]:
 
 
 def _params_key(params: Rank1Params) -> Tuple[int, Tuple]:
-    return (params.d, tuple(c.coeffs for c in params.c))
+    return (params.d, tuple((c.num, c.den) for c in params.c))
 
 
 def _xi_x_normal(params: Rank1Params, b: int, m: int) -> Dict[Monomial, Cyclotomic]:

@@ -5,7 +5,9 @@ one ACCEPTANCE n PASS/FAIL line per criterion.
 """
 
 import json
+import os
 import random
+import shutil
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +25,9 @@ from klcells.conjecture import (B2_REGIME_POINTS, MATCH, b2_regime_report,
 from klcells.coxeter import WeightFunction, build_group, named_coxeter_matrix
 from klcells.hecke import HeckeAlgebra, kl_basis
 
-REPORTS_DIR = Path(__file__).resolve().parent.parent / "reports"
+# The committed B2 snapshots; the test compares against a copy and never
+# writes here, so a missing golden fails instead of re-baselining.
+B2_GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "b2"
 
 # (kind, n, weight vectors to test): equal weights everywhere, plus two
 # unequal regimes wherever the generator classes allow them.
@@ -147,7 +151,9 @@ def test_criterion_6_conjecture_at_d2():
         assert report["verdict"] == MATCH, (str(c), report)
 
 
-def test_criterion_7_b2_regimes():
+def test_criterion_7_b2_regimes(tmp_path):
+    snapshots = tmp_path / "b2"
+    shutil.copytree(B2_GOLDEN_DIR, snapshots)
     partitions_by_regime = {}
     for regime, points in B2_REGIME_POINTS.items():
         for a, b in points:
@@ -160,8 +166,9 @@ def test_criterion_7_b2_regimes():
                 assert all(m >= 0 for m in entry["multiplicities"])
             partitions_by_regime.setdefault(regime, set()).add(
                 json.dumps(blocks, sort_keys=True))
-            status = store_snapshot(rep, str(REPORTS_DIR))
-            assert status in ("created", "match"), (regime, str(a), str(b), status)
+            status = store_snapshot(rep, str(snapshots))
+            assert status == "match", (regime, str(a), str(b), status)
+    assert len(os.listdir(snapshots)) == sum(len(pts) for pts in B2_REGIME_POINTS.values())
     for regime in ("b<a", "a<b<2a", "b>2a"):
         assert len(B2_REGIME_POINTS[regime]) >= 3
         assert len(partitions_by_regime[regime]) == 1, regime

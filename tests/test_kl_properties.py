@@ -1,14 +1,16 @@
 """Property tests: on random small Coxeter groups with random weights, the
-KL basis equals the brute-force solver's, every C_s C_w in the table
-equals the product multiplied out and re-expanded in the C-basis, and the
-cells satisfy the invariants that hold for every weight function."""
+Hecke relations hold in the reference T-basis arithmetic, the KL basis
+equals the brute-force solver's, every C_s C_w in the table equals the
+product multiplied out and re-expanded in the C-basis, and the cells
+satisfy the invariants that hold for every weight function."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke_reference import cs_product_reference, equal
+from hecke_reference import (add, cs_product_reference, equal, multiply, scale,
+                             t_basis)
 from kl_brute_oracle import brute_kl_expansions
 from klcells.cells import cells, left_cell_character, left_preorder
 from klcells.characters import character_table
@@ -16,6 +18,7 @@ from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              conjugate_generator_components,
                              named_coxeter_matrix)
 from klcells.hecke import HeckeAlgebra, kl_basis
+from klcells.ordered_coeffs import LaurentElt
 
 A1_X_A2 = CoxeterMatrix.from_rows([[1, 2, 2], [2, 1, 3], [2, 3, 1]])
 
@@ -53,6 +56,28 @@ def weight_functions(draw, matrix):
 def algebras(draw):
     matrix = draw(coxeter_matrices())
     return HeckeAlgebra(build_group(matrix), draw(weight_functions(matrix)))
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(algebras())
+def test_hecke_relations(alg):
+    """Acting on every T_w: T_s^2 = 1 + (v^L(s) - v^-L(s)) T_s, and
+    T_s T_t T_s ... = T_t T_s T_t ... (m_st factors a side) for s != t."""
+    W = alg.group
+    T = [t_basis(alg, W.generator(s)) for s in range(W.rank)]
+    gap = [LaurentElt.v_power(L) - LaurentElt.v_power(-L) for L in alg.weights]
+    for w in range(len(W)):
+        h = t_basis(alg, w)
+        for s in range(W.rank):
+            ts_h = multiply(alg, T[s], h)
+            assert equal(multiply(alg, T[s], ts_h),
+                         add(h, scale(gap[s], ts_h))), (W.gen_names[s], W.name(w))
+            for t in range(s + 1, W.rank):
+                left = right = h
+                for i in range(W.matrix.entries[s][t]):
+                    left = multiply(alg, T[(s, t)[i % 2]], left)
+                    right = multiply(alg, T[(t, s)[i % 2]], right)
+                assert equal(left, right), (W.gen_names[s], W.gen_names[t], W.name(w))
 
 
 @settings(max_examples=8, deadline=None, database=None)
