@@ -113,8 +113,7 @@ class CharacterTable:
                 for i, r in enumerate(reps)
             ],
             "irreducibles": [
-                [[str(c) for c in (value.num if value.den == 1 else value.coeffs)]
-                 for value in row]
+                [[str(c) for c in value.coeffs] for value in row]
                 for row in self.rows
             ],
             "degrees": self.degrees,

@@ -192,16 +192,6 @@ def test_json_rendering_is_integral():
                 assert "/" not in c  # algebraic integers: integer coefficients
 
 
-def test_json_rendering_of_fractional_values():
-    """A table edited by hand may hold non-integral values; they render
-    as their Fraction coefficients."""
-    table = decompose_table("I2(5)")
-    rows = [[v * Fraction(1, 2) for v in table.rows[-1]]] + table.rows[1:]
-    doc = dataclasses.replace(table, rows=rows).to_json_dict()
-    assert doc["irreducibles"] == [[[str(c) for c in v.coeffs] for v in row] for row in rows]
-    assert doc["irreducibles"][0][2] == ["0", "0", "1/2", "-1/2"]
-
-
 def _ok_flag(coeffs):
     return all(c.is_rational() and c.to_fraction().denominator == 1
                and c.to_fraction() >= 0 for c in coeffs)
