@@ -2,9 +2,12 @@
 
 The left preorder is generated by w -> y whenever C_y appears in some
 C_s C_w; cells are the strongly connected components of that graph (with
-its reflexive closure), the right cells are the image of the left cells
-under inversion, and the two-sided cells are the components of the union
-of the left graph with its inverse-conjugated copy.
+its reflexive closure).  Its inverse-conjugated copy (edge w^-1 -> y^-1
+for each edge w -> y) gives the right cells, and its union with the
+left graph gives the two-sided cells.  The order between the cells of a
+partition is reachability in the condensation, found in one pass over a
+topological order; the Hasse diagram is read off the same reachability
+sets.
 
 Cell characters come from the quotient module spanned by {C_w : w in the
 cell}: T_s acts through the cached C-basis expansions of C_s C_w, every
@@ -154,33 +157,22 @@ def _block_order(blocks: List[List[int]], block_of: List[int],
             acc |= reach[c]
         reach[b] = acc
     order = {(a, b) for a in range(nb) for b in reach[a]}
-    hasse = []
-    for a in range(nb):
-        for b in sorted(reach[a]):
-            if not any((a, c) in order and (c, b) in order for c in range(nb)
-                       if c != a and c != b):
-                hasse.append((a, b))
+    # a covers b iff b is a direct successor that no other direct successor reaches.
+    hasse = [(a, b) for a in range(nb) for b in sorted(direct[a])
+             if not any(b in reach[c] for c in direct[a])]
     return order, hasse
 
 
 def cells(graph: PreorderGraph, kind: str, group: CoxeterGroup) -> CellPartition:
     """Cell partition of the requested kind from the left preorder graph."""
-    if kind == "left":
-        succ = graph.succ
-    elif kind == "right":
-        succ = [set() for _ in range(graph.size)]
-        for w, ys in enumerate(graph.succ):
-            iw = group.inv(w)
-            for y in ys:
-                succ[iw].add(group.inv(y))
-    elif kind == "two-sided":
-        succ = [set(ys) for ys in graph.succ]
-        for w, ys in enumerate(graph.succ):
-            iw = group.inv(w)
-            for y in ys:
-                succ[iw].add(group.inv(y))
-    else:
+    if kind not in ("left", "right", "two-sided"):
         raise ValueError("kind must be left, right or two-sided")
+    succ = graph.succ
+    if kind != "left":
+        inverted: List[Set[int]] = [set() for _ in range(graph.size)]
+        for w, ys in enumerate(graph.succ):
+            inverted[group.inv(w)].update(group.inv(y) for y in ys)
+        succ = inverted if kind == "right" else [a | b for a, b in zip(succ, inverted)]
     comps = _tarjan_scc(graph.size, succ)
     blocks, block_of = _canonical_blocks(comps, graph.size)
     order, hasse = _block_order(blocks, block_of, succ)
@@ -292,8 +284,8 @@ def cells_report(table: KLTable, chars: Optional[CharacterTable] = None) -> dict
 
     classes = group.conjugacy_classes()
     doc = {
-        "group": table.header(),
-        "key": table.content_key(),
+        "group": table.algebra.header(),
+        "key": table.algebra.content_key(),
         "left_cells": blocks_json(left),
         "right_cells": blocks_json(right),
         "two_sided_cells": blocks_json(two_sided),

@@ -6,7 +6,7 @@ Presentation over Q(zeta_d):
 
 Elements are kept in the normal form sum over monomials x^a xi^b s^i with
 exact cyclotomic coefficients; moving xi past powers of x introduces the
-commutator term, iterated to a fixpoint (memoized).
+commutator term, iterated to a fixpoint (memoized on the Rank1Params).
 
 The parameter change c <-> kappa diagonalizes the group-algebra part on
 the idempotents eps_i = (1/d) sum_j zeta^{ij} s^j; the Euler element,
@@ -16,6 +16,7 @@ cells, multiplicities and families all live here.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +40,9 @@ class Rank1Params:
     d: int
     c: Tuple[Cyclotomic, ...]
     kappa: Tuple[Cyclotomic, ...]
+    # Normal forms of xi^b x^m at this point, keyed by (b, m).
+    _xi_x_memo: Dict[Tuple[int, int], Dict[Monomial, Cyclotomic]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self) -> CyclotomicField:
@@ -68,8 +72,7 @@ class Rank1Params:
 
     def kappa_indexed(self, i: int) -> Cyclotomic:
         """kappa_i with the cyclic convention kappa_0 = kappa_d (1-based tuple)."""
-        j = i % self.d
-        return self.kappa[self.d - 1] if j == 0 else self.kappa[j - 1]
+        return self.kappa[(i - 1) % self.d]
 
 
 def c_to_kappa(d: int, c: Sequence[Cyclotomic]) -> Tuple[Cyclotomic, ...]:
@@ -106,16 +109,11 @@ def kappa_to_c(d: int, kappa: Sequence[Cyclotomic]) -> Tuple[Cyclotomic, ...]:
         total = total + x
     if not total.is_zero():
         raise NonzeroConstantTerm("kappa values must sum to zero")
-
-    def kap(i: int) -> Cyclotomic:
-        j = i % d
-        return kappa[d - 1] if j == 0 else kappa[j - 1]
-
     out = []
     for j in range(1, d):
         acc = field.zero()
         for i in range(d):
-            acc = acc + (kap(i) - kap(i + 1)) * field.zeta((i * j) % d)
+            acc = acc + (kappa[(i - 1) % d] - kappa[i]) * field.zeta((i * j) % d)
         out.append(acc / d)
     return tuple(out)
 
@@ -228,17 +226,10 @@ class AlgebraElt:
 
 # -- normal ordering --------------------------------------------------------
 
-_XI_X_MEMO: Dict[Tuple[int, Tuple, int, int], Dict[Monomial, Cyclotomic]] = {}
-
-
 def _group_part_z(params: Rank1Params) -> Dict[int, Cyclotomic]:
     """[xi, x] = sum c_i s^i as a map i -> coefficient."""
     return {i: params.c[i - 1] for i in range(1, params.d)
             if not params.c[i - 1].is_zero()}
-
-
-def _params_key(params: Rank1Params) -> Tuple[int, Tuple]:
-    return (params.d, tuple((c.num, c.den) for c in params.c))
 
 
 def _xi_x_normal(params: Rank1Params, b: int, m: int) -> Dict[Monomial, Cyclotomic]:
@@ -248,15 +239,15 @@ def _xi_x_normal(params: Rank1Params, b: int, m: int) -> Dict[Monomial, Cyclotom
     Z_m = sum_{t<m} twist^t(Z), twist(sum a_i s^i) = sum a_i zeta^-i s^i,
     then xi^b x^m = (xi^{b-1} x^m) xi + (xi^{b-1} x^{m-1}) Z_m.
     """
-    key = (*_params_key(params), b, m)
-    cached = _XI_X_MEMO.get(key)
+    memo = params._xi_x_memo
+    cached = memo.get((b, m))
     if cached is not None:
         return cached
     field = params.field
     d = params.d
     if b == 0 or m == 0:
         out = {(m, b, 0): field.one()}
-        _XI_X_MEMO[key] = out
+        memo[(b, m)] = out
         return out
     z = _group_part_z(params)
     zm: Dict[int, Cyclotomic] = {}
@@ -282,7 +273,7 @@ def _xi_x_normal(params: Rank1Params, b: int, m: int) -> Dict[Monomial, Cyclotom
             cur = acc.get(mono)
             acc[mono] = add if cur is None else cur + add
     out = {mo: c for mo, c in acc.items() if not c.is_zero()}
-    _XI_X_MEMO[key] = out
+    memo[(b, m)] = out
     return out
 
 

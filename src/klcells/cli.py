@@ -18,15 +18,15 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
-from typing import Callable, List, Optional, TextIO
+from typing import List, Optional
 
 from .cells import NonIntegerMultiplicity, cells_report
 from .characters import character_table
 from .cherednik_rank1 import (NonzeroConstantTerm, Rank1Params, cm_report,
                               inertia_and_cells)
-from .conjecture import B2_REGIME_POINTS, run_conjecture_suite
+from .conjecture import (B2_REGIME_POINTS, emit_report, replace_file,
+                         run_conjecture_suite)
 from .coxeter import (ConjugacyViolation, DEFAULT_SIZE_CAP, InfiniteOrTooLarge,
                       build_group)
 from .hecke import HeckeAlgebra, KLTable, kl_basis
@@ -145,7 +145,7 @@ def _load_table(args) -> KLTable:
     cache_dir = None if args.no_cache else args.cache_dir
     if cache_dir is None:
         return kl_basis(algebra)
-    key = KLTable(algebra, [], {}).content_key()
+    key = algebra.content_key()
     path = os.path.join(cache_dir, f"kl_{key}.json")
     table = _read_cached_table(path, algebra, key)
     if table is not None:
@@ -156,35 +156,17 @@ def _load_table(args) -> KLTable:
     doc = table.to_json_dict()
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        _replace_file(path, lambda fh: json.dump(doc, fh, sort_keys=True, indent=2))
+        replace_file(path, lambda fh: json.dump(doc, fh, sort_keys=True, indent=2))
     except OSError as exc:
         sys.stderr.write(f"warning: KL cache not written: {exc}\n")
     return table
 
 
-def _replace_file(path: str, write: Callable[[TextIO], None]) -> None:
-    """Write `path` through a temporary file in its directory and an atomic
-    rename, so readers see the old file or the whole new one.  The file
-    gets the mode a plain open() would give it."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _emit(doc: dict, output: Optional[str]) -> None:
-    payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    payload = emit_report(doc)
     if output:
         try:
-            _replace_file(output, lambda fh: fh.write(payload))
+            replace_file(output, lambda fh: fh.write(payload))
         except OSError as exc:
             raise InputError(f"cannot write {output!r}: {exc}") from None
     else:
@@ -219,12 +201,15 @@ def _run(args) -> int:
         c_values = _parse_rationals(args.c_values)
         if any(c < 0 for c in c_values):
             raise InputError("c values must be >= 0")
-        doc = run_conjecture_suite(
-            c_values,
-            b2_points={} if args.no_b2 else B2_REGIME_POINTS,
-            reports_dir=None if args.no_b2 else args.reports_dir,
-            update_snapshots=args.update_snapshots,
-        )
+        try:
+            doc = run_conjecture_suite(
+                c_values,
+                b2_points={} if args.no_b2 else B2_REGIME_POINTS,
+                reports_dir=None if args.no_b2 else args.reports_dir,
+                update_snapshots=args.update_snapshots,
+            )
+        except OSError as exc:
+            raise InputError(f"cannot write {args.reports_dir!r}: {exc}") from None
         _emit(doc, args.output)
         drift = [e for e in doc["b2_regimes"] if e.get("snapshot") == "drift"]
         if drift:

@@ -17,7 +17,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .cells import cells, cells_report, left_cell_character, left_preorder
 from .characters import character_table
@@ -137,6 +137,24 @@ def emit_report(results: dict) -> str:
     return json.dumps(results, sort_keys=True, indent=2) + "\n"
 
 
+def replace_file(path: str, write: Callable[[TextIO], None]) -> None:
+    """Write `path` through a temporary file in its directory and an atomic
+    rename, so readers see the old file or the whole new one.  The file
+    gets the mode a plain open() would give it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def snapshot_path(reports_dir: str, report: dict) -> str:
     return os.path.join(reports_dir, f"b2_{report['key']}.json")
 
@@ -155,10 +173,7 @@ def store_snapshot(report: dict, reports_dir: str, update: bool = False) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             old = fh.read()
         return "match" if old == payload else "drift"
-    fd, tmp = tempfile.mkstemp(dir=reports_dir, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    replace_file(path, lambda fh: fh.write(payload))
     return "created"
 
 

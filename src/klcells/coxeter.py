@@ -167,8 +167,7 @@ class CoxeterGroup:
             [_cartan_entry(self.field, matrix.entries[i][j]) for j in range(self.rank)]
             for i in range(self.rank)
         ]
-        self.roots = self._enumerate_roots(size_cap)
-        self._gen_perms = self._generator_permutations()
+        self.roots, self._gen_perms = self._enumerate_roots(size_cap)
         self._enumerate_elements(size_cap)
         self._classes: Optional[ConjugacyClasses] = None
 
@@ -185,35 +184,33 @@ class CoxeterGroup:
         out[gen] = root[gen] - acc
         return tuple(out)
 
-    def _enumerate_roots(self, cap: int) -> List[Tuple[Cyclotomic, ...]]:
-        one, zero = self.field.one(), self.field.zero()
-        simple = [tuple(one if j == i else zero for j in range(self.rank))
-                  for i in range(self.rank)]
-        seen = {r: idx for idx, r in enumerate(simple)}
-        roots = list(simple)
-        frontier = list(simple)
-        while frontier:
-            nxt = []
-            for root in frontier:
-                for g in range(self.rank):
-                    image = self._reflect(g, root)
-                    if image not in seen:
-                        seen[image] = len(roots)
-                        roots.append(image)
-                        nxt.append(image)
-                        if len(roots) > cap:
-                            raise InfiniteOrTooLarge(
-                                f"root system exceeds {cap} vectors; "
-                                f"group is infinite or above the size cap")
-            frontier = nxt
-        return roots
+    def _enumerate_roots(self, cap: int
+                         ) -> Tuple[List[Tuple[Cyclotomic, ...]], List[Tuple[int, ...]]]:
+        """The root system and each simple reflection's permutation of it.
 
-    def _generator_permutations(self) -> List[Tuple[int, ...]]:
-        index = {r: i for i, r in enumerate(self.roots)}
-        perms = []
-        for g in range(self.rank):
-            perms.append(tuple(index[self._reflect(g, r)] for r in self.roots))
-        return perms
+        Breadth-first from the simple roots: each root is reflected by every
+        generator once, in index order, so the images are the permutations.
+        """
+        one, zero = self.field.one(), self.field.zero()
+        roots = [tuple(one if j == i else zero for j in range(self.rank))
+                 for i in range(self.rank)]
+        seen = {r: idx for idx, r in enumerate(roots)}
+        perms: List[List[int]] = [[] for _ in range(self.rank)]
+        idx = 0
+        while idx < len(roots):
+            for g in range(self.rank):
+                image = self._reflect(g, roots[idx])
+                img = seen.get(image)
+                if img is None:
+                    img = seen[image] = len(roots)
+                    roots.append(image)
+                    if len(roots) > cap:
+                        raise InfiniteOrTooLarge(
+                            f"root system exceeds {cap} vectors; "
+                            f"group is infinite or above the size cap")
+                perms[g].append(img)
+            idx += 1
+        return roots, [tuple(p) for p in perms]
 
     def _enumerate_elements(self, cap: int) -> None:
         nroots = len(self.roots)
@@ -250,13 +247,10 @@ class CoxeterGroup:
         self._words = words
         self._lengths = lengths
         self._rmul = rmul
-        # Left multiplication by generators, via permutation composition.
-        self._lmul = []
-        for g in range(self.rank):
-            pg = self._gen_perms[g]
-            col = [perm_index[tuple(pg[p[r]] for r in range(nroots))] for p in perms]
-            self._lmul.append(col)
         self._inv = [self.element_by_word(reversed(wd)) for wd in words]
+        # g w = (w^-1 g)^-1.
+        self._lmul = [[self._inv[rmul[self._inv[w]][g]] for w in range(self.size)]
+                      for g in range(self.rank)]
 
     # -- queries -------------------------------------------------------
 

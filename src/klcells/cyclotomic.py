@@ -5,12 +5,13 @@ Phi_N, stored as int numerators on 1, x, ..., x^(deg-1) over one common
 denominator den >= 1.  The pair is kept in lowest terms
 (gcd(den, *num) == 1, and zero has den == 1), so equality is a tuple
 comparison.  Phi_N is monic with integer coefficients, so reduction
-modulo Phi_N never leaves the integers: +, -, *, the Galois maps and the
+modulo Phi_N never leaves the integers: +, -, *, the Galois maps, the
+inverse (a product of Galois conjugates over the rational norm) and the
 zero, rationality and equality tests run on ints alone, and each result
 is normalised by at most one gcd (none when den == 1).  Fractions appear
 only at the boundary (from_fraction, from_coeffs, to_fraction, coeffs,
-render, sort_key) and in the rarely used inverse.  One field instance is
-shared per N (``CyclotomicField.get``).
+render, sort_key).  One field instance is shared per N
+(``CyclotomicField.get``).
 
 Used in three places: the ground scalars of the geometric reflection
 representation (2cos(pi/m) = zeta_2m + zeta_2m^-1), character table
@@ -207,26 +208,18 @@ class Cyclotomic:
         return NotImplemented
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product P of the Galois conjugates
+        sigma_k(self), gcd(k, N) = 1 and k != 1, over the rational norm
+        self * P."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # Work in Q[x]: gcd(self, Phi_N) = 1 since Phi_N is irreducible.
-        a = [Fraction(c) for c in self.phi_poly()]
-        b = list(self.coeffs)
-        while b and b[-1] == 0:
-            b.pop()
-        s_prev, s_cur = [Fraction(0)], [Fraction(1)]
-        r_prev, r_cur = a, b
-        while True:
-            if len(r_cur) == 1:
-                inv = [c / r_cur[0] for c in s_cur]
-                return self.field.from_coeffs(inv)
-            q, r = _q_poly_divmod(r_prev, r_cur)
-            s_next = _q_poly_sub(s_prev, _q_poly_mul(q, s_cur))
-            r_prev, r_cur = r_cur, r
-            s_prev, s_cur = s_cur, s_next
-            if not r_cur:
-                raise ArithmeticError("unexpected zero remainder in inverse")
+        n = self.field.order
+        rest = self.field.one()
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                rest = rest * self.galois(k)
+        norm = self * rest
+        return rest * norm.den / norm.num[0]
 
     def __truediv__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
@@ -238,9 +231,6 @@ class Cyclotomic:
             return self.field.from_numerators([a * q for a in self.num], self.den * p)
         self._check(other)
         return self * other.inverse()
-
-    def phi_poly(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self.field.phi)
 
     def galois(self, k: int) -> "Cyclotomic":
         """Image under zeta -> zeta^k (k coprime to N for an automorphism)."""
@@ -304,45 +294,3 @@ class Cyclotomic:
     def __repr__(self) -> str:
         return f"Cyclotomic[{self.field.order}]({self.render()})"
 
-
-def _q_poly_divmod(a: List[Fraction], b: List[Fraction]):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] / lb
-        q[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] -= c * b[j]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _q_poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _q_poly_sub(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out

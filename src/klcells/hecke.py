@@ -49,6 +49,23 @@ class HeckeAlgebra:
         self._v_plus = [LaurentElt.v_power(L, grid=self.grid) for L in weights.exps]
         self._v_minus = [LaurentElt.v_power(-L, grid=self.grid) for L in weights.exps]
 
+    def header(self) -> dict:
+        """Group and weights as JSON: the head of the KL cache and reports."""
+        weights = {self.group.gen_names[g]: self.weights[g].render()
+                   for g in range(self.group.rank)}
+        return {
+            "matrix": [list(row) for row in self.group.matrix.entries],
+            "generators": list(self.group.gen_names),
+            "weights": weights,
+            "mode": self.mode,
+            "arity": self.arity,
+        }
+
+    def content_key(self) -> str:
+        """SHA-256 of the header: the KL cache and snapshot key."""
+        blob = json.dumps(self.header(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
     def one_coeff(self) -> LaurentElt:
         return LaurentElt(self.grid, {0: 1})
 
@@ -76,28 +93,13 @@ class KLTable:
 
     # -- serialization ---------------------------------------------------
 
-    def header(self) -> dict:
-        weights = {self.group.gen_names[g]: self.algebra.weights[g].render()
-                   for g in range(self.group.rank)}
-        return {
-            "matrix": [list(row) for row in self.group.matrix.entries],
-            "generators": list(self.group.gen_names),
-            "weights": weights,
-            "mode": self.algebra.mode,
-            "arity": self.algebra.arity,
-        }
-
-    def content_key(self) -> str:
-        blob = json.dumps(self.header(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
     def _coeffs_to_json(self, h: HeckeCoeffs) -> dict:
         return {self.group.name(w): c.render()
                 for w, c in sorted(h.items(), key=lambda kv: kv[0])}
 
     def to_json_dict(self) -> dict:
-        doc = self.header()
-        doc["key"] = self.content_key()
+        doc = self.algebra.header()
+        doc["key"] = self.algebra.content_key()
         doc["c_basis"] = {self.group.name(w): self._coeffs_to_json(self._c_exp[w])
                           for w in range(len(self.group))}
         doc["cs_products"] = {

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,20 @@ def test_report_shape():
     assert doc["families"] == [["det^0"], ["det^1"]]
     assert doc["fiber_size"] == 2
     assert doc["multiplicities"]["cell_0"] == {"det^0": 1, "det^1": 0}
+
+
+def test_no_module_state_grows_across_parameter_points():
+    """The xi^b x^m memo lives on each Rank1Params, not in a module."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("klcells")]
+
+    def sizes():
+        return {(m.__name__, name): len(v) for m in modules
+                for name, v in vars(m).items() if isinstance(v, (dict, list, set))}
+
+    verify_presentation(Rank1Params.from_c(4, [1, 2, 3]))
+    before = sizes()
+    for k in range(1, 6):
+        params = Rank1Params.from_c(4, [Fraction(k, 7), 2, Fraction(-1, k)])
+        assert verify_presentation(params) is None
+        assert params._xi_x_memo
+    assert sizes() == before

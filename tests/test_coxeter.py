@@ -64,6 +64,19 @@ def test_multiply_basics():
     assert W.mul(W.mul(st, st), st) == e  # (st)^3 = e from m_st = 3
 
 
+@pytest.mark.parametrize("matrix", [
+    named_coxeter_matrix("A", 3), named_coxeter_matrix("B", 4),
+    named_coxeter_matrix("D", 4), named_coxeter_matrix("I2", 5),
+    CoxeterMatrix.from_rows([[1, 5, 2], [5, 1, 3], [2, 3, 1]]),  # H3
+], ids=["A3", "B4", "D4", "I2(5)", "H3"])
+def test_left_multiplication_table(matrix):
+    W = build_group(matrix)
+    for g in range(W.rank):
+        s = W.generator(g)
+        for w in range(len(W)):
+            assert W.lmul_gen(g, w) == W.mul(s, w), (W.gen_names[g], W.name(w))
+
+
 def test_length_properties():
     W = build_group(named_coxeter_matrix("B", 3))
     for w in range(len(W)):

@@ -230,7 +230,7 @@ def test_ring_operations_build_no_fractions(monkeypatch):
     monkeypatch.setattr(cyclotomic, "Fraction", NoFraction)
     for x, y in ((a, b), (b, r), (r, r)):
         for value in (x + y, x - y, x * y, -x, x * 3, 3 * x, x / 6,
-                      x.galois(5), x.galois(2), x.conj()):
+                      x.galois(5), x.galois(2), x.conj(), x.inverse(), x / y):
             assert value.den >= 1
         assert (x == y) == (x is y) and not x == 2 and not x.is_zero()
     assert r.is_rational() and not a.is_rational() and hash(a) == hash(a * 1)

@@ -98,8 +98,9 @@ def test_kl_table_matches_brute_oracle_and_reference(alg):
 @given(algebras())
 def test_cell_invariants(alg):
     """The left cell characters sum to the regular character, every left
-    and every right cell lies in one two-sided cell, and the right cells
-    are the inverses of the left cells."""
+    and every right cell lies in one two-sided cell, the right cells and
+    their order are the inverses of the left ones, and each partition's
+    Hasse diagram is the transitive reduction of its order."""
     table = kl_basis(alg)
     W = alg.group
     chars = character_table(W)
@@ -119,3 +120,10 @@ def test_cell_invariants(alg):
     assert total == chars.degrees
     assert chars.from_integers(values) == chars.regular_character()
     assert right.as_sets() == {frozenset(W.inv(w) for w in b) for b in left.blocks}
+    to_right = [right.block_of[W.inv(b[0])] for b in left.blocks]
+    assert right.order == {(to_right[a], to_right[b]) for a, b in left.order}
+    for p in (left, right, two_sided):
+        reduction = {(a, b) for a, b in p.order
+                     if not any((a, c) in p.order and (c, b) in p.order
+                                for c in range(len(p.blocks)))}
+        assert sorted(p.hasse) == sorted(reduction), p.kind

@@ -259,6 +259,32 @@ def test_cli_conjecture(tmp_path, capsys):
     assert all(e["snapshot"] == "match" for e in doc["b2_regimes"])
 
 
+def test_snapshots_get_the_output_file_mode(tmp_path, capsys):
+    reports = tmp_path / "reports"
+    code, _, err = run_cli(capsys, "conjecture", "--c-values", "1",
+                           "--reports-dir", str(reports))
+    assert code == 0, err
+    umask = os.umask(0)
+    os.umask(umask)
+    names = sorted(p.name for p in reports.iterdir())
+    assert len(names) == sum(len(v) for v in B2_REGIME_POINTS.values())
+    assert all(n.startswith("b2_") and n.endswith(".json") for n in names)
+    for p in reports.iterdir():
+        assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask, p.name
+
+
+def test_unusable_reports_dir_is_an_input_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run_cli(capsys, "conjecture", "--c-values", "1",
+                             "--reports-dir", str(blocker / "sub"))
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: cannot write {str(blocker / 'sub')!r}: ")
+
+
 def test_cli_conjecture_no_b2(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--c-values", "1/2", "--no-b2")
     assert code == 0
