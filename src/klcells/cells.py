@@ -5,9 +5,10 @@ C_s C_w; cells are the strongly connected components of that graph (with
 its reflexive closure).  Its inverse-conjugated copy (edge w^-1 -> y^-1
 for each edge w -> y) gives the right cells, and its union with the
 left graph gives the two-sided cells.  The order between the cells of a
-partition is reachability in the condensation, found in one pass over a
-topological order; the Hasse diagram is read off the same reachability
-sets.
+partition is reachability in the condensation, closed in one pass over
+the components in the order Tarjan's algorithm emits them (each after
+every component it reaches); the Hasse diagram is read off the same
+reachability sets.
 
 Cell characters come from the quotient module spanned by {C_w : w in the
 cell}: T_s acts through the cached C-basis expansions of C_s C_w, every
@@ -50,7 +51,8 @@ def left_preorder(table: KLTable) -> PreorderGraph:
 
 
 def _tarjan_scc(size: int, succ: Sequence[Set[int]]) -> List[List[int]]:
-    """Strongly connected components, iterative Tarjan."""
+    """Strongly connected components, iterative Tarjan; each component is
+    emitted after every component it reaches."""
     index = [-1] * size
     low = [0] * size
     on_stack = [False] * size
@@ -60,7 +62,7 @@ def _tarjan_scc(size: int, succ: Sequence[Set[int]]) -> List[List[int]]:
     for root in range(size):
         if index[root] >= 0:
             continue
-        work = [(root, iter(sorted(succ[root])))]
+        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -74,7 +76,7 @@ def _tarjan_scc(size: int, succ: Sequence[Set[int]]) -> List[List[int]]:
                     counter += 1
                     stack.append(u)
                     on_stack[u] = True
-                    work.append((u, iter(sorted(succ[u]))))
+                    work.append((u, iter(succ[u])))
                     advanced = True
                     break
                 if on_stack[u]:
@@ -124,9 +126,11 @@ def _canonical_blocks(comps: List[List[int]], size: int):
     return blocks, block_of
 
 
-def _block_order(blocks: List[List[int]], block_of: List[int],
+def _block_order(comps: List[List[int]], block_of: List[int],
                  succ: Sequence[Set[int]]) -> Tuple[Set[Tuple[int, int]], List[Tuple[int, int]]]:
-    nb = len(blocks)
+    """Order and Hasse diagram between blocks; ``comps`` in the emission
+    order of `_tarjan_scc`, so each block's reach is closed in one pass."""
+    nb = len(comps)
     direct: List[Set[int]] = [set() for _ in range(nb)]
     for w, ys in enumerate(succ):
         bw = block_of[w]
@@ -134,28 +138,12 @@ def _block_order(blocks: List[List[int]], block_of: List[int],
             by = block_of[y]
             if by != bw:
                 direct[bw].add(by)
-    # Transitive closure on the condensation (a DAG): process blocks in a
-    # topological order found by Kahn's algorithm.
-    indeg = [0] * nb
-    for b in range(nb):
-        for c in direct[b]:
-            indeg[c] += 1
-    queue = [b for b in range(nb) if indeg[b] == 0]
-    topo = []
-    while queue:
-        b = queue.pop()
-        topo.append(b)
-        for c in direct[b]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
     reach: List[Set[int]] = [set() for _ in range(nb)]
-    for b in reversed(topo):
-        acc: Set[int] = set()
+    for comp in comps:
+        b = block_of[comp[0]]
         for c in direct[b]:
-            acc.add(c)
-            acc |= reach[c]
-        reach[b] = acc
+            reach[b].add(c)
+            reach[b] |= reach[c]
     order = {(a, b) for a in range(nb) for b in reach[a]}
     # a covers b iff b is a direct successor that no other direct successor reaches.
     hasse = [(a, b) for a in range(nb) for b in sorted(direct[a])
@@ -175,7 +163,7 @@ def cells(graph: PreorderGraph, kind: str, group: CoxeterGroup) -> CellPartition
         succ = inverted if kind == "right" else [a | b for a, b in zip(succ, inverted)]
     comps = _tarjan_scc(graph.size, succ)
     blocks, block_of = _canonical_blocks(comps, graph.size)
-    order, hasse = _block_order(blocks, block_of, succ)
+    order, hasse = _block_order(comps, block_of, succ)
     return CellPartition(kind, blocks, block_of, order, hasse)
 
 

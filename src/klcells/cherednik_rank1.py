@@ -5,8 +5,10 @@ Presentation over Q(zeta_d):
     s x s^-1 = zeta^-1 x,   s xi s^-1 = zeta xi,   [xi, x] = sum_i c_i s^i.
 
 Elements are kept in the normal form sum over monomials x^a xi^b s^i with
-exact cyclotomic coefficients; moving xi past powers of x introduces the
-commutator term, iterated to a fixpoint (memoized on the Rank1Params).
+exact cyclotomic coefficients.  A product is built by right
+multiplication: by s^j and xi it only shifts or twists the s-exponent,
+and by x it follows one closed form (see `_times_x`) that moves x left
+past xi^b, picking up the commutator once per power of xi.
 
 The parameter change c <-> kappa diagonalizes the group-algebra part on
 the idempotents eps_i = (1/d) sum_j zeta^{ij} s^j; the Euler element,
@@ -16,7 +18,6 @@ cells, multiplicities and families all live here.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,9 +41,6 @@ class Rank1Params:
     d: int
     c: Tuple[Cyclotomic, ...]
     kappa: Tuple[Cyclotomic, ...]
-    # Normal forms of xi^b x^m at this point, keyed by (b, m).
-    _xi_x_memo: Dict[Tuple[int, int], Dict[Monomial, Cyclotomic]] = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self) -> CyclotomicField:
@@ -166,8 +164,7 @@ class AlgebraElt:
     def __add__(self, other: "AlgebraElt") -> "AlgebraElt":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            cur = out.get(m)
-            out[m] = c if cur is None else cur + c
+            _add(out, m, c)
         return AlgebraElt(self.params, out)
 
     def __neg__(self) -> "AlgebraElt":
@@ -180,22 +177,19 @@ class AlgebraElt:
         return AlgebraElt(self.params, {m: c * coeff for m, c in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElt") -> "AlgebraElt":
+        """Right-multiply self by each monomial x^c xi^e s^j of other: self x^c
+        comes from `_times_x` (once per c), then xi^e twists the s^i part by
+        zeta^{ie} and s^j shifts it."""
+        params = self.params
+        field, d = params.field, params.d
+        times_x = [self.terms]  # times_x[c] = terms of self * x^c
         acc: Dict[Monomial, Cyclotomic] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                part = _mono_product(self.params, m1, m2)
-                coeff = c1 * c2
-                for m, c in part.items():
-                    add = c * coeff
-                    cur = acc.get(m)
-                    acc[m] = add if cur is None else cur + add
-        return AlgebraElt(self.params, acc)
-
-    def __pow__(self, n: int) -> "AlgebraElt":
-        out = AlgebraElt.one(self.params)
-        for _ in range(n):
-            out = out * self
-        return out
+        for (c, e, j), coeff in other.terms.items():
+            while len(times_x) <= c:
+                times_x.append(_times_x(params, times_x[-1]))
+            for (a, b, i), p in times_x[c].items():
+                _add(acc, (a, b + e, (i + j) % d), p * coeff * field.zeta(i * e))
+        return AlgebraElt(params, acc)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -226,73 +220,36 @@ class AlgebraElt:
 
 # -- normal ordering --------------------------------------------------------
 
-def _group_part_z(params: Rank1Params) -> Dict[int, Cyclotomic]:
-    """[xi, x] = sum c_i s^i as a map i -> coefficient."""
-    return {i: params.c[i - 1] for i in range(1, params.d)
-            if not params.c[i - 1].is_zero()}
+def _add(acc: Dict[Monomial, Cyclotomic], mono: Monomial, c: Cyclotomic) -> None:
+    cur = acc.get(mono)
+    acc[mono] = c if cur is None else cur + c
 
 
-def _xi_x_normal(params: Rank1Params, b: int, m: int) -> Dict[Monomial, Cyclotomic]:
-    """Normal form of xi^b x^m.
+def _times_x(params: Rank1Params, terms: Dict[Monomial, Cyclotomic]
+             ) -> Dict[Monomial, Cyclotomic]:
+    """Normal form of (sum terms) * x, monomial by monomial:
 
-    Recursion: xi x^m = x^m xi + x^{m-1} Z_m with
-    Z_m = sum_{t<m} twist^t(Z), twist(sum a_i s^i) = sum a_i zeta^-i s^i,
-    then xi^b x^m = (xi^{b-1} x^m) xi + (xi^{b-1} x^{m-1}) Z_m.
+        x^a xi^b s^i x = zeta^-i (x^{a+1} xi^b s^i
+            + sum_k c_k (1 + zeta^k + ... + zeta^{k(b-1)}) x^a xi^{b-1} s^{i+k}),
+
+    from xi^b x = x xi^b + sum_{t<b} xi^t [xi, x] xi^{b-1-t} and the twists
+    s x = zeta^-1 x s, s xi = zeta xi s.
     """
-    memo = params._xi_x_memo
-    cached = memo.get((b, m))
-    if cached is not None:
-        return cached
-    field = params.field
-    d = params.d
-    if b == 0 or m == 0:
-        out = {(m, b, 0): field.one()}
-        memo[(b, m)] = out
-        return out
-    z = _group_part_z(params)
-    zm: Dict[int, Cyclotomic] = {}
-    for t in range(m):
-        for i, a in z.items():
-            add = a * field.zeta((-i * t) % d)
-            cur = zm.get(i)
-            zm[i] = add if cur is None else cur + add
-    head = _xi_x_normal(params, b - 1, m)
-    tail = _xi_x_normal(params, b - 1, m - 1)
-    acc: Dict[Monomial, Cyclotomic] = {}
-    # (xi^{b-1} x^m) * xi: right multiplication by xi twists by zeta^k.
-    for (a_, b_, k), c in head.items():
-        add = c * field.zeta(k)
-        mono = (a_, b_ + 1, k)
-        cur = acc.get(mono)
-        acc[mono] = add if cur is None else cur + add
-    # (xi^{b-1} x^{m-1}) * Z_m: right multiplication by group terms.
-    for (a_, b_, k), c in tail.items():
-        for i, zc in zm.items():
-            add = c * zc
-            mono = (a_, b_, (k + i) % d)
-            cur = acc.get(mono)
-            acc[mono] = add if cur is None else cur + add
-    out = {mo: c for mo, c in acc.items() if not c.is_zero()}
-    memo[(b, m)] = out
-    return out
-
-
-def _mono_product(params: Rank1Params, m1: Monomial, m2: Monomial
-                  ) -> Dict[Monomial, Cyclotomic]:
-    """(x^a xi^b s^i)(x^c xi^e s^j) in normal form."""
-    a, b, i = m1
-    c, e, j = m2
-    field = params.field
-    d = params.d
-    # s^i x^c = zeta^{-ic} x^c s^i ; s^i xi^e = zeta^{ie} xi^e s^i.
-    scalar = field.zeta((-i * c + i * e) % d)
+    field, d = params.field, params.d
+    z = [(k, ck) for k, ck in enumerate(params.c, 1) if not ck.is_zero()]
+    # b -> [(k, c_k (1 + zeta^k + ... + zeta^{k(b-1)}))]; none for b = 0.
+    commutators: Dict[int, List[Tuple[int, Cyclotomic]]] = {0: []}
     out: Dict[Monomial, Cyclotomic] = {}
-    for (alpha, beta, k), coeff in _xi_x_normal(params, b, c).items():
-        # x^a . (x^alpha xi^beta s^k) . xi^e s^{i+j}
-        add = coeff * scalar * field.zeta((k * e) % d)
-        mono = (a + alpha, beta + e, (k + i + j) % d)
-        cur = out.get(mono)
-        out[mono] = add if cur is None else cur + add
+    for (a, b, i), coeff in terms.items():
+        coeff = coeff * field.zeta(-i)
+        _add(out, (a + 1, b, i), coeff)
+        row = commutators.get(b)
+        if row is None:
+            row = commutators[b] = [
+                (k, ck * sum((field.zeta(k * t) for t in range(b)), field.zero()))
+                for k, ck in z]
+        for k, w in row:
+            _add(out, (a, b - 1, (i + k) % d), coeff * w)
     return out
 
 

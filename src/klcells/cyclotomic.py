@@ -276,7 +276,8 @@ class Cyclotomic:
         return hash((self.field.order, self.num, self.den))
 
     def sort_key(self):
-        return self.coeffs
+        # ints and Fractions compare exactly, so keys of both forms mix.
+        return self.num if self.den == 1 else self.coeffs
 
     def render(self) -> str:
         if self.is_zero():

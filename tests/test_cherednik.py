@@ -3,7 +3,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cherednik_reference as reference
 from klcells.cherednik_rank1 import (AlgebraElt, NonzeroConstantTerm,
                                      Rank1Params, c_to_kappa,
                                      cm_multiplicities, cm_report, commutator,
@@ -116,6 +119,48 @@ def test_normal_form_is_confluent_on_associativity():
     for _ in range(10):
         a, b, c = random_elt(), random_elt(), random_elt()
         assert ((a * b) * c - a * (b * c)).is_zero()
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def parameter_points(draw):
+    d = draw(st.integers(2, 8))
+    c = draw(st.lists(st.one_of(st.just(0), RATIONALS), min_size=d - 1, max_size=d - 1))
+    return Rank1Params.from_c(d, c)
+
+
+@st.composite
+def elements(draw, params):
+    """Up to four terms x^a xi^b s^i with a, b <= 4 and coefficients in
+    Q(zeta_d)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = (draw(st.integers(0, 4)), draw(st.integers(0, 4)),
+                draw(st.integers(0, params.d - 1)))
+        terms[mono] = params.field.from_coeffs(
+            draw(st.lists(RATIONALS, min_size=1, max_size=3)))
+    return AlgebraElt(params, terms)
+
+
+@st.composite
+def words(draw):
+    """Words with at most four x and four xi, plus s and scalars."""
+    tokens = (["x"] * draw(st.integers(0, 4)) + ["xi"] * draw(st.integers(0, 4))
+              + ["s"] * draw(st.integers(0, 3))
+              + draw(st.lists(RATIONALS.filter(bool), max_size=2)))
+    return draw(st.permutations(tokens))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.data())
+def test_products_agree_with_recursive_reference(data):
+    params = data.draw(parameter_points())
+    a, b = data.draw(elements(params)), data.draw(elements(params))
+    assert (a * b).terms == reference.product(params, a.terms, b.terms)
+    word = data.draw(words())
+    assert normal_form(params, word).terms == reference.normal_form(params, word)
 
 
 def test_epsilon_idempotents():
@@ -254,7 +299,7 @@ def test_report_shape():
 
 
 def test_no_module_state_grows_across_parameter_points():
-    """The xi^b x^m memo lives on each Rank1Params, not in a module."""
+    """Products at one parameter point leave nothing behind in a module."""
     modules = [m for name, m in sys.modules.items() if name.startswith("klcells")]
 
     def sizes():
@@ -266,5 +311,4 @@ def test_no_module_state_grows_across_parameter_points():
     for k in range(1, 6):
         params = Rank1Params.from_c(4, [Fraction(k, 7), 2, Fraction(-1, k)])
         assert verify_presentation(params) is None
-        assert params._xi_x_memo
     assert sizes() == before

@@ -196,6 +196,11 @@ def test_agrees_with_fraction_reference(pair, q, k):
         assert a == a.to_fraction() and hash(a) == hash(a.to_fraction())
     assert_same(F.from_fraction(q), R.from_fraction(q))
     assert_same(F.zeta(k), R.zeta(k))
+    # sort_key orders like the reference, also across different denominators.
+    new = [a, b, F.from_fraction(q), F.from_fraction(k)]
+    ref = [ra, rb, R.from_fraction(q), R.from_fraction(k)]
+    assert (sorted(range(4), key=lambda t: new[t].sort_key())
+            == sorted(range(4), key=lambda t: ref[t].sort_key()))
 
 
 def test_galois_images_are_normalised_for_every_k():

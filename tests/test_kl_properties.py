@@ -100,7 +100,7 @@ def test_cell_invariants(alg):
     """The left cell characters sum to the regular character, every left
     and every right cell lies in one two-sided cell, the right cells and
     their order are the inverses of the left ones, and each partition's
-    Hasse diagram is the transitive reduction of its order."""
+    order is transitive with its Hasse diagram as transitive reduction."""
     table = kl_basis(alg)
     W = alg.group
     chars = character_table(W)
@@ -123,6 +123,8 @@ def test_cell_invariants(alg):
     to_right = [right.block_of[W.inv(b[0])] for b in left.blocks]
     assert right.order == {(to_right[a], to_right[b]) for a, b in left.order}
     for p in (left, right, two_sided):
+        assert all((a, b) in p.order for a, c in p.order for c2, b in p.order
+                   if c == c2), p.kind
         reduction = {(a, b) for a, b in p.order
                      if not any((a, c) in p.order and (c, b) in p.order
                                 for c in range(len(p.blocks)))}
