@@ -188,7 +188,9 @@ class AlgebraElt:
             while len(times_x) <= c:
                 times_x.append(_times_x(params, times_x[-1]))
             for (a, b, i), p in times_x[c].items():
-                _add(acc, (a, b + e, (i + j) % d), p * coeff * field.zeta(i * e))
+                term, twist = p * coeff, i * e % d
+                _add(acc, (a, b + e, (i + j) % d),
+                     term * field.zeta(twist) if twist else term)
         return AlgebraElt(params, acc)
 
     def is_zero(self) -> bool:
@@ -241,7 +243,8 @@ def _times_x(params: Rank1Params, terms: Dict[Monomial, Cyclotomic]
     commutators: Dict[int, List[Tuple[int, Cyclotomic]]] = {0: []}
     out: Dict[Monomial, Cyclotomic] = {}
     for (a, b, i), coeff in terms.items():
-        coeff = coeff * field.zeta(-i)
+        if i:
+            coeff = coeff * field.zeta(-i)
         _add(out, (a + 1, b, i), coeff)
         row = commutators.get(b)
         if row is None:

@@ -29,7 +29,7 @@ from .conjecture import (B2_REGIME_POINTS, emit_report, replace_file,
                          run_conjecture_suite)
 from .coxeter import (ConjugacyViolation, DEFAULT_SIZE_CAP, InfiniteOrTooLarge,
                       build_group)
-from .hecke import HeckeAlgebra, KLTable, kl_basis
+from .hecke import CACHE_FORMAT, HeckeAlgebra, KLTable, kl_basis
 from .specfile import SpecParseError, parse_spec
 
 CACHE_ENV = "KLCELLS_CACHE_DIR"
@@ -120,15 +120,16 @@ def _parse_rationals(text: str) -> List[Fraction]:
 
 def _read_cached_table(path: str, algebra: HeckeAlgebra, key: str) -> Optional[KLTable]:
     """The KL table cached at `path`, or None when there is no file or it
-    does not load: an unreadable path, invalid JSON, a malformed document,
-    an exponent off the algebra's grid, or a `key` field that differs from
-    the content key."""
+    does not load: an unreadable path, invalid JSON, a `format` other than
+    CACHE_FORMAT, a `key` field that differs from the content key, or a
+    document that `KLTable.from_json_dict` rejects (digest, grid, invariants)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError):  # ValueError: not JSON, not UTF-8
         return None
-    if not isinstance(doc, dict) or doc.get("key") != key:
+    if (not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT
+            or doc.get("key") != key):
         return None
     try:
         return KLTable.from_json_dict(doc, algebra)
@@ -153,10 +154,10 @@ def _load_table(args) -> KLTable:
     # A missing or unreadable cache is a miss: recompute and replace it.
     # A cache that cannot be written costs a warning, never the result.
     table = kl_basis(algebra)
-    doc = table.to_json_dict()
+    text = table.to_cache_text()
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        replace_file(path, lambda fh: json.dump(doc, fh, sort_keys=True, indent=2))
+        replace_file(path, lambda fh: fh.write(text))
     except OSError as exc:
         sys.stderr.write(f"warning: KL cache not written: {exc}\n")
     return table

@@ -20,6 +20,22 @@ into one of four cases:
 
 Nothing is multiplied out in the T-basis and then re-expanded: the
 product table comes straight from the construction.
+
+The KL cache (format 2) keeps only part of each C_w = sum_y p_{y,w} T_y.
+For s in L(w) with L(s) > 0, comparing T_y coefficients in
+C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w gives
+
+    p_{y,w} = v^{-L(s)} p_{sy,w}    whenever sy > y
+
+(Lusztig, Hecke algebras with unequal parameters, ch. 6), so only the
+left-extremal y, those with sy < y for every such s, are written; the
+others are derived on load by shifting exponent keys, walking down from
+the longest element of each coset of the parabolic subgroup on those s.
+A zero-weight s is left out: C_s C_w = C_{sw} is not a multiple of C_w,
+and p_{y,w} = p_{sy,sw} relates the coefficients of two different rows.
+The C_s C_w table is written in full.  The file is compact JSON with a
+`format` field and the SHA-256 of its canonical payload, checked before
+anything is parsed.
 """
 
 from __future__ import annotations
@@ -27,12 +43,28 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .coxeter import CoxeterGroup, WeightFunction, validate_weights
 from .ordered_coeffs import LaurentElt, OrderedExponent
 
 HeckeCoeffs = Dict[int, LaurentElt]
+
+CACHE_FORMAT = 2
+
+
+def _canonical(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def payload_digest(doc: dict) -> str:
+    """SHA-256 of the canonical JSON of every field of `doc` but `digest`."""
+    return _sha256(_canonical({k: v for k, v in doc.items() if k != "digest"}))
 
 
 class HeckeAlgebra:
@@ -48,6 +80,7 @@ class HeckeAlgebra:
         self.grid = OrderedExponent.grid_of(self.mode, self.arity, weights.exps)
         self._v_plus = [LaurentElt.v_power(L, grid=self.grid) for L in weights.exps]
         self._v_minus = [LaurentElt.v_power(-L, grid=self.grid) for L in weights.exps]
+        self._minus_key = [(-L).encode(self.grid) for L in weights.exps]
 
     def header(self) -> dict:
         """Group and weights as JSON: the head of the KL cache and reports."""
@@ -63,14 +96,23 @@ class HeckeAlgebra:
 
     def content_key(self) -> str:
         """SHA-256 of the header: the KL cache and snapshot key."""
-        blob = json.dumps(self.header(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _sha256(_canonical(self.header()))
 
     def one_coeff(self) -> LaurentElt:
         return LaurentElt(self.grid, {0: 1})
 
     def unit(self) -> HeckeCoeffs:
         return {self.group.identity: self.one_coeff()}
+
+    @cached_property
+    def descent_masks(self) -> List[int]:
+        """Bit s of entry w is set when s is in L(w) and L(s) > 0: the
+        descents that relate the coefficients of C_w (module docstring).
+        y is left-extremal for w when mask[w] is a subset of mask[y]."""
+        group = self.group
+        positive = [L.sign() > 0 for L in self.weights.exps]
+        return [sum(1 << s for s in group.left_descents(w) if positive[s])
+                for w in range(len(group))]
 
 
 class KLTable:
@@ -97,33 +139,135 @@ class KLTable:
         return {self.group.name(w): c.render()
                 for w, c in sorted(h.items(), key=lambda kv: kv[0])}
 
-    def to_json_dict(self) -> dict:
-        doc = self.algebra.header()
-        doc["key"] = self.algebra.content_key()
-        doc["c_basis"] = {self.group.name(w): self._coeffs_to_json(self._c_exp[w])
-                          for w in range(len(self.group))}
+    def to_json_dict(self, extremal_only: bool = False) -> dict:
+        """The table as JSON: the `klbasis` output.  With `extremal_only`,
+        each C_w keeps only its left-extremal coefficients: the KL cache."""
+        group, algebra = self.group, self.algebra
+        doc = algebra.header()
+        doc["key"] = algebra.content_key()
+        masks = algebra.descent_masks if extremal_only else None
+        c_basis = {}
+        for w in range(len(group)):
+            row = self._c_exp[w]
+            if extremal_only:
+                m = masks[w]
+                row = {y: c for y, c in row.items() if masks[y] & m == m}
+            c_basis[group.name(w)] = self._coeffs_to_json(row)
+        doc["c_basis"] = c_basis
         doc["cs_products"] = {
-            f"{self.group.gen_names[s]}|{self.group.name(w)}":
-                self._coeffs_to_json(h)
+            f"{group.gen_names[s]}|{group.name(w)}": self._coeffs_to_json(h)
             for (s, w), h in sorted(self._cs_in_c.items())
         }
         return doc
 
+    def to_cache_text(self) -> str:
+        """The format-2 KL cache file: compact canonical JSON of the
+        extremal-only table plus `format`, then `digest` (payload_digest of
+        the rest) appended as the last field."""
+        doc = self.to_json_dict(extremal_only=True)
+        doc["format"] = CACHE_FORMAT
+        body = _canonical(doc)
+        return f'{body[:-1]},"digest":"{_sha256(body)}"}}'
+
     @staticmethod
     def from_json_dict(doc: dict, algebra: HeckeAlgebra) -> "KLTable":
+        """Load `to_json_dict()` output or a cache file (a document with a
+        `format` field, whose format and digest are checked first).
+
+        Each stored C_w must have p_{w,w} = 1 and, elsewhere, only shorter
+        y (smaller index) with negative exponents, and the C_s C_w entries
+        must name valid elements and generators and cover every pair.
+        Omitted coefficients are derived; a present non-extremal one must
+        equal its derived value.  Anything else raises ValueError (or
+        KeyError, TypeError, ... on a document of the wrong shape).
+        """
+        if "format" in doc and (doc["format"] != CACHE_FORMAT
+                                or doc.get("digest") != payload_digest(doc)):
+            raise ValueError("KL cache format or digest mismatch")
         group, grid = algebra.group, algebra.grid
+        one = algebra.one_coeff()
+        names = [group.name(w) for w in range(len(group))]
+        index = {nm: w for w, nm in enumerate(names)}
 
         def coeffs(obj: dict) -> HeckeCoeffs:
-            return {group.element_by_name(nm): LaurentElt.parse(txt, grid=grid)
-                    for nm, txt in obj.items()}
+            return {index[nm]: LaurentElt.parse(txt, grid=grid) for nm, txt in obj.items()}
 
-        c_exp = [coeffs(doc["c_basis"][group.name(w)]) for w in range(len(group))]
+        c_exp, walks = [], {}
+        for w, name in enumerate(names):
+            stored = coeffs(doc["c_basis"][name])
+            if stored.get(w) != one:
+                raise ValueError(f"p_(w,w) != 1 for w = {name}")
+            for y, c in stored.items():
+                _, const, pos = c.split_by_sign()
+                if y != w and (y > w or not c or const or pos):
+                    raise ValueError(f"p_(y,w) is not a shorter element's coefficient "
+                                     f"with negative exponents: y = {names[y]}, w = {name}")
+            c_exp.append(_complete_row(algebra, w, stored, walks))
         cs: Dict[Tuple[int, int], HeckeCoeffs] = {}
         for key, obj in doc["cs_products"].items():
             sname, wname = key.split("|", 1)
             s = group.gen_names.index(sname)
-            cs[(s, group.element_by_name(wname))] = coeffs(obj)
+            cs[(s, index[wname])] = coeffs(obj)
+        if len(cs) != group.rank * len(group):
+            raise ValueError("the C_s C_w table is incomplete")
         return KLTable(algebra, c_exp, cs)
+
+
+def _parabolic_walk(algebra: HeckeAlgebra, gens: Tuple[int, ...]
+                    ) -> List[Tuple[int, int, int]]:
+    """The elements u != e of the parabolic subgroup on `gens`, shortest
+    first, each as (i, s, key): u = s u_i with l(u) = l(u_i) + 1, where u_i
+    is the i-th element of the walk counting e as 0, and `key` is the int
+    key of v^{-L(u)}."""
+    group, minus_key = algebra.group, algebra._minus_key
+    elems, keys, seen = [group.identity], [0], {group.identity}
+    walk = []
+    for i, u in enumerate(elems):  # grows while it is read
+        for s in gens:
+            su = group.lmul_gen(s, u)
+            if su > u and su not in seen:
+                seen.add(su)
+                elems.append(su)
+                keys.append(keys[i] + minus_key[s])
+                walk.append((i, s, keys[-1]))
+    return walk
+
+
+def _complete_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs,
+                  walks: Dict[int, List[Tuple[int, int, int]]]) -> HeckeCoeffs:
+    """C_w from its stored coefficients.  With P the parabolic subgroup on
+    the s in L(w) with L(s) > 0, a left-extremal z is the longest element
+    of its coset Pz, and p_{uz,w} = v^{-L(u)} p_{z,w} for u in P, by
+    the identity in the module docstring along a reduced word of u.  A
+    stored coefficient that is not left-extremal must equal the derived
+    one.  `walks` memoises _parabolic_walk per descent mask."""
+    masks = algebra.descent_masks
+    m = masks[w]
+    if not m:
+        return stored
+    walk = walks.get(m)
+    if walk is None:
+        gens = tuple(s for s in range(algebra.group.rank) if m >> s & 1)
+        walk = walks[m] = _parabolic_walk(algebra, gens)
+    lmul = algebra.group.lmul_gen
+    row: HeckeCoeffs = {}
+    others = []
+    for z, c in stored.items():
+        if masks[z] & m != m:
+            others.append(z)
+            continue
+        row[z] = c
+        coset = [z]  # coset[i] = u_i z, walking down from z
+        for i, s, key in walk:
+            y = lmul(s, coset[i])
+            coset.append(y)
+            row[y] = c.shifted(key)
+    for y in others:
+        if row.get(y) != stored[y]:
+            group = algebra.group
+            raise ValueError(f"p_(y,w) for y = {group.name(y)}, w = {group.name(w)} "
+                             f"disagrees with its derived value")
+    return row
 
 
 def _add_into(h: HeckeCoeffs, y: int, c: LaurentElt) -> None:

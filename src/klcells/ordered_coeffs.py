@@ -319,6 +319,11 @@ class LaurentElt:
                 acc[g] = acc.get(g, 0) + c1 * c2
         return LaurentElt(self.grid, {g: c for g, c in acc.items() if c})
 
+    def shifted(self, key: int) -> "LaurentElt":
+        """v^g * self for the g with int key `key` on this grid: every key
+        moves by `key` and no two terms collide."""
+        return LaurentElt(self.grid, {g + key: c for g, c in self._terms.items()})
+
     def bar(self) -> "LaurentElt":
         """The involution v^g -> v^(-g), an exact ring automorphism."""
         return LaurentElt(self.grid, {-g: c for g, c in self._terms.items()})

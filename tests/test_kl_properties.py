@@ -1,9 +1,11 @@
 """Property tests: on random small Coxeter groups with random weights, the
 Hecke relations hold in the reference T-basis arithmetic, the KL basis
 equals the brute-force solver's, every C_s C_w in the table equals the
-product multiplied out and re-expanded in the C-basis, and the cells
-satisfy the invariants that hold for every weight function."""
+product multiplied out and re-expanded in the C-basis, the extremal
+identity behind the KL cache holds and the cache round-trips, and the
+cells satisfy the invariants that hold for every weight function."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from klcells.characters import character_table
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              conjugate_generator_components,
                              named_coxeter_matrix)
-from klcells.hecke import HeckeAlgebra, kl_basis
+from klcells.hecke import HeckeAlgebra, KLTable, kl_basis
 from klcells.ordered_coeffs import LaurentElt
 
 A1_X_A2 = CoxeterMatrix.from_rows([[1, 2, 2], [2, 1, 3], [2, 3, 1]])
@@ -92,6 +94,37 @@ def test_kl_table_matches_brute_oracle_and_reference(alg):
         for w in range(len(W)):
             assert equal(table.cs_product_in_c(s, w),
                              cs_product_reference(table, s, w)), (W.gen_names[s], W.name(w))
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(algebras())
+def test_extremal_identity_and_cache_round_trip(alg):
+    """p_(y,w) = v^-L(s) p_(sy,w) for s in L(w), L(s) > 0, sy > y; the cache
+    keeps exactly the other (left-extremal) coefficients and loads back to
+    the same table."""
+    table = kl_basis(alg)
+    W = alg.group
+    doc = json.loads(table.to_cache_text())
+    for w in range(len(W)):
+        row = table.c_expansion(w)
+        desc = [s for s in W.left_descents(w) if alg.weights[s].sign() > 0]
+        for s in desc:
+            shift = LaurentElt.v_power(-alg.weights[s])
+            for y in range(len(W)):
+                sy = W.lmul_gen(s, y)
+                if sy > y:
+                    if sy in row:
+                        assert row.get(y) == shift * row[sy], (W.name(w), s, W.name(y))
+                    else:
+                        assert y not in row, (W.name(w), s, W.name(y))
+        kept = {W.name(y) for y in row if all(W.lmul_gen(s, y) < y for s in desc)}
+        assert set(doc["c_basis"][W.name(w)]) == kept, W.name(w)
+    loaded = KLTable.from_json_dict(doc, alg)
+    for w in range(len(W)):
+        assert equal(loaded.c_expansion(w), table.c_expansion(w)), W.name(w)
+        for s in range(W.rank):
+            assert equal(loaded.cs_product_in_c(s, w), table.cs_product_in_c(s, w))
+    assert loaded.to_json_dict() == table.to_json_dict()
 
 
 @settings(max_examples=8, deadline=None, database=None)

@@ -1,25 +1,31 @@
 """The benchmark's tracer wraps klcells functions by name; a traced name
 that the library renames or removes is only reported in the traced
 child's stderr and drops its per-layer metric, so check that every name
-still resolves."""
+still resolves.  The traced run also reads the KL cache files
+(`count_terms`, the ordered_coeffs probe), so check that they still can."""
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from klcells.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # run.py's dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load("perfbench_tracing", "tracing.py")
 
 
 @pytest.mark.parametrize("modname, attr", [(m, a) for m, a, _ in tracing.FUNCTIONS])
@@ -33,3 +39,27 @@ def test_traced_method_exists(modname, clsname, attr):
     cls = getattr(importlib.import_module(modname), clsname)
     # The tracer looks the method up in the class's own namespace.
     assert attr in vars(cls)
+
+
+def test_benchmark_reads_the_kl_cache(tmp_path, capsys):
+    run = load("perfbench_run", "run.py")
+    probe = load("perfbench_probe", "probe.py")
+    spec = tmp_path / "b3.spec"
+    spec.write_text("group B 3\nL s = 1\nL t = 1\nL u = 3/2\n", encoding="utf-8")
+    cache = tmp_path / "cache"
+    assert main(["cells", str(spec), "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    assert main(["klbasis", str(spec), "--no-cache"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    [path] = [str(p) for p in cache.iterdir()]
+    terms = run.count_terms([path])
+    # C_s C_w is cached in full, C_w only in part.
+    assert terms["hecke.cs_terms"] == sum(
+        0 if t == "0" else t.count(" + ") + 1
+        for coeffs in full["cs_products"].values() for t in coeffs.values())
+    assert 0 < terms["hecke.c_terms"] < sum(
+        t.count(" + ") + 1 for coeffs in full["c_basis"].values() for t in coeffs.values())
+    metrics = probe.ordered_coeffs(1, [path])
+    for op in ("mul", "add", "split_bar", "parse", "render"):
+        assert metrics[f"ordered_coeffs.{op}_ns.rational"] > 0
+        assert metrics[f"ordered_coeffs.{op}_ns.rational.ops"] > 0

@@ -8,6 +8,7 @@ import pytest
 from klcells.cli import main
 from klcells.conjecture import B2_REGIME_POINTS
 from klcells.coxeter import ConjugacyViolation
+from klcells.hecke import payload_digest
 from klcells.ordered_coeffs import LEX, RATIONAL
 from klcells.specfile import SpecParseError, parse_spec, render_spec
 
@@ -293,6 +294,12 @@ def test_cli_conjecture_no_b2(capsys):
     assert doc["verdict"] == "MATCH"
 
 
+def resign(doc):
+    """`doc` with a `digest` that matches its (edited) payload."""
+    doc["digest"] = payload_digest(doc)
+    return json.dumps(doc)
+
+
 def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     spec = write(tmp_path / "b2.spec", "group B 2\nL s = 1\nL t = 2\n")
     code, cold, _ = run_cli(capsys, "cells", spec, "--no-cache")
@@ -312,15 +319,56 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     off_grid["c_basis"]["s"]["e"] = "1*v^(1/3)"
     zero_den = json.loads(good)
     zero_den["c_basis"]["s"]["e"] = "1*v^(1/0)"
-    for broken in ("{", "{}", "[]", good[: len(good) // 2], json.dumps(foreign),
-                   json.dumps(malformed), json.dumps(off_grid), json.dumps(zero_den)):
+    # The edits above keep a stale digest; those below the cases dict
+    # re-sign the edited payload, so that the parse and invariant checks
+    # are the ones to fail.  A format-1 cache held the indented full
+    # table that `klbasis` prints.
+    code, format1, _ = run_cli(capsys, "klbasis", spec, "--no-cache")
+    assert code == 0
+    wrong_format = json.loads(good)
+    wrong_format["format"] = 1
+    stale = json.loads(good)
+    stale["c_basis"]["t s"]["t"] = "1*v^(-3)"
+    cases = {"{": "{", "{}": "{}", "[]": "[]", "truncated": good[: len(good) // 2],
+             "foreign": json.dumps(foreign), "malformed": json.dumps(malformed),
+             "off grid": json.dumps(off_grid), "1/0": json.dumps(zero_den),
+             "format 1": format1, "wrong format": resign(wrong_format),
+             "stale digest": json.dumps(stale)}
+    # Row "t s": L(ts) = {t}, so p_(t,ts) is stored and p_(e,ts) = v^-2 p_(t,ts)
+    # and p_(s,ts) = v^-2 are derived.
+    for label, edit in [
+            ("signed off grid", lambda d: d["c_basis"]["t s"].update(t="1*v^(-1/3)")),
+            ("signed 1/0", lambda d: d["c_basis"]["t s"].update(t="1*v^(-1/0)")),
+            ("p_ww != 1", lambda d: d["c_basis"]["t s"].update({"t s": "1*v^(-1)"})),
+            ("non-negative lower exponent",
+             lambda d: d["c_basis"]["t s"].update(t="1*v^(1)")),
+            ("longer element in C_w", lambda d: d["c_basis"]["t"].update({"t s": "1*v^(-1)"})),
+            ("unknown product element", lambda d: d["cs_products"]["s|e"].update(q="1*v^(0)")),
+            ("missing product entry", lambda d: d["cs_products"].pop("t|s t")),
+            ("unknown product generator",
+             lambda d: d["cs_products"].update({"q|e": d["cs_products"].pop("s|e")})),
+            ("non-extremal disagrees", lambda d: d["c_basis"]["t s"].update(s="1*v^(-1)"))]:
+        doc = json.loads(good)
+        edit(doc)
+        cases[label] = resign(doc)
+    for label, broken in cases.items():
         path.write_text(broken, encoding="utf-8")
         code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", str(cache))
-        assert (code, err) == (0, ""), broken[:20]
-        assert out == cold
+        assert (code, err) == (0, ""), label
+        assert out == cold, label
         # The bad file was replaced by a good one, atomically.
-        assert path.read_text(encoding="utf-8") == good
+        assert path.read_text(encoding="utf-8") == good, label
         assert [p.name for p in cache.iterdir()] == [path.name]
+
+    # Re-signing alone keeps the file valid: the digest covers the
+    # canonical payload, not the bytes, and the derived entries agree.
+    doc = json.loads(good)
+    doc["c_basis"]["t s"]["s"] = "1*v^(-2)"
+    for valid in (resign(json.loads(good)), resign(doc)):
+        path.write_text(valid, encoding="utf-8")
+        code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", str(cache))
+        assert (code, err, out) == (0, "", cold)
+        assert path.read_text(encoding="utf-8") == valid
 
     # A lex vector of the wrong arity is off the grid too.
     lex_spec = write(tmp_path / "b2lex.spec", "group B 2\nL lex s = e_1\nL lex t = e_2\n")
@@ -330,10 +378,11 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     lex_good = lex_path.read_text(encoding="utf-8")
     wrong_arity = json.loads(lex_good)
     wrong_arity["c_basis"]["s"]["e"] = "1*v^(-1,0,0)"
-    lex_path.write_text(json.dumps(wrong_arity), encoding="utf-8")
-    code, out, err = run_cli(capsys, "cells", lex_spec, "--cache-dir", str(cache))
-    assert (code, err, out) == (0, "", lex_cold)
-    assert lex_path.read_text(encoding="utf-8") == lex_good
+    for broken in (json.dumps(wrong_arity), resign(wrong_arity)):
+        lex_path.write_text(broken, encoding="utf-8")
+        code, out, err = run_cli(capsys, "cells", lex_spec, "--cache-dir", str(cache))
+        assert (code, err, out) == (0, "", lex_cold)
+        assert lex_path.read_text(encoding="utf-8") == lex_good
 
 
 def test_unusable_cache_dir_is_a_miss(tmp_path, capsys):
