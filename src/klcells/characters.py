@@ -94,13 +94,6 @@ class CharacterTable:
     def from_integers(self, values: Sequence[int]) -> List[Cyclotomic]:
         return [self.field.from_fraction(v) for v in values]
 
-    def regular_character(self) -> List[Cyclotomic]:
-        n = sum(self.classes.sizes)
-        return self.from_integers([n] + [0] * (len(self.classes) - 1))
-
-    def trivial_character(self) -> List[Cyclotomic]:
-        return self.from_integers([1] * len(self.classes))
-
     def to_json_dict(self) -> dict:
         group = self.group
         reps = self.classes.representatives

@@ -278,14 +278,6 @@ def normal_form(params: Rank1Params, word: Sequence) -> AlgebraElt:
     return out
 
 
-def epsilon_idempotent(params: Rank1Params, i: int) -> AlgebraElt:
-    """eps_i = (1/d) sum_j zeta^{ij} s^j."""
-    field = params.field
-    terms = {(0, 0, j): field.zeta((i * j) % params.d) / params.d
-             for j in range(params.d)}
-    return AlgebraElt(params, terms)
-
-
 def euler_element(params: Rank1Params) -> AlgebraElt:
     """eu = xi x - sum_i (1 - zeta^i)^{-1} c_i s^i, in normal form."""
     field = params.field
@@ -336,12 +328,6 @@ class CMCellData:
     inertia_gens: List[Tuple[int, int]]  # transpositions (i j) of {1..d}
     fiber: List[Cyclotomic]         # distinct kappa values
     families: List[List[int]]       # exponents j of det^j
-
-    def cell_of_exponent(self, j: int) -> int:
-        for idx, block in enumerate(self.cells):
-            if j in block:
-                return idx
-        raise KeyError(j)
 
 
 def _orbit_partition(d: int, gens: Sequence[Tuple[int, int]]) -> List[List[int]]:

@@ -320,16 +320,6 @@ class CoxeterGroup:
             return self.right_descents(w)
         raise ValueError("side must be 'left' or 'right'")
 
-    def longest_element(self) -> int:
-        return max(range(self.size), key=self._lengths.__getitem__)
-
-    def reflections(self) -> List[int]:
-        classes = self.conjugacy_classes()
-        out = set()
-        for g in range(self.rank):
-            out.update(classes.class_members(classes.class_of[self.generator(g)]))
-        return sorted(out)
-
     def element_order(self, w: int) -> int:
         k, x = 1, w
         while x != 0:
@@ -409,13 +399,6 @@ class WeightFunction:
     @staticmethod
     def rational(values: Sequence) -> "WeightFunction":
         return WeightFunction(tuple(OrderedExponent.rational(v) for v in values))
-
-    @staticmethod
-    def lex_generic(rank: int) -> "WeightFunction":
-        """One independent lex coordinate per generator: fully generic weights."""
-        return WeightFunction(tuple(
-            OrderedExponent.lex(tuple(1 if j == i else 0 for j in range(rank)))
-            for i in range(rank)))
 
     @staticmethod
     def from_lex_units(assignments: Sequence[Optional[int]], arity: int) -> "WeightFunction":

@@ -3,9 +3,8 @@
 Elements are finitely supported maps W -> Z[G] in the T-basis.  The
 Kazhdan-Lusztig basis {C_w} is the unique basis with i(C_w) = C_w and
 C_w - T_w supported on strictly negative exponents.  `kl_basis` builds
-it, together with the C-basis expansion of every C_s C_w, in one pass
-over w in length order.  Each left descent s of w, with u = sw, falls
-into one of four cases:
+it in one pass over w in length order.  Each left descent s of w, with
+u = sw, falls into one of three cases:
 
 * construction step: s is the first letter of w's reduced word and
   L(s) > 0.  The bar-invariant product C_s C_u is reduced to C_w by
@@ -14,28 +13,42 @@ into one of four cases:
 * other ascent pairs: any other left descent s of w with L(s) > 0.  The
   same cancellation runs on C_s C_u and only its corrections m_y are
   kept, since C_w is already known.
-* L(s) = 0: T_s^2 = 1, so C_w = T_s C_u with no cancellation, and
-  C_s C_u = C_w, C_s C_w = C_u.
-* descent pairs with L(s) > 0: C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w.
+* L(s) = 0: T_s^2 = 1, so C_w = T_s C_u with no cancellation.
 
-Nothing is multiplied out in the T-basis and then re-expanded: the
-product table comes straight from the construction.
+The corrections are all the construction knows about the C_s C_w table;
+`KLTable.cs_product_in_c` derives every entry from them:
 
-The KL cache (format 2) keeps only part of each C_w = sum_y p_{y,w} T_y.
-For s in L(w) with L(s) > 0, comparing T_y coefficients in
+    C_s C_w = C_{sw}                          if L(s) = 0,
+    C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w      if sw < w and L(s) > 0,
+    C_s C_w = C_{sw} + sum_y m_y C_y          if sw > w and L(s) > 0.
+
+Nothing is multiplied out in the T-basis and then re-expanded.
+
+The KL cache (format 3) stores only what the construction alone knows.
+Of the C_s C_w table it writes the corrections of each ascent pair,
+`{}` when there are none.  Of C_w = sum_y p_{y,w} T_y it writes only the
+rows with index(w) <= index(w^-1): the anti-involution T_w -> T_{w^-1}
+commutes with the bar involution, so it maps C_w to C_{w^-1} and
+
+    p_{y,w} = p_{y^-1,w^-1}
+
+and of each written row only the left-extremal coefficients.  For s in
+L(w) with L(s) > 0, comparing T_y coefficients in
 C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w gives
 
     p_{y,w} = v^{-L(s)} p_{sy,w}    whenever sy > y
 
-(Lusztig, Hecke algebras with unequal parameters, ch. 6), so only the
-left-extremal y, those with sy < y for every such s, are written; the
-others are derived on load by shifting exponent keys, walking down from
-the longest element of each coset of the parabolic subgroup on those s.
-A zero-weight s is left out: C_s C_w = C_{sw} is not a multiple of C_w,
-and p_{y,w} = p_{sy,sw} relates the coefficients of two different rows.
-The C_s C_w table is written in full.  The file is compact JSON with a
-`format` field and the SHA-256 of its canonical payload, checked before
-anything is parsed.
+(Lusztig, Hecke algebras with unequal parameters, ch. 5-6), so only the
+y with sy < y for every such s are written; the others are derived on
+load by shifting exponent keys, walking down from the longest element of
+each coset of the parabolic subgroup on those s.  A zero-weight s is
+left out: C_s C_w = C_{sw} is not a multiple of C_w.  The rows that are
+not written are rebuilt from their inverses and share their
+coefficients.  The file is compact JSON with a `format` field and the
+SHA-256 of its canonical payload, checked before anything is parsed;
+`KLTable.from_json_dict` lists the checks on what follows.  Format 3
+halves format 2: A5 (equal parameters) 594 kB -> 268 kB, F4 with
+L = (1,1,2,2) 4.77 MB -> 2.50 MB.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from .ordered_coeffs import LaurentElt, OrderedExponent
 
 HeckeCoeffs = Dict[int, LaurentElt]
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def _canonical(doc: dict) -> str:
@@ -69,7 +82,8 @@ def payload_digest(doc: dict) -> str:
 
 class HeckeAlgebra:
     """Context object: group, validated weights, the grid every coefficient
-    keeps its int exponent keys on, and v^{L(s)}, v^{-L(s)} per generator."""
+    keeps its int exponent keys on, v^{L(s)}, v^{-L(s)} and their sum per
+    generator, and which generators have L(s) > 0."""
 
     def __init__(self, group: CoxeterGroup, weights: WeightFunction):
         validate_weights(group.matrix, weights, group.gen_names)
@@ -78,8 +92,10 @@ class HeckeAlgebra:
         self.mode = weights.mode
         self.arity = weights.arity
         self.grid = OrderedExponent.grid_of(self.mode, self.arity, weights.exps)
+        self.positive = [L.sign() > 0 for L in weights.exps]
         self._v_plus = [LaurentElt.v_power(L, grid=self.grid) for L in weights.exps]
         self._v_minus = [LaurentElt.v_power(-L, grid=self.grid) for L in weights.exps]
+        self._v_sum = [p + m for p, m in zip(self._v_plus, self._v_minus)]
         self._minus_key = [(-L).encode(self.grid) for L in weights.exps]
 
     def header(self) -> dict:
@@ -109,62 +125,77 @@ class HeckeAlgebra:
         """Bit s of entry w is set when s is in L(w) and L(s) > 0: the
         descents that relate the coefficients of C_w (module docstring).
         y is left-extremal for w when mask[w] is a subset of mask[y]."""
-        group = self.group
-        positive = [L.sign() > 0 for L in self.weights.exps]
+        group, positive = self.group, self.positive
         return [sum(1 << s for s in group.left_descents(w) if positive[s])
                 for w in range(len(group))]
 
 
 class KLTable:
-    """The KL basis: T-expansions of every C_w plus C-expansions of C_s C_w."""
+    """The KL basis: the T-expansion of every C_w, and the corrections
+    {y: m_y} of C_s C_u = C_su + sum_y m_y C_y for every ascent pair
+    (s, u), su > u and L(s) > 0, from which the C_s C_w table is derived."""
 
     def __init__(self, algebra: HeckeAlgebra, c_exp: List[HeckeCoeffs],
-                 cs_in_c: Dict[Tuple[int, int], HeckeCoeffs]):
+                 corrections: Dict[Tuple[int, int], HeckeCoeffs]):
         self.algebra = algebra
         self.group = algebra.group
         self._c_exp = c_exp
-        self._cs_in_c = cs_in_c
+        self._corrections = corrections
+        self._one = algebra.one_coeff()
 
     def c_expansion(self, w: int) -> HeckeCoeffs:
         """C_w in the T-basis."""
         return self._c_exp[w]
 
     def cs_product_in_c(self, s: int, w: int) -> HeckeCoeffs:
-        """C_s C_w in the C-basis (cached)."""
-        return self._cs_in_c[(s, w)]
+        """C_s C_w in the C-basis, derived from the stored corrections by
+        the three rules in the module docstring."""
+        sw = self.group.lmul_gen(s, w)
+        if not self.algebra.positive[s]:
+            return {sw: self._one}
+        if sw < w:
+            return {w: self.algebra._v_sum[s]}
+        return {sw: self._one, **self._corrections[(s, w)]}
 
     # -- serialization ---------------------------------------------------
 
-    def _coeffs_to_json(self, h: HeckeCoeffs) -> dict:
-        return {self.group.name(w): c.render()
-                for w, c in sorted(h.items(), key=lambda kv: kv[0])}
-
-    def to_json_dict(self, extremal_only: bool = False) -> dict:
-        """The table as JSON: the `klbasis` output.  With `extremal_only`,
-        each C_w keeps only its left-extremal coefficients: the KL cache."""
+    def to_json_dict(self, stored_only: bool = False) -> dict:
+        """The table as JSON: the `klbasis` output.  With `stored_only`, the
+        part the KL cache keeps: the C_w rows with index(w) <= index(w^-1),
+        each with its left-extremal coefficients only, and the corrections
+        of each ascent pair in place of the C_s C_w table."""
         group, algebra = self.group, self.algebra
+        n = len(group)
+        names = [group.name(w) for w in range(n)]
+
+        def to_json(h: HeckeCoeffs) -> dict:
+            return {names[y]: h[y].render() for y in sorted(h)}
+
         doc = algebra.header()
         doc["key"] = algebra.content_key()
-        masks = algebra.descent_masks if extremal_only else None
-        c_basis = {}
-        for w in range(len(group)):
-            row = self._c_exp[w]
-            if extremal_only:
-                m = masks[w]
-                row = {y: c for y, c in row.items() if masks[y] & m == m}
-            c_basis[group.name(w)] = self._coeffs_to_json(row)
+        if stored_only:
+            masks, inv = algebra.descent_masks, group.inv
+            c_basis = {}
+            for w in range(n):
+                if inv(w) >= w:
+                    m = masks[w]
+                    c_basis[names[w]] = to_json(
+                        {y: c for y, c in self._c_exp[w].items() if masks[y] & m == m})
+            products = sorted(self._corrections.items())
+        else:
+            c_basis = {names[w]: to_json(self._c_exp[w]) for w in range(n)}
+            products = [((s, w), self.cs_product_in_c(s, w))
+                        for s in range(group.rank) for w in range(n)]
         doc["c_basis"] = c_basis
-        doc["cs_products"] = {
-            f"{group.gen_names[s]}|{group.name(w)}": self._coeffs_to_json(h)
-            for (s, w), h in sorted(self._cs_in_c.items())
-        }
+        doc["cs_products"] = {f"{group.gen_names[s]}|{names[w]}": to_json(h)
+                              for (s, w), h in products}
         return doc
 
     def to_cache_text(self) -> str:
-        """The format-2 KL cache file: compact canonical JSON of the
-        extremal-only table plus `format`, then `digest` (payload_digest of
+        """The format-3 KL cache file: compact canonical JSON of the stored
+        part of the table plus `format`, then `digest` (payload_digest of
         the rest) appended as the last field."""
-        doc = self.to_json_dict(extremal_only=True)
+        doc = self.to_json_dict(stored_only=True)
         doc["format"] = CACHE_FORMAT
         body = _canonical(doc)
         return f'{body[:-1]},"digest":"{_sha256(body)}"}}'
@@ -174,43 +205,71 @@ class KLTable:
         """Load `to_json_dict()` output or a cache file (a document with a
         `format` field, whose format and digest are checked first).
 
-        Each stored C_w must have p_{w,w} = 1 and, elsewhere, only shorter
-        y (smaller index) with negative exponents, and the C_s C_w entries
-        must name valid elements and generators and cover every pair.
-        Omitted coefficients are derived; a present non-extremal one must
-        equal its derived value.  Anything else raises ValueError (or
-        KeyError, TypeError, ... on a document of the wrong shape).
+        Every row the cache stores must be present, with p_{w,w} = 1 and,
+        elsewhere, only shorter y (smaller index) with negative exponents.
+        Every ascent pair must have a key; each correction must be nonzero,
+        bar-invariant and sit at a y with sy < y shorter than su.  A cache
+        file may hold no key on a descent or zero-weight pair.  Anything
+        derivable that is present (a coefficient, a row, a product entry)
+        must equal its derived value, so the full `klbasis` document loads.
+        Anything else raises ValueError (or KeyError, TypeError, ... on a
+        document of the wrong shape).
         """
-        if "format" in doc and (doc["format"] != CACHE_FORMAT
-                                or doc.get("digest") != payload_digest(doc)):
+        is_cache = "format" in doc
+        if is_cache and (doc["format"] != CACHE_FORMAT
+                         or doc.get("digest") != payload_digest(doc)):
             raise ValueError("KL cache format or digest mismatch")
         group, grid = algebra.group, algebra.grid
         one = algebra.one_coeff()
+        inv, lmul, length = group.inv, group.lmul_gen, group.length
         names = [group.name(w) for w in range(len(group))]
         index = {nm: w for w, nm in enumerate(names)}
 
         def coeffs(obj: dict) -> HeckeCoeffs:
             return {index[nm]: LaurentElt.parse(txt, grid=grid) for nm, txt in obj.items()}
 
+        rows = doc["c_basis"]
         c_exp, walks = [], {}
         for w, name in enumerate(names):
-            stored = coeffs(doc["c_basis"][name])
-            if stored.get(w) != one:
-                raise ValueError(f"p_(w,w) != 1 for w = {name}")
-            for y, c in stored.items():
-                _, const, pos = c.split_by_sign()
-                if y != w and (y > w or not c or const or pos):
-                    raise ValueError(f"p_(y,w) is not a shorter element's coefficient "
-                                     f"with negative exponents: y = {names[y]}, w = {name}")
-            c_exp.append(_complete_row(algebra, w, stored, walks))
-        cs: Dict[Tuple[int, int], HeckeCoeffs] = {}
+            obj = rows.get(name)
+            wi = inv(w)
+            if wi < w:
+                row = {inv(y): c for y, c in c_exp[wi].items()}
+                if obj is not None and _complete_row(algebra, w, coeffs(obj), walks) != row:
+                    raise ValueError(f"row {name} disagrees with its derived value")
+            elif obj is None:
+                raise ValueError(f"stored row {name} is missing")
+            else:
+                row = _complete_row(algebra, w, coeffs(obj), walks)
+            c_exp.append(row)
+
+        corrections: Dict[Tuple[int, int], HeckeCoeffs] = {}
+        derivable = []
         for key, obj in doc["cs_products"].items():
-            sname, wname = key.split("|", 1)
-            s = group.gen_names.index(sname)
-            cs[(s, index[wname])] = coeffs(obj)
-        if len(cs) != group.rank * len(group):
-            raise ValueError("the C_s C_w table is incomplete")
-        return KLTable(algebra, c_exp, cs)
+            sname, uname = key.split("|", 1)
+            s, u = group.gen_names.index(sname), index[uname]
+            h = coeffs(obj)
+            su = lmul(s, u)
+            if not (algebra.positive[s] and su > u):
+                if is_cache:
+                    raise ValueError(f"C_s C_w for {key} is derived, not stored")
+                derivable.append((s, u, h))
+                continue
+            if h.pop(su, one) != one:
+                raise ValueError(f"the C_su term of C_s C_u for {key} is not 1")
+            for y, m in h.items():
+                if (not m or m.bar() != m or lmul(s, y) > y
+                        or length(y) >= length(su)):
+                    raise ValueError(f"bad correction at y = {names[y]} for {key}")
+            corrections[(s, u)] = h
+        if len(corrections) != sum(algebra.positive) * len(group) // 2:
+            raise ValueError("an ascent pair of the C_s C_w table is missing")
+        table = KLTable(algebra, c_exp, corrections)
+        for s, u, h in derivable:
+            if h != table.cs_product_in_c(s, u):
+                raise ValueError(f"C_s C_w for s = {group.gen_names[s]}, w = {names[u]} "
+                                 f"disagrees with its derived value")
+        return table
 
 
 def _parabolic_walk(algebra: HeckeAlgebra, gens: Tuple[int, ...]
@@ -235,21 +294,30 @@ def _parabolic_walk(algebra: HeckeAlgebra, gens: Tuple[int, ...]
 
 def _complete_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs,
                   walks: Dict[int, List[Tuple[int, int, int]]]) -> HeckeCoeffs:
-    """C_w from its stored coefficients.  With P the parabolic subgroup on
-    the s in L(w) with L(s) > 0, a left-extremal z is the longest element
-    of its coset Pz, and p_{uz,w} = v^{-L(u)} p_{z,w} for u in P, by
-    the identity in the module docstring along a reduced word of u.  A
-    stored coefficient that is not left-extremal must equal the derived
-    one.  `walks` memoises _parabolic_walk per descent mask."""
+    """C_w from its stored coefficients, which must have p_{w,w} = 1 and,
+    elsewhere, only shorter y with negative exponents.  With P the
+    parabolic subgroup on the s in L(w) with L(s) > 0, a left-extremal z
+    is the longest element of its coset Pz, and p_{uz,w} = v^{-L(u)} p_{z,w}
+    for u in P, by the identity in the module docstring along a reduced
+    word of u.  A stored coefficient that is not left-extremal must equal
+    the derived one.  `walks` memoises _parabolic_walk per descent mask."""
+    group = algebra.group
+    if stored.get(w) != algebra.one_coeff():
+        raise ValueError(f"p_(w,w) != 1 for w = {group.name(w)}")
+    for y, c in stored.items():
+        _, const, pos = c.split_by_sign()
+        if y != w and (y > w or not c or const or pos):
+            raise ValueError(f"p_(y,w) is not a shorter element's coefficient with "
+                             f"negative exponents: y = {group.name(y)}, w = {group.name(w)}")
     masks = algebra.descent_masks
     m = masks[w]
     if not m:
         return stored
     walk = walks.get(m)
     if walk is None:
-        gens = tuple(s for s in range(algebra.group.rank) if m >> s & 1)
+        gens = tuple(s for s in range(group.rank) if m >> s & 1)
         walk = walks[m] = _parabolic_walk(algebra, gens)
-    lmul = algebra.group.lmul_gen
+    lmul = group.lmul_gen
     row: HeckeCoeffs = {}
     others = []
     for z, c in stored.items():
@@ -264,7 +332,6 @@ def _complete_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs,
             row[y] = c.shifted(key)
     for y in others:
         if row.get(y) != stored[y]:
-            group = algebra.group
             raise ValueError(f"p_(y,w) for y = {group.name(y)}, w = {group.name(w)} "
                              f"disagrees with its derived value")
     return row
@@ -329,33 +396,26 @@ def _cs_times_c(algebra: HeckeAlgebra, s: int, u: int, w: int,
 
 
 def kl_basis(algebra: HeckeAlgebra) -> KLTable:
-    """Compute the full KL basis and the C-basis expansions of C_s C_w.
+    """Compute the full KL basis and the corrections of every ascent pair.
 
-    Every left descent s of w, with u = sw, gives both table entries
-    (s, u) and (s, w); see the module docstring for the four cases.
+    Every left descent s of w with L(s) > 0, with u = sw, gives the
+    corrections of the ascent pair (s, u); see the module docstring.
     """
     group = algebra.group
     n = len(group)
-    one = algebra.one_coeff()
-    v_sum = [p + m for p, m in zip(algebra._v_plus, algebra._v_minus)]
     c_exp: List[HeckeCoeffs] = [algebra.unit()] + [{}] * (n - 1)
-    cs_in_c: Dict[Tuple[int, int], HeckeCoeffs] = {}
+    corrections: Dict[Tuple[int, int], HeckeCoeffs] = {}
     for w in range(1, n):
         first = group.word(w)[0]
         for s in group.left_descents(w):
             u = group.lmul_gen(s, w)
-            if algebra.weights[s].sign() == 0:
-                # T_s^2 = 1, so T_s T_y = T_{sy}: C_w = T_s C_u = C_s C_u
-                # is C_u relabelled, with no cancellation.
+            if not algebra.positive[s]:
+                # T_s^2 = 1, so T_s T_y = T_{sy}: C_w = T_s C_u is C_u
+                # relabelled, with no cancellation.
                 if s == first:
                     c_exp[w] = {group.lmul_gen(s, y): c for y, c in c_exp[u].items()}
-                cs_in_c[(s, u)] = {w: one}
-                cs_in_c[(s, w)] = {u: one}
                 continue
-            cw, prod = _cs_times_c(algebra, s, u, w, c_exp)
+            cw, corrections[(s, u)] = _cs_times_c(algebra, s, u, w, c_exp)
             if s == first:
                 c_exp[w] = cw
-            prod[w] = one
-            cs_in_c[(s, u)] = prod
-            cs_in_c[(s, w)] = {w: v_sum[s]}
-    return KLTable(algebra, c_exp, cs_in_c)
+    return KLTable(algebra, c_exp, corrections)

@@ -248,9 +248,6 @@ class LaurentElt:
         except ValueError:  # another exponent group, or off the grid
             return 0
 
-    def support_size(self) -> int:
-        return len(self._terms)
-
     def _reduced(self):
         """(mode, arity, scale, terms) on the coarsest grid: equal elements
         give equal values whatever scale they are stored on."""

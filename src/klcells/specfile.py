@@ -4,7 +4,7 @@
     L s = 1             #     a rank line and upper-triangle rows
     L t = 3/2
 
-Lex-mode weights use basis vectors:
+Lex-mode weights use basis vectors e_i of Z^n, 1 <= i <= rank:
 
     group B 2
     L lex s = e_1
@@ -146,8 +146,11 @@ def parse_spec(text: str) -> ParsedSpec:
                     raise SpecParseError(lineno, col,
                                          f"lex weights are 'e_i' or '0', got {value!r}")
                 idx = int(m.group(1))
-                if idx < 1:
-                    raise SpecParseError(lineno, col, "basis index must be >= 1")
+                if not 1 <= idx <= matrix.rank:
+                    # Z^idx grows every exponent vector: an index above the
+                    # rank adds nothing but time, quadratic in idx.
+                    raise SpecParseError(lineno, col, f"basis index must be between 1 "
+                                                      f"and the rank, {matrix.rank}")
                 lex_units[g] = idx
         else:
             if not _RATIONAL_RE.match(value):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cherednik_reference as reference
+from api_helpers import cell_of_exponent, epsilon_idempotent
 from klcells.cherednik_rank1 import (AlgebraElt, NonzeroConstantTerm,
                                      Rank1Params, c_to_kappa,
                                      cm_multiplicities, cm_report, commutator,
-                                     epsilon_idempotent, euler_element,
+                                     euler_element,
                                      inertia_and_cells, is_central, kappa_to_c,
                                      normal_form, verify_presentation)
 from klcells.cyclotomic import CyclotomicField
@@ -237,8 +238,8 @@ def test_d2_generic_point():
     assert data.cells == [[0], [1]]
     assert len(data.fiber) == 2
     mult = cm_multiplicities(data)
-    cell_of_e = data.cell_of_exponent(0)
-    cell_of_s = data.cell_of_exponent(1)
+    cell_of_e = cell_of_exponent(data, 0)
+    cell_of_s = cell_of_exponent(data, 1)
     assert mult[(cell_of_e, 0)] == 1 and mult[(cell_of_e, 1)] == 0
     assert mult[(cell_of_s, 1)] == 1 and mult[(cell_of_s, 0)] == 0
 

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from api_helpers import lex_generic, longest_element
 from hecke_reference import (add, bar, c_gen, clean, cs_product_reference,
                              equal, express_in_kl, mul_ts, mul_ts_right,
                              multiply, scale, sub, t_basis, t_inv_times,
@@ -105,7 +107,7 @@ def test_bar_independent_of_reduced_word():
     # any other reduced word; check via the braid pair in B2.
     alg = make_algebra("I2", 4, [1, 2])
     W = alg.group
-    w0 = W.longest_element()  # stst = tsts
+    w0 = longest_element(W)  # stst = tsts
     via_canonical = bar(alg, t_basis(alg, w0))
     # T_w0 has coefficient one, so i(T_w0) is the bare product of the
     # inverted generators along the other reduced word t s t s.
@@ -278,11 +280,25 @@ def test_serialization_roundtrip_and_key_stability():
     assert doc["key"] == alg.content_key() == make_algebra("B", 2, [1, 2]).content_key()
     # Key depends on the weights.
     assert make_algebra("B", 2, [1, 3]).content_key() != alg.content_key()
+    # The full document holds what the cache derives; each such entry must
+    # equal its derived value: a descent product, a row rebuilt from its
+    # inverse, a zero-weight product.
+    zero_alg = make_algebra("B", 2, [1, 0])
+    zero_doc = kl_basis(zero_alg).to_json_dict()
+    assert KLTable.from_json_dict(zero_doc, zero_alg).to_json_dict() == zero_doc
+    for a, d, edit in [
+            (alg, doc, lambda d: d["cs_products"]["s|s"].update(s="1*v^(1)")),
+            (alg, doc, lambda d: d["c_basis"]["t s"].update(t="1*v^(-2)")),
+            (zero_alg, zero_doc, lambda d: d["cs_products"]["t|e"].update(t="1*v^(-1)"))]:
+        bad = json.loads(json.dumps(d))
+        edit(bad)
+        with pytest.raises(ValueError):
+            KLTable.from_json_dict(bad, a)
 
 
 def test_lex_mode_generic_weights():
     W = build_group(named_coxeter_matrix("I2", 4))
-    alg = HeckeAlgebra(W, WeightFunction.lex_generic(2))
+    alg = HeckeAlgebra(W, lex_generic(2))
     table = kl_basis(alg)
     for w in range(len(W)):
         exp = table.c_expansion(w)

@@ -1,16 +1,19 @@
 """Property tests: on random small Coxeter groups with random weights, the
 Hecke relations hold in the reference T-basis arithmetic, the KL basis
 equals the brute-force solver's, every C_s C_w in the table equals the
-product multiplied out and re-expanded in the C-basis, the extremal
-identity behind the KL cache holds and the cache round-trips, and the
+product multiplied out and re-expanded in the C-basis, the inverse
+symmetry and the ascent corrections that the KL cache relies on hold,
+the extremal identity holds and the cache round-trips, and the
 cells satisfy the invariants that hold for every weight function."""
 
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from api_helpers import regular_character
 from hecke_reference import (add, cs_product_reference, equal, multiply, scale,
                              t_basis)
 from kl_brute_oracle import brute_kl_expansions
@@ -36,13 +39,13 @@ def coxeter_matrices(draw):
 
 
 @st.composite
-def weight_functions(draw, matrix):
+def weight_functions(draw, matrix, kind=None):
     """Weights constant on conjugacy classes of generators: positive
     rationals, the same with at least one class at zero, or lexicographic
-    units e_i (0 allowed) in Z^2."""
+    units e_i (0 allowed) in Z^2; `kind` picks one, else it is drawn."""
     comp = conjugate_generator_components(matrix)
     classes = max(comp) + 1
-    kind = draw(st.sampled_from(["rational", "zero", "lex"]))
+    kind = kind or draw(st.sampled_from(["rational", "zero", "lex"]))
     if kind == "lex":
         units = draw(st.lists(st.sampled_from([1, 2, None]),
                               min_size=classes, max_size=classes))
@@ -55,9 +58,9 @@ def weight_functions(draw, matrix):
 
 
 @st.composite
-def algebras(draw):
+def algebras(draw, kind=None):
     matrix = draw(coxeter_matrices())
-    return HeckeAlgebra(build_group(matrix), draw(weight_functions(matrix)))
+    return HeckeAlgebra(build_group(matrix), draw(weight_functions(matrix, kind)))
 
 
 @settings(max_examples=8, deadline=None, database=None)
@@ -96,15 +99,46 @@ def test_kl_table_matches_brute_oracle_and_reference(alg):
                              cs_product_reference(table, s, w)), (W.gen_names[s], W.name(w))
 
 
+@pytest.mark.parametrize("kind", ["rational", "zero", "lex"])
+@settings(max_examples=6, deadline=None, database=None)
+@given(data=st.data())
+def test_inverse_symmetry_and_ascent_corrections(kind, data):
+    """Of kl_basis itself, for each kind of weights: p_(y,w) = p_(y^-1,w^-1)
+    for every (y, w), and every ascent correction m_y of
+    C_s C_u = C_su + sum_y m_y C_y is nonzero and bar-invariant, at a y
+    with sy < y shorter than su."""
+    alg = data.draw(algebras(kind))
+    table = kl_basis(alg)
+    W = alg.group
+    for w in range(len(W)):
+        row, row_inv = table.c_expansion(w), table.c_expansion(W.inv(w))
+        assert {W.inv(y): c for y, c in row.items()} == row_inv, W.name(w)
+    for s in range(W.rank):
+        if not alg.weights[s].sign() > 0:
+            continue
+        for u in range(len(W)):
+            su = W.lmul_gen(s, u)
+            if su < u:
+                continue
+            prod = dict(table.cs_product_in_c(s, u))
+            assert prod.pop(su) == alg.one_coeff()
+            for y, m in prod.items():
+                label = (W.gen_names[s], W.name(u), W.name(y))
+                assert m and m.bar() == m, label
+                assert W.lmul_gen(s, y) < y and W.length(y) < W.length(su), label
+
+
 @settings(max_examples=8, deadline=None, database=None)
 @given(algebras())
 def test_extremal_identity_and_cache_round_trip(alg):
     """p_(y,w) = v^-L(s) p_(sy,w) for s in L(w), L(s) > 0, sy > y; the cache
-    keeps exactly the other (left-extremal) coefficients and loads back to
-    the same table."""
+    keeps exactly the left-extremal coefficients of the rows with
+    index(w) <= index(w^-1), one key per ascent pair holding its
+    corrections, and loads back to the same table."""
     table = kl_basis(alg)
     W = alg.group
     doc = json.loads(table.to_cache_text())
+    stored_rows = set()
     for w in range(len(W)):
         row = table.c_expansion(w)
         desc = [s for s in W.left_descents(w) if alg.weights[s].sign() > 0]
@@ -117,8 +151,21 @@ def test_extremal_identity_and_cache_round_trip(alg):
                         assert row.get(y) == shift * row[sy], (W.name(w), s, W.name(y))
                     else:
                         assert y not in row, (W.name(w), s, W.name(y))
+        if w > W.inv(w):
+            continue
+        stored_rows.add(W.name(w))
         kept = {W.name(y) for y in row if all(W.lmul_gen(s, y) < y for s in desc)}
         assert set(doc["c_basis"][W.name(w)]) == kept, W.name(w)
+    assert set(doc["c_basis"]) == stored_rows
+    ascents = {}
+    for s in range(W.rank):
+        for u in range(len(W)):
+            su = W.lmul_gen(s, u)
+            if alg.weights[s].sign() > 0 and su > u:
+                corrections = table.cs_product_in_c(s, u)
+                ascents[f"{W.gen_names[s]}|{W.name(u)}"] = {
+                    W.name(y): m.render() for y, m in corrections.items() if y != su}
+    assert doc["cs_products"] == ascents
     loaded = KLTable.from_json_dict(doc, alg)
     for w in range(len(W)):
         assert equal(loaded.c_expansion(w), table.c_expansion(w)), W.name(w)
@@ -151,7 +198,7 @@ def test_cell_invariants(alg):
     for block in right.blocks:
         assert len({two_sided.block_of[w] for w in block}) == 1, block
     assert total == chars.degrees
-    assert chars.from_integers(values) == chars.regular_character()
+    assert chars.from_integers(values) == regular_character(chars)
     assert right.as_sets() == {frozenset(W.inv(w) for w in b) for b in left.blocks}
     to_right = [right.block_of[W.inv(b[0])] for b in left.blocks]
     assert right.order == {(to_right[a], to_right[b]) for a, b in left.order}

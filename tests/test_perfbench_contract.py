@@ -53,8 +53,8 @@ def test_benchmark_reads_the_kl_cache(tmp_path, capsys):
     full = json.loads(capsys.readouterr().out)
     [path] = [str(p) for p in cache.iterdir()]
     terms = run.count_terms([path])
-    # C_s C_w is cached in full, C_w only in part.
-    assert terms["hecke.cs_terms"] == sum(
+    # Both sections are cached in part: C_s C_w as the ascent corrections.
+    assert 0 < terms["hecke.cs_terms"] < sum(
         0 if t == "0" else t.count(" + ") + 1
         for coeffs in full["cs_products"].values() for t in coeffs.values())
     assert 0 < terms["hecke.c_terms"] < sum(

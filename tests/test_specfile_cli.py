@@ -55,6 +55,21 @@ def test_parse_lex_weights():
     assert spec0.weights[1].value == (0,) * spec0.weights.arity
 
 
+def test_lex_index_above_rank_is_a_parse_error(tmp_path, capsys):
+    # Each unit index above the rank would lengthen every exponent vector
+    # and cost time quadratic in the index, for no new weight function.
+    with pytest.raises(SpecParseError) as err:
+        parse_spec("group B 2\nL lex s = e_1\nL lex t = e_3\n")
+    assert (err.value.line, err.value.col) == (3, 11)
+    with pytest.raises(SpecParseError):
+        parse_spec("group B 2\nL lex s = e_0\nL lex t = e_1\n")
+    assert parse_spec("group B 2\nL lex s = e_2\nL lex t = e_2\n").weights.arity == 2
+    spec = write(tmp_path / "b2.spec", "group B 2\nL lex s = e_1\nL lex t = e_60000\n")
+    code, out, err = run_cli(capsys, "cells", spec, "--no-cache")
+    assert (code, out) == (1, "")
+    assert "line 3, col 11" in err and "rank, 2" in err
+
+
 def test_semantic_error_conjugate_generators():
     with pytest.raises(ConjugacyViolation):
         parse_spec("group A 2\nL s = 1\nL t = 2\n")
@@ -322,32 +337,50 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     # The edits above keep a stale digest; those below the cases dict
     # re-sign the edited payload, so that the parse and invariant checks
     # are the ones to fail.  A format-1 cache held the indented full
-    # table that `klbasis` prints.
+    # table that `klbasis` prints; a format-2 cache held every row and
+    # the full C_s C_w table, and its loader took the full rows.
     code, format1, _ = run_cli(capsys, "klbasis", spec, "--no-cache")
     assert code == 0
+    format2 = json.loads(format1)
+    format2["format"] = 2
     wrong_format = json.loads(good)
     wrong_format["format"] = 1
     stale = json.loads(good)
-    stale["c_basis"]["t s"]["t"] = "1*v^(-3)"
+    stale["c_basis"]["s t"]["s"] = "1*v^(-3)"
     cases = {"{": "{", "{}": "{}", "[]": "[]", "truncated": good[: len(good) // 2],
              "foreign": json.dumps(foreign), "malformed": json.dumps(malformed),
              "off grid": json.dumps(off_grid), "1/0": json.dumps(zero_den),
-             "format 1": format1, "wrong format": resign(wrong_format),
-             "stale digest": json.dumps(stale)}
-    # Row "t s": L(ts) = {t}, so p_(t,ts) is stored and p_(e,ts) = v^-2 p_(t,ts)
-    # and p_(s,ts) = v^-2 are derived.
+             "format 1": format1, "format 2": resign(format2),
+             "wrong format": resign(wrong_format), "stale digest": json.dumps(stale)}
+    # Row "s t": L(st) = {s}, so p_(s,st) = v^-2 is stored and
+    # p_(t,st) = v^-1 and p_(e,st) = v^-1 p_(s,st) are derived.  Row
+    # "t s" is not stored: it is row "s t" inverted.  Ascent pair "t|s t s"
+    # (su = s t s t) holds the correction m_(t s) = v + v^-1.
     for label, edit in [
-            ("signed off grid", lambda d: d["c_basis"]["t s"].update(t="1*v^(-1/3)")),
-            ("signed 1/0", lambda d: d["c_basis"]["t s"].update(t="1*v^(-1/0)")),
-            ("p_ww != 1", lambda d: d["c_basis"]["t s"].update({"t s": "1*v^(-1)"})),
+            ("signed off grid", lambda d: d["c_basis"]["s t"].update(s="1*v^(-1/3)")),
+            ("signed 1/0", lambda d: d["c_basis"]["s t"].update(s="1*v^(-1/0)")),
+            ("p_ww != 1", lambda d: d["c_basis"]["s t"].update({"s t": "1*v^(-1)"})),
             ("non-negative lower exponent",
-             lambda d: d["c_basis"]["t s"].update(t="1*v^(1)")),
+             lambda d: d["c_basis"]["s t"].update(s="1*v^(1)")),
             ("longer element in C_w", lambda d: d["c_basis"]["t"].update({"t s": "1*v^(-1)"})),
+            ("missing stored row", lambda d: d["c_basis"].pop("s t")),
+            ("derived row disagrees",
+             lambda d: d["c_basis"].update({"t s": {"t s": "1*v^(0)", "t": "1*v^(-2)"}})),
+            ("non-extremal disagrees", lambda d: d["c_basis"]["s t"].update(t="1*v^(-2)")),
             ("unknown product element", lambda d: d["cs_products"]["s|e"].update(q="1*v^(0)")),
-            ("missing product entry", lambda d: d["cs_products"].pop("t|s t")),
+            ("missing ascent key", lambda d: d["cs_products"].pop("t|s t")),
             ("unknown product generator",
              lambda d: d["cs_products"].update({"q|e": d["cs_products"].pop("s|e")})),
-            ("non-extremal disagrees", lambda d: d["c_basis"]["t s"].update(s="1*v^(-1)"))]:
+            ("key on a descent pair",
+             lambda d: d["cs_products"].update({"s|s": {"s": "1*v^(-1) + 1*v^(1)"}})),
+            ("C_su term disagrees", lambda d: d["cs_products"]["s|e"].update(s="1*v^(1)")),
+            ("zero correction", lambda d: d["cs_products"]["t|s t s"].update(t="0")),
+            ("correction not bar-invariant",
+             lambda d: d["cs_products"]["t|s t s"].update(t="1*v^(-1)")),
+            ("correction at sy > y",
+             lambda d: d["cs_products"]["t|s t s"].update(s="1*v^(-1) + 1*v^(1)")),
+            ("correction not shorter than su",
+             lambda d: d["cs_products"]["t|s"].update({"t s t": "1*v^(0)"}))]:
         doc = json.loads(good)
         edit(doc)
         cases[label] = resign(doc)
@@ -361,14 +394,20 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
         assert [p.name for p in cache.iterdir()] == [path.name]
 
     # Re-signing alone keeps the file valid: the digest covers the
-    # canonical payload, not the bytes, and the derived entries agree.
-    doc = json.loads(good)
-    doc["c_basis"]["t s"]["s"] = "1*v^(-2)"
-    for valid in (resign(json.loads(good)), resign(doc)):
-        path.write_text(valid, encoding="utf-8")
+    # canonical payload, not the bytes, and derivable entries that agree
+    # with their derived values are accepted.
+    valid = [resign(json.loads(good))]
+    for edit in (lambda d: d["c_basis"]["s t"].update(t="1*v^(-1)"),
+                 lambda d: d["c_basis"].update({"t s": {"t s": "1*v^(0)", "t": "1*v^(-1)"}}),
+                 lambda d: d["cs_products"]["t|s t s"].update({"s t s t": "1*v^(0)"})):
+        doc = json.loads(good)
+        edit(doc)
+        valid.append(resign(doc))
+    for text in valid:
+        path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", str(cache))
         assert (code, err, out) == (0, "", cold)
-        assert path.read_text(encoding="utf-8") == valid
+        assert path.read_text(encoding="utf-8") == text
 
     # A lex vector of the wrong arity is off the grid too.
     lex_spec = write(tmp_path / "b2lex.spec", "group B 2\nL lex s = e_1\nL lex t = e_2\n")
@@ -383,6 +422,19 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
         code, out, err = run_cli(capsys, "cells", lex_spec, "--cache-dir", str(cache))
         assert (code, err, out) == (0, "", lex_cold)
         assert lex_path.read_text(encoding="utf-8") == lex_good
+
+    # L(t) = 0: C_t C_w = C_tw is derived, so the cache holds no "t|..." key.
+    zero_spec = write(tmp_path / "b2zero.spec", "group B 2\nL s = 1\nL t = 0\n")
+    code, zero_cold, _ = run_cli(capsys, "cells", zero_spec, "--cache-dir", str(cache))
+    assert code == 0
+    [zero_path] = [p for p in cache.iterdir() if p.name not in (path.name, lex_path.name)]
+    zero_good = zero_path.read_text(encoding="utf-8")
+    zero_key = json.loads(zero_good)
+    zero_key["cs_products"]["t|e"] = {"t": "1*v^(0)"}
+    zero_path.write_text(resign(zero_key), encoding="utf-8")
+    code, out, err = run_cli(capsys, "cells", zero_spec, "--cache-dir", str(cache))
+    assert (code, err, out) == (0, "", zero_cold)
+    assert zero_path.read_text(encoding="utf-8") == zero_good
 
 
 def test_unusable_cache_dir_is_a_miss(tmp_path, capsys):
