@@ -223,8 +223,10 @@ def left_cell_character(table: KLTable, cell: Sequence[int],
     values = []
     for rep in classes.representatives:
         rho = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        for g in group.word(rep):
-            rho = _mat_mul(rho, mats[g])
+        # M_{g_1} ... M_{g_n}, built from the right so that the sparse
+        # generator matrix is the left factor _mat_mul skips zeros of.
+        for g in reversed(group.word(rep)):
+            rho = _mat_mul(mats[g], rho)
         values.append(sum(rho[i][i] for i in range(k)))
     mults: List[int] = []
     if chars is not None:

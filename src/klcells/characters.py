@@ -91,9 +91,6 @@ class CharacterTable:
                 for row in conj]
         return d * sum(sizes), dual
 
-    def from_integers(self, values: Sequence[int]) -> List[Cyclotomic]:
-        return [self.field.from_fraction(v) for v in values]
-
     def to_json_dict(self) -> dict:
         group = self.group
         reps = self.classes.representatives

@@ -29,7 +29,7 @@ from .conjecture import (B2_REGIME_POINTS, emit_report, replace_file,
                          run_conjecture_suite)
 from .coxeter import (ConjugacyViolation, DEFAULT_SIZE_CAP, InfiniteOrTooLarge,
                       build_group)
-from .hecke import CACHE_FORMAT, HeckeAlgebra, KLTable, kl_basis
+from .hecke import HeckeAlgebra, KLTable, kl_basis
 from .specfile import SpecParseError, parse_spec
 
 CACHE_ENV = "KLCELLS_CACHE_DIR"
@@ -118,23 +118,16 @@ def _parse_rationals(text: str) -> List[Fraction]:
     return out
 
 
-def _read_cached_table(path: str, algebra: HeckeAlgebra, key: str) -> Optional[KLTable]:
+def _read_cached_table(path: str, algebra: HeckeAlgebra) -> Optional[KLTable]:
     """The KL table cached at `path`, or None when there is no file or it
-    does not load: an unreadable path, invalid JSON, a `format` other than
-    CACHE_FORMAT, a `key` field that differs from the content key, or a
-    document that `KLTable.from_json_dict` rejects (digest, grid, invariants)."""
+    does not load: an unreadable path, invalid JSON, or a document that
+    `KLTable.from_json_dict` rejects (format, header, digest, invariants)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError):  # ValueError: not JSON, not UTF-8
-        return None
-    if (not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT
-            or doc.get("key") != key):
-        return None
-    try:
         return KLTable.from_json_dict(doc, algebra)
-    except (KeyError, TypeError, IndexError, ValueError, AttributeError,
-            ArithmeticError):
+    except (OSError, KeyError, TypeError, IndexError, ValueError, AttributeError,
+            ArithmeticError, RecursionError):  # ValueError: also not JSON, not UTF-8
         return None
 
 
@@ -146,9 +139,8 @@ def _load_table(args) -> KLTable:
     cache_dir = None if args.no_cache else args.cache_dir
     if cache_dir is None:
         return kl_basis(algebra)
-    key = algebra.content_key()
-    path = os.path.join(cache_dir, f"kl_{key}.json")
-    table = _read_cached_table(path, algebra, key)
+    path = os.path.join(cache_dir, f"kl_{algebra.content_key()}.json")
+    table = _read_cached_table(path, algebra)
     if table is not None:
         return table
     # A missing or unreadable cache is a miss: recompute and replace it.

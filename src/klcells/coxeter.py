@@ -309,17 +309,6 @@ class CoxeterGroup:
         lw = self._lengths[w]
         return [g for g in range(self.rank) if self._lengths[self._lmul[g][w]] < lw]
 
-    def right_descents(self, w: int) -> List[int]:
-        lw = self._lengths[w]
-        return [g for g in range(self.rank) if self._lengths[self._rmul[w][g]] < lw]
-
-    def descents(self, w: int, side: str = "left") -> List[int]:
-        if side == "left":
-            return self.left_descents(w)
-        if side == "right":
-            return self.right_descents(w)
-        raise ValueError("side must be 'left' or 'right'")
-
     def element_order(self, w: int) -> int:
         k, x = 1, w
         while x != 0:
@@ -366,9 +355,6 @@ class ConjugacyClasses:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def class_members(self, cid: int) -> List[int]:
-        return self.blocks[cid]
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,9 @@ each coset of the parabolic subgroup on those s.  A zero-weight s is
 left out: C_s C_w = C_{sw} is not a multiple of C_w.  The rows that are
 not written are rebuilt from their inverses and share their
 coefficients.  The file is compact JSON with a `format` field and the
-SHA-256 of its canonical payload, checked before anything is parsed;
-`KLTable.from_json_dict` lists the checks on what follows.  Format 3
+SHA-256 of its canonical payload, checked before anything is parsed.
+`KLTable.from_json_dict` loads only that document, the one
+`KLTable.to_cache_text` writes, and lists the checks it makes.  Format 3
 halves format 2: A5 (equal parameters) 594 kB -> 268 kB, F4 with
 L = (1,1,2,2) 4.77 MB -> 2.50 MB.
 """
@@ -202,25 +203,27 @@ class KLTable:
 
     @staticmethod
     def from_json_dict(doc: dict, algebra: HeckeAlgebra) -> "KLTable":
-        """Load `to_json_dict()` output or a cache file (a document with a
-        `format` field, whose format and digest are checked first).
+        """Load the KL cache document that `to_cache_text` writes, and
+        nothing else.
 
-        Every row the cache stores must be present, with p_{w,w} = 1 and,
-        elsewhere, only shorter y (smaller index) with negative exponents.
-        Every ascent pair must have a key; each correction must be nonzero,
-        bar-invariant and sit at a y with sy < y shorter than su.  A cache
-        file may hold no key on a descent or zero-weight pair.  Anything
-        derivable that is present (a coefficient, a row, a product entry)
-        must equal its derived value, so the full `klbasis` document loads.
-        Anything else raises ValueError (or KeyError, TypeError, ... on a
-        document of the wrong shape).
+        The top-level fields must be exactly the writer's: `format` equal
+        to CACHE_FORMAT, the header of `algebra`, its content `key`, and a
+        `digest` equal to the payload digest.  Each row held must be one
+        with index(w) <= index(w^-1), all of them must be present, and
+        each must hold p_{w,w} = 1 and, elsewhere, only left-extremal,
+        shorter y (smaller index) with negative exponents.  Each product
+        key must be an ascent pair, all of them must be present, and each
+        correction must be nonzero, bar-invariant and sit at a y with
+        sy < y shorter than su.  Anything else raises ValueError (or
+        KeyError, TypeError, ... on a document of the wrong shape).
         """
-        is_cache = "format" in doc
-        if is_cache and (doc["format"] != CACHE_FORMAT
-                         or doc.get("digest") != payload_digest(doc)):
-            raise ValueError("KL cache format or digest mismatch")
+        header = dict(algebra.header(), format=CACHE_FORMAT, key=algebra.content_key())
+        if (set(doc) != {*header, "c_basis", "cs_products", "digest"}
+                or _canonical({k: doc[k] for k in header}) != _canonical(header)):
+            raise ValueError(f"not a format-{CACHE_FORMAT} KL cache of this algebra")
+        if doc["digest"] != payload_digest(doc):
+            raise ValueError("KL cache digest mismatch")
         group, grid = algebra.group, algebra.grid
-        one = algebra.one_coeff()
         inv, lmul, length = group.inv, group.lmul_gen, group.length
         names = [group.name(w) for w in range(len(group))]
         index = {nm: w for w, nm in enumerate(names)}
@@ -228,35 +231,27 @@ class KLTable:
         def coeffs(obj: dict) -> HeckeCoeffs:
             return {index[nm]: LaurentElt.parse(txt, grid=grid) for nm, txt in obj.items()}
 
-        rows = doc["c_basis"]
-        c_exp, walks = [], {}
-        for w, name in enumerate(names):
-            obj = rows.get(name)
-            wi = inv(w)
-            if wi < w:
-                row = {inv(y): c for y, c in c_exp[wi].items()}
-                if obj is not None and _complete_row(algebra, w, coeffs(obj), walks) != row:
-                    raise ValueError(f"row {name} disagrees with its derived value")
-            elif obj is None:
-                raise ValueError(f"stored row {name} is missing")
-            else:
-                row = _complete_row(algebra, w, coeffs(obj), walks)
-            c_exp.append(row)
+        c_exp: List[HeckeCoeffs] = [None] * len(group)
+        walks: Dict[int, List[Tuple[int, int, int]]] = {}
+        for name, obj in doc["c_basis"].items():
+            w = index[name]
+            if inv(w) < w:
+                raise ValueError(f"row {name} is derived, not stored")
+            c_exp[w] = _complete_row(algebra, w, coeffs(obj), walks)
+        for w, row in enumerate(c_exp):
+            if row is None:
+                if inv(w) > w:
+                    raise ValueError(f"stored row {names[w]} is missing")
+                c_exp[w] = {inv(y): c for y, c in c_exp[inv(w)].items()}
 
         corrections: Dict[Tuple[int, int], HeckeCoeffs] = {}
-        derivable = []
         for key, obj in doc["cs_products"].items():
             sname, uname = key.split("|", 1)
             s, u = group.gen_names.index(sname), index[uname]
-            h = coeffs(obj)
             su = lmul(s, u)
             if not (algebra.positive[s] and su > u):
-                if is_cache:
-                    raise ValueError(f"C_s C_w for {key} is derived, not stored")
-                derivable.append((s, u, h))
-                continue
-            if h.pop(su, one) != one:
-                raise ValueError(f"the C_su term of C_s C_u for {key} is not 1")
+                raise ValueError(f"C_s C_w for {key} is derived, not stored")
+            h = coeffs(obj)
             for y, m in h.items():
                 if (not m or m.bar() != m or lmul(s, y) > y
                         or length(y) >= length(su)):
@@ -264,12 +259,7 @@ class KLTable:
             corrections[(s, u)] = h
         if len(corrections) != sum(algebra.positive) * len(group) // 2:
             raise ValueError("an ascent pair of the C_s C_w table is missing")
-        table = KLTable(algebra, c_exp, corrections)
-        for s, u, h in derivable:
-            if h != table.cs_product_in_c(s, u):
-                raise ValueError(f"C_s C_w for s = {group.gen_names[s]}, w = {names[u]} "
-                                 f"disagrees with its derived value")
-        return table
+        return KLTable(algebra, c_exp, corrections)
 
 
 def _parabolic_walk(algebra: HeckeAlgebra, gens: Tuple[int, ...]
@@ -299,8 +289,8 @@ def _complete_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs,
     parabolic subgroup on the s in L(w) with L(s) > 0, a left-extremal z
     is the longest element of its coset Pz, and p_{uz,w} = v^{-L(u)} p_{z,w}
     for u in P, by the identity in the module docstring along a reduced
-    word of u.  A stored coefficient that is not left-extremal must equal
-    the derived one.  `walks` memoises _parabolic_walk per descent mask."""
+    word of u.  Every stored y must be left-extremal.  `walks` memoises
+    _parabolic_walk per descent mask."""
     group = algebra.group
     if stored.get(w) != algebra.one_coeff():
         raise ValueError(f"p_(w,w) != 1 for w = {group.name(w)}")
@@ -319,21 +309,16 @@ def _complete_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs,
         walk = walks[m] = _parabolic_walk(algebra, gens)
     lmul = group.lmul_gen
     row: HeckeCoeffs = {}
-    others = []
     for z, c in stored.items():
         if masks[z] & m != m:
-            others.append(z)
-            continue
+            raise ValueError(f"p_(y,w) for y = {group.name(z)}, w = {group.name(w)} "
+                             f"is stored but not left-extremal")
         row[z] = c
         coset = [z]  # coset[i] = u_i z, walking down from z
         for i, s, key in walk:
             y = lmul(s, coset[i])
             coset.append(y)
             row[y] = c.shifted(key)
-    for y in others:
-        if row.get(y) != stored[y]:
-            raise ValueError(f"p_(y,w) for y = {group.name(y)}, w = {group.name(w)} "
-                             f"disagrees with its derived value")
     return row
 
 

@@ -9,10 +9,10 @@ LaurentElt keeps {int key: int coefficient} on a grid (mode, arity, scale),
 by a key map that is additive and order preserving: rational g is stored
 as g * scale (a common denominator), a lex vector is packed in base
 _LEX_BASE with balanced digits.  So +, *, bar and split_by_sign are one int
-code path; exponents are encoded on entry (v_power, from_terms, parse) and
-decoded on exit (terms, coefficient, render).  Lex coordinates beyond
-+-LEX_BOUND raise ValueError on encode and decode, never wrap: _LEX_BASE
-leaves room for sums of 32 in-bound exponents.  Operands on different
+code path; exponents are encoded on entry (v_power, parse) and decoded on
+exit (render).  Lex coordinates beyond +-LEX_BOUND raise ValueError on
+encode and decode, never wrap: _LEX_BASE leaves room for sums of 32
+in-bound exponents.  Operands on different
 scales meet on a common one and equality ignores the scale; different
 exponent groups raise ModeMismatchError.  All arithmetic is exact.
 """
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 RATIONAL = "rational"
 LEX = "lex"
@@ -200,35 +200,10 @@ class LaurentElt:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def zero(mode: str = RATIONAL, arity: Optional[int] = None) -> "LaurentElt":
-        return LaurentElt((mode, arity, 1), {})
-
-    @staticmethod
-    def integer(n: int, mode: str = RATIONAL, arity: Optional[int] = None) -> "LaurentElt":
-        return LaurentElt((mode, arity, 1), {0: int(n)} if n else {})
-
-    @staticmethod
-    def one(mode: str = RATIONAL, arity: Optional[int] = None) -> "LaurentElt":
-        return LaurentElt.integer(1, mode, arity)
-
-    @staticmethod
     def v_power(exp: OrderedExponent, coeff: int = 1,
                 grid: Optional[Grid] = None) -> "LaurentElt":
         grid = grid or OrderedExponent.grid_of(exp.mode, exp.arity, [exp])
         return LaurentElt(grid, {exp.encode(grid): int(coeff)} if coeff else {})
-
-    @staticmethod
-    def from_terms(terms: Iterable[Tuple[OrderedExponent, int]],
-                   mode: str = RATIONAL, arity: Optional[int] = None) -> "LaurentElt":
-        terms = list(terms)
-        if any((e.mode, e.arity) != (mode, arity) for e, _ in terms):
-            raise ModeMismatchError("term exponent does not match element mode")
-        grid = OrderedExponent.grid_of(mode, arity, [e for e, _ in terms])
-        acc: dict = {}
-        for exp, coeff in terms:
-            key = exp.encode(grid)
-            acc[key] = acc.get(key, 0) + int(coeff)
-        return LaurentElt(grid, {g: c for g, c in acc.items() if c})
 
     # -- basic queries -----------------------------------------------
 
@@ -237,16 +212,6 @@ class LaurentElt:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def terms(self) -> Iterator[Tuple[OrderedExponent, int]]:
-        for g in sorted(self._terms):
-            yield OrderedExponent.decode(g, self.grid), self._terms[g]
-
-    def coefficient(self, exp: OrderedExponent) -> int:
-        try:
-            return self._terms.get(exp.encode(self.grid), 0)
-        except ValueError:  # another exponent group, or off the grid
-            return 0
 
     def _reduced(self):
         """(mode, arity, scale, terms) on the coarsest grid: equal elements

@@ -1,16 +1,33 @@
 """Small helpers over the klcells API that only the tests use."""
 
-from typing import List
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from klcells.characters import CharacterTable
 from klcells.cherednik_rank1 import AlgebraElt, CMCellData, Rank1Params
-from klcells.coxeter import CoxeterGroup, WeightFunction
+from klcells.coxeter import ConjugacyClasses, CoxeterGroup, WeightFunction
 from klcells.cyclotomic import Cyclotomic
-from klcells.ordered_coeffs import LaurentElt, OrderedExponent
+from klcells.ordered_coeffs import (RATIONAL, LaurentElt, ModeMismatchError,
+                                    OrderedExponent)
 
 
 def longest_element(W: CoxeterGroup) -> int:
     return max(range(len(W)), key=W.length)
+
+
+def right_descents(W: CoxeterGroup, w: int) -> List[int]:
+    return [g for g in range(W.rank) if W.length(W.rmul_gen(w, g)) < W.length(w)]
+
+
+def descents(W: CoxeterGroup, w: int, side: str = "left") -> List[int]:
+    if side == "left":
+        return W.left_descents(w)
+    if side == "right":
+        return right_descents(W, w)
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def class_members(classes: ConjugacyClasses, cid: int) -> List[int]:
+    return classes.blocks[cid]
 
 
 def reflections(W: CoxeterGroup) -> List[int]:
@@ -18,7 +35,7 @@ def reflections(W: CoxeterGroup) -> List[int]:
     classes = W.conjugacy_classes()
     out = set()
     for g in range(W.rank):
-        out.update(classes.class_members(classes.class_of[W.generator(g)]))
+        out.update(class_members(classes, classes.class_of[W.generator(g)]))
     return sorted(out)
 
 
@@ -29,17 +46,60 @@ def lex_generic(rank: int) -> WeightFunction:
         for i in range(rank)))
 
 
+def from_integers(table: CharacterTable, values: Sequence[int]) -> List[Cyclotomic]:
+    return [table.field.from_fraction(v) for v in values]
+
+
 def regular_character(table: CharacterTable) -> List[Cyclotomic]:
     n = sum(table.classes.sizes)
-    return table.from_integers([n] + [0] * (len(table.classes) - 1))
+    return from_integers(table, [n] + [0] * (len(table.classes) - 1))
 
 
 def trivial_character(table: CharacterTable) -> List[Cyclotomic]:
-    return table.from_integers([1] * len(table.classes))
+    return from_integers(table, [1] * len(table.classes))
+
+
+def laurent_zero(mode: str = RATIONAL, arity: Optional[int] = None) -> LaurentElt:
+    return LaurentElt((mode, arity, 1), {})
+
+
+def laurent_integer(n: int, mode: str = RATIONAL, arity: Optional[int] = None) -> LaurentElt:
+    return LaurentElt((mode, arity, 1), {0: int(n)} if n else {})
+
+
+def laurent_one(mode: str = RATIONAL, arity: Optional[int] = None) -> LaurentElt:
+    return laurent_integer(1, mode, arity)
+
+
+def laurent_from_terms(pairs: Iterable[Tuple[OrderedExponent, int]],
+               mode: str = RATIONAL, arity: Optional[int] = None) -> LaurentElt:
+    """The sum of coeff * v^exp over `pairs`."""
+    pairs = list(pairs)
+    if any((e.mode, e.arity) != (mode, arity) for e, _ in pairs):
+        raise ModeMismatchError("term exponent does not match element mode")
+    grid = OrderedExponent.grid_of(mode, arity, [e for e, _ in pairs])
+    acc: dict = {}
+    for exp, coeff in pairs:
+        key = exp.encode(grid)
+        acc[key] = acc.get(key, 0) + int(coeff)
+    return LaurentElt(grid, {g: c for g, c in acc.items() if c})
+
+
+def laurent_terms(x: LaurentElt) -> Iterator[Tuple[OrderedExponent, int]]:
+    """(exponent, coefficient) pairs of `x`, lowest exponent first."""
+    for g in sorted(x._terms):
+        yield OrderedExponent.decode(g, x.grid), x._terms[g]
+
+
+def laurent_coefficient(x: LaurentElt, exp: OrderedExponent) -> int:
+    try:
+        return x._terms.get(exp.encode(x.grid), 0)
+    except ValueError:  # another exponent group, or off the grid
+        return 0
 
 
 def support_size(x: LaurentElt) -> int:
-    return sum(1 for _ in x.terms())
+    return sum(1 for _ in laurent_terms(x))
 
 
 def epsilon_idempotent(params: Rank1Params, i: int) -> AlgebraElt:

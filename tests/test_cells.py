@@ -1,3 +1,4 @@
+from api_helpers import longest_element, right_descents
 from rs_oracle import rs_left_cell_partition
 from klcells.cells import (CellPartition, cells,
                            cells_report, check_refinement,
@@ -39,6 +40,25 @@ def test_zero_weights_single_cell():
         assert len(left.blocks) == 1
         two = cells(graph, "two-sided", W)
         assert check_refinement(left, two) is None
+
+
+def test_dihedral_cells_from_descent_sets():
+    # I2(m) with equal positive weights: the left cells are {e}, {w0} and
+    # the other elements split by right descent set, {s} or {t}; the
+    # two-sided cells are {e}, {w0} and the rest (Lusztig, Hecke algebras
+    # with unequal parameters, ch. 8).  Built from descent sets alone.
+    for m in range(3, 13):
+        W, table, graph = pipeline("I2", m, [1, 1])
+        e, w0 = W.identity, longest_element(W)
+        middle = [w for w in range(len(W)) if w not in (e, w0)]
+        by_descent = {}
+        for w in middle:
+            by_descent.setdefault(tuple(right_descents(W, w)), set()).add(w)
+        assert sorted(by_descent) == [(0,), (1,)], m
+        ends = {frozenset([e]), frozenset([w0])}
+        left = ends | {frozenset(b) for b in by_descent.values()}
+        assert cells(graph, "left", W).as_sets() == left, m
+        assert cells(graph, "two-sided", W).as_sets() == ends | {frozenset(middle)}, m
 
 
 def test_every_element_has_loop():

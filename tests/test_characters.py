@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from api_helpers import regular_character, trivial_character
+from api_helpers import from_integers, regular_character, trivial_character
 from mn_oracle import coxeter_class_cycle_types, symmetric_group_table
 from klcells.characters import (CyclicGroup, character_table,
                                 decompose, dixon_prime, inner_product,
@@ -204,7 +204,7 @@ def rational_class_functions(draw):
     k = len(table.classes.blocks)
     value = st.one_of(st.integers(-60, 60),
                       st.fractions(min_value=-20, max_value=20, max_denominator=12))
-    return table, table.from_integers(draw(st.lists(value, min_size=k, max_size=k)))
+    return table, from_integers(table, draw(st.lists(value, min_size=k, max_size=k)))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -259,7 +259,7 @@ def test_altered_tables():
     # A repeated row keeps every norm and the degree sum, but not
     # orthogonality; a row with value 1/2 needs a denominator in the dual.
     half = [v * Fraction(1, 2) for v in sign]
-    f = table.from_integers([3, -1, Fraction(2, 3)])
+    f = from_integers(table, [3, -1, Fraction(2, 3)])
     for rows in ([triv, triv, std], [triv, std, half]):
         altered = dataclasses.replace(table, rows=rows)
         assert not verify_orthogonality(altered)

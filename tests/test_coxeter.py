@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from api_helpers import lex_generic, longest_element, reflections
+from api_helpers import descents, lex_generic, longest_element, reflections
 from klcells.coxeter import (ConjugacyViolation, CoxeterMatrix,
                              InfiniteOrTooLarge, WeightFunction, build_group,
                              conjugate_generator_components,
@@ -89,11 +89,11 @@ def test_length_properties():
 
 def test_descents():
     W = build_group(named_coxeter_matrix("I2", 4))
-    assert W.descents(W.identity, "left") == []
-    assert W.descents(W.identity, "right") == []
+    assert descents(W, W.identity, "left") == []
+    assert descents(W, W.identity, "right") == []
     w0 = longest_element(W)
-    assert W.descents(w0, "left") == [0, 1]
-    assert W.descents(w0, "right") == [0, 1]
+    assert descents(W, w0, "left") == [0, 1]
+    assert descents(W, w0, "right") == [0, 1]
     # Brute-force check of both sides against the length table.
     for w in range(len(W)):
         left = [g for g in range(W.rank) if W.length(W.lmul_gen(g, w)) < W.length(w)]

@@ -12,7 +12,7 @@ from hecke_reference import (add, bar, c_gen, clean, cs_product_reference,
 from kl_brute_oracle import brute_kl_expansions
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              named_coxeter_matrix)
-from klcells.hecke import HeckeAlgebra, KLTable, kl_basis
+from klcells.hecke import HeckeAlgebra, KLTable, kl_basis, payload_digest
 from klcells.ordered_coeffs import LaurentElt, OrderedExponent
 
 
@@ -274,26 +274,33 @@ def test_descent_product_identity(case_tables):
 def test_serialization_roundtrip_and_key_stability():
     alg = make_algebra("B", 2, [1, 2])
     table = kl_basis(alg)
-    doc = table.to_json_dict()
+    doc = json.loads(table.to_cache_text())
     loaded = KLTable.from_json_dict(doc, alg)
-    assert loaded.to_json_dict() == doc
+    assert loaded.to_json_dict() == table.to_json_dict()
     assert doc["key"] == alg.content_key() == make_algebra("B", 2, [1, 2]).content_key()
     # Key depends on the weights.
     assert make_algebra("B", 2, [1, 3]).content_key() != alg.content_key()
-    # The full document holds what the cache derives; each such entry must
-    # equal its derived value: a descent product, a row rebuilt from its
-    # inverse, a zero-weight product.
     zero_alg = make_algebra("B", 2, [1, 0])
-    zero_doc = kl_basis(zero_alg).to_json_dict()
-    assert KLTable.from_json_dict(zero_doc, zero_alg).to_json_dict() == zero_doc
+    zero_table = kl_basis(zero_alg)
+    zero_doc = json.loads(zero_table.to_cache_text())
+    assert (KLTable.from_json_dict(zero_doc, zero_alg).to_json_dict()
+            == zero_table.to_json_dict())
+    # The full `klbasis` document holds what the cache derives: a descent
+    # product, a row rebuilt from its inverse, a zero-weight product.  The
+    # cache holds none of them, not even at its derived value.
+    full, zero_full = table.to_json_dict(), zero_table.to_json_dict()
     for a, d, edit in [
-            (alg, doc, lambda d: d["cs_products"]["s|s"].update(s="1*v^(1)")),
-            (alg, doc, lambda d: d["c_basis"]["t s"].update(t="1*v^(-2)")),
-            (zero_alg, zero_doc, lambda d: d["cs_products"]["t|e"].update(t="1*v^(-1)"))]:
+            (alg, doc, lambda d: d["cs_products"].update({"s|s": full["cs_products"]["s|s"]})),
+            (alg, doc, lambda d: d["c_basis"].update({"t s": full["c_basis"]["t s"]})),
+            (zero_alg, zero_doc,
+             lambda d: d["cs_products"].update({"t|e": zero_full["cs_products"]["t|e"]}))]:
         bad = json.loads(json.dumps(d))
         edit(bad)
+        bad["digest"] = payload_digest(bad)
         with pytest.raises(ValueError):
             KLTable.from_json_dict(bad, a)
+    with pytest.raises(ValueError):
+        KLTable.from_json_dict(full, alg)
 
 
 def test_lex_mode_generic_weights():

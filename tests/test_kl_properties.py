@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from api_helpers import regular_character
+from api_helpers import from_integers, regular_character
 from hecke_reference import (add, cs_product_reference, equal, multiply, scale,
                              t_basis)
 from kl_brute_oracle import brute_kl_expansions
@@ -198,7 +198,7 @@ def test_cell_invariants(alg):
     for block in right.blocks:
         assert len({two_sided.block_of[w] for w in block}) == 1, block
     assert total == chars.degrees
-    assert chars.from_integers(values) == regular_character(chars)
+    assert from_integers(chars, values) == regular_character(chars)
     assert right.as_sets() == {frozenset(W.inv(w) for w in b) for b in left.blocks}
     to_right = [right.block_of[W.inv(b[0])] for b in left.blocks]
     assert right.order == {(to_right[a], to_right[b]) for a, b in left.order}

@@ -37,7 +37,9 @@ SPECS = {
 
 SPECS_BY_COMMAND = {
     "klbasis": SPECS,
-    "cells": dict(SPECS, D4="group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n"),
+    # I2(25) has two left cells of 24 elements each.
+    "cells": {**SPECS, "D4": "group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n",
+              "I2(25)": "group I2 25\nL s = 1\nL t = 1\n"},
 }
 
 

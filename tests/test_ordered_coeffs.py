@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from api_helpers import support_size
+from api_helpers import (laurent_coefficient, laurent_from_terms, laurent_integer,
+                         laurent_one, laurent_terms, laurent_zero, support_size)
 from klcells.ordered_coeffs import (LEX, LEX_BOUND, RATIONAL, LaurentElt,
                                     ModeMismatchError, OrderedExponent)
 
@@ -16,8 +17,8 @@ def v(x, coeff=1):
 
 def test_add_disjoint_supports():
     out = v(1) + v(-1)
-    assert out.coefficient(OrderedExponent.rational(1)) == 1
-    assert out.coefficient(OrderedExponent.rational(-1)) == 1
+    assert laurent_coefficient(out, OrderedExponent.rational(1)) == 1
+    assert laurent_coefficient(out, OrderedExponent.rational(-1)) == 1
     assert support_size(out) == 2
 
 
@@ -26,8 +27,8 @@ def test_add_cancellation():
 
 
 def test_add_rational_merge():
-    a = v(Fraction(1, 2)) + LaurentElt.one()
-    b = v(Fraction(1, 2)) - LaurentElt.one()
+    a = v(Fraction(1, 2)) + laurent_one()
+    b = v(Fraction(1, 2)) - laurent_one()
     assert a + b == v(Fraction(1, 2), 2)
 
 
@@ -41,7 +42,7 @@ def test_mul_difference_of_squares():
 
 def test_mul_unit():
     a = v(-5) + v(5)
-    assert a * LaurentElt.one() == a
+    assert a * laurent_one() == a
 
 
 def test_bar_examples():
@@ -50,11 +51,11 @@ def test_bar_examples():
 
 
 def test_split_by_sign():
-    a = v(1) + LaurentElt.integer(3) + v(-1, 2)
+    a = v(1) + laurent_integer(3) + v(-1, 2)
     neg, const, pos = a.split_by_sign()
     assert neg == v(-1, 2) and const == 3 and pos == v(1)
-    assert neg + LaurentElt.integer(const) + pos == a
-    zneg, zconst, zpos = LaurentElt.zero().split_by_sign()
+    assert neg + laurent_integer(const) + pos == a
+    zneg, zconst, zpos = laurent_zero().split_by_sign()
     assert zneg.is_zero() and zconst == 0 and zpos.is_zero()
     only_neg, c0, p0 = v(Fraction(-1, 3)).split_by_sign()
     assert only_neg == v(Fraction(-1, 3)) and c0 == 0 and p0.is_zero()
@@ -62,7 +63,7 @@ def test_split_by_sign():
 
 def test_evaluate_at_one():
     assert (v(-7) + v(7)).evaluate_at_one() == 2
-    assert LaurentElt.zero().evaluate_at_one() == 0
+    assert laurent_zero().evaluate_at_one() == 0
     assert (v(1) - v(-1)).evaluate_at_one() == 0
 
 
@@ -74,7 +75,7 @@ def _random_elt(rng, mode=RATIONAL, arity=None):
         else:
             exp = OrderedExponent.lex([rng.randint(-3, 3) for _ in range(arity)])
         terms[exp] = terms.get(exp, 0) + rng.randint(-4, 4)
-    return LaurentElt.from_terms(terms.items(), mode, arity)
+    return laurent_from_terms(terms.items(), mode, arity)
 
 
 @pytest.mark.parametrize("mode,arity", [(RATIONAL, None), (LEX, 2)])
@@ -115,9 +116,9 @@ def test_split_parts_have_asserted_signs():
     for _ in range(30):
         a = _random_elt(rng)
         neg, const, pos = a.split_by_sign()
-        assert all(e.sign() < 0 for e, _ in neg.terms())
-        assert all(e.sign() > 0 for e, _ in pos.terms())
-        assert neg + LaurentElt.integer(const) + pos == a
+        assert all(e.sign() < 0 for e, _ in laurent_terms(neg))
+        assert all(e.sign() > 0 for e, _ in laurent_terms(pos))
+        assert neg + laurent_integer(const) + pos == a
 
 
 def test_lex_order_is_lexicographic():
@@ -195,7 +196,7 @@ def test_codec_is_additive_order_preserving_and_exact(case):
 def test_ring_agrees_with_exponent_arithmetic(case):
     _, a, b = case
     prod = LaurentElt.v_power(a, 2) * LaurentElt.v_power(b, 3)
-    assert list(prod.terms()) == [(a + b, 6)]
+    assert list(laurent_terms(prod)) == [(a + b, 6)]
     assert prod == LaurentElt.v_power(a + b, 6)
     assert LaurentElt.parse(prod.render(), a.mode, a.arity) == prod
 
@@ -220,7 +221,7 @@ def test_lex_past_the_bound_raises_instead_of_wrapping(case):
         (a + b).encode(grid)
     prod = LaurentElt.v_power(a) * LaurentElt.v_power(b)
     with pytest.raises(ValueError):
-        list(prod.terms())
+        list(laurent_terms(prod))
     with pytest.raises(ValueError):
         prod.render()
 
@@ -232,4 +233,4 @@ def test_off_grid_exponents_are_rejected():
         LaurentElt.parse("1*v^(1/3)", grid=(RATIONAL, None, 1))
     with pytest.raises(ValueError):
         LaurentElt.parse("1*v^(1,0,0)", grid=(LEX, 2, 1))
-    assert v(Fraction(1, 3)).coefficient(OrderedExponent.rational(Fraction(1, 2))) == 0
+    assert laurent_coefficient(v(Fraction(1, 3)), OrderedExponent.rational(Fraction(1, 2))) == 0

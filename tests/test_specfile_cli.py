@@ -348,6 +348,7 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     stale = json.loads(good)
     stale["c_basis"]["s t"]["s"] = "1*v^(-3)"
     cases = {"{": "{", "{}": "{}", "[]": "[]", "truncated": good[: len(good) // 2],
+             "nested too deep": "[" * 100000,
              "foreign": json.dumps(foreign), "malformed": json.dumps(malformed),
              "off grid": json.dumps(off_grid), "1/0": json.dumps(zero_den),
              "format 1": format1, "format 2": resign(format2),
@@ -367,6 +368,17 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
             ("derived row disagrees",
              lambda d: d["c_basis"].update({"t s": {"t s": "1*v^(0)", "t": "1*v^(-2)"}})),
             ("non-extremal disagrees", lambda d: d["c_basis"]["s t"].update(t="1*v^(-2)")),
+            # The loader takes only what the writer writes: a row it does
+            # not know, a header of another algebra, a field it does not
+            # write, and the entries it derives, even at their derived values.
+            ("unknown row name", lambda d: d["c_basis"].update({"q r": {"zz": "garbage"}})),
+            ("wrong matrix", lambda d: d.update(matrix=[[1, 7], [7, 1]])),
+            ("wrong weights", lambda d: d["weights"].update(s="99", t="-5")),
+            ("extra top-level field", lambda d: d.update(comment="")),
+            ("derived row", lambda d: d["c_basis"].update(
+                {"t s": {"t s": "1*v^(0)", "t": "1*v^(-1)"}})),
+            ("non-extremal coefficient", lambda d: d["c_basis"]["s t"].update(t="1*v^(-1)")),
+            ("C_su term", lambda d: d["cs_products"]["t|s t s"].update({"s t s t": "1*v^(0)"})),
             ("unknown product element", lambda d: d["cs_products"]["s|e"].update(q="1*v^(0)")),
             ("missing ascent key", lambda d: d["cs_products"].pop("t|s t")),
             ("unknown product generator",
@@ -394,20 +406,25 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
         assert [p.name for p in cache.iterdir()] == [path.name]
 
     # Re-signing alone keeps the file valid: the digest covers the
-    # canonical payload, not the bytes, and derivable entries that agree
-    # with their derived values are accepted.
-    valid = [resign(json.loads(good))]
-    for edit in (lambda d: d["c_basis"]["s t"].update(t="1*v^(-1)"),
-                 lambda d: d["c_basis"].update({"t s": {"t s": "1*v^(0)", "t": "1*v^(-1)"}}),
-                 lambda d: d["cs_products"]["t|s t s"].update({"s t s t": "1*v^(0)"})):
-        doc = json.loads(good)
-        edit(doc)
-        valid.append(resign(doc))
-    for text in valid:
-        path.write_text(text, encoding="utf-8")
-        code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", str(cache))
-        assert (code, err, out) == (0, "", cold)
-        assert path.read_text(encoding="utf-8") == text
+    # canonical payload, not the bytes.
+    path.write_text(resign(json.loads(good)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", str(cache))
+    assert (code, err, out) == (0, "", cold)
+    assert path.read_text(encoding="utf-8") == resign(json.loads(good))
+    for label, text in [("B3 3/2", "L s = 1\nL t = 1\nL u = 3/2\n"),
+                        ("B3 zero", "L s = 1\nL t = 1\nL u = 0\n"),
+                        ("B3 lex", "L lex s = e_1\nL lex t = e_1\nL lex u = e_2\n")]:
+        b3_spec = write(tmp_path / "b3.spec", "group B 3\n" + text)
+        b3_cache = tmp_path / "b3-cache"
+        code, b3_cold, _ = run_cli(capsys, "cells", b3_spec, "--cache-dir", str(b3_cache))
+        assert code == 0, label
+        [b3_path] = b3_cache.iterdir()
+        spaced = resign(json.loads(b3_path.read_text(encoding="utf-8")))
+        b3_path.write_text(spaced, encoding="utf-8")
+        code, out, err = run_cli(capsys, "cells", b3_spec, "--cache-dir", str(b3_cache))
+        assert (code, err, out) == (0, "", b3_cold), label
+        assert b3_path.read_text(encoding="utf-8") == spaced, label
+        b3_path.unlink()
 
     # A lex vector of the wrong arity is off the grid too.
     lex_spec = write(tmp_path / "b2lex.spec", "group B 2\nL lex s = e_1\nL lex t = e_2\n")
