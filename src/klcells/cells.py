@@ -213,9 +213,8 @@ def _mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
 
 
 def left_cell_character(table: KLTable, cell: Sequence[int],
-                        chars: Optional[CharacterTable] = None) -> CellCharacter:
-    """Character of the cell module, plus multiplicities when a character
-    table is supplied."""
+                        chars: CharacterTable) -> CellCharacter:
+    """Character of the cell module and its multiplicities in `chars`."""
     group = table.group
     classes = group.conjugacy_classes()
     mats = specialized_generator_action(table, cell)
@@ -228,18 +227,14 @@ def left_cell_character(table: KLTable, cell: Sequence[int],
         for g in reversed(group.word(rep)):
             rho = _mat_mul(mats[g], rho)
         values.append(sum(rho[i][i] for i in range(k)))
-    mults: List[int] = []
-    if chars is not None:
-        field = chars.field
-        f = [field.from_fraction(v) for v in values]
-        coeffs, ok = decompose(f, chars)
-        if not ok:
-            raise NonIntegerMultiplicity(
-                f"cell {sorted(cell)} decomposes with non-integer multiplicities")
-        mults = [int(c.to_fraction()) for c in coeffs]
-        if any(m < 0 for m in mults):
-            raise NonIntegerMultiplicity(
-                f"cell {sorted(cell)} decomposes with a negative multiplicity")
+    coeffs, ok = decompose([chars.field.from_fraction(v) for v in values], chars)
+    if not ok:
+        raise NonIntegerMultiplicity(
+            f"cell {sorted(cell)} decomposes with non-integer multiplicities")
+    mults = [int(c.to_fraction()) for c in coeffs]
+    if any(m < 0 for m in mults):
+        raise NonIntegerMultiplicity(
+            f"cell {sorted(cell)} decomposes with a negative multiplicity")
     return CellCharacter(list(cell), values, mults)
 
 
@@ -255,7 +250,7 @@ def check_refinement(left: CellPartition, two_sided: CellPartition
     return None
 
 
-def cells_report(table: KLTable, chars: Optional[CharacterTable] = None) -> dict:
+def cells_report(table: KLTable, chars: CharacterTable) -> dict:
     """JSON-ready summary: blocks, block order, characters, multiplicities."""
     group = table.group
     graph = left_preorder(table)
@@ -284,13 +279,11 @@ def cells_report(table: KLTable, chars: Optional[CharacterTable] = None) -> dict
     cell_chars = []
     for i, block in enumerate(left.blocks):
         cc = left_cell_character(table, block, chars)
-        entry = {
+        cell_chars.append({
             "cell": i,
             "values": {group.name(r): v
                        for r, v in zip(classes.representatives, cc.values)},
-        }
-        if chars is not None:
-            entry["multiplicities"] = cc.multiplicities
-        cell_chars.append(entry)
+            "multiplicities": cc.multiplicities,
+        })
     doc["cell_characters"] = cell_chars
     return doc

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-    klcells cells SPECFILE [--cache-dir DIR] [--no-cache] [--output PATH]
+    klcells cells SPECFILE [--cache-dir DIR] [--no-cache] [--size-cap N] [--output PATH]
     klcells klbasis SPECFILE ...
-    klcells characters SPECFILE ...
+    klcells characters SPECFILE [--size-cap N] [--output PATH]
     klcells cm-rank1 --d 3 --c 1,1/2        (or --kappa 1,1,-2)
     klcells conjecture [--c-values 0,1/2,1] [--reports-dir DIR] [--no-b2]
 
@@ -57,14 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--output", help="write JSON here instead of stdout")
 
-    def add_spec_command(name, help_text):
+    def add_spec_command(name, help_text, kl_cache=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("specfile", help="input DSL file, or '-' for stdin")
-        p.add_argument("--cache-dir",
-                       default=os.environ.get(CACHE_ENV),
-                       help="KL basis cache directory (default: $KLCELLS_CACHE_DIR)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="ignore any cache directory")
+        if kl_cache:
+            p.add_argument("--cache-dir",
+                           default=os.environ.get(CACHE_ENV),
+                           help="KL basis cache directory (default: $KLCELLS_CACHE_DIR)")
+            p.add_argument("--no-cache", action="store_true",
+                           help="ignore any cache directory")
         p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                        help="abort if the group or root system exceeds this")
         add_common(p)
@@ -72,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_spec_command("cells", "left/right/two-sided KL cells and cell characters")
     add_spec_command("klbasis", "the Kazhdan-Lusztig basis table")
-    add_spec_command("characters", "the exact character table of W")
+    add_spec_command("characters", "the exact character table of W", kl_cache=False)
 
     cm = sub.add_parser("cm-rank1", help="Calogero-Moser cell data for mu_d")
     cm.add_argument("--d", type=int, required=True)

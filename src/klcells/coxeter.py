@@ -124,14 +124,18 @@ def named_coxeter_matrix(kind: str, n: int) -> CoxeterMatrix:
     return CoxeterMatrix.from_rows(m)
 
 
-def _ground_field(matrix: CoxeterMatrix) -> CyclotomicField:
-    orders = [1]
-    for i in range(matrix.rank):
-        for j in range(i + 1, matrix.rank):
-            m = matrix.entries[i][j]
-            if m not in (2, 3):
-                orders.append(2 * m)
-    return CyclotomicField.get(lcm(*orders))
+def _ground_field(matrix: CoxeterMatrix, cap: int) -> CyclotomicField:
+    """Q(zeta_N), N the lcm of 2m over the bonds m other than 2 and 3.
+
+    N <= |W| for every finite W (N = 2m = |W| for I2(m), and the lcm is at
+    most the product over the components), so N > cap is rejected before
+    the field is built: building it takes time and memory growing with N.
+    """
+    order = lcm(*(2 * m for row in matrix.entries for m in row if m > 3))
+    if order > cap:
+        raise InfiniteOrTooLarge(f"the reflection representation needs Q(zeta_{order}): "
+                                 f"group is infinite or above the size cap {cap}")
+    return CyclotomicField.get(order)
 
 
 def _cartan_entry(field: CyclotomicField, m: int) -> Cyclotomic:
@@ -162,7 +166,7 @@ class CoxeterGroup:
         self.gen_names = tuple(gen_names) if gen_names else default_gen_names(self.rank)
         if len(self.gen_names) != self.rank:
             raise ValueError("generator name count must equal the rank")
-        self.field = _ground_field(matrix)
+        self.field = _ground_field(matrix, size_cap)
         self._cartan = [
             [_cartan_entry(self.field, matrix.entries[i][j]) for j in range(self.rank)]
             for i in range(self.rank)

@@ -90,9 +90,7 @@ class HeckeAlgebra:
         validate_weights(group.matrix, weights, group.gen_names)
         self.group = group
         self.weights = weights
-        self.mode = weights.mode
-        self.arity = weights.arity
-        self.grid = OrderedExponent.grid_of(self.mode, self.arity, weights.exps)
+        self.grid = OrderedExponent.grid_of(weights.mode, weights.arity, weights.exps)
         self.positive = [L.sign() > 0 for L in weights.exps]
         self._v_plus = [LaurentElt.v_power(L, grid=self.grid) for L in weights.exps]
         self._v_minus = [LaurentElt.v_power(-L, grid=self.grid) for L in weights.exps]
@@ -107,8 +105,8 @@ class HeckeAlgebra:
             "matrix": [list(row) for row in self.group.matrix.entries],
             "generators": list(self.group.gen_names),
             "weights": weights,
-            "mode": self.mode,
-            "arity": self.arity,
+            "mode": self.weights.mode,
+            "arity": self.weights.arity,
         }
 
     def content_key(self) -> str:

@@ -1,20 +1,24 @@
 """Exact coefficient arithmetic for Hecke algebras with unequal parameters.
 
-The coefficient ring is Z[G] for a totally ordered free abelian group G,
-written multiplicatively.  An OrderedExponent names an element of G: a
-Fraction in rational mode (G inside Q), or a vector in lex mode (G = Z^k,
-lexicographic order; generic unequal parameters).
+The coefficient ring is Z[G] for a totally ordered abelian group G,
+written multiplicatively.  An OrderedExponent names an element of G as a
+tuple of Fraction coordinates, compared as a Python tuple
+(lexicographically): one coordinate in rational mode (G inside Q),
+`arity` integer coordinates in lex mode (G = Z^k; generic unequal
+parameters).  The mode is only a label: +, -, <, sign and render are one
+code path for both.
 
 LaurentElt keeps {int key: int coefficient} on a grid (mode, arity, scale),
-by a key map that is additive and order preserving: rational g is stored
-as g * scale (a common denominator), a lex vector is packed in base
-_LEX_BASE with balanced digits.  So +, *, bar and split_by_sign are one int
+by one key map that is additive and order preserving: the coordinates are
+multiplied by scale (a common denominator, 1 in lex mode) and packed in
+base _LEX_BASE with balanced digits.  A rational key is its single
+coordinate, unbounded; lex coordinates beyond +-LEX_BOUND raise
+ValueError on encode and decode, never wrap: _LEX_BASE leaves room for
+sums of 32 in-bound exponents.  So +, *, bar and split_by_sign are one int
 code path; exponents are encoded on entry (v_power, parse) and decoded on
-exit (render).  Lex coordinates beyond +-LEX_BOUND raise ValueError on
-encode and decode, never wrap: _LEX_BASE leaves room for sums of 32
-in-bound exponents.  Operands on different
-scales meet on a common one and equality ignores the scale; different
-exponent groups raise ModeMismatchError.  All arithmetic is exact.
+exit (render).  Operands on different scales meet on a common one and
+equality ignores the scale; different exponent groups raise
+ModeMismatchError.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 RATIONAL = "rational"
 LEX = "lex"
 LEX_BOUND = (1 << 15) - 1
 _LEX_BASE = 1 << 21
 
-ExpValue = Union[Fraction, Tuple[int, ...]]
 Grid = Tuple[str, Optional[int], int]  # (mode, arity, scale)
 
 
@@ -39,60 +42,62 @@ class ModeMismatchError(ValueError):
     """Operands live over different exponent groups (mode or lex arity)."""
 
 
-def _pack(vec: Iterable[int]) -> int:
+def _arity(mode: str, n: int) -> Optional[int]:
+    """The k of G = Z^k for n lex coordinates; None in rational mode."""
+    return n if mode == LEX else None
+
+
+def _pack(coords: Iterable[int], bounded: bool) -> int:
     key = 0
-    for x in vec:
-        if not -LEX_BOUND <= x <= LEX_BOUND:
+    for x in coords:
+        if bounded and not -LEX_BOUND <= x <= LEX_BOUND:
             raise ValueError(f"lex exponent coordinate {x} is outside +-{LEX_BOUND}")
         key = key * _LEX_BASE + x
     return key
 
 
-def _unpack(key: int, arity: int) -> Tuple[int, ...]:
+def _unpack(key: int, n: int, bounded: bool) -> List[int]:
+    """The n coordinates packed in `key`, most significant first: n - 1
+    balanced digits and whatever is left as the leading one."""
     digits = []
-    for _ in range(arity):
+    for _ in range(n - 1):
         d = (key + _LEX_BASE // 2) % _LEX_BASE - _LEX_BASE // 2
         key = (key - d) // _LEX_BASE
         digits.append(d)
-    if key or any(abs(d) > LEX_BOUND for d in digits):
+    digits.append(key)
+    if bounded and any(abs(d) > LEX_BOUND for d in digits):
         raise ValueError(f"lex exponent coordinate is outside +-{LEX_BOUND}")
-    return tuple(reversed(digits))
+    return digits[::-1]
 
 
 @dataclass(frozen=True)
 class OrderedExponent:
     """An element g of the totally ordered exponent group G.
 
-    ``value`` is a Fraction in rational mode, or a tuple of ints in lex
-    mode (compared lexicographically, which is exactly Python's tuple
-    order).  The order is total and compatible with addition, and
-    negation reverses it.
+    ``value`` is a tuple of Fraction coordinates: one in rational mode,
+    `arity` in lex mode.  Python's tuple order is the order of G; it is
+    total and compatible with addition, and negation reverses it.
     """
 
     mode: str
-    value: ExpValue
+    value: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.mode == RATIONAL:
-            if not isinstance(self.value, Fraction):
-                object.__setattr__(self, "value", Fraction(self.value))
-        elif self.mode == LEX:
-            if not isinstance(self.value, tuple):
-                object.__setattr__(self, "value", tuple(int(x) for x in self.value))
-        else:
-            raise ValueError(f"unknown exponent mode {self.mode!r}")
+        object.__setattr__(self, "value", tuple(map(Fraction, self.value)))
+        if self.mode not in (RATIONAL, LEX) or len(self.value) != (self.arity or 1):
+            raise ValueError(f"not a {self.mode} exponent: {self.value}")
 
     @property
     def arity(self) -> Optional[int]:
-        return None if self.mode == RATIONAL else len(self.value)
+        return _arity(self.mode, len(self.value))
 
     @staticmethod
     def rational(x) -> "OrderedExponent":
-        return OrderedExponent(RATIONAL, Fraction(x))
+        return OrderedExponent(RATIONAL, (x,))
 
     @staticmethod
     def lex(vec: Iterable[int]) -> "OrderedExponent":
-        return OrderedExponent(LEX, tuple(int(x) for x in vec))
+        return OrderedExponent(LEX, tuple(vec))
 
     def _check(self, other: "OrderedExponent") -> None:
         if self.mode != other.mode or self.arity != other.arity:
@@ -103,14 +108,10 @@ class OrderedExponent:
 
     def __add__(self, other: "OrderedExponent") -> "OrderedExponent":
         self._check(other)
-        if self.mode == RATIONAL:
-            return OrderedExponent(RATIONAL, self.value + other.value)
-        return OrderedExponent(LEX, tuple(a + b for a, b in zip(self.value, other.value)))
+        return OrderedExponent(self.mode, tuple(a + b for a, b in zip(self.value, other.value)))
 
     def __neg__(self) -> "OrderedExponent":
-        if self.mode == RATIONAL:
-            return OrderedExponent(RATIONAL, -self.value)
-        return OrderedExponent(LEX, tuple(-a for a in self.value))
+        return OrderedExponent(self.mode, tuple(-a for a in self.value))
 
     def __sub__(self, other: "OrderedExponent") -> "OrderedExponent":
         return self + (-other)
@@ -121,13 +122,11 @@ class OrderedExponent:
 
     def sign(self) -> int:
         """-1, 0 or +1 according to the comparison with the group identity."""
-        zero = 0 if self.mode == RATIONAL else (0,) * len(self.value)
+        zero = (0,) * len(self.value)
         return (self.value > zero) - (self.value < zero)
 
     def render(self) -> str:
-        if self.mode == RATIONAL:
-            return str(self.value)
-        return ",".join(str(a) for a in self.value)
+        return ",".join(map(str, self.value))
 
     # -- the int codec -------------------------------------------------
 
@@ -137,49 +136,37 @@ class OrderedExponent:
         if (self.mode, self.arity) != (mode, arity):
             raise ModeMismatchError(f"exponent group {self.mode}/{self.arity} "
                                     f"is not {mode}/{arity}")
-        if mode == LEX:
-            return _pack(self.value)
-        key = self.value * scale
-        if key.denominator != 1:
-            raise ValueError(f"exponent {self.value} is not a multiple of 1/{scale}")
-        return key.numerator
+        coords = [x * scale for x in self.value]
+        if any(x.denominator != 1 for x in coords):
+            raise ValueError(f"exponent {self.render()} is not a multiple of 1/{scale}")
+        return _pack((x.numerator for x in coords), mode == LEX)
 
     @staticmethod
     def decode(key: int, grid: Grid) -> "OrderedExponent":
         mode, arity, scale = grid
-        if mode == LEX:
-            return OrderedExponent(LEX, _unpack(key, arity))
-        return OrderedExponent(RATIONAL, Fraction(key, scale))
+        return OrderedExponent(mode, tuple(Fraction(x, scale) for x in
+                                           _unpack(key, arity or 1, mode == LEX)))
 
     @staticmethod
     def grid_of(mode: str, arity: Optional[int], exps) -> Grid:
         """The coarsest grid holding every exponent of `exps` (all in the
-        group mode/arity): scale = lcm of the denominators, 1 in lex mode."""
-        return (mode, arity, 1 if mode == LEX else
-                math.lcm(*(e.value.denominator for e in exps)))
+        group mode/arity): scale = lcm of the coordinate denominators."""
+        return (mode, arity, math.lcm(*(x.denominator for e in exps for x in e.value)))
 
 
 # Tables repeat few distinct exponents, so the text boundary is memoised.
 @lru_cache(maxsize=1 << 12)
 def _key_text(key: int, grid: Grid) -> str:
-    mode, arity, scale = grid
-    if mode == LEX:
-        return ",".join(map(str, _unpack(key, arity)))
-    return str(key) if scale == 1 else str(Fraction(key, scale))
+    return OrderedExponent.decode(key, grid).render()
 
 
 @lru_cache(maxsize=1 << 12)
 def _text_key(text: str, grid: Grid) -> int:
-    mode, arity, scale = grid
-    if mode == LEX:
-        vec = [int(part) for part in text.split(",")]
-        if len(vec) != arity:
-            raise ValueError(f"lex exponent arity {len(vec)} != {arity}")
-        return _pack(vec)
-    return OrderedExponent.rational(text).encode(grid)
+    return OrderedExponent(grid[0], text.split(",")).encode(grid)
 
 
 _TERM_RE = re.compile(r"^(-?\d+)\*v\^\((.+)\)$")
+_DENOMINATOR_RE = re.compile(r"/(\d+)")
 
 
 class LaurentElt:
@@ -328,10 +315,10 @@ class LaurentElt:
                  if text != "0"]
         if not all(terms):
             raise ValueError(f"cannot parse Laurent element {text!r}")
-        if grid is None and mode == LEX:
-            grid = (LEX, arity or (terms[0][2].count(",") + 1 if terms else None), 1)
-        elif grid is None:
-            grid = (mode, arity, math.lcm(*(int(m[2].partition("/")[2] or 1) for m in terms)))
+        if grid is None:
+            if arity is None and terms:
+                arity = _arity(mode, terms[0][2].count(",") + 1)
+            grid = (mode, arity, math.lcm(*map(int, _DENOMINATOR_RE.findall(text))))
         acc: dict = {}
         for m in terms:
             key = _text_key(m[2], grid)

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 from .coxeter import (CoxeterMatrix, WeightFunction, default_gen_names,
                       named_coxeter_matrix, validate_weights)
-from .ordered_coeffs import LEX, RATIONAL
+from .ordered_coeffs import RATIONAL
 
 
 class SpecParseError(ValueError):
@@ -40,7 +40,10 @@ class ParsedSpec:
     matrix: CoxeterMatrix
     gen_names: Tuple[str, ...]
     weights: WeightFunction
-    mode: str
+
+    @property
+    def mode(self) -> str:
+        return self.weights.mode
 
 
 def _meaningful_lines(text: str) -> List[Tuple[int, str]]:
@@ -52,7 +55,7 @@ def _meaningful_lines(text: str) -> List[Tuple[int, str]]:
     return out
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 _UNIT_RE = re.compile(r"^e_(\d+)$")
 
 
@@ -170,13 +173,11 @@ def parse_spec(text: str) -> ParsedSpec:
         arity = max((idx for idx in lex_units.values() if idx is not None), default=1)
         weights = WeightFunction.from_lex_units(
             [lex_units[g] for g in range(matrix.rank)], arity)
-        mode = LEX
     else:
         weights = WeightFunction.rational([rational[g] for g in range(matrix.rank)])
-        mode = RATIONAL
 
     validate_weights(matrix, weights, gen_names)
-    return ParsedSpec(name, matrix, gen_names, weights, mode)
+    return ParsedSpec(name, matrix, gen_names, weights)
 
 
 def render_spec(spec: ParsedSpec) -> str:
@@ -192,7 +193,7 @@ def render_spec(spec: ParsedSpec) -> str:
     for g, nm in enumerate(spec.gen_names):
         exp = spec.weights[g]
         if spec.mode == RATIONAL:
-            lines.append(f"L {nm} = {exp.value}")
+            lines.append(f"L {nm} = {exp.render()}")
         else:
             vec = exp.value
             nonzero = [i for i, x in enumerate(vec) if x]

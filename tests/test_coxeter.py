@@ -53,6 +53,8 @@ def test_infinite_group_rejected():
 def test_size_cap_respected():
     with pytest.raises(InfiniteOrTooLarge):
         build_group(named_coxeter_matrix("A", 3), size_cap=10)
+    with pytest.raises(InfiniteOrTooLarge):  # before Q(zeta_(2 * 10**8)) is built
+        build_group(named_coxeter_matrix("I2", 10**8))
 
 
 def test_multiply_basics():

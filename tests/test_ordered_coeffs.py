@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from api_helpers import (laurent_coefficient, laurent_from_terms, laurent_integer,
                          laurent_one, laurent_terms, laurent_zero, support_size)
 from klcells.ordered_coeffs import (LEX, LEX_BOUND, RATIONAL, LaurentElt,
-                                    ModeMismatchError, OrderedExponent)
+                                    ModeMismatchError, OrderedExponent, _key_text,
+                                    _text_key)
 
 
 def v(x, coeff=1):
@@ -189,6 +190,8 @@ def test_codec_is_additive_order_preserving_and_exact(case):
     assert a.sign() == (ka > 0) - (ka < 0)
     assert OrderedExponent.decode(ka, grid) == a
     assert OrderedExponent.decode(ka + kb, grid) == a + b
+    assert _text_key(a.render(), grid) == ka
+    assert _key_text(ka, grid) == a.render()
 
 
 @codec_settings

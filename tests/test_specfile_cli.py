@@ -18,7 +18,7 @@ def test_parse_named_group():
     assert spec.name == "I2 4"
     assert spec.matrix.entries == ((1, 4), (4, 1))
     assert spec.mode == RATIONAL
-    assert spec.weights[0].value == Fraction(1)
+    assert spec.weights[0].value == (Fraction(1),)
 
 
 def test_parse_comments_and_blanks():
@@ -43,7 +43,7 @@ def test_parse_matrix_form():
 def test_parse_rank_one_matrix():
     spec = parse_spec("group matrix\n1\nL s = 5/2\n")
     assert spec.matrix.rank == 1
-    assert spec.weights[0].value == Fraction(5, 2)
+    assert spec.weights[0].value == (Fraction(5, 2),)
 
 
 def test_parse_lex_weights():
@@ -158,12 +158,19 @@ def test_cli_input_errors(tmp_path, capsys):
     syn = write(tmp_path / "syn.spec", "group B 2\nL s = 1\nL t\n")
     code, _, err = run_cli(capsys, "cells", syn)
     assert code == 1 and "line 3" in err
+    zero = write(tmp_path / "zero.spec", "group B 2\nL s = 1/0\nL t = 1\n")
+    code, _, err = run_cli(capsys, "cells", zero)
+    assert code == 1 and "line 2, col 7" in err
 
 
 def test_cli_size_cap(tmp_path, capsys):
     spec = write(tmp_path / "a3.spec", "group A 3\nL s = 1\nL t = 1\nL u = 1\n")
     code, _, err = run_cli(capsys, "cells", spec, "--no-cache", "--size-cap", "5")
     assert code == 1 and "exceeds" in err
+    # Q(zeta_N) with N = 2 * 99999999 is refused before it is built.
+    big = write(tmp_path / "i2.spec", "group I2 99999999\nL s = 1\nL t = 1\n")
+    code, out, err = run_cli(capsys, "cells", big, "--no-cache")
+    assert (code, out) == (1, "") and "size cap" in err
 
 
 def test_cli_output_flag(tmp_path, capsys):
@@ -257,6 +264,9 @@ def test_cli_characters(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert sorted(doc["degrees"]) == [1, 1, 1, 1, 2]
+    # characters reads no KL table, so it takes no cache options.
+    code, out, err = run_cli(capsys, "characters", spec, "--no-cache")
+    assert (code, out) == (1, "") and "--no-cache" in err
 
 
 def test_cli_conjecture(tmp_path, capsys):
