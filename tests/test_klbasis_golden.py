@@ -33,6 +33,11 @@ SPECS = {
     "B3_0_0_1": "group B 3\nL s = 0\nL t = 0\nL u = 1\n",
     "B3_lex_e1_e1_e2": "group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n",
     "I2(5)_lex_e1": "group I2 5\nL lex s = e_1\nL lex t = e_1\n",
+    # Equal weights off 1 (the exponent grid is in units of the weight),
+    # and equal positive weights with a zero-weight class.
+    "A3_1/2": "group A 3\nL s = 1/2\nL t = 1/2\nL u = 1/2\n",
+    "D4_2": "group D 4\nL s = 2\nL t = 2\nL u = 2\nL v = 2\n",
+    "B3_1_1_0": "group B 3\nL s = 1\nL t = 1\nL u = 0\n",
 }
 
 SPECS_BY_COMMAND = {
