@@ -50,22 +50,22 @@ class Rank1Params:
     def from_c(d: int, c_values: Sequence) -> "Rank1Params":
         if d < 2:
             raise ValueError("need d >= 2")
+        if len(c_values) != d - 1:  # before Q(zeta_d) is built: d may be huge
+            raise ValueError(f"c must have {d - 1} entries")
         field = CyclotomicField.get(d)
         c = tuple(v if isinstance(v, Cyclotomic) else field.from_fraction(v)
                   for v in c_values)
-        if len(c) != d - 1:
-            raise ValueError(f"c must have {d - 1} entries")
         return Rank1Params(d, c, c_to_kappa(d, c))
 
     @staticmethod
     def from_kappa(d: int, kappa_values: Sequence) -> "Rank1Params":
         if d < 2:
             raise ValueError("need d >= 2")
+        if len(kappa_values) != d:  # before Q(zeta_d) is built: d may be huge
+            raise ValueError(f"kappa must have {d} entries")
         field = CyclotomicField.get(d)
         kappa = tuple(v if isinstance(v, Cyclotomic) else field.from_fraction(v)
                       for v in kappa_values)
-        if len(kappa) != d:
-            raise ValueError(f"kappa must have {d} entries")
         return Rank1Params(d, kappa_to_c(d, kappa), kappa)
 
     def kappa_indexed(self, i: int) -> Cyclotomic:

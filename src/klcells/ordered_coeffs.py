@@ -1,4 +1,5 @@
-"""Exact coefficient arithmetic for Hecke algebras with unequal parameters.
+"""Exact coefficients for Hecke algebras with unequal parameters: the
+exponent group and the boundary type of a coefficient.
 
 The coefficient ring is Z[G] for a totally ordered abelian group G,
 written multiplicatively.  An OrderedExponent names an element of G as a
@@ -8,17 +9,21 @@ tuple of Fraction coordinates, compared as a Python tuple
 parameters).  The mode is only a label: +, -, <, sign and render are one
 code path for both.
 
-LaurentElt keeps {int key: int coefficient} on a grid (mode, arity, scale),
-by one key map that is additive and order preserving: the coordinates are
-multiplied by scale (a common denominator, 1 in lex mode) and packed in
-base _LEX_BASE with balanced digits.  A rational key is its single
-coordinate, unbounded; lex coordinates beyond +-LEX_BOUND raise
-ValueError on encode and decode, never wrap: _LEX_BASE leaves room for
-sums of 32 in-bound exponents.  So +, *, bar and split_by_sign are one int
-code path; exponents are encoded on entry (v_power, parse) and decoded on
-exit (render).  Operands on different scales meet on a common one and
-equality ignores the scale; different exponent groups raise
-ModeMismatchError.  All arithmetic is exact.
+LaurentElt is the boundary type of a coefficient: what a KL table
+decodes its packed ints to (klcells.hecke), and what the text form
+parses to and renders from.  It keeps {int key: int coefficient} on a
+grid (mode, arity, scale), by one key map that is additive and order
+preserving: the coordinates are multiplied by scale (a common
+denominator, 1 in lex mode) and packed in base _LEX_BASE with balanced
+digits.  A rational key is its single coordinate, unbounded; lex
+coordinates beyond +-LEX_BOUND raise ValueError on encode and decode,
+never wrap.  Exponents are encoded on entry (v_power, parse) and decoded
+on exit (render).  Besides the text form it has bar, split_by_sign,
+evaluate_at_one, and an equality that ignores the scale; + and * remain
+only because the kernel probe (perfbench/probe.py) times them on cached
+coefficients.  Operands on different scales meet on a common one;
+different exponent groups raise ModeMismatchError.  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -194,6 +199,10 @@ class LaurentElt:
 
     # -- basic queries -----------------------------------------------
 
+    def items(self):
+        """The (int key, coefficient) pairs on `grid`."""
+        return self._terms.items()
+
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -242,12 +251,6 @@ class LaurentElt:
                 del acc[g]
         return LaurentElt(self.grid, acc)
 
-    def __neg__(self) -> "LaurentElt":
-        return LaurentElt(self.grid, {g: -c for g, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentElt") -> "LaurentElt":
-        return self + (-other)
-
     def __mul__(self, other) -> "LaurentElt":
         if isinstance(other, int):
             return LaurentElt(self.grid, {g: c * other for g, c in self._terms.items()}
@@ -268,11 +271,6 @@ class LaurentElt:
                 acc[g] = acc.get(g, 0) + c1 * c2
         return LaurentElt(self.grid, {g: c for g, c in acc.items() if c})
 
-    def shifted(self, key: int) -> "LaurentElt":
-        """v^g * self for the g with int key `key` on this grid: every key
-        moves by `key` and no two terms collide."""
-        return LaurentElt(self.grid, {g + key: c for g, c in self._terms.items()})
-
     def bar(self) -> "LaurentElt":
         """The involution v^g -> v^(-g), an exact ring automorphism."""
         return LaurentElt(self.grid, {-g: c for g, c in self._terms.items()})
@@ -283,15 +281,6 @@ class LaurentElt:
         return (LaurentElt(self.grid, {g: c for g, c in terms.items() if g < 0}),
                 terms.get(0, 0),
                 LaurentElt(self.grid, {g: c for g, c in terms.items() if g > 0}))
-
-    def nonneg_symmetrized(self) -> "LaurentElt":
-        """The bar-invariant element agreeing with self on exponents >= 0:
-        each v^g with g > 0 is kept and mirrored to v^-g, v^0 kept once."""
-        out = {}
-        for g, c in self._terms.items():
-            if g >= 0:
-                out[g] = out[-g] = c
-        return LaurentElt(self.grid, out)
 
     def evaluate_at_one(self) -> int:
         """The ring homomorphism to Z sending every v^g to 1."""

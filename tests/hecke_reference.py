@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import weakref
 
+from laurent_ring import neg, sub as sub_coeff
 from klcells.hecke import HeckeAlgebra, HeckeCoeffs, KLTable
 from klcells.ordered_coeffs import LaurentElt
 
@@ -36,7 +37,7 @@ def add(a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoeffs:
 
 
 def sub(a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoeffs:
-    return add(a, {w: -c for w, c in b.items()})
+    return add(a, {w: neg(c) for w, c in b.items()})
 
 
 def scale(c: LaurentElt, h: HeckeCoeffs) -> HeckeCoeffs:
@@ -50,7 +51,7 @@ def equal(a: HeckeCoeffs, b: HeckeCoeffs) -> bool:
 def xi(algebra: HeckeAlgebra, s: int):
     """v^{L(s)} - v^{-L(s)}; zero when L(s) = 0."""
     L = algebra.weights[s]
-    return LaurentElt.v_power(L) - LaurentElt.v_power(-L)
+    return sub_coeff(LaurentElt.v_power(L), LaurentElt.v_power(-L))
 
 
 def mul_ts(algebra: HeckeAlgebra, s: int, h: HeckeCoeffs) -> HeckeCoeffs:
@@ -152,7 +153,7 @@ def express_in_kl(h: HeckeCoeffs, table: KLTable) -> HeckeCoeffs:
         for z, cz in table.c_expansion(y).items():
             if z == y:
                 continue
-            val = rest.get(z, zero_coeff(algebra)) - c * cz
+            val = sub_coeff(rest.get(z, zero_coeff(algebra)), c * cz)
             if val:
                 rest[z] = val
             else:

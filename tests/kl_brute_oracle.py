@@ -4,6 +4,7 @@ T-basis.  No descent products, no correction loop: a genuinely different
 route to the same basis."""
 
 from hecke_reference import bar, equal, t_basis, zero_coeff
+from laurent_ring import neg
 from klcells.hecke import HeckeAlgebra
 
 
@@ -24,11 +25,11 @@ def brute_kl_expansions(algebra: HeckeAlgebra):
                     r = bar_t[y].get(z)
                     if r is not None:
                         g = g + py.bar() * r
-            neg, const, pos = g.split_by_sign()
+            negative, const, pos = g.split_by_sign()
             assert const == 0, (w, z, g.render())
-            assert pos == -(neg.bar()), (w, z, g.render())
-            if neg:
-                p[z] = neg
+            assert pos == neg(negative.bar()), (w, z, g.render())
+            if negative:
+                p[z] = negative
         expansion = {w: algebra.one_coeff()}
         expansion.update(p)
         # Full verification: the candidate really is bar-invariant.

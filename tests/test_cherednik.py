@@ -60,6 +60,14 @@ def test_c_kappa_roundtrips():
             assert c_to_kappa(d, kappa_to_c(d, kappa)) == tuple(kappa)
 
 
+def test_wrong_length_raises_before_the_field_is_built():
+    # Q(zeta_d) for d = 10^6 has degree 400000; the length check comes first.
+    with pytest.raises(ValueError, match="999999 entries"):
+        Rank1Params.from_c(10**6, [1])
+    with pytest.raises(ValueError, match="1000000 entries"):
+        Rank1Params.from_kappa(10**6, [1, -1])
+
+
 def test_kappa_sum_violation_raises():
     F = CyclotomicField.get(3)
     with pytest.raises(NonzeroConstantTerm):

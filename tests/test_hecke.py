@@ -10,6 +10,9 @@ from hecke_reference import (add, bar, c_gen, clean, cs_product_reference,
                              multiply, scale, sub, t_basis, t_inv_times,
                              zero_coeff)
 from kl_brute_oracle import brute_kl_expansions
+from laurent_ring import sub as sub_coeff
+from klcells import hecke
+from klcells.cli import main
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              named_coxeter_matrix)
 from klcells.hecke import HeckeAlgebra, KLTable, kl_basis, payload_digest
@@ -35,7 +38,7 @@ def test_quadratic_relation():
     alg = make_algebra("A", 2, [1, 1])
     s = alg.group.generator(0)
     prod = mul_ts(alg, 0, t_basis(alg, s))
-    expected = add(alg.unit(), scale(v(1) - v(-1), t_basis(alg, s)))
+    expected = add(alg.unit(), scale(sub_coeff(v(1), v(-1)), t_basis(alg, s)))
     assert equal(prod, expected)
 
 
@@ -87,7 +90,7 @@ def test_bar_on_generators():
     alg = make_algebra("A", 2, [1, 1])
     s = alg.group.generator(0)
     assert equal(bar(alg, alg.unit()), alg.unit())
-    expected = sub(t_basis(alg, s), scale(v(1) - v(-1), alg.unit()))
+    expected = sub(t_basis(alg, s), scale(sub_coeff(v(1), v(-1)), alg.unit()))
     assert equal(bar(alg, t_basis(alg, s)), expected)
 
 
@@ -314,3 +317,25 @@ def test_lex_mode_generic_weights():
             if y != w:
                 neg, const, pos = coeff.split_by_sign()
                 assert const == 0 and pos.is_zero()
+
+
+def test_narrow_slots_raise_and_never_give_a_wrong_table(case_tables, monkeypatch, tmp_path):
+    """The checked digit and exponent bounds decide whether a slot width
+    holds a table: a width too narrow raises ValueError (the CLI exits 2),
+    and every width the checks accept gives the same table."""
+    spec = tmp_path / "h3.spec"
+    spec.write_text("group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n", encoding="utf-8")
+    monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (4,))
+    for label, alg, _ in case_tables:
+        with pytest.raises(ValueError):
+            kl_basis(alg)
+    assert main(["klbasis", str(spec), "--no-cache"]) == 2
+    for label, alg, table in case_tables:
+        expected = table.to_json_dict()
+        for bits in range(3, 13):
+            monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (bits,))
+            try:
+                narrow = kl_basis(alg)
+            except ValueError:
+                continue
+            assert narrow.to_json_dict() == expected, (label, bits)

@@ -1,10 +1,12 @@
 """Property tests: on random small Coxeter groups with random weights, the
 Hecke relations hold in the reference T-basis arithmetic, the KL basis
-equals the brute-force solver's, every C_s C_w in the table equals the
-product multiplied out and re-expanded in the C-basis, the inverse
-symmetry and the ascent corrections that the KL cache relies on hold,
-the extremal identity holds and the cache round-trips, and the
-cells satisfy the invariants that hold for every weight function."""
+equals the brute-force solver's and, coefficient by coefficient, the
+dict-ring construction's, the mu read of equal parameters equals the
+full cancellation, every C_s C_w in the table equals the product
+multiplied out and re-expanded in the C-basis, the inverse symmetry and
+the ascent corrections that the KL cache relies on hold, the extremal
+identity holds and the cache round-trips, and the cells satisfy the
+invariants that hold for every weight function."""
 
 import json
 from fractions import Fraction
@@ -17,6 +19,7 @@ from api_helpers import from_integers, regular_character
 from hecke_reference import (add, cs_product_reference, equal, multiply, scale,
                              t_basis)
 from kl_brute_oracle import brute_kl_expansions
+from laurent_ring import dict_kl_basis, sub
 from klcells.cells import cells, left_cell_character, left_preorder
 from klcells.characters import character_table
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
@@ -41,8 +44,9 @@ def coxeter_matrices(draw):
 @st.composite
 def weight_functions(draw, matrix, kind=None):
     """Weights constant on conjugacy classes of generators: positive
-    rationals, the same with at least one class at zero, or lexicographic
-    units e_i (0 allowed) in Z^2; `kind` picks one, else it is drawn."""
+    rationals, the same with at least one class at zero, lexicographic
+    units e_i (0 allowed) in Z^2, or ("equal", never drawn) one positive
+    rational for every class; `kind` picks one, else it is drawn."""
     comp = conjugate_generator_components(matrix)
     classes = max(comp) + 1
     kind = kind or draw(st.sampled_from(["rational", "zero", "lex"]))
@@ -51,6 +55,8 @@ def weight_functions(draw, matrix, kind=None):
                               min_size=classes, max_size=classes))
         return WeightFunction.from_lex_units([units[c] for c in comp], 2)
     positive = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+    if kind == "equal":
+        return WeightFunction.rational([draw(positive)] * len(comp))
     values = draw(st.lists(positive, min_size=classes, max_size=classes))
     if kind == "zero":
         values[draw(st.integers(0, classes - 1))] = 0
@@ -70,7 +76,7 @@ def test_hecke_relations(alg):
     T_s T_t T_s ... = T_t T_s T_t ... (m_st factors a side) for s != t."""
     W = alg.group
     T = [t_basis(alg, W.generator(s)) for s in range(W.rank)]
-    gap = [LaurentElt.v_power(L) - LaurentElt.v_power(-L) for L in alg.weights]
+    gap = [sub(LaurentElt.v_power(L), LaurentElt.v_power(-L)) for L in alg.weights]
     for w in range(len(W)):
         h = t_basis(alg, w)
         for s in range(W.rank):
@@ -97,6 +103,47 @@ def test_kl_table_matches_brute_oracle_and_reference(alg):
         for w in range(len(W)):
             assert equal(table.cs_product_in_c(s, w),
                              cs_product_reference(table, s, w)), (W.gen_names[s], W.name(w))
+
+
+@pytest.mark.parametrize("kind", ["rational", "zero", "lex"])
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_packed_construction_matches_dict_ring(kind, data):
+    """Every decoded coefficient and correction of the packed kl_basis
+    equals the one the dict ring builds, which the brute-force solver
+    agrees with."""
+    alg = data.draw(algebras(kind))
+    table = kl_basis(alg)
+    c_exp, corrections = dict_kl_basis(alg)
+    W = alg.group
+    brute = brute_kl_expansions(alg)
+    for w in range(len(W)):
+        assert table.c_expansion(w) == c_exp[w], W.name(w)
+        assert equal(c_exp[w], brute[w]), W.name(w)
+    assert len(corrections) == sum(alg.positive) * len(W) // 2
+    for (s, u), expected in corrections.items():
+        prod = table.cs_product_in_c(s, u)
+        assert prod.pop(W.lmul_gen(s, u)) == alg.one_coeff()
+        assert prod == expected, (W.gen_names[s], W.name(u))
+
+
+@pytest.mark.parametrize("kind", ["equal", "zero"])
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_mu_read_matches_full_cancellation(kind, data):
+    """With every positive weight equal, zero weights allowed, kl_basis
+    reads the corrections of the ascent pairs other than the construction
+    steps off the rows; they equal a full cancellation on every pair."""
+    alg = data.draw(algebras(kind))
+    if kind == "equal":
+        assert alg.equal_parameters
+    table = kl_basis(alg)
+    _, corrections = dict_kl_basis(alg)
+    W = alg.group
+    for (s, u), expected in corrections.items():
+        prod = table.cs_product_in_c(s, u)
+        del prod[W.lmul_gen(s, u)]
+        assert prod == expected, (W.gen_names[s], W.name(u))
 
 
 @pytest.mark.parametrize("kind", ["rational", "zero", "lex"])

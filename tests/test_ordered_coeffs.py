@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from api_helpers import (laurent_coefficient, laurent_from_terms, laurent_integer,
                          laurent_one, laurent_terms, laurent_zero, support_size)
+from laurent_ring import sub
 from klcells.ordered_coeffs import (LEX, LEX_BOUND, RATIONAL, LaurentElt,
                                     ModeMismatchError, OrderedExponent, _key_text,
                                     _text_key)
@@ -29,7 +30,7 @@ def test_add_cancellation():
 
 def test_add_rational_merge():
     a = v(Fraction(1, 2)) + laurent_one()
-    b = v(Fraction(1, 2)) - laurent_one()
+    b = sub(v(Fraction(1, 2)), laurent_one())
     assert a + b == v(Fraction(1, 2), 2)
 
 
@@ -38,7 +39,7 @@ def test_mul_monomials():
 
 
 def test_mul_difference_of_squares():
-    assert (v(1) + v(-1)) * (v(1) - v(-1)) == v(2) - v(-2)
+    assert (v(1) + v(-1)) * sub(v(1), v(-1)) == sub(v(2), v(-2))
 
 
 def test_mul_unit():
@@ -65,7 +66,7 @@ def test_split_by_sign():
 def test_evaluate_at_one():
     assert (v(-7) + v(7)).evaluate_at_one() == 2
     assert laurent_zero().evaluate_at_one() == 0
-    assert (v(1) - v(-1)).evaluate_at_one() == 0
+    assert sub(v(1), v(-1)).evaluate_at_one() == 0
 
 
 def _random_elt(rng, mode=RATIONAL, arity=None):

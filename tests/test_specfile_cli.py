@@ -141,6 +141,9 @@ def test_cli_cm_rank1(tmp_path, capsys):
     # kappa off the sum-zero slice
     code, _, err = run_cli(capsys, "cm-rank1", "--d", "2", "--kappa", "1,1")
     assert code == 1 and "zero" in err
+    # a c vector of the wrong length is refused before Q(zeta_d) is built
+    code, _, err = run_cli(capsys, "cm-rank1", "--d", "100000", "--c", "1")
+    assert code == 1 and "99999 entries" in err
 
 
 def test_cli_unknown_command(capsys):
