@@ -148,9 +148,6 @@ class HeckeAlgebra:
     def one_coeff(self) -> LaurentElt:
         return LaurentElt(self.grid, {0: 1})
 
-    def unit(self) -> HeckeCoeffs:
-        return {self.group.identity: self.one_coeff()}
-
     @cached_property
     def equal_parameters(self) -> bool:
         """Every positive weight is the same: the ascent corrections are

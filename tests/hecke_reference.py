@@ -29,6 +29,10 @@ def t_basis(algebra: HeckeAlgebra, w: int) -> HeckeCoeffs:
     return {w: algebra.one_coeff()}
 
 
+def unit(algebra: HeckeAlgebra) -> HeckeCoeffs:
+    return t_basis(algebra, algebra.group.identity)
+
+
 def add(a: HeckeCoeffs, b: HeckeCoeffs) -> HeckeCoeffs:
     out = dict(a)
     for w, c in b.items():
@@ -112,7 +116,7 @@ def i_of_t_table(algebra: HeckeAlgebra) -> list:
     table = _I_OF_T.get(algebra)
     if table is None:
         group = algebra.group
-        table = [algebra.unit()]
+        table = [unit(algebra)]
         for w in range(1, len(group)):
             word = group.word(w)
             u = group.element_by_word(word[1:])

@@ -89,7 +89,7 @@ def dict_kl_basis(algebra: HeckeAlgebra
     by a full cancellation; C_w = T_s C_u relabelled when L(s) = 0."""
     group = algebra.group
     n = len(group)
-    c_exp: List[HeckeCoeffs] = [algebra.unit()] + [{}] * (n - 1)
+    c_exp: List[HeckeCoeffs] = [{group.identity: algebra.one_coeff()}] + [{}] * (n - 1)
     corrections: Dict[Tuple[int, int], HeckeCoeffs] = {}
     for w in range(1, n):
         first = group.word(w)[0]
