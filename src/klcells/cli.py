@@ -29,7 +29,7 @@ from .conjecture import (B2_REGIME_POINTS, emit_report, replace_file,
                          run_conjecture_suite)
 from .coxeter import (ConjugacyViolation, DEFAULT_SIZE_CAP, InfiniteOrTooLarge,
                       build_group)
-from .hecke import HeckeAlgebra, KLTable, SlotOverflow, kl_basis
+from .hecke import BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow, kl_basis
 from .specfile import SpecParseError, parse_spec
 
 CACHE_ENV = "KLCELLS_CACHE_DIR"
@@ -227,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write("usage: klcells {cells,klbasis,characters,cm-rank1,conjecture} ...\n")
         return 1
-    except SlotOverflow as exc:  # a ValueError, but no fault of the input
+    except (SlotOverflow, BoxOverflow) as exc:  # ValueErrors, but no fault of the input
         sys.stderr.write(f"internal invariant violation: {exc}\n")
         return 2
     except (SpecParseError, ConjugacyViolation, InfiniteOrTooLarge, ValueError) as exc:

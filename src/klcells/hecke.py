@@ -34,9 +34,15 @@ shift, the zero test is X == 0, and m_y is the rounded high part of X.
 Each row carries a bound on its digits and on its exponents, checked
 before every read of a digit; a table whose bound would pass B bits is
 rebuilt with the next width of _SLOT_WIDTHS, and past the last one
-SlotOverflow is raised, so a digit never wraps.  Packed coefficients are
-decoded to LaurentElt only at the API and text boundary:
-`c_expansion`, `cs_product_in_c`, `to_json_dict` and `to_cache_text`.
+SlotOverflow is raised, so a digit never wraps.  An exponent that could
+leave the slot box raises BoxOverflow, which no width mends.  Packed
+coefficients are decoded to LaurentElt only at the API and text
+boundary: `c_expansion`, `cs_product_in_c`, `to_json_dict` and
+`to_cache_text`.  A packed int spans the whole slot box, a product over
+the exponent coordinates, so past _MAX_SLOTS slots (lex weights on many
+coordinates, or rational weights of a very large ratio) the table is
+built and held term by term as LaurentElt instead, with the same
+cancellation (`_construct_terms`, `_Terms`).
 
 The corrections are all the construction knows about the C_s C_w table;
 `KLTable.cs_product_in_c` derives every entry from them:
@@ -83,7 +89,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le, mul
+from operator import add, le, mul, rshift
 from typing import Dict, Iterable, List, Tuple
 
 from .coxeter import CoxeterGroup, WeightFunction, validate_weights
@@ -98,10 +104,25 @@ CACHE_FORMAT = 3
 # one that its checked digit bound fits.
 _SLOT_WIDTHS = (16, 32, 64)
 
+# A table whose slot box has more slots than this is built and held in the
+# dict ring (`_Terms`).  A packed coefficient is about B x (number of slots)
+# bits, and in lex mode the box is a product over the coordinates.  On a
+# 2-core Xeon with CPython 3.11, A1^7 with L = e_1, ..., e_7 (78 125
+# slots) took 1.1 s and 176 MB packed against 0.03 s and 22 MB in the
+# dict ring, and A1^8 would take gigabytes; F4 with L = (e_1, e_1, e_2,
+# e_2) (729 slots) took 5 s packed against 11 s, but 306 MB against
+# 176 MB.
+_MAX_SLOTS = 1 << 10
+
 
 class SlotOverflow(ValueError):
-    """A packed coefficient could leave its slot: a digit past the width's
-    limit or an exponent outside the slot box (see `_Packing`)."""
+    """A packed digit could pass the limit of its slot width: the table is
+    rebuilt with the next width (see `_Packing`)."""
+
+
+class BoxOverflow(ValueError):
+    """A packed exponent could leave the slot box, which bounds every
+    exponent the construction reaches: no slot width helps."""
 
 
 def _canonical(doc: dict) -> str:
@@ -164,6 +185,27 @@ class HeckeAlgebra:
                 for w in range(len(group))]
 
 
+def _slot_box(algebra: HeckeAlgebra) -> Tuple[List[Fraction], List[int]]:
+    """unit_i and box_i for every exponent coordinate (`_Packing`)."""
+    group, exps = algebra.group, algebra.weights.exps
+    w0_word = group.word(len(group) - 1)  # ShortLex: the last element is w0
+    units: List[Fraction] = []
+    box: List[int] = []
+    for col in zip(*(L.value for L in exps)):
+        den = math.lcm(*(x.denominator for x in col))
+        unit = Fraction(math.gcd(*(x.numerator * (den // x.denominator) for x in col)),
+                        den) or Fraction(1)
+        units.append(unit)
+        box.append(int((sum(abs(col[s]) for s in w0_word) + max(map(abs, col))) / unit))
+    return units, box
+
+
+def _packs(algebra: HeckeAlgebra) -> bool:
+    """Whether a table of `algebra` is packed: its slot box has at most
+    _MAX_SLOTS slots."""
+    return math.prod(2 * b + 1 for b in _slot_box(algebra)[1]) <= _MAX_SLOTS
+
+
 class _Packing:
     """The packed coefficients of one KL table, `bits` = B bits a slot.
 
@@ -180,20 +222,15 @@ class _Packing:
     Digits are read (zero test, high part, mu, decode) only while a bound
     below `limit` = 2^(B-2) holds for every digit: then X has one balanced
     base-2^B expansion and every read is exact.  `check` raises
-    SlotOverflow before a read that the bounds do not cover.
+    SlotOverflow (BoxOverflow for an exponent) before a read that the
+    bounds do not cover.
     """
 
+    lower = staticmethod(rshift)  # x >> shift is v^{-L(u)} x
+
     def __init__(self, algebra: HeckeAlgebra, bits: int):
-        group, exps = algebra.group, algebra.weights.exps
-        w0_word = group.word(len(group) - 1)  # ShortLex: the last element is w0
-        self.units: List[Fraction] = []
-        self.box: List[int] = []
-        for col in zip(*(L.value for L in exps)):
-            den = math.lcm(*(x.denominator for x in col))
-            unit = Fraction(math.gcd(*(x.numerator * (den // x.denominator) for x in col)),
-                            den) or Fraction(1)
-            self.units.append(unit)
-            self.box.append(int((sum(abs(col[s]) for s in w0_word) + max(map(abs, col))) / unit))
+        exps = algebra.weights.exps
+        self.units, self.box = _slot_box(algebra)
         self.places: List[int] = []
         radix = 1
         for b in reversed(self.box):
@@ -215,16 +252,7 @@ class _Packing:
         self._decoded: Dict[int, LaurentElt] = {}
         self._texts: Dict[int, str] = {}
         self._masks: Dict[int, Tuple[int, int]] = {}
-
-    @staticmethod
-    def holding(algebra: HeckeAlgebra, values: Iterable[LaurentElt]) -> "_Packing":
-        """The narrowest packing whose limit every coefficient of `values`
-        is below."""
-        peak = max((abs(c) for x in values for _, c in x.items()), default=0)
-        for bits in _SLOT_WIDTHS:
-            if peak < 1 << (bits - 2):
-                return _Packing(algebra, bits)
-        raise SlotOverflow(f"coefficient {peak} is too large for a packed slot")
+        self._reaches: Dict[int, Tuple[int, ...]] = {}
 
     # -- exponents: grid keys, slots, coordinates -----------------------
 
@@ -233,8 +261,8 @@ class _Packing:
         for x, unit, b in zip(value, self.units, self.box):
             q = x / unit
             if q.denominator != 1 or abs(q) > b:
-                raise SlotOverflow(f"exponent {','.join(map(str, value))} is not in "
-                                   f"the slot box")
+                raise BoxOverflow(f"exponent {','.join(map(str, value))} is not in "
+                                  f"the slot box")
             out.append(int(q))
         return tuple(out)
 
@@ -276,7 +304,7 @@ class _Packing:
         if bound >= self.limit:
             raise SlotOverflow(f"a KL coefficient may not fit {self.bits}-bit slots")
         if not all(map(le, reach, self.box)):
-            raise SlotOverflow("a KL exponent may leave the slot box")
+            raise BoxOverflow("a KL exponent may leave the slot box")
 
     def _digits(self, x: int) -> List[Tuple[int, int]]:
         """(position, digit) for the nonzero balanced base-2^B digits of x."""
@@ -312,6 +340,24 @@ class _Packing:
                 norm += abs(d)
             reach = tuple(map(max, reach, self._reach(slot)))
         return m, terms, norm, reach
+
+    def row_reach(self, row: Iterable[int]) -> Tuple[int, ...]:
+        """max |x_i| per coordinate over the exponents of the packed
+        coefficients `row`, which are all at most 0.  With one coordinate
+        that is the lowest nonzero position, read off the lowest set bit;
+        in lex mode a later coordinate of a higher position can be larger,
+        so every digit is read (memoised per coefficient)."""
+        bits, R = self.bits, self.R
+        if len(self.box) == 1:
+            return (R - min(((x & -x).bit_length() - 1) // bits for x in row),)
+        memo, found = self._reaches, set()
+        for x in row:
+            r = memo.get(x)
+            if r is None:
+                r = memo[x] = tuple(map(max, self.zero_reach, *(
+                    self._reach(pos - R) for pos, _ in self._digits(x))))
+            found.add(r)
+        return tuple(map(max, self.zero_reach, *found))
 
     def tighten(self, values: Iterable[int], bound: int) -> int:
         """A digit bound for `values`, all of whose digits are bounded by
@@ -368,13 +414,66 @@ class _Packing:
         return text
 
 
+class _Terms:
+    """The coefficients of a table whose slot box has more than _MAX_SLOTS
+    slots, held as LaurentElt: the part of `_Packing` that KLTable and
+    `_complete_row` use, where decoding is the identity and a shift is one
+    of the exponent keys.  Nothing overflows, so `check` passes."""
+
+    zero_reach: Tuple[int, ...] = ()
+
+    def __init__(self, algebra: HeckeAlgebra):
+        grid = algebra.grid
+        self.one = algebra.one_coeff()
+        self.shift = [L.encode(grid) for L in algebra.weights.exps]
+        self.abs_weight = [()] * len(self.shift)
+        self.v_sum = [LaurentElt.v_power(L, grid=grid) + LaurentElt.v_power(-L, grid=grid)
+                      for L in algebra.weights.exps]
+        self._texts: Dict[LaurentElt, str] = {}
+
+    def check(self, reach: Tuple[int, ...], bound: int = 0) -> None:
+        pass
+
+    @staticmethod
+    def pack(c: LaurentElt) -> Tuple[LaurentElt, Tuple[int, ...]]:
+        return c, ()
+
+    @staticmethod
+    def decode(x: LaurentElt) -> LaurentElt:
+        return x
+
+    @staticmethod
+    def lower(x: LaurentElt, key: int) -> LaurentElt:
+        return LaurentElt(x.grid, {g - key: c for g, c in x.items()})
+
+    def text(self, x: LaurentElt) -> str:
+        text = self._texts.get(x)
+        if text is None:
+            text = self._texts[x] = x.render()
+        return text
+
+
+def _holding(algebra: HeckeAlgebra, values: Iterable[LaurentElt]) -> "_Packing | _Terms":
+    """The codec of a loaded table: `_Terms` when the slot box is too wide
+    to pack, else the narrowest packing whose limit every coefficient of
+    `values` is below."""
+    if not _packs(algebra):
+        return _Terms(algebra)
+    peak = max((abs(c) for x in values for _, c in x.items()), default=0)
+    for bits in _SLOT_WIDTHS:
+        if peak < 1 << (bits - 2):
+            return _Packing(algebra, bits)
+    raise SlotOverflow(f"coefficient {peak} is too large for a packed slot")
+
+
 class KLTable:
     """The KL basis: the T-expansion of every C_w, and the corrections
     {y: m_y} of C_s C_u = C_su + sum_y m_y C_y for every ascent pair
     (s, u), su > u and L(s) > 0, from which the C_s C_w table is derived.
-    Both are held packed (`_Packing`) and decoded on the way out."""
+    Both are held packed (`_Packing`), or as LaurentElt when the slot box
+    is too wide (`_Terms`), and decoded on the way out."""
 
-    def __init__(self, algebra: HeckeAlgebra, packing: _Packing, c_exp: List[Packed],
+    def __init__(self, algebra: HeckeAlgebra, packing: "_Packing | _Terms", c_exp: List[Packed],
                  corrections: Dict[Tuple[int, int], Packed]):
         self.algebra = algebra
         self.group = algebra.group
@@ -510,7 +609,7 @@ class KLTable:
         if len(products) != sum(algebra.positive) * len(group) // 2:
             raise ValueError("an ascent pair of the C_s C_w table is missing")
 
-        pk = _Packing.holding(algebra, parsed.values())
+        pk = _holding(algebra, parsed.values())
         packed = {id(c): pk.pack(c) for c in parsed.values()}
         c_exp: List[Packed] = [None] * len(group)
         walks: Dict[int, tuple] = {}
@@ -546,12 +645,12 @@ def _check_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs) -> HeckeCoeff
     return stored
 
 
-def _parabolic_walk(algebra: HeckeAlgebra, pk: _Packing, gens: Tuple[int, ...]
+def _parabolic_walk(algebra: HeckeAlgebra, pk: "_Packing | _Terms", gens: Tuple[int, ...]
                     ) -> Tuple[List[Tuple[int, int, int]], Tuple[int, ...]]:
     """The elements u != e of the parabolic subgroup on `gens`, shortest
     first, each as (i, s, shift): u = s u_i with l(u) = l(u_i) + 1, where
-    u_i is the i-th element of the walk counting e as 0, and x >> shift
-    is v^{-L(u)} x for a packed x.  Also max |x_i| over the exponents
+    u_i is the i-th element of the walk counting e as 0, and
+    pk.lower(x, shift) is v^{-L(u)} x.  Also max |x_i| over the exponents
     L(u)."""
     group = algebra.group
     elems, shifts, reaches = [group.identity], [0], [pk.zero_reach]
@@ -569,7 +668,7 @@ def _parabolic_walk(algebra: HeckeAlgebra, pk: _Packing, gens: Tuple[int, ...]
     return walk, tuple(map(max, *reaches))
 
 
-def _complete_row(algebra: HeckeAlgebra, pk: _Packing, w: int,
+def _complete_row(algebra: HeckeAlgebra, pk: "_Packing | _Terms", w: int,
                   stored: Dict[int, Tuple[int, Tuple[int, ...]]],
                   walks: Dict[int, tuple]) -> Packed:
     """C_w packed from its checked, packed stored coefficients (each with
@@ -587,7 +686,7 @@ def _complete_row(algebra: HeckeAlgebra, pk: _Packing, w: int,
         gens = tuple(s for s in range(group.rank) if m >> s & 1)
         walk = walks[m] = _parabolic_walk(algebra, pk, gens)
     steps, walk_reach = walk
-    lmul = group.lmul_gen
+    lmul, lower = group.lmul_gen, pk.lower
     row: Packed = {}
     for z, (x, reach) in stored.items():
         pk.check(tuple(map(add, reach, walk_reach)))
@@ -596,16 +695,16 @@ def _complete_row(algebra: HeckeAlgebra, pk: _Packing, w: int,
         for i, s, shift in steps:
             y = lmul(s, coset[i])
             coset.append(y)
-            row[y] = x >> shift
+            row[y] = lower(x, shift)
     return row
 
 
 def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
             c_exp: List[Packed], digits: List[int], reach: List[Tuple[int, ...]]
-            ) -> Tuple[Packed, Packed, int, Tuple[int, ...]]:
+            ) -> Tuple[Packed, Packed, int]:
     """For an ascent w = su > u with L(s) > 0, return (C_w, {y: m_y}) with
-    C_s C_u = C_w + sum_y m_y C_y, packed, and bounds on the digits and
-    on the exponents of C_w.
+    C_s C_u = C_w + sum_y m_y C_y, packed, and a bound on the digits of
+    C_w.
 
     C_s C_u = T_s C_u + v^{-L(s)} C_u is bar-invariant; the non-negative
     part of each lower coefficient is cancelled by subtracting a
@@ -665,7 +764,7 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
                 cand[z] = -term
                 if left[z] < z:
                     heapq.heappush(heap, -z)
-    return {y: x for y, x in cand.items() if x}, correction, bound, top
+    return {y: x for y, x in cand.items() if x}, correction, bound
 
 
 def _read_mu(pk: _Packing, s: int, left: List[int], u: int, row: Packed) -> Packed:
@@ -703,14 +802,85 @@ def _construct(algebra: HeckeAlgebra, pk: _Packing) -> KLTable:
                     c_exp[w] = {left[s][y]: x for y, x in c_exp[u].items()}
                     digits[w], reach[w] = digits[u], reach[u]
             elif s == first:
-                c_exp[w], corrections[(s, u)], bound, reach[w] = _cancel(
+                c_exp[w], corrections[(s, u)], bound = _cancel(
                     pk, s, left[s], u, w, c_exp, digits, reach)
                 digits[w] = pk.tighten(c_exp[w].values(), bound)
+                reach[w] = pk.row_reach(c_exp[w].values())
             elif algebra.equal_parameters:
                 corrections[(s, u)] = _read_mu(pk, s, left[s], u, c_exp[u])
             else:
                 corrections[(s, u)] = _cancel(pk, s, left[s], u, w, c_exp, digits, reach)[1]
     return KLTable(algebra, pk, c_exp, corrections)
+
+
+def _add_into(h: HeckeCoeffs, y: int, c: LaurentElt) -> None:
+    """h[y] += c in place, dropping the entry if it cancels."""
+    total = h[y] + c if y in h else c
+    if total:
+        h[y] = total
+    else:
+        del h[y]
+
+
+def _cancel_terms(algebra: HeckeAlgebra, s: int, u: int, w: int, c_exp: List[HeckeCoeffs],
+                  v_plus: LaurentElt, v_minus: LaurentElt) -> Tuple[HeckeCoeffs, HeckeCoeffs]:
+    """`_cancel` in the dict ring: (C_w, {y: m_y}) with C_s C_u = C_w +
+    sum_y m_y C_y, each m_y the bar-symmetric extension of the part of the
+    T_y coefficient with exponents >= 0 (v^0 once); v_plus and v_minus
+    are v^(+-L(s))."""
+    group, grid = algebra.group, algebra.grid
+    cand: HeckeCoeffs = {}
+    for y, c in c_exp[u].items():
+        sy = group.lmul_gen(s, y)
+        _add_into(cand, sy, c)
+        _add_into(cand, y, (v_plus if sy < y else v_minus) * c)
+    heap = [-y for y in cand if y != w and group.lmul_gen(s, y) < y]
+    heapq.heapify(heap)
+    queued = set(cand)
+    correction: HeckeCoeffs = {}
+    while heap:
+        y = -heapq.heappop(heap)
+        c = cand.get(y)
+        if c is None:
+            continue
+        terms = {}
+        for g, k in c.items():
+            if g >= 0:
+                terms[g] = terms[-g] = k
+        if not terms:
+            continue
+        m = correction[y] = LaurentElt(grid, terms)
+        minus_m = m * -1
+        for z, cz in c_exp[y].items():
+            _add_into(cand, z, minus_m * cz)
+            if z not in queued:
+                queued.add(z)
+                if group.lmul_gen(s, z) < z:
+                    heapq.heappush(heap, -z)
+    return cand, correction
+
+
+def _construct_terms(algebra: HeckeAlgebra) -> KLTable:
+    """`_construct` in the dict ring, for a slot box too wide to pack:
+    every ascent pair by the full cancellation."""
+    group, grid = algebra.group, algebra.grid
+    n = len(group)
+    v_pm = [(LaurentElt.v_power(L, grid=grid), LaurentElt.v_power(-L, grid=grid))
+            for L in algebra.weights.exps]
+    c_exp: List[HeckeCoeffs] = [{group.identity: algebra.one_coeff()}] + [None] * (n - 1)
+    corrections: Dict[Tuple[int, int], HeckeCoeffs] = {}
+    for w in range(1, n):
+        first = group.word(w)[0]
+        for s in group.left_descents(w):
+            u = group.lmul_gen(s, w)
+            if not algebra.positive[s]:
+                if s == first:
+                    c_exp[w] = {group.lmul_gen(s, y): c for y, c in c_exp[u].items()}
+                continue
+            cw, corrections[(s, u)] = _cancel_terms(algebra, s, u, w, c_exp, *v_pm[s])
+            if s == first:
+                c_exp[w] = cw
+    return KLTable(algebra, _Terms(algebra), c_exp, corrections)
 
 
 def kl_basis(algebra: HeckeAlgebra) -> KLTable:
@@ -719,8 +889,12 @@ def kl_basis(algebra: HeckeAlgebra) -> KLTable:
     Every left descent s of w with L(s) > 0, with u = sw, gives the
     corrections of the ascent pair (s, u); see the module docstring.  The
     table is built with the first slot width of _SLOT_WIDTHS whose checked
-    bounds hold; SlotOverflow if none does.
+    bounds hold; SlotOverflow if none does, BoxOverflow at once if an
+    exponent could leave the slot box.  A slot box of more than
+    _MAX_SLOTS slots is not packed: the table is built in the dict ring.
     """
+    if not _packs(algebra):
+        return _construct_terms(algebra)
     for bits in _SLOT_WIDTHS[:-1]:
         try:
             return _construct(algebra, _Packing(algebra, bits))

@@ -19,9 +19,10 @@ digits.  A rational key is its single coordinate, unbounded; lex
 coordinates beyond +-LEX_BOUND raise ValueError on encode and decode,
 never wrap.  Exponents are encoded on entry (v_power, parse) and decoded
 on exit (render).  Besides the text form it has bar, split_by_sign,
-evaluate_at_one, and an equality that ignores the scale; + and * remain
-only because the kernel probe (perfbench/probe.py) times them on cached
-coefficients.  Operands on different scales meet on a common one;
+evaluate_at_one, and an equality that ignores the scale; + and * serve
+the dict-ring construction that klcells.hecke keeps for a slot box too
+wide to pack (and the kernel probe, perfbench/probe.py, times them on
+cached coefficients).  Operands on different scales meet on a common one;
 different exponent groups raise ModeMismatchError.  All arithmetic is
 exact.
 """

@@ -1,18 +1,9 @@
-"""The dict ring on LaurentElt that the library no longer carries, and the
-KL construction written in it.
-
-`kl_basis` holds every coefficient as one packed int and decodes only at
-its boundary.  The ring here works term by term on {int key: coefficient}
-dicts (negation, subtraction, the non-negative symmetrization, key
-shifts, in-place accumulation), so `dict_kl_basis` is an independent
-route to the same table: the differential oracle for the packed one, and
-the ring that hecke_reference and kl_brute_oracle compute in.
+"""Negation and subtraction of LaurentElt, which the library
+does not carry: `kl_basis` works on packed ints, and its dict-ring
+construction for wide slot boxes needs only + and *.  hecke_reference
+and kl_brute_oracle compute in LaurentElt with these.
 """
 
-import heapq
-from typing import Dict, List, Tuple
-
-from klcells.hecke import HeckeAlgebra, HeckeCoeffs
 from klcells.ordered_coeffs import LaurentElt
 
 
@@ -22,84 +13,3 @@ def neg(a: LaurentElt) -> LaurentElt:
 
 def sub(a: LaurentElt, b: LaurentElt) -> LaurentElt:
     return a + neg(b)
-
-
-def shifted(a: LaurentElt, key: int) -> LaurentElt:
-    """v^g * a for the g with int key `key` on a's grid."""
-    return LaurentElt(a.grid, {g + key: c for g, c in a.items()})
-
-
-def nonneg_symmetrized(a: LaurentElt) -> LaurentElt:
-    """The bar-invariant element agreeing with a on exponents >= 0: each
-    v^g with g > 0 is kept and mirrored to v^-g, v^0 kept once."""
-    out = {}
-    for g, c in a.items():
-        if g >= 0:
-            out[g] = out[-g] = c
-    return LaurentElt(a.grid, out)
-
-
-def add_into(h: HeckeCoeffs, y: int, c: LaurentElt) -> None:
-    """h[y] += c in place, dropping the entry if it cancels."""
-    total = h[y] + c if y in h else c
-    if total:
-        h[y] = total
-    else:
-        del h[y]
-
-
-def cs_times_c(algebra: HeckeAlgebra, s: int, u: int, w: int,
-               c_exp: List[HeckeCoeffs]) -> Tuple[HeckeCoeffs, HeckeCoeffs]:
-    """For an ascent w = su > u with L(s) > 0, (C_w, {y: m_y}) with
-    C_s C_u = C_w + sum_y m_y C_y, by the full cancellation: the
-    non-negative part of each coefficient at a y with sy < y, longest
-    first, is removed by subtracting its symmetrization times C_y."""
-    group, grid, L = algebra.group, algebra.grid, algebra.weights[s]
-    v_plus, v_minus = LaurentElt.v_power(L, grid=grid), LaurentElt.v_power(-L, grid=grid)
-    cand: HeckeCoeffs = {}
-    for y, c in c_exp[u].items():
-        sy = group.lmul_gen(s, y)
-        add_into(cand, sy, c)
-        add_into(cand, y, (v_plus if sy < y else v_minus) * c)
-    heap = [-y for y in cand if y != w and group.lmul_gen(s, y) < y]
-    heapq.heapify(heap)
-    queued = set(cand)
-    correction: HeckeCoeffs = {}
-    while heap:
-        y = -heapq.heappop(heap)
-        c = cand.get(y)
-        if c is None:
-            continue
-        m = nonneg_symmetrized(c)
-        if not m:
-            continue
-        correction[y] = m
-        for z, cz in c_exp[y].items():
-            add_into(cand, z, neg(m) * cz)
-            if z not in queued:
-                queued.add(z)
-                if group.lmul_gen(s, z) < z:
-                    heapq.heappush(heap, -z)
-    return cand, correction
-
-
-def dict_kl_basis(algebra: HeckeAlgebra
-                  ) -> Tuple[List[HeckeCoeffs], Dict[Tuple[int, int], HeckeCoeffs]]:
-    """Every C_w and the corrections of every ascent pair (s, u), each pair
-    by a full cancellation; C_w = T_s C_u relabelled when L(s) = 0."""
-    group = algebra.group
-    n = len(group)
-    c_exp: List[HeckeCoeffs] = [{group.identity: algebra.one_coeff()}] + [{}] * (n - 1)
-    corrections: Dict[Tuple[int, int], HeckeCoeffs] = {}
-    for w in range(1, n):
-        first = group.word(w)[0]
-        for s in group.left_descents(w):
-            u = group.lmul_gen(s, w)
-            if not algebra.positive[s]:
-                if s == first:
-                    c_exp[w] = {group.lmul_gen(s, y): c for y, c in c_exp[u].items()}
-                continue
-            cw, corrections[(s, u)] = cs_times_c(algebra, s, u, w, c_exp)
-            if s == first:
-                c_exp[w] = cw
-    return c_exp, corrections

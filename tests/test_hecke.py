@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,8 +18,10 @@ from klcells import hecke
 from klcells.cli import main
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              named_coxeter_matrix)
-from klcells.hecke import HeckeAlgebra, KLTable, kl_basis, payload_digest
+from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, _construct_terms, kl_basis,
+                           payload_digest)
 from klcells.ordered_coeffs import LaurentElt, OrderedExponent
+from klcells.specfile import parse_spec
 
 
 def make_algebra(kind, n, weights):
@@ -322,7 +327,8 @@ def test_lex_mode_generic_weights():
 def test_narrow_slots_raise_and_never_give_a_wrong_table(case_tables, monkeypatch, tmp_path):
     """The checked digit and exponent bounds decide whether a slot width
     holds a table: a width too narrow raises ValueError (the CLI exits 2),
-    and every width the checks accept gives the same table."""
+    a wider one after it is tried next, and every width the checks
+    accept gives the same table."""
     spec = tmp_path / "h3.spec"
     spec.write_text("group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n", encoding="utf-8")
     monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (4,))
@@ -330,6 +336,9 @@ def test_narrow_slots_raise_and_never_give_a_wrong_table(case_tables, monkeypatc
         with pytest.raises(ValueError):
             kl_basis(alg)
     assert main(["klbasis", str(spec), "--no-cache"]) == 2
+    monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (4, 16))
+    for label, alg, table in case_tables:
+        assert kl_basis(alg).to_json_dict() == table.to_json_dict(), label
     for label, alg, table in case_tables:
         expected = table.to_json_dict()
         for bits in range(3, 13):
@@ -339,3 +348,77 @@ def test_narrow_slots_raise_and_never_give_a_wrong_table(case_tables, monkeypatc
             except ValueError:
                 continue
             assert narrow.to_json_dict() == expected, (label, bits)
+
+
+def test_box_overflow_is_not_retried(case_tables, monkeypatch, tmp_path):
+    """An exponent that could leave the slot box raises BoxOverflow from
+    the first slot width, with no rebuild at a wider one (the CLI exits
+    2): here the box is halved, so the bound of the rows fails it."""
+    slot_box = hecke._slot_box
+    monkeypatch.setattr(hecke, "_slot_box",
+                        lambda alg: (slot_box(alg)[0], [b // 2 for b in slot_box(alg)[1]]))
+    built = []
+    construct = hecke._construct
+    monkeypatch.setattr(hecke, "_construct",
+                        lambda alg, pk: built.append(pk.bits) or construct(alg, pk))
+    for label, alg, _ in case_tables:
+        built.clear()
+        with pytest.raises(BoxOverflow):
+            kl_basis(alg)
+        assert built == [16], label
+    spec = tmp_path / "h3.spec"
+    spec.write_text("group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n", encoding="utf-8")
+    assert main(["klbasis", str(spec), "--no-cache"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "group B 3\nL s = 1\nL t = 1\nL u = 10\n",
+    "group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 10\n",
+])
+def test_packed_matches_dict_ring_at_large_weight_ratios(text):
+    """At a weight ratio of 10 the packed table's `klbasis` document and
+    KL cache are the dict ring's, byte for byte."""
+    spec = parse_spec(text)
+    alg = HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights)
+    packed, terms = kl_basis(alg), _construct_terms(alg)
+    assert json.dumps(packed.to_json_dict()) == json.dumps(terms.to_json_dict())
+    assert packed.to_cache_text() == terms.to_cache_text()
+
+
+def test_wide_lex_box_is_built_in_the_dict_ring(tmp_path):
+    """A1^8 with L = e_1, ..., e_8 has a slot box of 5^8 slots, far too
+    many to pack: `klcells` builds it in the dict ring, in well under a
+    second and a few MB, and prints the same bytes with no cache, cold
+    and warm, the warm run loading the cache.  The run gets 60 s and 1 GB of address space (packed, the
+    table would take gigabytes).  C_w is the product of the C_s, s <= w,
+    so p_(y,w) = v^(L(y) - L(w)) for every y <= w."""
+    rank = 8
+    spec = tmp_path / "a1x8.spec"
+    spec.write_text("group matrix\n8\n" + "".join(
+        " ".join(["2"] * (rank - 1 - i)) + "\n" for i in range(rank - 1)) + "".join(
+        f"L lex {g} = e_{i + 1}\n" for i, g in enumerate("stuvwxyz")), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(hecke.__file__))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from klcells.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    cache = tmp_path / "cache"
+    outs, inodes = [], []
+    for args in (["--no-cache"], ["--cache-dir", str(cache)], ["--cache-dir", str(cache)]):
+        run = subprocess.run([sys.executable, "-c", script, "klbasis", str(spec), *args],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+        inodes.append([p.stat().st_ino for p in cache.iterdir()] if cache.exists() else [])
+    assert outs[0] == outs[1] == outs[2]
+    assert len(inodes[1]) == 1 and inodes[2] == inodes[1]  # the warm run is a cache hit
+    doc = json.loads(outs[0])
+    assert len(doc["c_basis"]) == 1 << rank
+    for w, row in doc["c_basis"].items():
+        letters = set(w.split()) - {"e"}
+        assert len(row) == 1 << len(letters), w
+        for y, coeff in row.items():
+            gap = letters - (set(y.split()) - {"e"})
+            exponent = ",".join("-1" if g in gap else "0" for g in "stuvwxyz")
+            assert coeff == f"1*v^({exponent})", (w, y)

@@ -1,8 +1,9 @@
 """Property tests: on random small Coxeter groups with random weights, the
 Hecke relations hold in the reference T-basis arithmetic, the KL basis
-equals the brute-force solver's and, coefficient by coefficient, the
-dict-ring construction's, the mu read of equal parameters equals the
-full cancellation, every C_s C_w in the table equals the product
+equals the brute-force solver's and, coefficient by coefficient and
+byte for byte in the cache, the dict-ring construction's (so the mu read
+of equal parameters equals the full cancellation), every C_s C_w in the
+table equals the product
 multiplied out and re-expanded in the C-basis, the inverse symmetry and
 the ascent corrections that the KL cache relies on hold, the extremal
 identity holds and the cache round-trips, and the cells satisfy the
@@ -19,13 +20,14 @@ from api_helpers import from_integers, regular_character
 from hecke_reference import (add, cs_product_reference, equal, multiply, scale,
                              t_basis)
 from kl_brute_oracle import brute_kl_expansions
-from laurent_ring import dict_kl_basis, sub
+from laurent_ring import sub
+from klcells import hecke
 from klcells.cells import cells, left_cell_character, left_preorder
 from klcells.characters import character_table
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              conjugate_generator_components,
                              named_coxeter_matrix)
-from klcells.hecke import HeckeAlgebra, KLTable, kl_basis
+from klcells.hecke import HeckeAlgebra, KLTable, _construct_terms, kl_basis
 from klcells.ordered_coeffs import LaurentElt
 
 A1_X_A2 = CoxeterMatrix.from_rows([[1, 2, 2], [2, 1, 3], [2, 3, 1]])
@@ -105,45 +107,35 @@ def test_kl_table_matches_brute_oracle_and_reference(alg):
                              cs_product_reference(table, s, w)), (W.gen_names[s], W.name(w))
 
 
-@pytest.mark.parametrize("kind", ["rational", "zero", "lex"])
+@pytest.mark.parametrize("kind", ["rational", "zero", "lex", "equal"])
 @settings(max_examples=8, deadline=None, database=None)
 @given(data=st.data())
 def test_packed_construction_matches_dict_ring(kind, data):
-    """Every decoded coefficient and correction of the packed kl_basis
-    equals the one the dict ring builds, which the brute-force solver
-    agrees with."""
-    alg = data.draw(algebras(kind))
-    table = kl_basis(alg)
-    c_exp, corrections = dict_kl_basis(alg)
-    W = alg.group
-    brute = brute_kl_expansions(alg)
-    for w in range(len(W)):
-        assert table.c_expansion(w) == c_exp[w], W.name(w)
-        assert equal(c_exp[w], brute[w]), W.name(w)
-    assert len(corrections) == sum(alg.positive) * len(W) // 2
-    for (s, u), expected in corrections.items():
-        prod = table.cs_product_in_c(s, u)
-        assert prod.pop(W.lmul_gen(s, u)) == alg.one_coeff()
-        assert prod == expected, (W.gen_names[s], W.name(u))
-
-
-@pytest.mark.parametrize("kind", ["equal", "zero"])
-@settings(max_examples=8, deadline=None, database=None)
-@given(data=st.data())
-def test_mu_read_matches_full_cancellation(kind, data):
-    """With every positive weight equal, zero weights allowed, kl_basis
-    reads the corrections of the ascent pairs other than the construction
-    steps off the rows; they equal a full cancellation on every pair."""
+    """Every decoded coefficient and every C_s C_w of the packed kl_basis
+    equals the one the dict ring builds (the construction of a slot box
+    too wide to pack, a full cancellation on every ascent pair), which
+    the brute-force solver agrees with; with equal weights this checks
+    the mu read.  Both write the same KL cache, and the dict-ring codec
+    loads it back to the same table."""
     alg = data.draw(algebras(kind))
     if kind == "equal":
         assert alg.equal_parameters
     table = kl_basis(alg)
-    _, corrections = dict_kl_basis(alg)
+    terms = _construct_terms(alg)
     W = alg.group
-    for (s, u), expected in corrections.items():
-        prod = table.cs_product_in_c(s, u)
-        del prod[W.lmul_gen(s, u)]
-        assert prod == expected, (W.gen_names[s], W.name(u))
+    brute = brute_kl_expansions(alg)
+    for w in range(len(W)):
+        assert table.c_expansion(w) == terms.c_expansion(w), W.name(w)
+        assert equal(terms.c_expansion(w), brute[w]), W.name(w)
+        for s in range(W.rank):
+            assert (table.cs_product_in_c(s, w) == terms.cs_product_in_c(s, w)
+                    ), (W.gen_names[s], W.name(w))
+    text = terms.to_cache_text()
+    assert text == table.to_cache_text()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hecke, "_MAX_SLOTS", 0)
+        loaded = KLTable.from_json_dict(json.loads(text), alg)
+    assert loaded.to_json_dict() == table.to_json_dict()
 
 
 @pytest.mark.parametrize("kind", ["rational", "zero", "lex"])
