@@ -27,22 +27,23 @@ u = sw, falls into one of four cases:
   with L = (1,1,3/2) fail it.)
 * L(s) = 0: T_s^2 = 1, so C_w = T_s C_u with no cancellation.
 
-Inside the construction and the table a coefficient sum_e c_e v^e is one
-Python int, X = sum_e c_e 2^(B (slot(e) + R)) (Kronecker substitution;
-`_Packing` has the slot map).  Sums are int + and -, v^(+-L(s)) is a
-shift, the zero test is X == 0, and m_y is the rounded high part of X.
-Each row carries a bound on its digits and on its exponents, checked
-before every read of a digit; a table whose bound would pass B bits is
-rebuilt with the next width of _SLOT_WIDTHS, and past the last one
-SlotOverflow is raised, so a digit never wraps.  An exponent that could
-leave the slot box raises BoxOverflow, which no width mends.  Packed
-coefficients are decoded to LaurentElt only at the API and text
-boundary: `c_expansion`, `cs_product_in_c`, `to_json_dict` and
-`to_cache_text`.  A packed int spans the whole slot box, a product over
-the exponent coordinates, so past _MAX_SLOTS slots (lex weights on many
-coordinates, or rational weights of a very large ratio) the table is
-built and held term by term as LaurentElt instead, with the same
-cancellation (`_construct_terms`, `_Terms`).
+Inside the construction a coefficient sum_e c_e v^e is one Python int,
+X = sum_e c_e 2^(B (slot(e) + R)) (Kronecker substitution; `_Packing`
+has the slot map).  Sums are int + and -, v^(+-L(s)) is a shift, the
+zero test is X == 0, and m_y is the rounded high part of X.  Each row
+carries a bound on its digits and on its exponents, checked before every
+read of a digit; a table whose bound would pass B bits is rebuilt with
+the next width of _SLOT_WIDTHS, and past the last one SlotOverflow is
+raised, so a digit never wraps.  An exponent that could leave the slot
+box raises BoxOverflow, which no width mends.  The ascent corrections
+are decoded to LaurentElt once, when the construction ends; the rows of
+a built table stay packed and are decoded as they are read
+(`c_expansion`, `to_json_dict`).  A packed int spans the whole slot box,
+a product over the exponent coordinates, so past _MAX_SLOTS slots (lex
+weights on many coordinates, or rational weights of a very large ratio)
+the table is built term by term as LaurentElt instead, with the same
+cancellation (`_construct_terms`).  A table loaded from the KL cache
+holds the LaurentElt it parsed and checked.
 
 The corrections are all the construction knows about the C_s C_w table;
 `KLTable.cs_product_in_c` derives every entry from them:
@@ -69,7 +70,7 @@ C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w gives
 
 (Lusztig, Hecke algebras with unequal parameters, ch. 5-6), so only the
 y with sy < y for every such s are written; the others are derived on
-load by shifting packed coefficients, walking down from the longest
+load by shifting exponent keys, walking down from the longest
 element of each coset of the parabolic subgroup on those s.  A
 zero-weight s is left out: C_s C_w = C_{sw} is not a multiple of C_w.
 The rows that are not written are rebuilt from their inverses and share
@@ -89,11 +90,11 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le, mul, rshift
-from typing import Dict, Iterable, List, Tuple
+from operator import add, le, mul
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .coxeter import CoxeterGroup, WeightFunction, validate_weights
-from .ordered_coeffs import LaurentElt, OrderedExponent
+from .ordered_coeffs import LEX, LaurentElt, OrderedExponent
 
 HeckeCoeffs = Dict[int, LaurentElt]
 Packed = Dict[int, int]  # element -> packed coefficient (`_Packing`)
@@ -104,14 +105,14 @@ CACHE_FORMAT = 3
 # one that its checked digit bound fits.
 _SLOT_WIDTHS = (16, 32, 64)
 
-# A table whose slot box has more slots than this is built and held in the
-# dict ring (`_Terms`).  A packed coefficient is about B x (number of slots)
-# bits, and in lex mode the box is a product over the coordinates.  On a
-# 2-core Xeon with CPython 3.11, A1^7 with L = e_1, ..., e_7 (78 125
-# slots) took 1.1 s and 176 MB packed against 0.03 s and 22 MB in the
-# dict ring, and A1^8 would take gigabytes; F4 with L = (e_1, e_1, e_2,
-# e_2) (729 slots) took 5 s packed against 11 s, but 306 MB against
-# 176 MB.
+# `kl_basis` builds a table whose slot box has more slots than this in the
+# dict ring (`_construct_terms`); the loader never packs.  A packed
+# coefficient is about B x (number of slots) bits, and in lex mode the box
+# is a product over the coordinates.  On a 2-core Xeon with CPython 3.11,
+# A1^7 with L = e_1, ..., e_7 (78 125 slots) took 1.1 s and 176 MB packed
+# against 0.03 s and 22 MB in the dict ring, and A1^8 would take
+# gigabytes; F4 with L = (e_1, e_1, e_2, e_2) (729 slots) took 5 s packed
+# against 11 s, but 306 MB against 176 MB.
 _MAX_SLOTS = 1 << 10
 
 
@@ -226,8 +227,6 @@ class _Packing:
     bounds do not cover.
     """
 
-    lower = staticmethod(rshift)  # x >> shift is v^{-L(u)} x
-
     def __init__(self, algebra: HeckeAlgebra, bits: int):
         exps = algebra.weights.exps
         self.units, self.box = _slot_box(algebra)
@@ -242,29 +241,17 @@ class _Packing:
         self.one = 1 << self.BR
         self.limit = 1 << (bits - 2)
         self.zero_reach = (0,) * len(self.box)
-        coords = [self._coords(L.value) for L in exps]
+        # the weights are multiples of the units, so x / unit is exact
+        coords = [[int(x / unit) for x, unit in zip(L.value, self.units)] for L in exps]
         self.shift = [bits * sum(map(mul, x, self.places)) for x in coords]
         self.abs_weight = [tuple(map(abs, x)) for x in coords]
-        self.v_sum = [(self.one << sh) + (self.one >> sh) for sh in self.shift]
-        self._key_slot: Dict[int, int] = {}
         self._slot_key: Dict[int, int] = {}
         self._slot_reach: Dict[int, Tuple[int, ...]] = {}
         self._decoded: Dict[int, LaurentElt] = {}
-        self._texts: Dict[int, str] = {}
         self._masks: Dict[int, Tuple[int, int]] = {}
         self._reaches: Dict[int, Tuple[int, ...]] = {}
 
     # -- exponents: grid keys, slots, coordinates -----------------------
-
-    def _coords(self, value: Tuple[Fraction, ...]) -> Tuple[int, ...]:
-        out = []
-        for x, unit, b in zip(value, self.units, self.box):
-            q = x / unit
-            if q.denominator != 1 or abs(q) > b:
-                raise BoxOverflow(f"exponent {','.join(map(str, value))} is not in "
-                                  f"the slot box")
-            out.append(int(q))
-        return tuple(out)
 
     def _slot_coords(self, slot: int) -> Tuple[int, ...]:
         """The balanced mixed-radix digits of `slot`, most significant first."""
@@ -274,13 +261,6 @@ class _Packing:
             out.append(q)
             slot -= q * place
         return tuple(out)
-
-    def _slot(self, key: int) -> int:
-        slot = self._key_slot.get(key)
-        if slot is None:
-            coords = self._coords(OrderedExponent.decode(key, self.grid).value)
-            slot = self._key_slot[key] = sum(map(mul, coords, self.places))
-        return slot
 
     def _key(self, slot: int) -> int:
         key = self._slot_key.get(slot)
@@ -387,18 +367,6 @@ class _Packing:
 
     # -- the boundary ----------------------------------------------------
 
-    def pack(self, c: LaurentElt) -> Tuple[int, Tuple[int, ...]]:
-        """c packed, and max |x_i| over its exponents; SlotOverflow for a
-        coefficient at or past the limit or an exponent outside the box."""
-        x, reach = 0, self.zero_reach
-        for key, coeff in c.items():
-            if abs(coeff) >= self.limit:
-                raise SlotOverflow(f"coefficient {coeff} does not fit {self.bits}-bit slots")
-            slot = self._slot(key)
-            x += coeff << (self.bits * (slot + self.R))
-            reach = tuple(map(max, reach, self._reach(slot)))
-        return x, reach
-
     def decode(self, x: int) -> LaurentElt:
         elt = self._decoded.get(x)
         if elt is None:
@@ -407,99 +375,45 @@ class _Packing:
                 self.grid, {self._key(pos - R): d for pos, d in self._digits(x)})
         return elt
 
-    def text(self, x: int) -> str:
-        text = self._texts.get(x)
-        if text is None:
-            text = self._texts[x] = self.decode(x).render()
-        return text
-
-
-class _Terms:
-    """The coefficients of a table whose slot box has more than _MAX_SLOTS
-    slots, held as LaurentElt: the part of `_Packing` that KLTable and
-    `_complete_row` use, where decoding is the identity and a shift is one
-    of the exponent keys.  Nothing overflows, so `check` passes."""
-
-    zero_reach: Tuple[int, ...] = ()
-
-    def __init__(self, algebra: HeckeAlgebra):
-        grid = algebra.grid
-        self.one = algebra.one_coeff()
-        self.shift = [L.encode(grid) for L in algebra.weights.exps]
-        self.abs_weight = [()] * len(self.shift)
-        self.v_sum = [LaurentElt.v_power(L, grid=grid) + LaurentElt.v_power(-L, grid=grid)
-                      for L in algebra.weights.exps]
-        self._texts: Dict[LaurentElt, str] = {}
-
-    def check(self, reach: Tuple[int, ...], bound: int = 0) -> None:
-        pass
-
-    @staticmethod
-    def pack(c: LaurentElt) -> Tuple[LaurentElt, Tuple[int, ...]]:
-        return c, ()
-
-    @staticmethod
-    def decode(x: LaurentElt) -> LaurentElt:
-        return x
-
-    @staticmethod
-    def lower(x: LaurentElt, key: int) -> LaurentElt:
-        return LaurentElt(x.grid, {g - key: c for g, c in x.items()})
-
-    def text(self, x: LaurentElt) -> str:
-        text = self._texts.get(x)
-        if text is None:
-            text = self._texts[x] = x.render()
-        return text
-
-
-def _holding(algebra: HeckeAlgebra, values: Iterable[LaurentElt]) -> "_Packing | _Terms":
-    """The codec of a loaded table: `_Terms` when the slot box is too wide
-    to pack, else the narrowest packing whose limit every coefficient of
-    `values` is below."""
-    if not _packs(algebra):
-        return _Terms(algebra)
-    peak = max((abs(c) for x in values for _, c in x.items()), default=0)
-    for bits in _SLOT_WIDTHS:
-        if peak < 1 << (bits - 2):
-            return _Packing(algebra, bits)
-    raise SlotOverflow(f"coefficient {peak} is too large for a packed slot")
-
 
 class KLTable:
     """The KL basis: the T-expansion of every C_w, and the corrections
     {y: m_y} of C_s C_u = C_su + sum_y m_y C_y for every ascent pair
     (s, u), su > u and L(s) > 0, from which the C_s C_w table is derived.
-    Both are held packed (`_Packing`), or as LaurentElt when the slot box
-    is too wide (`_Terms`), and decoded on the way out."""
+    The corrections are LaurentElt, and so are the rows unless `decode`
+    is given: then they are the packed ints of `kl_basis` (`_Packing`),
+    decoded as they are read."""
 
-    def __init__(self, algebra: HeckeAlgebra, packing: "_Packing | _Terms", c_exp: List[Packed],
-                 corrections: Dict[Tuple[int, int], Packed]):
+    def __init__(self, algebra: HeckeAlgebra, c_exp: List[dict],
+                 corrections: Dict[Tuple[int, int], HeckeCoeffs],
+                 decode: Optional[Callable[[int], LaurentElt]] = None):
         self.algebra = algebra
         self.group = algebra.group
-        self._packing = packing
         self._c_exp = c_exp
         self._corrections = corrections
+        self._decode = decode
+        grid = algebra.grid
+        self._one = algebra.one_coeff()
+        # v^L(s) + v^-L(s): C_s C_w is this multiple of C_w when sw < w
+        self._scalar = [LaurentElt.v_power(L, grid=grid) + LaurentElt.v_power(-L, grid=grid)
+                       for L in algebra.weights.exps]
 
     def c_expansion(self, w: int) -> HeckeCoeffs:
         """C_w in the T-basis."""
-        decode = self._packing.decode
+        decode = self._decode
+        if decode is None:
+            return dict(self._c_exp[w])
         return {y: decode(x) for y, x in self._c_exp[w].items()}
-
-    def _cs_product(self, s: int, w: int) -> Packed:
-        sw = self.group.lmul_gen(s, w)
-        pk = self._packing
-        if not self.algebra.positive[s]:
-            return {sw: pk.one}
-        if sw < w:
-            return {w: pk.v_sum[s]}
-        return {sw: pk.one, **self._corrections[(s, w)]}
 
     def cs_product_in_c(self, s: int, w: int) -> HeckeCoeffs:
         """C_s C_w in the C-basis, derived from the stored corrections by
         the three rules in the module docstring."""
-        decode = self._packing.decode
-        return {y: decode(x) for y, x in self._cs_product(s, w).items()}
+        sw = self.group.lmul_gen(s, w)
+        if not self.algebra.positive[s]:
+            return {sw: self._one}
+        if sw < w:
+            return {w: self._scalar[s]}
+        return {sw: self._one, **self._corrections[(s, w)]}
 
     # -- serialization ---------------------------------------------------
 
@@ -511,9 +425,29 @@ class KLTable:
         group, algebra = self.group, self.algebra
         n = len(group)
         names = [group.name(w) for w in range(n)]
-        text = self._packing.text
+        # Tables share few distinct coefficient objects, so each is rendered
+        # once.  The memo holds the object with its text: no id is reused.
+        texts: Dict[int, Tuple[LaurentElt, str]] = {}
 
-        def to_json(h: Packed) -> dict:
+        def render(c: LaurentElt) -> str:
+            hit = texts.get(id(c))
+            if hit is None:
+                hit = texts[id(c)] = (c, c.render())
+            return hit[1]
+
+        row_text, decode = render, self._decode
+        if decode is not None:
+            # Equal packed ints are often distinct objects, and an int hashes
+            # cheaply (a LaurentElt does not): memoised by value.
+            packed_texts: Dict[int, str] = {}
+
+            def row_text(x: int) -> str:
+                text = packed_texts.get(x)
+                if text is None:
+                    text = packed_texts[x] = render(decode(x))
+                return text
+
+        def to_json(h: dict, text: Callable[..., str] = render) -> dict:
             return {names[y]: text(h[y]) for y in sorted(h)}
 
         doc = algebra.header()
@@ -525,11 +459,12 @@ class KLTable:
                 if inv(w) >= w:
                     m = masks[w]
                     c_basis[names[w]] = to_json(
-                        {y: c for y, c in self._c_exp[w].items() if masks[y] & m == m})
+                        {y: x for y, x in self._c_exp[w].items() if masks[y] & m == m},
+                        row_text)
             products = sorted(self._corrections.items())
         else:
-            c_basis = {names[w]: to_json(self._c_exp[w]) for w in range(n)}
-            products = [((s, w), self._cs_product(s, w))
+            c_basis = {names[w]: to_json(self._c_exp[w], row_text) for w in range(n)}
+            products = [((s, w), self.cs_product_in_c(s, w))
                         for s in range(group.rank) for w in range(n)]
         doc["c_basis"] = c_basis
         doc["cs_products"] = {f"{group.gen_names[s]}|{names[w]}": to_json(h)
@@ -558,9 +493,12 @@ class KLTable:
         shorter y (smaller index) with negative exponents.  Each product
         key must be an ascent pair, all of them must be present, and each
         correction must be nonzero, bar-invariant and sit at a y with
-        sy < y shorter than su.  Every coefficient, the derived ones too,
-        must fit the packing.  Anything else raises ValueError (or
-        KeyError, TypeError, ... on a document of the wrong shape).
+        sy < y shorter than su.  In lex mode each derived exponent must
+        keep the coordinate bound.  Anything else raises ValueError (or
+        KeyError, TypeError, ... on a document of the wrong shape).  The
+        table holds the LaurentElt parsed and checked here; the rows that
+        are not stored, and the coefficients that are not left-extremal,
+        are derived from them by exponent key shifts and share them.
         """
         header = dict(algebra.header(), format=CACHE_FORMAT, key=algebra.content_key())
         if (set(doc) != {*header, "c_basis", "cs_products", "digest"}
@@ -609,19 +547,20 @@ class KLTable:
         if len(products) != sum(algebra.positive) * len(group) // 2:
             raise ValueError("an ascent pair of the C_s C_w table is missing")
 
-        pk = _holding(algebra, parsed.values())
-        packed = {id(c): pk.pack(c) for c in parsed.values()}
-        c_exp: List[Packed] = [None] * len(group)
-        walks: Dict[int, tuple] = {}
+        c_exp: List[HeckeCoeffs] = [None] * len(group)
+        walks: Dict[int, list] = {}
+        shifted: Dict[Tuple[int, int], LaurentElt] = {}
         for w, row in stored.items():
-            c_exp[w] = _complete_row(algebra, pk, w,
-                                     {y: packed[id(c)] for y, c in row.items()}, walks)
+            c_exp[w] = _complete_row(algebra, w, row, walks, shifted)
+        if grid[0] == LEX:
+            # A derived exponent is a stored one less L(u), and a lex
+            # coordinate has a bound that decode checks.
+            for key in {g for c in shifted.values() for g, _ in c.items()}:
+                OrderedExponent.decode(key, grid)
         for w, row in enumerate(c_exp):
             if row is None:
-                c_exp[w] = {inv(y): x for y, x in c_exp[inv(w)].items()}
-        corrections = {pair: {y: packed[id(m)][0] for y, m in h.items()}
-                       for pair, h in products.items()}
-        return KLTable(algebra, pk, c_exp, corrections)
+                c_exp[w] = {inv(y): c for y, c in c_exp[inv(w)].items()}
+        return KLTable(algebra, c_exp, products)
 
 
 def _check_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs) -> HeckeCoeffs:
@@ -645,15 +584,14 @@ def _check_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs) -> HeckeCoeff
     return stored
 
 
-def _parabolic_walk(algebra: HeckeAlgebra, pk: "_Packing | _Terms", gens: Tuple[int, ...]
-                    ) -> Tuple[List[Tuple[int, int, int]], Tuple[int, ...]]:
+def _parabolic_walk(algebra: HeckeAlgebra, gens: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
     """The elements u != e of the parabolic subgroup on `gens`, shortest
-    first, each as (i, s, shift): u = s u_i with l(u) = l(u_i) + 1, where
-    u_i is the i-th element of the walk counting e as 0, and
-    pk.lower(x, shift) is v^{-L(u)} x.  Also max |x_i| over the exponents
-    L(u)."""
-    group = algebra.group
-    elems, shifts, reaches = [group.identity], [0], [pk.zero_reach]
+    first, each as (i, s, key): u = s u_i with l(u) = l(u_i) + 1, where
+    u_i is the i-th element of the walk counting e as 0, and key is the
+    grid key of L(u)."""
+    group, grid = algebra.group, algebra.grid
+    weight_keys = [L.encode(grid) for L in algebra.weights.exps]
+    elems, keys = [group.identity], [0]
     seen = {group.identity}
     walk = []
     for i, u in enumerate(elems):  # grows while it is read
@@ -662,40 +600,42 @@ def _parabolic_walk(algebra: HeckeAlgebra, pk: "_Packing | _Terms", gens: Tuple[
             if su > u and su not in seen:
                 seen.add(su)
                 elems.append(su)
-                shifts.append(shifts[i] + pk.shift[s])
-                reaches.append(tuple(map(add, reaches[i], pk.abs_weight[s])))
-                walk.append((i, s, shifts[-1]))
-    return walk, tuple(map(max, *reaches))
+                keys.append(keys[i] + weight_keys[s])
+                walk.append((i, s, keys[-1]))
+    return walk
 
 
-def _complete_row(algebra: HeckeAlgebra, pk: "_Packing | _Terms", w: int,
-                  stored: Dict[int, Tuple[int, Tuple[int, ...]]],
-                  walks: Dict[int, tuple]) -> Packed:
-    """C_w packed from its checked, packed stored coefficients (each with
-    its exponent reach).  With P the parabolic subgroup on the s in L(w)
-    with L(s) > 0, a left-extremal z is the longest element of its coset
-    Pz, and p_{uz,w} = v^{-L(u)} p_{z,w} for u in P, by the identity in the
-    module docstring along a reduced word of u.  `walks` memoises
-    _parabolic_walk per descent mask."""
-    group = algebra.group
+def _complete_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs,
+                  walks: Dict[int, list], shifted: Dict[Tuple[int, int], LaurentElt]
+                  ) -> HeckeCoeffs:
+    """C_w from its checked stored coefficients.  With P the parabolic
+    subgroup on the s in L(w) with L(s) > 0, a left-extremal z is the
+    longest element of its coset Pz, and p_{uz,w} = v^{-L(u)} p_{z,w} for
+    u in P, by the identity in the module docstring along a reduced word
+    of u: the exponent keys of p_{z,w} less the key of L(u).  `walks`
+    memoises _parabolic_walk per descent mask, and `shifted` each
+    v^{-L(u)} p_{z,w} per stored coefficient (by id: the loader keeps
+    them all) and key, so that equal coefficients share one object."""
+    group, grid = algebra.group, algebra.grid
     m = algebra.descent_masks[w]
     if not m:
-        return {y: x for y, (x, _) in stored.items()}
+        return stored
     walk = walks.get(m)
     if walk is None:
         gens = tuple(s for s in range(group.rank) if m >> s & 1)
-        walk = walks[m] = _parabolic_walk(algebra, pk, gens)
-    steps, walk_reach = walk
-    lmul, lower = group.lmul_gen, pk.lower
-    row: Packed = {}
-    for z, (x, reach) in stored.items():
-        pk.check(tuple(map(add, reach, walk_reach)))
-        row[z] = x
+        walk = walks[m] = _parabolic_walk(algebra, gens)
+    lmul = group.lmul_gen
+    row: HeckeCoeffs = {}
+    for z, c in stored.items():
+        row[z] = c
         coset = [z]  # coset[i] = u_i z, walking down from z
-        for i, s, shift in steps:
+        for i, s, key in walk:
             y = lmul(s, coset[i])
             coset.append(y)
-            row[y] = lower(x, shift)
+            x = shifted.get((id(c), key))
+            if x is None:
+                x = shifted[id(c), key] = LaurentElt(grid, {g - key: k for g, k in c.items()})
+            row[y] = x
     return row
 
 
@@ -810,7 +750,9 @@ def _construct(algebra: HeckeAlgebra, pk: _Packing) -> KLTable:
                 corrections[(s, u)] = _read_mu(pk, s, left[s], u, c_exp[u])
             else:
                 corrections[(s, u)] = _cancel(pk, s, left[s], u, w, c_exp, digits, reach)[1]
-    return KLTable(algebra, pk, c_exp, corrections)
+    decode = pk.decode
+    return KLTable(algebra, c_exp, {pair: {y: decode(m) for y, m in h.items()}
+                                    for pair, h in corrections.items()}, decode)
 
 
 def _add_into(h: HeckeCoeffs, y: int, c: LaurentElt) -> None:
@@ -880,7 +822,7 @@ def _construct_terms(algebra: HeckeAlgebra) -> KLTable:
             cw, corrections[(s, u)] = _cancel_terms(algebra, s, u, w, c_exp, *v_pm[s])
             if s == first:
                 c_exp[w] = cw
-    return KLTable(algebra, _Terms(algebra), c_exp, corrections)
+    return KLTable(algebra, c_exp, corrections)
 
 
 def kl_basis(algebra: HeckeAlgebra) -> KLTable:

@@ -21,7 +21,6 @@ from hecke_reference import (add, cs_product_reference, equal, multiply, scale,
                              t_basis)
 from kl_brute_oracle import brute_kl_expansions
 from laurent_ring import sub
-from klcells import hecke
 from klcells.cells import cells, left_cell_character, left_preorder
 from klcells.characters import character_table
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
@@ -115,8 +114,8 @@ def test_packed_construction_matches_dict_ring(kind, data):
     equals the one the dict ring builds (the construction of a slot box
     too wide to pack, a full cancellation on every ascent pair), which
     the brute-force solver agrees with; with equal weights this checks
-    the mu read.  Both write the same KL cache, and the dict-ring codec
-    loads it back to the same table."""
+    the mu read.  Both write the same KL cache, which loads back to the
+    same table."""
     alg = data.draw(algebras(kind))
     if kind == "equal":
         assert alg.equal_parameters
@@ -132,9 +131,7 @@ def test_packed_construction_matches_dict_ring(kind, data):
                     ), (W.gen_names[s], W.name(w))
     text = terms.to_cache_text()
     assert text == table.to_cache_text()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hecke, "_MAX_SLOTS", 0)
-        loaded = KLTable.from_json_dict(json.loads(text), alg)
+    loaded = KLTable.from_json_dict(json.loads(text), alg)
     assert loaded.to_json_dict() == table.to_json_dict()
 
 
@@ -167,13 +164,17 @@ def test_inverse_symmetry_and_ascent_corrections(kind, data):
                 assert W.lmul_gen(s, y) < y and W.length(y) < W.length(su), label
 
 
+@pytest.mark.parametrize("kind", ["rational", "zero", "lex", "equal"])
 @settings(max_examples=8, deadline=None, database=None)
-@given(algebras())
-def test_extremal_identity_and_cache_round_trip(alg):
+@given(data=st.data())
+def test_extremal_identity_and_cache_round_trip(kind, data):
     """p_(y,w) = v^-L(s) p_(sy,w) for s in L(w), L(s) > 0, sy > y; the cache
     keeps exactly the left-extremal coefficients of the rows with
     index(w) <= index(w^-1), one key per ascent pair holding its
-    corrections, and loads back to the same table."""
+    corrections, and loads back to the same table, for each kind of
+    weights (the loader derives the other coefficients by exponent key
+    shifts, on lex keys and on grids of scale above 1 too)."""
+    alg = data.draw(algebras(kind))
     table = kl_basis(alg)
     W = alg.group
     doc = json.loads(table.to_cache_text())

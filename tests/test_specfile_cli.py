@@ -9,7 +9,7 @@ from klcells.cli import main
 from klcells.conjecture import B2_REGIME_POINTS
 from klcells.coxeter import ConjugacyViolation
 from klcells.hecke import payload_digest
-from klcells.ordered_coeffs import LEX, RATIONAL
+from klcells.ordered_coeffs import LEX, LEX_BOUND, RATIONAL
 from klcells.specfile import SpecParseError, parse_spec, render_spec
 
 
@@ -326,6 +326,33 @@ def resign(doc):
     """`doc` with a `digest` that matches its (edited) payload."""
     doc["digest"] = payload_digest(doc)
     return json.dumps(doc)
+
+
+def test_lex_cache_past_the_coordinate_bound_is_recomputed(tmp_path, capsys):
+    """A re-signed lex cache whose stored coefficient passes every row
+    check, but whose derived coefficients v^(-L(u)) p_(z,w) would pass the
+    lex coordinate bound, is a miss: `klbasis` recomputes, prints the
+    --no-cache bytes with exit 0 and rewrites the file."""
+    spec = write(tmp_path / "b3lex.spec",
+                 "group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n")
+    code, cold, _ = run_cli(capsys, "klbasis", spec, "--no-cache")
+    assert code == 0
+    cache = tmp_path / "cache"
+    code, _, _ = run_cli(capsys, "klbasis", spec, "--cache-dir", str(cache))
+    assert code == 0
+    [path] = cache.iterdir()
+    good = path.read_text(encoding="utf-8")
+    doc = json.loads(good)
+    # s, of weight e_1, is in L(w) for w = s..., so p_(sy,w) is derived
+    # as v^(-e_1) p_(y,w) from each stored p_(y,w), y != w.
+    w, y = next((w, y) for w, row in sorted(doc["c_basis"].items()) if w.startswith("s")
+                for y in row if y != w)
+    doc["c_basis"][w][y] = f"1*v^(-{LEX_BOUND},0)"
+    path.write_text(resign(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "klbasis", spec, "--cache-dir", str(cache))
+    assert (code, err) == (0, "")
+    assert out == cold
+    assert path.read_text(encoding="utf-8") == good
 
 
 def test_unreadable_cache_is_recomputed(tmp_path, capsys):
