@@ -268,9 +268,6 @@ class CoxeterGroup:
     def generator(self, g: int) -> int:
         return self._rmul[0][g]
 
-    def generators(self) -> List[int]:
-        return [self.generator(g) for g in range(self.rank)]
-
     def word(self, w: int) -> Tuple[int, ...]:
         return self._words[w]
 
@@ -281,13 +278,6 @@ class CoxeterGroup:
         if w == 0:
             return "e"
         return " ".join(self.gen_names[g] for g in self._words[w])
-
-    def element_by_name(self, text: str) -> int:
-        text = text.strip()
-        if text == "e":
-            return 0
-        gen_of = {nm: i for i, nm in enumerate(self.gen_names)}
-        return self.element_by_word(gen_of[t] for t in text.split())
 
     def element_by_word(self, word) -> int:
         w = 0

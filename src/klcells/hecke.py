@@ -35,15 +35,13 @@ carries a bound on its digits and on its exponents, checked before every
 read of a digit; a table whose bound would pass B bits is rebuilt with
 the next width of _SLOT_WIDTHS, and past the last one SlotOverflow is
 raised, so a digit never wraps.  An exponent that could leave the slot
-box raises BoxOverflow, which no width mends.  The ascent corrections
-are decoded to LaurentElt once, when the construction ends; the rows of
-a built table stay packed and are decoded as they are read
-(`c_expansion`, `to_json_dict`).  A packed int spans the whole slot box,
-a product over the exponent coordinates, so past _MAX_SLOTS slots (lex
-weights on many coordinates, or rational weights of a very large ratio)
-the table is built term by term as LaurentElt instead, with the same
-cancellation (`_construct_terms`).  A table loaded from the KL cache
-holds the LaurentElt it parsed and checked.
+box raises BoxOverflow, which no width mends.  When the construction
+ends, the part of the table that the KL cache stores (below) is decoded
+to LaurentElt once, and no packed int leaves it.  A packed int spans the
+whole slot box, a product over the exponent coordinates, so past
+_MAX_SLOTS slots (lex weights on many coordinates, or rational weights
+of a very large ratio) the table is built term by term as LaurentElt
+instead, with the same cancellation (`_construct_terms`).
 
 The corrections are all the construction knows about the C_s C_w table;
 `KLTable.cs_product_in_c` derives every entry from them:
@@ -69,17 +67,19 @@ C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w gives
     p_{y,w} = v^{-L(s)} p_{sy,w}    whenever sy > y
 
 (Lusztig, Hecke algebras with unequal parameters, ch. 5-6), so only the
-y with sy < y for every such s are written; the others are derived on
-load by shifting exponent keys, walking down from the longest
-element of each coset of the parabolic subgroup on those s.  A
-zero-weight s is left out: C_s C_w = C_{sw} is not a multiple of C_w.
-The rows that are not written are rebuilt from their inverses and share
-their coefficients.  The file is compact JSON with a `format` field and
-the SHA-256 of its canonical payload, checked before anything is parsed.
-`KLTable.from_json_dict` loads only that document, the one
-`KLTable.to_cache_text` writes, and lists the checks it makes.  Format 3
-halves format 2: A5 (equal parameters) 594 kB -> 268 kB, F4 with
-L = (1,1,2,2) 4.77 MB -> 2.50 MB.
+y with sy < y for every such s are written.  A zero-weight s is left
+out: C_s C_w = C_{sw} is not a multiple of C_w.
+
+A KLTable holds just that stored part, built (`kl_basis`) or loaded
+(`KLTable.from_json_dict`, which checks it), and `KLTable._row` derives
+the rest when a row is read: down each coset of the parabolic subgroup
+on the s above by exponent key shifts, and the other rows from their
+inverses.  `cells` reads only the corrections and derives no row.  The
+file is compact JSON with a `format` field and the SHA-256 of its
+canonical payload, checked before anything is parsed; `to_cache_text`
+renders what the table holds and `from_json_dict` loads only that.
+Format 3 halves format 2: A5 (equal parameters) 594 kB -> 268 kB, F4
+with L = (1,1,2,2) 4.77 MB -> 2.50 MB.
 """
 
 from __future__ import annotations
@@ -89,12 +89,12 @@ import heapq
 import json
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, le, mul
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .coxeter import CoxeterGroup, WeightFunction, validate_weights
-from .ordered_coeffs import LEX, LaurentElt, OrderedExponent
+from .ordered_coeffs import LaurentElt, OrderedExponent
 
 HeckeCoeffs = Dict[int, LaurentElt]
 Packed = Dict[int, int]  # element -> packed coefficient (`_Packing`)
@@ -106,9 +106,9 @@ CACHE_FORMAT = 3
 _SLOT_WIDTHS = (16, 32, 64)
 
 # `kl_basis` builds a table whose slot box has more slots than this in the
-# dict ring (`_construct_terms`); the loader never packs.  A packed
-# coefficient is about B x (number of slots) bits, and in lex mode the box
-# is a product over the coordinates.  On a 2-core Xeon with CPython 3.11,
+# dict ring (`_construct_terms`).  A packed coefficient is about
+# B x (number of slots) bits, and in lex mode the box is a product over
+# the coordinates.  On a 2-core Xeon with CPython 3.11,
 # A1^7 with L = e_1, ..., e_7 (78 125 slots) took 1.1 s and 176 MB packed
 # against 0.03 s and 22 MB in the dict ring, and A1^8 would take
 # gigabytes; F4 with L = (e_1, e_1, e_2, e_2) (729 slots) took 5 s packed
@@ -141,8 +141,9 @@ def payload_digest(doc: dict) -> str:
 
 class HeckeAlgebra:
     """Context object: group, validated weights, the grid every decoded
-    coefficient keeps its int exponent keys on, and which generators have
-    L(s) > 0."""
+    coefficient keeps its int exponent keys on, which generators have
+    L(s) > 0, and the cosets of the parabolic subgroups along which the
+    coefficients of a row are derived."""
 
     def __init__(self, group: CoxeterGroup, weights: WeightFunction):
         validate_weights(group.matrix, weights, group.gen_names)
@@ -150,6 +151,7 @@ class HeckeAlgebra:
         self.weights = weights
         self.grid = OrderedExponent.grid_of(weights.mode, weights.arity, weights.exps)
         self.positive = [L.sign() > 0 for L in weights.exps]
+        self._cosets: Dict[int, tuple] = {}
 
     def header(self) -> dict:
         """Group and weights as JSON: the head of the KL cache and reports."""
@@ -184,6 +186,37 @@ class HeckeAlgebra:
         group, positive = self.group, self.positive
         return [sum(1 << s for s in group.left_descents(w) if positive[s])
                 for w in range(len(group))]
+
+    def parabolic_cosets(self, mask: int) -> Tuple[Tuple[int, ...], dict, dict]:
+        """(keys, cosets, inverses) for the parabolic subgroup P on the
+        generators in `mask`, with elements u_0 = e, u_1, ... listed
+        shortest first: keys[j] is the grid key of L(u_j), and for z the
+        longest element of its coset Pz, cosets[z] lists the u_j z and
+        inverses[z] their inverses.  Memoised per mask."""
+        hit = self._cosets.get(mask)
+        if hit is None:
+            group, masks = self.group, self.descent_masks
+            weight_keys = [L.encode(self.grid) for L in self.weights.exps]
+            elems, keys, steps = [group.identity], [0], []
+            seen = {group.identity}
+            for i, u in enumerate(elems):  # grows while it is read
+                for s in range(group.rank):
+                    su = group.lmul_gen(s, u)
+                    if mask >> s & 1 and su > u and su not in seen:
+                        seen.add(su)
+                        elems.append(su)
+                        keys.append(keys[i] + weight_keys[s])
+                        steps.append((i, s))
+            cosets, inverses = {}, {}
+            for z in range(len(group)):
+                if masks[z] & mask == mask:
+                    coset = [z]  # coset[j] = u_j z, walking down from z
+                    for i, s in steps:
+                        coset.append(group.lmul_gen(s, coset[i]))
+                    cosets[z] = coset
+                    inverses[z] = [group.inv(y) for y in coset]
+            hit = self._cosets[mask] = (tuple(keys), cosets, inverses)
+        return hit
 
 
 def _slot_box(algebra: HeckeAlgebra) -> Tuple[List[Fraction], List[int]]:
@@ -377,33 +410,45 @@ class _Packing:
 
 
 class KLTable:
-    """The KL basis: the T-expansion of every C_w, and the corrections
-    {y: m_y} of C_s C_u = C_su + sum_y m_y C_y for every ascent pair
-    (s, u), su > u and L(s) > 0, from which the C_s C_w table is derived.
-    The corrections are LaurentElt, and so are the rows unless `decode`
-    is given: then they are the packed ints of `kl_basis` (`_Packing`),
-    decoded as they are read."""
+    """The KL basis, as the part of it that the KL cache stores (module
+    docstring): `stored`, the left-extremal coefficients of the rows C_w
+    with index(w) <= index(w^-1), and `corrections`, the {y: m_y} of
+    C_s C_u = C_su + sum_y m_y C_y for every ascent pair (s, u), su > u
+    and L(s) > 0, all LaurentElt.  `_row` derives the other coefficients
+    of a row as it is read, and `cs_product_in_c` the C_s C_w table."""
 
-    def __init__(self, algebra: HeckeAlgebra, c_exp: List[dict],
-                 corrections: Dict[Tuple[int, int], HeckeCoeffs],
-                 decode: Optional[Callable[[int], LaurentElt]] = None):
+    def __init__(self, algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs],
+                 corrections: Dict[Tuple[int, int], HeckeCoeffs]):
         self.algebra = algebra
         self.group = algebra.group
-        self._c_exp = c_exp
+        self._stored = stored
         self._corrections = corrections
-        self._decode = decode
         grid = algebra.grid
         self._one = algebra.one_coeff()
         # v^L(s) + v^-L(s): C_s C_w is this multiple of C_w when sw < w
         self._scalar = [LaurentElt.v_power(L, grid=grid) + LaurentElt.v_power(-L, grid=grid)
                        for L in algebra.weights.exps]
 
+    def _row(self, w: int, derive: Callable[[LaurentElt, Tuple[int, ...]], list]) -> dict:
+        """C_w as {y: x}, with derive(c, keys) listing an x for v^-e c, for
+        each grid key of e in `keys`, for a stored coefficient c: the one
+        place that derives what a table does not store.  A row not stored
+        is its inverse's, p_{y,w} = p_{y^-1,w^-1}.  In a stored row, with P
+        the parabolic subgroup on the s in L(w) with L(s) > 0, each
+        left-extremal z is the longest in its coset Pz, and
+        p_{uz,w} = v^{-L(u)} p_{z,w} for u in P (module docstring)."""
+        v = min(w, self.group.inv(w))
+        keys, cosets, inverses = self.algebra.parabolic_cosets(self.algebra.descent_masks[v])
+        if v < w:
+            cosets = inverses
+        row = {}
+        for z, c in self._stored[v].items():
+            row.update(zip(cosets[z], derive(c, keys)))
+        return row
+
     def c_expansion(self, w: int) -> HeckeCoeffs:
         """C_w in the T-basis."""
-        decode = self._decode
-        if decode is None:
-            return dict(self._c_exp[w])
-        return {y: decode(x) for y, x in self._c_exp[w].items()}
+        return self._row(w, lambda c, keys: [_lower(c, key) for key in keys])
 
     def cs_product_in_c(self, s: int, w: int) -> HeckeCoeffs:
         """C_s C_w in the C-basis, derived from the stored corrections by
@@ -417,68 +462,43 @@ class KLTable:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json_dict(self, stored_only: bool = False) -> dict:
-        """The table as JSON: the `klbasis` output.  With `stored_only`, the
-        part the KL cache keeps: the C_w rows with index(w) <= index(w^-1),
-        each with its left-extremal coefficients only, and the corrections
-        of each ascent pair in place of the C_s C_w table."""
-        group, algebra = self.group, self.algebra
-        n = len(group)
-        names = [group.name(w) for w in range(n)]
-        # Tables share few distinct coefficient objects, so each is rendered
-        # once.  The memo holds the object with its text: no id is reused.
-        texts: Dict[int, Tuple[LaurentElt, str]] = {}
-
-        def render(c: LaurentElt) -> str:
-            hit = texts.get(id(c))
-            if hit is None:
-                hit = texts[id(c)] = (c, c.render())
-            return hit[1]
-
-        row_text, decode = render, self._decode
-        if decode is not None:
-            # Equal packed ints are often distinct objects, and an int hashes
-            # cheaply (a LaurentElt does not): memoised by value.
-            packed_texts: Dict[int, str] = {}
-
-            def row_text(x: int) -> str:
-                text = packed_texts.get(x)
-                if text is None:
-                    text = packed_texts[x] = render(decode(x))
-                return text
-
-        def to_json(h: dict, text: Callable[..., str] = render) -> dict:
-            return {names[y]: text(h[y]) for y in sorted(h)}
-
-        doc = algebra.header()
-        doc["key"] = algebra.content_key()
-        if stored_only:
-            masks, inv = algebra.descent_masks, group.inv
-            c_basis = {}
-            for w in range(n):
-                if inv(w) >= w:
-                    m = masks[w]
-                    c_basis[names[w]] = to_json(
-                        {y: x for y, x in self._c_exp[w].items() if masks[y] & m == m},
-                        row_text)
-            products = sorted(self._corrections.items())
-        else:
-            c_basis = {names[w]: to_json(self._c_exp[w], row_text) for w in range(n)}
-            products = [((s, w), self.cs_product_in_c(s, w))
-                        for s in range(group.rank) for w in range(n)]
-        doc["c_basis"] = c_basis
-        doc["cs_products"] = {f"{group.gen_names[s]}|{names[w]}": to_json(h)
-                              for (s, w), h in products}
-        return doc
+    def to_json_dict(self) -> dict:
+        """The whole table as JSON, the `klbasis` output: every row of C_w,
+        derived as it is rendered, and every C_s C_w."""
+        n, rank = len(self.group), self.group.rank
+        text, texts = _texts()
+        return self._document(((w, self._row(w, texts)) for w in range(n)),
+                              (((s, w), self.cs_product_in_c(s, w))
+                               for s in range(rank) for w in range(n)), text)
 
     def to_cache_text(self) -> str:
-        """The format-3 KL cache file: compact canonical JSON of the stored
-        part of the table plus `format`, then `digest` (payload_digest of
-        the rest) appended as the last field."""
-        doc = self.to_json_dict(stored_only=True)
+        """The format-3 KL cache file: compact canonical JSON of what the
+        table holds plus `format`, then `digest` (payload_digest of the
+        rest) appended as the last field."""
+        text, _ = _texts()
+        doc = self._document(((w, {y: text(c) for y, c in row.items()})
+                              for w, row in self._stored.items()),
+                             self._corrections.items(), text)
         doc["format"] = CACHE_FORMAT
         body = _canonical(doc)
         return f'{body[:-1]},"digest":"{_sha256(body)}"}}'
+
+    def _document(self, rows: Iterable[Tuple[int, Dict[int, str]]],
+                  products: Iterable[Tuple[Tuple[int, int], HeckeCoeffs]],
+                  text: Callable[[LaurentElt], str]) -> dict:
+        """The header and content key of the algebra, the rows (w, {y:
+        text}) as `c_basis` and the products ((s, w), {y: coefficient}) as
+        `cs_products`, keyed by element names."""
+        group, algebra = self.group, self.algebra
+        names = [group.name(w) for w in range(len(group))]
+        doc = algebra.header()
+        doc["key"] = algebra.content_key()
+        doc["c_basis"] = {names[w]: dict(zip(map(names.__getitem__, row), row.values()))
+                          for w, row in rows}
+        doc["cs_products"] = {f"{group.gen_names[s]}|{names[w]}":
+                              {names[y]: text(h[y]) for y in sorted(h)}
+                              for (s, w), h in products}
+        return doc
 
     @staticmethod
     def from_json_dict(doc: dict, algebra: HeckeAlgebra) -> "KLTable":
@@ -487,18 +507,14 @@ class KLTable:
 
         The top-level fields must be exactly the writer's: `format` equal
         to CACHE_FORMAT, the header of `algebra`, its content `key`, and a
-        `digest` equal to the payload digest.  Each row held must be one
-        with index(w) <= index(w^-1), all of them must be present, and
-        each must hold p_{w,w} = 1 and, elsewhere, only left-extremal,
-        shorter y (smaller index) with negative exponents.  Each product
-        key must be an ascent pair, all of them must be present, and each
-        correction must be nonzero, bar-invariant and sit at a y with
-        sy < y shorter than su.  In lex mode each derived exponent must
-        keep the coordinate bound.  Anything else raises ValueError (or
+        `digest` equal to the payload digest.  The rows must be exactly
+        the stored part (`_stored_rows`) and pass `_check_rows`.  Each
+        product key must be an ascent pair, all of them must be present,
+        and each correction must be nonzero, bar-invariant and sit at a y
+        with sy < y shorter than su.  Anything else raises ValueError (or
         KeyError, TypeError, ... on a document of the wrong shape).  The
-        table holds the LaurentElt parsed and checked here; the rows that
-        are not stored, and the coefficients that are not left-extremal,
-        are derived from them by exponent key shifts and share them.
+        table holds the LaurentElt parsed and checked here; no row is
+        derived.
         """
         header = dict(algebra.header(), format=CACHE_FORMAT, key=algebra.content_key())
         if (set(doc) != {*header, "c_basis", "cs_products", "digest"}
@@ -521,15 +537,11 @@ class KLTable:
                 out[index[nm]] = c
             return out
 
-        stored: Dict[int, HeckeCoeffs] = {}
-        for name, obj in doc["c_basis"].items():
-            w = index[name]
-            if inv(w) < w:
-                raise ValueError(f"row {name} is derived, not stored")
-            stored[w] = _check_row(algebra, w, coeffs(obj))
-        for w in range(len(group)):
-            if inv(w) > w and w not in stored:
-                raise ValueError(f"stored row {names[w]} is missing")
+        rows = {index[name]: coeffs(obj) for name, obj in doc["c_basis"].items()}
+        stored = _stored_rows(algebra, rows.items())
+        if stored != rows or len(stored) != sum(inv(w) >= w for w in range(len(group))):
+            raise ValueError("the rows are not the stored part of a KL table")
+        _check_rows(algebra, stored)
 
         products: Dict[Tuple[int, int], HeckeCoeffs] = {}
         for key, obj in doc["cs_products"].items():
@@ -546,97 +558,90 @@ class KLTable:
             products[(s, u)] = h
         if len(products) != sum(algebra.positive) * len(group) // 2:
             raise ValueError("an ascent pair of the C_s C_w table is missing")
-
-        c_exp: List[HeckeCoeffs] = [None] * len(group)
-        walks: Dict[int, list] = {}
-        shifted: Dict[Tuple[int, int], LaurentElt] = {}
-        for w, row in stored.items():
-            c_exp[w] = _complete_row(algebra, w, row, walks, shifted)
-        if grid[0] == LEX:
-            # A derived exponent is a stored one less L(u), and a lex
-            # coordinate has a bound that decode checks.
-            for key in {g for c in shifted.values() for g, _ in c.items()}:
-                OrderedExponent.decode(key, grid)
-        for w, row in enumerate(c_exp):
-            if row is None:
-                c_exp[w] = {inv(y): c for y, c in c_exp[inv(w)].items()}
-        return KLTable(algebra, c_exp, products)
+        return KLTable(algebra, stored, products)
 
 
-def _check_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs) -> HeckeCoeffs:
-    """`stored`, a stored row of C_w, if it has p_{w,w} = 1 and, elsewhere,
-    only shorter y with negative exponents, each left-extremal: the longest
-    element of its coset Pz, for P the parabolic subgroup on the s in L(w)
-    with L(s) > 0."""
-    group = algebra.group
-    if stored.get(w) != algebra.one_coeff():
-        raise ValueError(f"p_(w,w) != 1 for w = {group.name(w)}")
-    masks = algebra.descent_masks
-    m = masks[w]
-    for y, c in stored.items():
-        _, const, pos = c.split_by_sign()
-        if y != w and (y > w or not c or const or pos):
-            raise ValueError(f"p_(y,w) is not a shorter element's coefficient with "
-                             f"negative exponents: y = {group.name(y)}, w = {group.name(w)}")
-        if masks[y] & m != m:
-            raise ValueError(f"p_(y,w) for y = {group.name(y)}, w = {group.name(w)} "
-                             f"is stored but not left-extremal")
-    return stored
+def _lower(c: LaurentElt, key: int) -> LaurentElt:
+    """v^-e c, for `key` the grid key of e."""
+    return LaurentElt(c.grid, {g - key: k for g, k in c.items()})
 
 
-def _parabolic_walk(algebra: HeckeAlgebra, gens: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
-    """The elements u != e of the parabolic subgroup on `gens`, shortest
-    first, each as (i, s, key): u = s u_i with l(u) = l(u_i) + 1, where
-    u_i is the i-th element of the walk counting e as 0, and key is the
-    grid key of L(u)."""
+def _texts() -> Tuple[Callable[..., str], Callable[..., List[str]]]:
+    """(text, texts): text(c, key=0) is the text of v^-e c, for `key` the
+    grid key of e, and texts(c, keys) lists text(c, key) for the `keys`.
+    Tables share few distinct coefficient objects and key tuples, so both
+    are memoised by id; each hit holds its objects, so no id is reused.
+    Many (c, key) give one value, so each value is rendered once."""
+    one: Dict[Tuple[int, int], Tuple[LaurentElt, str]] = {}
+    lists: Dict[Tuple[int, int], Tuple[LaurentElt, tuple, List[str]]] = {}
+    rendered: Dict[tuple, str] = {}
+
+    def text(c: LaurentElt, key: int = 0) -> str:
+        hit = one.get((id(c), key))
+        if hit is None:
+            value = (c.grid, *((g - key, k) for g, k in c.items()))
+            t = rendered.get(value)
+            if t is None:
+                t = rendered[value] = _lower(c, key).render()
+            hit = one[id(c), key] = (c, t)
+        return hit[1]
+
+    def texts(c: LaurentElt, keys: Tuple[int, ...]) -> List[str]:
+        hit = lists.get((id(c), id(keys)))
+        if hit is None:
+            hit = lists[id(c), id(keys)] = (c, keys, [text(c, key) for key in keys])
+        return hit[2]
+    return text, texts
+
+
+def _stored_rows(algebra: HeckeAlgebra, rows: Iterable[Tuple[int, dict]]) -> Dict[int, dict]:
+    """Of the rows (w, {y: p_{y,w}}), the part a KL table holds: the rows
+    with index(w) <= index(w^-1), each with its left-extremal y only,
+    those whose descent mask holds w's (module docstring), in increasing
+    order, so that a derived row comes in one order whatever made it."""
+    masks, inv = algebra.descent_masks, algebra.group.inv
+    extremal: Dict[int, set] = {}  # descent mask -> the y left-extremal for it
+    out = {}
+    for w, row in rows:
+        if inv(w) >= w:
+            m = masks[w]
+            ys = extremal.get(m)
+            if ys is None:
+                ys = extremal[m] = {y for y, my in enumerate(masks) if my & m == m}
+            out[w] = {y: row[y] for y in sorted(row.keys() & ys)}
+    return out
+
+
+def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
+    """ValueError unless each stored row C_w has p_{w,w} = 1 and, elsewhere,
+    only shorter y (smaller index) with nonzero coefficients whose
+    exponents are negative and, with every exponent that `_row` derives
+    from them, in the slot box (`_slot_box`), which holds every exponent
+    of a KL table: each of them decodes, so no row read later can fail."""
     group, grid = algebra.group, algebra.grid
-    weight_keys = [L.encode(grid) for L in algebra.weights.exps]
-    elems, keys = [group.identity], [0]
-    seen = {group.identity}
-    walk = []
-    for i, u in enumerate(elems):  # grows while it is read
-        for s in gens:
-            su = group.lmul_gen(s, u)
-            if su > u and su not in seen:
-                seen.add(su)
-                elems.append(su)
-                keys.append(keys[i] + weight_keys[s])
-                walk.append((i, s, keys[-1]))
-    return walk
+    units, box = _slot_box(algebra)
+    bound = [b * unit for b, unit in zip(box, units)]
 
+    @lru_cache(maxsize=None)
+    def in_box(key: int) -> bool:
+        try:
+            return all(map(le, map(abs, OrderedExponent.decode(key, grid).value), bound))
+        except ValueError:  # a lex coordinate past LEX_BOUND
+            return False
 
-def _complete_row(algebra: HeckeAlgebra, w: int, stored: HeckeCoeffs,
-                  walks: Dict[int, list], shifted: Dict[Tuple[int, int], LaurentElt]
-                  ) -> HeckeCoeffs:
-    """C_w from its checked stored coefficients.  With P the parabolic
-    subgroup on the s in L(w) with L(s) > 0, a left-extremal z is the
-    longest element of its coset Pz, and p_{uz,w} = v^{-L(u)} p_{z,w} for
-    u in P, by the identity in the module docstring along a reduced word
-    of u: the exponent keys of p_{z,w} less the key of L(u).  `walks`
-    memoises _parabolic_walk per descent mask, and `shifted` each
-    v^{-L(u)} p_{z,w} per stored coefficient (by id: the loader keeps
-    them all) and key, so that equal coefficients share one object."""
-    group, grid = algebra.group, algebra.grid
-    m = algebra.descent_masks[w]
-    if not m:
-        return stored
-    walk = walks.get(m)
-    if walk is None:
-        gens = tuple(s for s in range(group.rank) if m >> s & 1)
-        walk = walks[m] = _parabolic_walk(algebra, gens)
-    lmul = group.lmul_gen
-    row: HeckeCoeffs = {}
-    for z, c in stored.items():
-        row[z] = c
-        coset = [z]  # coset[i] = u_i z, walking down from z
-        for i, s, key in walk:
-            y = lmul(s, coset[i])
-            coset.append(y)
-            x = shifted.get((id(c), key))
-            if x is None:
-                x = shifted[id(c), key] = LaurentElt(grid, {g - key: k for g, k in c.items()})
-            row[y] = x
-    return row
+    @lru_cache(maxsize=None)
+    def fine(mask: int, key: int) -> bool:
+        return key < 0 and all(in_box(key - k) for k in algebra.parabolic_cosets(mask)[0])
+
+    one, masks = algebra.one_coeff(), algebra.descent_masks
+    for w, row in stored.items():
+        if row.get(w) != one:
+            raise ValueError(f"p_(w,w) != 1 for w = {group.name(w)}")
+        m = masks[w]
+        for y, c in row.items():
+            if y != w and (y > w or not c or not all(fine(m, g) for g, _ in c.items())):
+                raise ValueError(f"p_(y,w) for y = {group.name(y)}, w = {group.name(w)} is "
+                                 f"not a shorter element's, with negative exponents in the box")
 
 
 def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
@@ -723,7 +728,9 @@ def _read_mu(pk: _Packing, s: int, left: List[int], u: int, row: Packed) -> Pack
     return out
 
 
-def _construct(algebra: HeckeAlgebra, pk: _Packing) -> KLTable:
+def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
+    """The KL table, built packed with `bits` bits a slot."""
+    pk = _Packing(algebra, bits)
     group, positive = algebra.group, algebra.positive
     n = len(group)
     left = [[group.lmul_gen(s, y) for y in range(n)] for s in range(group.rank)]
@@ -751,8 +758,11 @@ def _construct(algebra: HeckeAlgebra, pk: _Packing) -> KLTable:
             else:
                 corrections[(s, u)] = _cancel(pk, s, left[s], u, w, c_exp, digits, reach)[1]
     decode = pk.decode
-    return KLTable(algebra, c_exp, {pair: {y: decode(m) for y, m in h.items()}
-                                    for pair, h in corrections.items()}, decode)
+    return KLTable(algebra,
+                   {w: {y: decode(x) for y, x in row.items()}
+                    for w, row in _stored_rows(algebra, enumerate(c_exp)).items()},
+                   {pair: {y: decode(m) for y, m in h.items()}
+                    for pair, h in corrections.items()})
 
 
 def _add_into(h: HeckeCoeffs, y: int, c: LaurentElt) -> None:
@@ -822,7 +832,7 @@ def _construct_terms(algebra: HeckeAlgebra) -> KLTable:
             cw, corrections[(s, u)] = _cancel_terms(algebra, s, u, w, c_exp, *v_pm[s])
             if s == first:
                 c_exp[w] = cw
-    return KLTable(algebra, c_exp, corrections)
+    return KLTable(algebra, _stored_rows(algebra, enumerate(c_exp)), corrections)
 
 
 def kl_basis(algebra: HeckeAlgebra) -> KLTable:
@@ -839,7 +849,7 @@ def kl_basis(algebra: HeckeAlgebra) -> KLTable:
         return _construct_terms(algebra)
     for bits in _SLOT_WIDTHS[:-1]:
         try:
-            return _construct(algebra, _Packing(algebra, bits))
+            return _construct(algebra, bits)
         except SlotOverflow:
             pass
-    return _construct(algebra, _Packing(algebra, _SLOT_WIDTHS[-1]))
+    return _construct(algebra, _SLOT_WIDTHS[-1])

@@ -204,9 +204,6 @@ class LaurentElt:
         """The (int key, coefficient) pairs on `grid`."""
         return self._terms.items()
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

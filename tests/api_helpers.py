@@ -14,6 +14,20 @@ def longest_element(W: CoxeterGroup) -> int:
     return max(range(len(W)), key=W.length)
 
 
+def generators(W: CoxeterGroup) -> List[int]:
+    return [W.generator(g) for g in range(W.rank)]
+
+
+def element_by_name(W: CoxeterGroup, text: str) -> int:
+    """The element with reduced word `text`, generator names split by
+    spaces, or "e"."""
+    text = text.strip()
+    if text == "e":
+        return W.identity
+    gen_of = {nm: i for i, nm in enumerate(W.gen_names)}
+    return W.element_by_word(gen_of[t] for t in text.split())
+
+
 def right_descents(W: CoxeterGroup, w: int) -> List[int]:
     return [g for g in range(W.rank) if W.length(W.rmul_gen(w, g)) < W.length(w)]
 

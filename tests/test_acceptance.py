@@ -66,8 +66,8 @@ def test_criterion_1_kl_defining_properties():
                     if y == w:
                         continue
                     neg, const, pos = coeff.split_by_sign()
-                    assert const == 0 and pos.is_zero(), (kind, n, weights,
-                                                          W.name(w), W.name(y))
+                    assert const == 0 and not pos, (kind, n, weights,
+                                                    W.name(w), W.name(y))
                 checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 120, f"took {elapsed:.1f}s, budget is 2 minutes"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from api_helpers import lex_generic, longest_element
+from api_helpers import element_by_name, generators, lex_generic, longest_element
 from hecke_reference import (add, bar, c_gen, clean, cs_product_reference,
                              equal, express_in_kl, mul_ts, mul_ts_right,
                              multiply, scale, sub, t_basis, t_inv_times, unit,
@@ -50,7 +50,7 @@ def test_quadratic_relation():
 def test_length_additive_products():
     alg = make_algebra("I2", 3, [1, 1])
     W = alg.group
-    s, t = W.generators()
+    s, t = generators(W)
     st = W.mul(s, t)
     assert equal(mul_ts(alg, 0, t_basis(alg, t)), t_basis(alg, st))
     # T_w * T_w' = T_ww' whenever lengths add
@@ -147,11 +147,11 @@ def test_a2_c_st_expansion():
     alg = make_algebra("A", 2, [1, 1])
     table = kl_basis(alg)
     W = alg.group
-    expected = {W.element_by_name("s t"): alg.one_coeff(),
-                W.element_by_name("s"): v(-1),
-                W.element_by_name("t"): v(-1),
+    expected = {element_by_name(W, "s t"): alg.one_coeff(),
+                element_by_name(W, "s"): v(-1),
+                element_by_name(W, "t"): v(-1),
                 W.identity: v(-2)}
-    assert equal(table.c_expansion(W.element_by_name("s t")), expected)
+    assert equal(table.c_expansion(element_by_name(W, "s t")), expected)
 
 
 def test_kl_defining_properties_small_groups():
@@ -169,7 +169,7 @@ def test_kl_defining_properties_small_groups():
                     continue
                 assert W.length(y) < W.length(w)
                 neg, const, pos = coeff.split_by_sign()
-                assert const == 0 and pos.is_zero()
+                assert const == 0 and not pos
 
 
 def test_brute_force_solver_reproduces_table():
@@ -321,7 +321,7 @@ def test_lex_mode_generic_weights():
         for y, coeff in exp.items():
             if y != w:
                 neg, const, pos = coeff.split_by_sign()
-                assert const == 0 and pos.is_zero()
+                assert const == 0 and not pos
 
 
 def test_narrow_slots_raise_and_never_give_a_wrong_table(case_tables, monkeypatch, tmp_path):
@@ -360,7 +360,7 @@ def test_box_overflow_is_not_retried(case_tables, monkeypatch, tmp_path):
     built = []
     construct = hecke._construct
     monkeypatch.setattr(hecke, "_construct",
-                        lambda alg, pk: built.append(pk.bits) or construct(alg, pk))
+                        lambda alg, bits: built.append(bits) or construct(alg, bits))
     for label, alg, _ in case_tables:
         built.clear()
         with pytest.raises(BoxOverflow):

@@ -8,7 +8,7 @@ import pytest
 from klcells.cli import main
 from klcells.conjecture import B2_REGIME_POINTS
 from klcells.coxeter import ConjugacyViolation
-from klcells.hecke import payload_digest
+from klcells.hecke import KLTable, payload_digest
 from klcells.ordered_coeffs import LEX, LEX_BOUND, RATIONAL
 from klcells.specfile import SpecParseError, parse_spec, render_spec
 
@@ -328,13 +328,11 @@ def resign(doc):
     return json.dumps(doc)
 
 
-def test_lex_cache_past_the_coordinate_bound_is_recomputed(tmp_path, capsys):
-    """A re-signed lex cache whose stored coefficient passes every row
-    check, but whose derived coefficients v^(-L(u)) p_(z,w) would pass the
-    lex coordinate bound, is a miss: `klbasis` recomputes, prints the
-    --no-cache bytes with exit 0 and rewrites the file."""
-    spec = write(tmp_path / "b3lex.spec",
-                 "group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n")
+def assert_resigned_edit_is_recomputed(tmp_path, capsys, spec_text, edit):
+    """With `edit` applied to the KL cache document of `spec_text` and the
+    file re-signed, `klbasis` recomputes: it prints the --no-cache bytes
+    with exit 0 and rewrites the file."""
+    spec = write(tmp_path / "edited.spec", spec_text)
     code, cold, _ = run_cli(capsys, "klbasis", spec, "--no-cache")
     assert code == 0
     cache = tmp_path / "cache"
@@ -343,16 +341,68 @@ def test_lex_cache_past_the_coordinate_bound_is_recomputed(tmp_path, capsys):
     [path] = cache.iterdir()
     good = path.read_text(encoding="utf-8")
     doc = json.loads(good)
-    # s, of weight e_1, is in L(w) for w = s..., so p_(sy,w) is derived
-    # as v^(-e_1) p_(y,w) from each stored p_(y,w), y != w.
-    w, y = next((w, y) for w, row in sorted(doc["c_basis"].items()) if w.startswith("s")
-                for y in row if y != w)
-    doc["c_basis"][w][y] = f"1*v^(-{LEX_BOUND},0)"
+    edit(doc)
     path.write_text(resign(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, "klbasis", spec, "--cache-dir", str(cache))
     assert (code, err) == (0, "")
     assert out == cold
     assert path.read_text(encoding="utf-8") == good
+
+
+def set_first_stored(doc, prefix, text):
+    """Set p_(y,w) to `text` for the first stored y != w of the first row w
+    whose name starts with `prefix`."""
+    w, y = next((w, y) for w, row in sorted(doc["c_basis"].items()) if w.startswith(prefix)
+                for y in row if y != w)
+    doc["c_basis"][w][y] = text
+
+
+def test_lex_cache_past_the_coordinate_bound_is_recomputed(tmp_path, capsys):
+    """A re-signed lex cache whose stored coefficient passes every row
+    check, but whose derived coefficients v^(-L(u)) p_(z,w) would pass the
+    lex coordinate bound, is a miss."""
+    # s, of weight e_1, is in L(w) for w = s..., so p_(sy,w) is derived
+    # as v^(-e_1) p_(y,w) from each stored p_(y,w), y != w.
+    assert_resigned_edit_is_recomputed(
+        tmp_path, capsys, "group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n",
+        lambda doc: set_first_stored(doc, "s", f"1*v^(-{LEX_BOUND},0)"))
+
+
+@pytest.mark.parametrize("spec_text, exponent", [
+    ("group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n", f"-1,-{LEX_BOUND}"),
+    ("group B 3\nL s = 1\nL t = 1\nL u = 3/2\n", "-1000"),
+], ids=["b3lex", "b3"])
+def test_cache_past_the_slot_box_is_recomputed(tmp_path, capsys, spec_text, exponent):
+    """A re-signed cache with a stored exponent outside the slot box, which
+    holds every exponent of a KL table, is a miss, also when the exponent
+    keeps the lex coordinate bound."""
+    assert_resigned_edit_is_recomputed(
+        tmp_path, capsys, spec_text, lambda doc: set_first_stored(doc, "", f"1*v^({exponent})"))
+
+
+@pytest.mark.parametrize("weights", ["L s = 1\nL t = 1\nL u = 3/2\n",
+                                     "L lex s = e_1\nL lex t = e_1\nL lex u = e_2\n"],
+                         ids=["b3", "b3lex"])
+def test_warm_cells_derives_no_row(tmp_path, capsys, monkeypatch, weights):
+    """`cells` reads only the corrections: on a warm cache it checks the
+    stored rows but derives none, and prints the --no-cache bytes.  Warm
+    `klbasis`, which derives every row, prints its --no-cache bytes too."""
+    spec = write(tmp_path / "b3.spec", "group B 3\n" + weights)
+    cache = str(tmp_path / "cache")
+    expected = {}
+    for cmd in ("cells", "klbasis"):
+        code, expected[cmd], _ = run_cli(capsys, cmd, spec, "--no-cache")
+        assert code == 0
+    assert run_cli(capsys, "cells", spec, "--cache-dir", cache)[0] == 0
+
+    def fail(*args):
+        raise AssertionError("no KL work expected")
+
+    monkeypatch.setattr("klcells.cli.kl_basis", fail)  # the warm runs are cache hits
+    with monkeypatch.context() as patch:
+        patch.setattr(KLTable, "_row", fail)
+        assert run_cli(capsys, "cells", spec, "--cache-dir", cache) == (0, expected["cells"], "")
+    assert run_cli(capsys, "klbasis", spec, "--cache-dir", cache) == (0, expected["klbasis"], "")
 
 
 def test_unreadable_cache_is_recomputed(tmp_path, capsys):
