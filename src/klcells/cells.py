@@ -18,7 +18,6 @@ conjugacy class gives the character value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .characters import CharacterTable, decompose
@@ -31,12 +30,12 @@ class NonIntegerMultiplicity(ArithmeticError):
     (always an implementation bug, never valid input)."""
 
 
-@dataclass
 class PreorderGraph:
     """Directed graph on W; an edge w -> y means y precedes w."""
 
-    size: int
-    succ: List[Set[int]]
+    def __init__(self, size, succ):
+        self.size: int = size
+        self.succ: List[Set[int]] = succ
 
 
 def left_preorder(table: KLTable) -> PreorderGraph:
@@ -99,7 +98,6 @@ def _tarjan_scc(size: int, succ: Sequence[Set[int]]) -> List[List[int]]:
     return comps
 
 
-@dataclass
 class CellPartition:
     """Blocks of W with the induced partial order between blocks.
 
@@ -107,11 +105,12 @@ class CellPartition:
     ``hasse`` is its transitive reduction.
     """
 
-    kind: str
-    blocks: List[List[int]]
-    block_of: List[int]
-    order: Set[Tuple[int, int]]
-    hasse: List[Tuple[int, int]]
+    def __init__(self, kind, blocks, block_of, order, hasse):
+        self.kind: str = kind
+        self.blocks: List[List[int]] = blocks
+        self.block_of: List[int] = block_of
+        self.order: Set[Tuple[int, int]] = order
+        self.hasse: List[Tuple[int, int]] = hasse
 
     def as_sets(self) -> Set[FrozenSet[int]]:
         return {frozenset(b) for b in self.blocks}
@@ -167,13 +166,13 @@ def cells(graph: PreorderGraph, kind: str, group: CoxeterGroup) -> CellPartition
     return CellPartition(kind, blocks, block_of, order, hasse)
 
 
-@dataclass
 class CellCharacter:
     """Integer character of the W-module carried by one left cell."""
 
-    cell: List[int]
-    values: List[int]  # per conjugacy class, in class order
-    multiplicities: List[int]  # per irreducible, in table row order
+    def __init__(self, cell, values, multiplicities):
+        self.cell: List[int] = cell
+        self.values: List[int] = values  # per conjugacy class, in class order
+        self.multiplicities: List[int] = multiplicities  # per irreducible, in table row order
 
 
 def specialized_generator_action(table: KLTable, cell: Sequence[int]) -> List[List[List[int]]]:

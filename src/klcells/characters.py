@@ -13,7 +13,6 @@ works; CoxeterGroup does, and CyclicGroup below covers mu_d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
@@ -64,13 +63,13 @@ class _CyclicClasses:
         return len(self.blocks)
 
 
-@dataclass
 class CharacterTable:
-    group: object
-    classes: object
-    field: CyclotomicField
-    rows: List[List[Cyclotomic]]
-    class_orders: List[int]
+    def __init__(self, group, classes, field, rows, class_orders):
+        self.group: object = group
+        self.classes: object = classes
+        self.field: CyclotomicField = field
+        self.rows: List[List[Cyclotomic]] = rows
+        self.class_orders: List[int] = class_orders
 
     @property
     def degrees(self) -> List[int]:

@@ -18,10 +18,10 @@ cells, multiplicities and families all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic, CyclotomicField
+from .ordered_coeffs import Frozen
 
 Monomial = Tuple[int, int, int]  # (a, b, i) <-> x^a xi^b s^i
 
@@ -30,8 +30,7 @@ class NonzeroConstantTerm(ValueError):
     """kappa_to_c asked for a kappa vector off the sum-zero slice."""
 
 
-@dataclass(frozen=True)
-class Rank1Params:
+class Rank1Params(Frozen):
     """d, the c-vector (c_1..c_{d-1}) and the kappa-vector (kappa_1..kappa_d).
 
     The two vectors determine each other; kappa_d doubles as kappa_0 and
@@ -318,16 +317,16 @@ def verify_presentation(params: Rank1Params) -> Optional[AlgebraElt]:
 # -- cells, multiplicities, families -----------------------------------------
 
 
-@dataclass
 class CMCellData:
     """Cells of mu_d, inertia generators, fiber and families for one
     parameter point."""
 
-    params: Rank1Params
-    cells: List[List[int]]          # exponents j of s^j, each block sorted
-    inertia_gens: List[Tuple[int, int]]  # transpositions (i j) of {1..d}
-    fiber: List[Cyclotomic]         # distinct kappa values
-    families: List[List[int]]       # exponents j of det^j
+    def __init__(self, params, cells, inertia_gens, fiber, families):
+        self.params: Rank1Params = params
+        self.cells: List[List[int]] = cells  # exponents j of s^j, each block sorted
+        self.inertia_gens: List[Tuple[int, int]] = inertia_gens  # transpositions (i j) of {1..d}
+        self.fiber: List[Cyclotomic] = fiber  # distinct kappa values
+        self.families: List[List[int]] = families  # exponents j of det^j
 
 
 def _orbit_partition(d: int, gens: Sequence[Tuple[int, int]]) -> List[List[int]]:

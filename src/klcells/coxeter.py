@@ -10,12 +10,11 @@ decisions on real algebraic numbers are ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic, CyclotomicField
-from .ordered_coeffs import OrderedExponent
+from .ordered_coeffs import Frozen, OrderedExponent
 
 DEFAULT_SIZE_CAP = 10_000
 
@@ -44,24 +43,24 @@ def default_gen_names(rank: int) -> Tuple[str, ...]:
     return tuple(f"s{i + 1}" for i in range(rank))
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class CoxeterMatrix(Frozen):
     """Symmetric matrix of bond orders m_st (1 on the diagonal, >=2 off it)."""
 
     entries: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        for i, row in enumerate(self.entries):
+    def __init__(self, entries: Tuple[Tuple[int, ...], ...]) -> None:
+        n = len(entries)
+        for i, row in enumerate(entries):
             if len(row) != n:
                 raise ValueError("Coxeter matrix must be square")
             if row[i] != 1:
                 raise ValueError("diagonal entries must be 1")
             for j in range(n):
-                if self.entries[i][j] != self.entries[j][i]:
+                if entries[i][j] != entries[j][i]:
                     raise ValueError("Coxeter matrix must be symmetric")
-                if i != j and self.entries[i][j] < 2:
+                if i != j and entries[i][j] < 2:
                     raise ValueError("off-diagonal entries must be >= 2")
+        super().__init__(entries)
 
     @property
     def rank(self) -> int:
@@ -351,19 +350,19 @@ class ConjugacyClasses:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(Frozen):
     """Nonnegative weights L(s) per generator, in a common exponent group."""
 
     exps: Tuple[OrderedExponent, ...]
 
-    def __post_init__(self) -> None:
-        if not self.exps:
+    def __init__(self, exps: Tuple[OrderedExponent, ...]) -> None:
+        if not exps:
             raise ValueError("weight function needs at least one generator")
-        mode, arity = self.exps[0].mode, self.exps[0].arity
-        for e in self.exps:
+        mode, arity = exps[0].mode, exps[0].arity
+        for e in exps:
             if e.mode != mode or e.arity != arity:
                 raise ValueError("all weights must share one exponent group")
+        super().__init__(exps)
 
     @property
     def mode(self) -> str:

@@ -151,6 +151,7 @@ class HeckeAlgebra:
         self.weights = weights
         self.grid = OrderedExponent.grid_of(weights.mode, weights.arity, weights.exps)
         self.positive = [L.sign() > 0 for L in weights.exps]
+        self._walks: Dict[int, tuple] = {}
         self._cosets: Dict[int, tuple] = {}
 
     def header(self) -> dict:
@@ -187,15 +188,14 @@ class HeckeAlgebra:
         return [sum(1 << s for s in group.left_descents(w) if positive[s])
                 for w in range(len(group))]
 
-    def parabolic_cosets(self, mask: int) -> Tuple[Tuple[int, ...], dict, dict]:
-        """(keys, cosets, inverses) for the parabolic subgroup P on the
-        generators in `mask`, with elements u_0 = e, u_1, ... listed
-        shortest first: keys[j] is the grid key of L(u_j), and for z the
-        longest element of its coset Pz, cosets[z] lists the u_j z and
-        inverses[z] their inverses.  Memoised per mask."""
-        hit = self._cosets.get(mask)
+    def parabolic_walk(self, mask: int) -> Tuple[Tuple[int, ...], List[Tuple[int, int]]]:
+        """(keys, steps) for the parabolic subgroup P on the generators in
+        `mask`, with elements u_0 = e, u_1, ... listed shortest first:
+        keys[j] is the grid key of L(u_j), and u_j = s u_i for
+        (i, s) = steps[j - 1].  Memoised per mask."""
+        hit = self._walks.get(mask)
         if hit is None:
-            group, masks = self.group, self.descent_masks
+            group = self.group
             weight_keys = [L.encode(self.grid) for L in self.weights.exps]
             elems, keys, steps = [group.identity], [0], []
             seen = {group.identity}
@@ -207,6 +207,18 @@ class HeckeAlgebra:
                         elems.append(su)
                         keys.append(keys[i] + weight_keys[s])
                         steps.append((i, s))
+            hit = self._walks[mask] = (tuple(keys), steps)
+        return hit
+
+    def parabolic_cosets(self, mask: int) -> Tuple[Tuple[int, ...], dict, dict]:
+        """(keys, cosets, inverses): the keys of `parabolic_walk`, and for z
+        the longest element of its coset Pz, cosets[z] lists the u_j z and
+        inverses[z] their inverses.  Memoised per mask; only rows read
+        (`KLTable._row`) need the lists."""
+        hit = self._cosets.get(mask)
+        if hit is None:
+            group, masks = self.group, self.descent_masks
+            keys, steps = self.parabolic_walk(mask)
             cosets, inverses = {}, {}
             for z in range(len(group)):
                 if masks[z] & mask == mask:
@@ -215,7 +227,7 @@ class HeckeAlgebra:
                         coset.append(group.lmul_gen(s, coset[i]))
                     cosets[z] = coset
                     inverses[z] = [group.inv(y) for y in coset]
-            hit = self._cosets[mask] = (tuple(keys), cosets, inverses)
+            hit = self._cosets[mask] = (keys, cosets, inverses)
         return hit
 
 
@@ -631,7 +643,7 @@ def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
 
     @lru_cache(maxsize=None)
     def fine(mask: int, key: int) -> bool:
-        return key < 0 and all(in_box(key - k) for k in algebra.parabolic_cosets(mask)[0])
+        return key < 0 and all(in_box(key - k) for k in algebra.parabolic_walk(mask)[0])
 
     one, masks = algebra.one_coeff(), algebra.descent_masks
     for w, row in stored.items():

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
@@ -76,8 +75,43 @@ def _unpack(key: int, n: int, bounded: bool) -> List[int]:
     return digits[::-1]
 
 
-@dataclass(frozen=True)
-class OrderedExponent:
+class Frozen:
+    """An immutable record: the fields are the names a subclass annotates,
+    in order; the positional constructor sets them, equality and hash go
+    by their values, and assigning or deleting an attribute raises
+    AttributeError.  Not a dataclass: every command is a fresh process,
+    and importing dataclasses also imports inspect, ast, dis and tokenize."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({args})"
+
+
+class OrderedExponent(Frozen):
     """An element g of the totally ordered exponent group G.
 
     ``value`` is a tuple of Fraction coordinates: one in rational mode,
@@ -88,10 +122,11 @@ class OrderedExponent:
     mode: str
     value: Tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", tuple(map(Fraction, self.value)))
-        if self.mode not in (RATIONAL, LEX) or len(self.value) != (self.arity or 1):
-            raise ValueError(f"not a {self.mode} exponent: {self.value}")
+    def __init__(self, mode: str, value: Iterable) -> None:
+        value = tuple(map(Fraction, value))
+        if mode not in (RATIONAL, LEX) or len(value) != (_arity(mode, len(value)) or 1):
+            raise ValueError(f"not a {mode} exponent: {value}")
+        super().__init__(mode, value)
 
     @property
     def arity(self) -> Optional[int]:

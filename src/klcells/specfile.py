@@ -18,13 +18,12 @@ semantic checks are delegated to validate_weights.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .coxeter import (CoxeterMatrix, WeightFunction, default_gen_names,
                       named_coxeter_matrix, validate_weights)
-from .ordered_coeffs import RATIONAL
+from .ordered_coeffs import RATIONAL, Frozen
 
 
 class SpecParseError(ValueError):
@@ -34,8 +33,7 @@ class SpecParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-@dataclass(frozen=True)
-class ParsedSpec:
+class ParsedSpec(Frozen):
     name: Optional[str]  # "A 2", "I2 5", ... or None for explicit matrices
     matrix: CoxeterMatrix
     gen_names: Tuple[str, ...]

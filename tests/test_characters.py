@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from functools import cache
 
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from api_helpers import from_integers, regular_character, trivial_character
 from mn_oracle import coxeter_class_cycle_types, symmetric_group_table
-from klcells.characters import (CyclicGroup, character_table,
+from klcells.characters import (CharacterTable, CyclicGroup, character_table,
                                 decompose, dixon_prime, inner_product,
                                 verify_orthogonality)
 from klcells.coxeter import CoxeterMatrix, build_group, named_coxeter_matrix
@@ -261,7 +260,8 @@ def test_altered_tables():
     half = [v * Fraction(1, 2) for v in sign]
     f = from_integers(table, [3, -1, Fraction(2, 3)])
     for rows in ([triv, triv, std], [triv, std, half]):
-        altered = dataclasses.replace(table, rows=rows)
+        altered = CharacterTable(table.group, table.classes, table.field, rows,
+                                 table.class_orders)
         assert not verify_orthogonality(altered)
         coeffs, _ = decompose(f, altered)
         assert coeffs == [inner_product(f, row, altered) for row in rows]

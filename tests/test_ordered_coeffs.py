@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from api_helpers import (laurent_coefficient, laurent_from_terms, laurent_integer,
                          laurent_one, laurent_terms, laurent_zero, support_size)
 from laurent_ring import sub
+from klcells.cherednik_rank1 import Rank1Params
+from klcells.coxeter import CoxeterMatrix, WeightFunction
 from klcells.ordered_coeffs import (LEX, LEX_BOUND, RATIONAL, LaurentElt,
                                     ModeMismatchError, OrderedExponent, _key_text,
                                     _text_key)
+from klcells.specfile import parse_spec
 
 
 def v(x, coeff=1):
@@ -238,3 +241,40 @@ def test_off_grid_exponents_are_rejected():
     with pytest.raises(ValueError):
         LaurentElt.parse("1*v^(1,0,0)", grid=(LEX, 2, 1))
     assert laurent_coefficient(v(Fraction(1, 3)), OrderedExponent.rational(Fraction(1, 2))) == 0
+
+
+# Per immutable value type: a constructor call, one that gives a different
+# value, a field to assign, and constructor calls that its checks reject.
+VALUE_TYPES = {
+    "OrderedExponent": (lambda: OrderedExponent(LEX, [1, 0]),
+                        lambda: OrderedExponent(LEX, [0, 1]), "value",
+                        [lambda: OrderedExponent(LEX, ()),
+                         lambda: OrderedExponent(RATIONAL, (1, 2)),
+                         lambda: OrderedExponent("real", (1,))]),
+    "CoxeterMatrix": (lambda: CoxeterMatrix(((1, 3), (3, 1))),
+                      lambda: CoxeterMatrix(((1, 4), (4, 1))), "entries",
+                      [lambda: CoxeterMatrix(((1, 3),)),
+                       lambda: CoxeterMatrix(((1, 3), (4, 1)))]),
+    "WeightFunction": (lambda: WeightFunction.rational([1, 2]),
+                       lambda: WeightFunction.rational([2, 1]), "exps",
+                       [lambda: WeightFunction(()),
+                        lambda: WeightFunction((OrderedExponent.rational(1),
+                                                OrderedExponent.lex([1])))]),
+    "ParsedSpec": (lambda: parse_spec("group B 2\nL s = 1\nL t = 2\n"),
+                   lambda: parse_spec("group B 2\nL s = 1\nL t = 1\n"), "weights", []),
+    "Rank1Params": (lambda: Rank1Params.from_c(3, [1, 2]),
+                    lambda: Rank1Params.from_c(3, [1, 1]), "c", []),
+}
+
+
+@pytest.mark.parametrize("make, make_other, field, bad", VALUE_TYPES.values(), ids=VALUE_TYPES)
+def test_value_types_compare_by_fields_and_are_immutable(make, make_other, field, bad):
+    a, b, other = make(), make(), make_other()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other and len({a, b, other}) == 2
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    assert a == b
+    for call in bad:
+        with pytest.raises(ValueError):
+            call()

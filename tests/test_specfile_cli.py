@@ -1,14 +1,17 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import klcells
 from klcells.cli import main
 from klcells.conjecture import B2_REGIME_POINTS
 from klcells.coxeter import ConjugacyViolation
-from klcells.hecke import KLTable, payload_digest
+from klcells.hecke import HeckeAlgebra, KLTable, payload_digest
 from klcells.ordered_coeffs import LEX, LEX_BOUND, RATIONAL
 from klcells.specfile import SpecParseError, parse_spec, render_spec
 
@@ -385,7 +388,8 @@ def test_cache_past_the_slot_box_is_recomputed(tmp_path, capsys, spec_text, expo
                          ids=["b3", "b3lex"])
 def test_warm_cells_derives_no_row(tmp_path, capsys, monkeypatch, weights):
     """`cells` reads only the corrections: on a warm cache it checks the
-    stored rows but derives none, and prints the --no-cache bytes.  Warm
+    stored rows but derives none, nor builds the coset lists a derived row
+    is read along, and prints the --no-cache bytes.  Warm
     `klbasis`, which derives every row, prints its --no-cache bytes too."""
     spec = write(tmp_path / "b3.spec", "group B 3\n" + weights)
     cache = str(tmp_path / "cache")
@@ -401,6 +405,7 @@ def test_warm_cells_derives_no_row(tmp_path, capsys, monkeypatch, weights):
     monkeypatch.setattr("klcells.cli.kl_basis", fail)  # the warm runs are cache hits
     with monkeypatch.context() as patch:
         patch.setattr(KLTable, "_row", fail)
+        patch.setattr(HeckeAlgebra, "parabolic_cosets", fail)
         assert run_cli(capsys, "cells", spec, "--cache-dir", cache) == (0, expected["cells"], "")
     assert run_cli(capsys, "klbasis", spec, "--cache-dir", cache) == (0, expected["klbasis"], "")
 
@@ -555,3 +560,16 @@ def test_unusable_cache_dir_is_a_miss(tmp_path, capsys):
     assert out == cold
     [line] = err.splitlines()
     assert line.startswith("warning: ")
+
+
+def test_import_loads_no_dataclasses():
+    """Every command is a fresh process, so start-up counts: importing the
+    package and its CLI loads neither dataclasses nor inspect, which
+    dataclasses imports."""
+    src = os.path.dirname(os.path.dirname(klcells.__file__))
+    code = ("import klcells, klcells.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
