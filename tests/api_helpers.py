@@ -1,7 +1,11 @@
 """Small helpers over the klcells API that only the tests use."""
 
+import os
+import subprocess
+import sys
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import klcells
 from klcells.characters import CharacterTable
 from klcells.cherednik_rank1 import AlgebraElt, CMCellData, Rank1Params
 from klcells.coxeter import ConjugacyClasses, CoxeterGroup, WeightFunction
@@ -130,3 +134,13 @@ def cell_of_exponent(data: CMCellData, j: int) -> int:
         if j in block:
             return idx
     raise KeyError(j)
+
+
+def fresh_python(code: str) -> str:
+    """The stdout of `code` run by a fresh interpreter that imports klcells
+    from this source tree."""
+    src = os.path.dirname(os.path.dirname(klcells.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    return run.stdout

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from api_helpers import fresh_python
 from klcells.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -39,6 +40,15 @@ def test_traced_method_exists(modname, clsname, attr):
     cls = getattr(importlib.import_module(modname), clsname)
     # The tracer looks the method up in the class's own namespace.
     assert attr in vars(cls)
+
+
+def test_the_cli_loads_every_traced_module():
+    """The tracer wraps functions only in the klcells modules that `import
+    klcells.cli` has loaded, and the package loads none of its own, so the
+    CLI's imports must reach every traced module."""
+    traced = sorted({m for m, _, _ in tracing.FUNCTIONS} | {m for m, _, _, _ in tracing.METHODS})
+    assert fresh_python("import klcells.cli, sys; "
+                        f"print(sorted(set({traced!r}) - sys.modules.keys()))") == "[]\n"
 
 
 def test_benchmark_reads_the_kl_cache(tmp_path, capsys):

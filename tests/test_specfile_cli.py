@@ -1,17 +1,20 @@
 import json
 import os
+import pkgutil
 import stat
-import subprocess
-import sys
+import types
 from fractions import Fraction
 
 import pytest
 
 import klcells
+from api_helpers import fresh_python
+from klcells.cells import NonIntegerMultiplicity
 from klcells.cli import main
 from klcells.conjecture import B2_REGIME_POINTS
-from klcells.coxeter import ConjugacyViolation
-from klcells.hecke import HeckeAlgebra, KLTable, payload_digest
+from klcells.coxeter import ConjugacyViolation, InfiniteOrTooLarge
+from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow,
+                           payload_digest)
 from klcells.ordered_coeffs import LEX, LEX_BOUND, RATIONAL
 from klcells.specfile import SpecParseError, parse_spec, render_spec
 
@@ -225,18 +228,35 @@ def test_cli_output_is_atomic_and_equals_stdout(tmp_path, capsys, monkeypatch):
     assert code == 1 and "cannot write" in err
 
 
-@pytest.mark.parametrize("exc", [KeyError("w"), IndexError("list index out of range"),
-                                 TypeError("unsupported operand")])
-def test_stray_internal_errors_exit_2(tmp_path, capsys, monkeypatch, exc):
+def run_broken_cells(tmp_path, capsys, monkeypatch, exc):
+    """`klcells cells` on A1 with `cells_report` raising `exc`."""
     spec = write(tmp_path / "a1.spec", "group A 1\nL s = 1\n")
 
     def broken(*args, **kwargs):
         raise exc
 
     monkeypatch.setattr("klcells.cli.cells_report", broken)
-    code, out, err = run_cli(capsys, "cells", spec, "--no-cache")
+    return run_cli(capsys, "cells", spec, "--no-cache")
+
+
+@pytest.mark.parametrize("exc", [KeyError("w"), IndexError("list index out of range"),
+                                 TypeError("unsupported operand"),
+                                 NonIntegerMultiplicity("multiplicity 1/2"),
+                                 SlotOverflow("a KL coefficient may not fit 8-bit slots"),
+                                 BoxOverflow("a KL exponent may leave the slot box")])
+def test_stray_internal_errors_exit_2(tmp_path, capsys, monkeypatch, exc):
+    code, out, err = run_broken_cells(tmp_path, capsys, monkeypatch, exc)
     assert (code, out) == (2, "")
     assert err == f"internal invariant violation: {exc}\n"
+
+
+@pytest.mark.parametrize("exc", [SpecParseError(2, 1, "unknown generator 'x'"),
+                                 ConjugacyViolation("s", "t"),
+                                 InfiniteOrTooLarge("group order exceeds the size cap")])
+def test_input_errors_from_the_library_exit_1(tmp_path, capsys, monkeypatch, exc):
+    code, out, err = run_broken_cells(tmp_path, capsys, monkeypatch, exc)
+    assert (code, out) == (1, "")
+    assert err == f"error: {exc}\n"
 
 
 def test_cache_hit_is_byte_identical(tmp_path, capsys):
@@ -315,6 +335,14 @@ def test_unusable_reports_dir_is_an_input_error(tmp_path, capsys):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert errors[0].startswith(f"error: cannot write {str(blocker / 'sub')!r}: ")
+
+
+@pytest.mark.parametrize("c_values", ["", ","])
+def test_conjecture_over_no_c_value_is_an_input_error(capsys, c_values):
+    code, out, err = run_cli(capsys, "conjecture", "--c-values", c_values, "--no-b2")
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: --c-values names no c value"]
 
 
 def test_cli_conjecture_no_b2(capsys):
@@ -566,10 +594,27 @@ def test_import_loads_no_dataclasses():
     """Every command is a fresh process, so start-up counts: importing the
     package and its CLI loads neither dataclasses nor inspect, which
     dataclasses imports."""
-    src = os.path.dirname(os.path.dirname(klcells.__file__))
-    code = ("import klcells, klcells.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    assert fresh_python("import klcells, klcells.cli, sys; "
+                        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+                        ) == "[]\n"
+
+
+def test_library_calls_load_no_kl_code():
+    """The package imports none of its modules, so a caller of the
+    character, rank-1 and group code pays for no Hecke algebra, cells,
+    conjecture, spec parser or CLI."""
+    assert fresh_python("import klcells.characters, klcells.cherednik_rank1, "
+                        "klcells.coxeter, sys; print(sorted({'klcells.hecke', "
+                        "'klcells.cells', 'klcells.conjecture', 'klcells.specfile', "
+                        "'klcells.cli'} & sys.modules.keys()))") == "[]\n"
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(klcells.__path__)))
+def test_each_submodule_name_is_the_module(name):
+    """`import klcells.<name> as x` binds the module, never a function of the
+    same name that the package namespace could shadow it with."""
+    scope = {}
+    exec(f"import klcells.{name} as x", scope)
+    assert isinstance(scope["x"], types.ModuleType)
+    assert scope["x"].__name__ == f"klcells.{name}"
