@@ -1,9 +1,12 @@
 """Exact complex character tables of finite groups from a multiplication oracle.
 
-Standard class-sum approach: class multiplication constants give commuting
-integer matrices whose common eigenvectors are the central characters.
-Working modulo a prime p = 1 (mod exponent), p > 2|W|, the eigenproblem is
-solved exactly over F_p; eigenvalue multiplicities of rho(g) are then
+Dixon's class-sum approach: the class matrices M_i (class multiplication
+constants) commute, and their common eigenvectors are the central
+characters.  Modulo a prime p = 1 (mod exponent), p > 2|W|, the space is
+split exactly over F_p into eigenspaces of M_1, M_2, ... until every space
+is a line; M_i is built only when the split reaches class i, and each
+split finds the characteristic polynomial in O(d^3) by a reduction to
+Hessenberg form.  Eigenvalue multiplicities of rho(g) are then
 recovered by a discrete Fourier transform over F_p and lifted to the
 cyclotomic field Q(zeta_exponent), where all values are exact.
 
@@ -102,11 +105,17 @@ class CharacterTable:
                 for i, r in enumerate(reps)
             ],
             "irreducibles": [
-                [[str(c) for c in value.coeffs] for value in row]
+                [[_fraction_text(a, value.den) for a in value.num] for value in row]
                 for row in self.rows
             ],
             "degrees": self.degrees,
         }
+
+
+def _fraction_text(a: int, den: int) -> str:
+    """str(Fraction(a, den)) for den >= 1, without building the Fraction."""
+    g = gcd(a, den)
+    return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
 # -- F_p linear algebra helpers ------------------------------------------
@@ -153,19 +162,39 @@ def _primitive_root(p: int) -> int:
 
 
 def _charpoly_mod(a: List[List[int]], p: int) -> List[int]:
-    """x^d + c1 x^(d-1) + ... + cd by Faddeev-LeVerrier (p > d)."""
+    """x^d + c1 x^(d-1) + ... + cd mod p, in O(d^3): a similarity
+    reduction to upper Hessenberg form H, then the recurrence
+    P_(m+1) = x P_m - sum_(r <= m) h_(r,m) h_(r+1,r) ... h_(m,m-1) P_r
+    over the characteristic polynomials P_m of the leading m x m blocks."""
     d = len(a)
-    coeffs = [1]
-    m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for k in range(1, d + 1):
-        m = [[sum(a[i][t] * m[t][j] for t in range(d)) % p for j in range(d)]
-             for i in range(d)]
-        tr = sum(m[i][i] for i in range(d)) % p
-        c = (-tr * pow(k, -1, p)) % p
-        coeffs.append(c)
-        for i in range(d):
-            m[i][i] = (m[i][i] + c) % p
-    return coeffs
+    h = [[x % p for x in row] for row in a]
+    for m in range(1, d - 1):
+        piv = next((i for i in range(m, d) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        h[m], h[piv] = h[piv], h[m]
+        for row in h:
+            row[m], row[piv] = row[piv], row[m]
+        inv = pow(h[m][m - 1], -1, p)
+        hm = h[m]
+        for i in range(m + 1, d):
+            u = h[i][m - 1] * inv % p
+            if u:
+                # row_i -= u row_m, then col_m += u col_i: H stays similar.
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], hm)]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]  # constant term first
+    for m in range(d):
+        nxt = [0] + polys[m]
+        t = 1
+        for r in range(m, -1, -1):
+            f = t * h[r][m] % p
+            for j, c in enumerate(polys[r]):
+                nxt[j] = (nxt[j] - f * c) % p
+            t = t * h[r][r - 1] % p  # unused after r = 0
+        polys.append(nxt)
+    return polys[d][::-1]
 
 
 def _poly_roots_mod(coeffs: List[int], p: int) -> List[int]:
@@ -279,15 +308,17 @@ def _refine(space: _Subspace, mat: List[List[int]], p: int) -> List[_Subspace]:
 # -- the table -------------------------------------------------------------
 
 
-def _class_constants(group, classes) -> List[List[List[int]]]:
-    """a[i][l][j] = #{(x, y) in C_i x C_l : xy = rep_j}."""
+def _class_matrix(group, classes, i: int) -> List[List[int]]:
+    """M_i[l][j] = #{(x, y) in C_i x C_l : xy = rep_j}, from the
+    |C_i| * k products x^-1 rep_j with x in C_i."""
     k = len(classes.blocks)
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for j, rep in enumerate(classes.representatives):
-        for x in range(len(group)):
-            y = group.mul(group.inv(x), rep)
-            a[classes.class_of[x]][classes.class_of[y]][j] += 1
-    return a
+    class_of = classes.class_of
+    mat = [[0] * k for _ in range(k)]
+    for x in classes.blocks[i]:
+        xinv = group.inv(x)
+        for j, rep in enumerate(classes.representatives):
+            mat[class_of[group.mul(xinv, rep)]][j] += 1
+    return mat
 
 
 def character_table(group) -> CharacterTable:
@@ -302,13 +333,13 @@ def character_table(group) -> CharacterTable:
     p = dixon_prime(n, exponent)
     field = CyclotomicField.get(exponent)
 
-    a = _class_constants(group, classes)
-    # M_i[l][j] = a_{il}^j, so M_i u = omega_i(chi) u on u = (omega_j(chi))_j.
+    # M_i u = omega_i(chi) u on u = (omega_j(chi))_j; the split stops once
+    # every space is a line, so M_i is built only for the classes it reaches.
     spaces = [_Subspace([[1 if i == j else 0 for j in range(k)] for i in range(k)], p)]
     for i in range(1, k):
         if all(s.dim == 1 for s in spaces):
             break
-        mat = [[a[i][l][j] % p for j in range(k)] for l in range(k)]
+        mat = _class_matrix(group, classes, i)
         nxt: List[_Subspace] = []
         for s in spaces:
             if s.dim == 1:

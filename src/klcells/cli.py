@@ -108,11 +108,15 @@ def _read_spec(path: str) -> str:
 
 
 def _parse_rationals(text: str) -> List[Fraction]:
+    """The comma-separated rationals of `text`; a list of blanks names none,
+    and a blank beside a value is a stray comma."""
+    toks = [tok.strip() for tok in text.split(",")]
+    if not any(toks):
+        return []
     out = []
-    for tok in text.split(","):
-        tok = tok.strip()
+    for tok in toks:
         if not tok:
-            continue
+            raise InputError(f"stray comma in {text!r}")
         try:
             out.append(Fraction(tok))
         except (ValueError, ZeroDivisionError):

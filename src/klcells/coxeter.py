@@ -2,8 +2,9 @@
 
 The geometric reflection representation is realized over Q(zeta_N) with
 Cartan-like entries -2cos(pi/m_st) = -(zeta_2m + zeta_2m^-1), uniformly
-for every finite type including I2(m).  Elements are identified by their
-permutation of the (finite) root system; breadth-first enumeration yields
+for every finite type including I2(m).  Elements act on the (finite) root
+system by permutations, and are told apart by their images of the simple
+roots, a basis of V; breadth-first enumeration yields
 ShortLex-canonical reduced words and the length table, so no sign
 decisions on real algebraic numbers are ever needed.
 """
@@ -11,6 +12,7 @@ decisions on real algebraic numbers are ever needed.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic, CyclotomicField
@@ -216,9 +218,16 @@ class CoxeterGroup:
         return roots, [tuple(p) for p in perms]
 
     def _enumerate_elements(self, cap: int) -> None:
-        nroots = len(self.roots)
-        identity = tuple(range(nroots))
-        perm_index: Dict[Tuple[int, ...], int] = {identity: 0}
+        # An element is fixed by its images of the simple roots (roots
+        # 0..rank-1), which span V: the BFS is keyed by those, and the full
+        # root permutation is built only for new elements.  heads[g] reads
+        # the key of ws off the permutation of w; at rank 1 a key is a bare
+        # int, and rank 0 has no heads.
+        rank = self.rank
+        gen_perms = self._gen_perms
+        heads = [itemgetter(*pg[:rank]) for pg in gen_perms]
+        identity = tuple(range(len(self.roots)))
+        perm_index = {itemgetter(*range(rank))(identity) if rank else (): 0}
         perms = [identity]
         words: List[Tuple[int, ...]] = [()]
         lengths = [0]
@@ -229,17 +238,16 @@ class CoxeterGroup:
             for w in queue:
                 pw = perms[w]
                 row = []
-                for g in range(self.rank):
-                    pg = self._gen_perms[g]
-                    image = tuple(pw[pg[r]] for r in range(nroots))
-                    idx = perm_index.get(image)
+                for g, head in enumerate(heads):
+                    key = head(pw)
+                    idx = perm_index.get(key)
                     if idx is None:
                         idx = len(perms)
                         if idx >= cap:
                             raise InfiniteOrTooLarge(
                                 f"group exceeds {cap} elements")
-                        perm_index[image] = idx
-                        perms.append(image)
+                        perm_index[key] = idx
+                        perms.append(tuple(map(pw.__getitem__, gen_perms[g])))
                         words.append(words[w] + (g,))
                         lengths.append(lengths[w] + 1)
                         nxt.append(idx)

@@ -84,7 +84,6 @@ with L = (1,1,2,2) 4.77 MB -> 2.50 MB.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import math
@@ -131,6 +130,8 @@ def _canonical(doc: dict) -> str:
 
 
 def _sha256(text: str) -> str:
+    import hashlib  # on first use: commands without a KL cache never load it
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 

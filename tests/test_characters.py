@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from api_helpers import from_integers, regular_character, trivial_character
+from charpoly_reference import charpoly_faddeev_leverrier
 from mn_oracle import coxeter_class_cycle_types, symmetric_group_table
-from klcells.characters import (CharacterTable, CyclicGroup, character_table,
-                                decompose, dixon_prime, inner_product,
-                                verify_orthogonality)
+from klcells.characters import (CharacterTable, CyclicGroup, _charpoly_mod,
+                                character_table, decompose, dixon_prime,
+                                inner_product, verify_orthogonality)
 from klcells.coxeter import CoxeterMatrix, build_group, named_coxeter_matrix
 
 # Groups for the decomposition tests: Weyl groups with rational tables,
@@ -192,6 +193,23 @@ def test_json_rendering_is_integral():
                 assert "/" not in c  # algebraic integers: integer coefficients
 
 
+def test_json_renders_each_coefficient_as_its_fraction():
+    """Table values have integer coefficients, so the rendering of a
+    denominator is checked on a table of other values: each power-basis
+    coefficient reads as str(Fraction), reduced on its own."""
+    table = decompose_table("I2(5)")
+    field = table.field
+    values = [field.from_numerators(num, den) for num, den in [
+        ((2, 1, -6, 3), 4), ((0, 3, 0, -9), 6), ((-5, 0, 10, 1), 15)]]
+    # The degrees read the identity column, so it stays rational.
+    rows = [[field.from_fraction(Fraction(7, 2))] + values[i:] + values[:i]
+            for i in range(len(table.rows))]
+    altered = CharacterTable(table.group, table.classes, table.field, rows,
+                             table.class_orders)
+    assert altered.to_json_dict()["irreducibles"] == [
+        [[str(c) for c in value.coeffs] for value in row] for row in rows]
+
+
 def _ok_flag(coeffs):
     return all(c.is_rational() and c.to_fraction().denominator == 1
                and c.to_fraction() >= 0 for c in coeffs)
@@ -265,3 +283,77 @@ def test_altered_tables():
         assert not verify_orthogonality(altered)
         coeffs, _ = decompose(f, altered)
         assert coeffs == [inner_product(f, row, altered) for row in rows]
+
+
+# Primes above 12, the largest d drawn, as Faddeev-LeVerrier needs p > d;
+# 61 and 97 are Dixon primes of small Weyl groups.
+CHARPOLY_PRIMES = (13, 17, 61, 97, 10007)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    p = draw(st.sampled_from(CHARPOLY_PRIMES))
+    d = draw(st.integers(0, 12))
+    # Sparse entries too, so that the Hessenberg pivot search meets zeros.
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    return rows, p
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(matrices_mod_p())
+def test_charpoly_matches_faddeev_leverrier(case):
+    a, p = case
+    assert _charpoly_mod(a, p) == charpoly_faddeev_leverrier(a, p)
+
+
+def _jordan_block(d, lam):
+    return [[lam if i == j else int(j == i + 1) for j in range(d)] for i in range(d)]
+
+
+def _block_triangular(top, bottom, corner):
+    """[[top, corner], [0, bottom]]: below the first block, its columns are
+    zero, so the pivot search there finds nothing to eliminate."""
+    m, n = len(top), len(bottom)
+    return ([top[i] + corner[i] for i in range(m)]
+            + [[0] * m + bottom[i] for i in range(n)])
+
+
+STRUCTURED_MATRICES = {
+    "empty": [],
+    "zero_1": [[0]],
+    "zero_6": [[0] * 6 for _ in range(6)],
+    "identity_7": [[int(i == j) for j in range(7)] for i in range(7)],
+    "nilpotent_jordan_8": _jordan_block(8, 0),
+    "jordan_5_eigenvalue_3": _jordan_block(5, 3),
+    "transposed_jordan_6": [list(col) for col in zip(*_jordan_block(6, 0))],
+    "block_triangular": _block_triangular(
+        [[1, 2, 0], [3, 4, 5], [0, 6, 7]], [[2, 1, 1], [0, 3, 1], [5, 0, 4]],
+        [[1, 0, 2], [0, 1, 0], [4, 4, 4]]),
+    "block_triangular_zero_corner": _block_triangular(
+        [[0, 1], [1, 0]], [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]],
+        [[0] * 4, [0] * 4]),
+    "zero_first_column": [[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9], [0, 1, 1, 1]],
+    "upper_hessenberg": [[1, 2, 3, 4, 5], [6, 7, 8, 9, 1], [0, 2, 3, 4, 5],
+                         [0, 0, 6, 7, 8], [0, 0, 0, 9, 1]],
+    "hessenberg_zero_subdiagonal": [[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 9, 1],
+                                    [0, 0, 2, 3]],
+    "upper_triangular": [[i + j if j >= i else 0 for j in range(6)] for i in range(6)],
+    "pivot_below_subdiagonal": [[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 1, 2], [0, 3, 4, 5]],
+}
+
+
+@pytest.mark.parametrize("p", CHARPOLY_PRIMES)
+@pytest.mark.parametrize("name", sorted(STRUCTURED_MATRICES))
+def test_charpoly_on_structured_matrices(name, p):
+    a = STRUCTURED_MATRICES[name]
+    assert _charpoly_mod(a, p) == charpoly_faddeev_leverrier(a, p)
+
+
+def test_charpoly_of_known_matrices():
+    assert _charpoly_mod([], 13) == [1]
+    assert _charpoly_mod(_jordan_block(8, 0), 13) == [1] + [0] * 8      # x^8
+    assert _charpoly_mod(_jordan_block(3, 2), 13) == [1, 7, 12, 5]      # (x-2)^3
+    assert _charpoly_mod([[int(i == j) for j in range(4)] for i in range(4)],
+                         13) == [1, 9, 6, 9, 1]                           # (x-1)^4

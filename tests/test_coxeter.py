@@ -195,3 +195,58 @@ def test_lex_generic_weights_validate_on_b2_only():
     a2 = named_coxeter_matrix("A", 2)
     with pytest.raises(ConjugacyViolation):
         validate_weights(a2, lex_generic(2))
+
+
+def reference_enumeration(W):
+    """Words, inverses and left products by generators from a breadth-first
+    search keyed by the full permutation of the roots, the element keys of
+    the first enumeration (which the simple-root images replaced)."""
+    nroots = len(W.roots)
+    gen_perms = W._gen_perms
+    identity = tuple(range(nroots))
+    index = {identity: 0}
+    perms, words = [identity], [()]
+    queue = [0]
+    while queue:
+        nxt = []
+        for w in queue:
+            for g, pg in enumerate(gen_perms):
+                image = tuple(perms[w][pg[r]] for r in range(nroots))
+                if image not in index:
+                    index[image] = len(perms)
+                    perms.append(image)
+                    words.append(words[w] + (g,))
+                    nxt.append(index[image])
+        queue = nxt
+    inverses = []
+    for pw in perms:
+        inverse = [0] * nroots
+        for r, image in enumerate(pw):
+            inverse[image] = r
+        inverses.append(index[tuple(inverse)])
+    lmul = [[index[tuple(pg[r] for r in pw)] for pw in perms] for pg in gen_perms]
+    return words, inverses, lmul
+
+
+ENUMERATION_GROUPS = {
+    "A3": named_coxeter_matrix("A", 3),
+    "B4": named_coxeter_matrix("B", 4),
+    "D4": named_coxeter_matrix("D", 4),
+    "H3": CoxeterMatrix.from_rows([[1, 5, 2], [5, 1, 3], [2, 3, 1]]),
+    "F4": CoxeterMatrix.from_rows([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3],
+                                   [2, 2, 3, 1]]),
+    "I2(7)": named_coxeter_matrix("I2", 7),
+    "A1xA2": CoxeterMatrix.from_rows([[1, 2, 2], [2, 1, 3], [2, 3, 1]]),
+    # An element's key is one int at rank 1; rank 0 is the trivial group.
+    "A1": named_coxeter_matrix("A", 1),
+    "rank 0": CoxeterMatrix.from_rows([]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATION_GROUPS))
+def test_enumeration_order_matches_full_permutation_keys(name):
+    W = build_group(ENUMERATION_GROUPS[name])
+    words, inverses, lmul = reference_enumeration(W)
+    assert [W.word(w) for w in range(len(W))] == words
+    assert [W.inv(w) for w in range(len(W))] == inverses
+    assert [[W.lmul_gen(s, w) for w in range(len(W))] for s in range(W.rank)] == lmul

@@ -1,16 +1,19 @@
-"""`klcells klbasis` and `klcells cells` output is byte-identical to the
-recorded goldens.
+"""`klcells klbasis`, `klcells cells` and `klcells characters` output is
+byte-identical to the recorded goldens.
 
-The SHA-256 digests in tests/golden/klbasis_sha256.json and
-tests/golden/cells_sha256.json were taken from the stdout of
-`klcells klbasis SPEC --no-cache` and `klcells cells SPEC --no-cache` for
-the specs below.  Any change to group enumeration, the KL construction,
-the coefficient ring, the cell order, the cell characters or the JSON
+The SHA-256 digests in tests/golden/klbasis_sha256.json,
+tests/golden/cells_sha256.json and tests/golden/characters_sha256.json
+were taken from the stdout of `klcells klbasis SPEC --no-cache`,
+`klcells cells SPEC --no-cache` and `klcells characters SPEC` (which
+reads no KL cache, so takes no --no-cache) for the specs below.  Any
+change to group enumeration, the KL construction, the coefficient ring,
+the cell order, the cell characters, the character tables or the JSON
 emitter that moves a single output byte fails here.  To re-record after a
 deliberate output change:
 
     PYTHONPATH=src python tests/test_klbasis_golden.py klbasis > tests/golden/klbasis_sha256.json
     PYTHONPATH=src python tests/test_klbasis_golden.py cells > tests/golden/cells_sha256.json
+    PYTHONPATH=src python tests/test_klbasis_golden.py characters > tests/golden/characters_sha256.json
 """
 
 import hashlib
@@ -45,7 +48,24 @@ SPECS_BY_COMMAND = {
     # I2(25) has two left cells of 24 elements each.
     "cells": {**SPECS, "D4": "group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n",
               "I2(25)": "group I2 25\nL s = 1\nL t = 1\n"},
+    # Rational tables (A3, B3, D4, B4, F4, D5), irrational real values
+    # (H3, I2(5), I2(8)) and the reducible A1 x A2.
+    "characters": {
+        "A3": SPECS["A3"],
+        "B3": "group B 3\nL s = 1\nL t = 1\nL u = 1\n",
+        "D4": "group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n",
+        "H3": SPECS["H3"],
+        "I2(5)": "group I2 5\nL s = 1\nL t = 1\n",
+        "I2(8)": "group I2 8\nL s = 1\nL t = 1\n",
+        "B4": "group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n",
+        "F4": "group matrix\n4\n3 2 2\n4 2\n3\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n",
+        "D5": "group D 5\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\n",
+        "A1xA2": "group matrix\n3\n2 2\n3\nL s = 1\nL t = 1\nL u = 1\n",
+    },
 }
+
+# Commands that read or write a KL cache are run without one.
+CACHE_FLAGS = {"klbasis": ["--no-cache"], "cells": ["--no-cache"], "characters": []}
 
 
 def output_sha256(command: str, spec_text: str, tmp_dir: Path) -> str:
@@ -53,7 +73,7 @@ def output_sha256(command: str, spec_text: str, tmp_dir: Path) -> str:
     path.write_text(spec_text, encoding="utf-8")
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main([command, str(path), "--no-cache"])
+        code = main([command, str(path), *CACHE_FLAGS[command]])
     assert code == 0
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
@@ -73,6 +93,11 @@ def test_klbasis_bytes_match_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SPECS_BY_COMMAND["cells"]))
 def test_cells_bytes_match_golden(name, tmp_path):
     check_golden("cells", name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS_BY_COMMAND["characters"]))
+def test_characters_bytes_match_golden(name, tmp_path):
+    check_golden("characters", name, tmp_path)
 
 
 if __name__ == "__main__":

@@ -345,6 +345,28 @@ def test_conjecture_over_no_c_value_is_an_input_error(capsys, c_values):
         "error: --c-values names no c value"]
 
 
+def stray_commas(values):
+    """The comma-separated `values` with one blank token added: after the
+    first value, at the end, at the start, and as a lone space."""
+    first, rest = values.split(",", 1)
+    return [f"{first},,{rest}", f"{values},", f",{values}", f"{first}, ,{rest}"]
+
+
+@pytest.mark.parametrize("args", [
+    *(("cm-rank1", "--d", "3", "--c", text) for text in stray_commas("1,1/2")),
+    *(("cm-rank1", "--d", "3", "--kappa", text) for text in stray_commas("1,1,-2")),
+    *(("conjecture", "--no-b2", "--c-values", text) for text in stray_commas("1,1/2")),
+])
+def test_stray_comma_is_an_input_error(capsys, args):
+    """A blank beside a value is refused, not skipped: each list here is
+    valid with its blank dropped, and `--c 1,,1/2` used to run as
+    `--c 1,1/2`."""
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: stray comma in {args[-1]!r}"]
+
+
 def test_cli_conjecture_no_b2(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--c-values", "1/2", "--no-b2")
     assert code == 0
@@ -596,6 +618,14 @@ def test_import_loads_no_dataclasses():
     dataclasses imports."""
     assert fresh_python("import klcells, klcells.cli, sys; "
                         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+                        ) == "[]\n"
+
+
+def test_import_loads_no_hashlib():
+    """hashlib (and OpenSSL's _hashlib) is imported where a KL cache digest
+    is taken, so the commands that read or write no KL cache never load it."""
+    assert fresh_python("import klcells.cli, sys; "
+                        "print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))"
                         ) == "[]\n"
 
 
