@@ -11,9 +11,13 @@ every component it reaches); the Hasse diagram is read off the same
 reachability sets.
 
 Cell characters come from the quotient module spanned by {C_w : w in the
-cell}: T_s acts through the cached C-basis expansions of C_s C_w, every
-v^g is specialized to 1, and the trace on one representative per
-conjugacy class gives the character value.
+cell}, with every v^g specialized to 1.  For each generator s, the sparse
+rows of T_s are read off the C-basis expansions of C_s C_w that the KL
+table derives from its corrections (less the identity when L(s) > 0).
+The trace on one representative per conjugacy class gives the character
+value: the product along the representative's word is formed on rows
+packed into Python ints, one base-2^B digit per entry, with B wide
+enough for the product of the generators' row norms.
 """
 
 from __future__ import annotations
@@ -99,17 +103,15 @@ def _tarjan_scc(size: int, succ: Sequence[Set[int]]) -> List[List[int]]:
 
 
 class CellPartition:
-    """Blocks of W with the induced partial order between blocks.
-
-    ``order`` holds pairs (a, b) meaning block b strictly precedes block a;
-    ``hasse`` is its transitive reduction.
+    """Blocks of W with the Hasse diagram of the induced partial order:
+    ``hasse`` holds the pairs (a, b) where block b is covered by block a
+    (b strictly precedes a, with no block between them).
     """
 
-    def __init__(self, kind, blocks, block_of, order, hasse):
+    def __init__(self, kind, blocks, block_of, hasse):
         self.kind: str = kind
         self.blocks: List[List[int]] = blocks
         self.block_of: List[int] = block_of
-        self.order: Set[Tuple[int, int]] = order
         self.hasse: List[Tuple[int, int]] = hasse
 
     def as_sets(self) -> Set[FrozenSet[int]]:
@@ -126,9 +128,9 @@ def _canonical_blocks(comps: List[List[int]], size: int):
 
 
 def _block_order(comps: List[List[int]], block_of: List[int],
-                 succ: Sequence[Set[int]]) -> Tuple[Set[Tuple[int, int]], List[Tuple[int, int]]]:
-    """Order and Hasse diagram between blocks; ``comps`` in the emission
-    order of `_tarjan_scc`, so each block's reach is closed in one pass."""
+                 succ: Sequence[Set[int]]) -> List[Tuple[int, int]]:
+    """Hasse diagram between blocks; ``comps`` in the emission order of
+    `_tarjan_scc`, so each block's reach is closed in one pass."""
     nb = len(comps)
     direct: List[Set[int]] = [set() for _ in range(nb)]
     for w, ys in enumerate(succ):
@@ -143,11 +145,9 @@ def _block_order(comps: List[List[int]], block_of: List[int],
         for c in direct[b]:
             reach[b].add(c)
             reach[b] |= reach[c]
-    order = {(a, b) for a in range(nb) for b in reach[a]}
     # a covers b iff b is a direct successor that no other direct successor reaches.
-    hasse = [(a, b) for a in range(nb) for b in sorted(direct[a])
-             if not any(b in reach[c] for c in direct[a])]
-    return order, hasse
+    return [(a, b) for a in range(nb) for b in sorted(direct[a])
+            if not any(b in reach[c] for c in direct[a])]
 
 
 def cells(graph: PreorderGraph, kind: str, group: CoxeterGroup) -> CellPartition:
@@ -162,8 +162,8 @@ def cells(graph: PreorderGraph, kind: str, group: CoxeterGroup) -> CellPartition
         succ = inverted if kind == "right" else [a | b for a, b in zip(succ, inverted)]
     comps = _tarjan_scc(graph.size, succ)
     blocks, block_of = _canonical_blocks(comps, graph.size)
-    order, hasse = _block_order(comps, block_of, succ)
-    return CellPartition(kind, blocks, block_of, order, hasse)
+    return CellPartition(kind, blocks, block_of,
+                         _block_order(comps, block_of, succ))
 
 
 class CellCharacter:
@@ -175,57 +175,49 @@ class CellCharacter:
         self.multiplicities: List[int] = multiplicities  # per irreducible, in table row order
 
 
-def specialized_generator_action(table: KLTable, cell: Sequence[int]) -> List[List[List[int]]]:
-    """For each generator s, the integer matrix of T_s (v -> 1) on the
-    quotient basis {C_w : w in cell}."""
-    algebra = table.algebra
+def left_cell_character(table: KLTable, cell: Sequence[int],
+                        chars: CharacterTable) -> CellCharacter:
+    """Character of the cell module and its multiplicities in `chars`.
+
+    rows[s][j] lists (i, m): C_(cell[i]) has coefficient m in T_s C_(cell[j])
+    at v = 1, i.e. the rows of the transpose N_s of the matrix of T_s.  The
+    trace on g = g_1 ... g_n is that of N_(g_n) ... N_(g_1), formed from the
+    right; each of its rows is one int whose base-2^B digit i is entry i.
+    Every entry is bounded by the product of the row norms of the factors,
+    so B = 1 + bit_length(that bound) reads every final digit; the int sums
+    are exact, so intermediate digits may pass the bound harmlessly."""
+    group = table.group
     pos = {w: i for i, w in enumerate(cell)}
     k = len(cell)
-    mats = []
-    for s in range(table.group.rank):
-        shift = 1 if algebra.weights[s].sign() > 0 else 0
-        mat = [[0] * k for _ in range(k)]
+    rows = []
+    for s in range(group.rank):
+        # T_s = C_s - v^{-L(s)}: subtract the identity part at v=1.
+        shift = 1 if table.algebra.positive[s] else 0
+        rows_s = []
         for j, w in enumerate(cell):
+            row = {j: -shift}
             for y, c in table.cs_product_in_c(s, w).items():
                 i = pos.get(y)
                 if i is not None:
-                    mat[i][j] += c.evaluate_at_one()
-            # T_s = C_s - v^{-L(s)}: subtract the identity part at v=1.
-            mat[j][j] -= shift
-        mats.append(mat)
-    return mats
-
-
-def _mat_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
-    k = len(a)
-    out = [[0] * k for _ in range(k)]
-    for i in range(k):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(k):
-                    oi[j] += c * bt[j]
-    return out
-
-
-def left_cell_character(table: KLTable, cell: Sequence[int],
-                        chars: CharacterTable) -> CellCharacter:
-    """Character of the cell module and its multiplicities in `chars`."""
-    group = table.group
-    classes = group.conjugacy_classes()
-    mats = specialized_generator_action(table, cell)
-    k = len(cell)
+                    row[i] = row.get(i, 0) + c.evaluate_at_one()
+            rows_s.append([(i, m) for i, m in row.items() if m])
+        rows.append(rows_s)
+    norms = [max(sum(abs(m) for _, m in row) for row in rows_s) for rows_s in rows]
     values = []
-    for rep in classes.representatives:
-        rho = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        # M_{g_1} ... M_{g_n}, built from the right so that the sparse
-        # generator matrix is the left factor _mat_mul skips zeros of.
-        for g in reversed(group.word(rep)):
-            rho = _mat_mul(mats[g], rho)
-        values.append(sum(rho[i][i] for i in range(k)))
+    for rep in group.conjugacy_classes().representatives:
+        word = group.word(rep)
+        bound = 1
+        for g in word:
+            bound *= norms[g]
+        width = 1 + bound.bit_length()
+        rho = [1 << (width * i) for i in range(k)]
+        for g in word:
+            rho = [sum(m * rho[i] for i, m in row) for row in rows[g]]
+        # Adding half to every digit makes each one a non-negative base-2^B digit.
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        offset = half * ((1 << (width * k)) - 1) // mask
+        values.append(sum((((r + offset) >> (width * j)) & mask) - half
+                          for j, r in enumerate(rho)))
     coeffs, ok = decompose([chars.field.from_fraction(v) for v in values], chars)
     if not ok:
         raise NonIntegerMultiplicity(

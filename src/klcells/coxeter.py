@@ -86,10 +86,6 @@ class CoxeterMatrix(Frozen):
                 m[i][j] = m[j][i] = int(val)
         return CoxeterMatrix.from_rows(m)
 
-    def upper_triangle(self) -> List[List[int]]:
-        return [[self.entries[i][j] for j in range(i + 1, self.rank)]
-                for i in range(self.rank - 1)]
-
 
 def named_coxeter_matrix(kind: str, n: int) -> CoxeterMatrix:
     """The classified matrices: A n, B n, D n, I2 m."""

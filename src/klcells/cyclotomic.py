@@ -27,18 +27,6 @@ from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 
-def _divisors(n: int) -> List[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _int_poly_div_exact(num: Sequence[int], den: Sequence[int]) -> Tuple[int, ...]:
     """Divide integer polynomials (low-to-high coefficients), den monic."""
     num = list(num)
@@ -54,15 +42,31 @@ def _int_poly_div_exact(num: Sequence[int], den: Sequence[int]) -> Tuple[int, ..
     return tuple(q)
 
 
+def _x_to_the(poly: Sequence[int], e: int) -> Tuple[int, ...]:
+    """poly(x^e), coefficients constant term first."""
+    out = [0] * ((len(poly) - 1) * e + 1)
+    out[::e] = poly
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     """Coefficients of Phi_n, constant term first."""
-    # x^n - 1 = prod_{d | n} Phi_d
-    num: Sequence[int] = tuple([-1] + [0] * (n - 1) + [1])
-    for d in _divisors(n):
-        if d < n:
-            num = _int_poly_div_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    # From Phi_1 = x - 1: Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p
+    # of n (p not dividing m), which gives Phi_r for r the product of those
+    # primes, and Phi_n(x) = Phi_r(x^(n/r)).
+    phi: Tuple[int, ...] = (-1, 1)
+    r, rest, p = 1, n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            phi = _int_poly_div_exact(_x_to_the(phi, p), phi)
+            r *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return _x_to_the(phi, n // r)
 
 
 class CyclotomicField:

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from .coxeter import (CoxeterMatrix, WeightFunction, default_gen_names,
                       named_coxeter_matrix, validate_weights)
-from .ordered_coeffs import RATIONAL, Frozen
+from .ordered_coeffs import Frozen
 
 
 class SpecParseError(ValueError):
@@ -176,29 +176,3 @@ def parse_spec(text: str) -> ParsedSpec:
 
     validate_weights(matrix, weights, gen_names)
     return ParsedSpec(name, matrix, gen_names, weights)
-
-
-def render_spec(spec: ParsedSpec) -> str:
-    """Canonical text form; parse(render(spec)) == spec."""
-    lines = []
-    if spec.name is not None:
-        lines.append(f"group {spec.name}")
-    else:
-        lines.append("group matrix")
-        lines.append(str(spec.matrix.rank))
-        for row in spec.matrix.upper_triangle():
-            lines.append(" ".join(str(x) for x in row))
-    for g, nm in enumerate(spec.gen_names):
-        exp = spec.weights[g]
-        if spec.mode == RATIONAL:
-            lines.append(f"L {nm} = {exp.render()}")
-        else:
-            vec = exp.value
-            nonzero = [i for i, x in enumerate(vec) if x]
-            if not nonzero:
-                lines.append(f"L lex {nm} = 0")
-            elif len(nonzero) == 1 and vec[nonzero[0]] == 1:
-                lines.append(f"L lex {nm} = e_{nonzero[0] + 1}")
-            else:
-                raise ValueError("lex weights outside the e_i/0 grammar")
-    return "\n".join(lines) + "\n"

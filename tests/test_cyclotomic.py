@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotomic_reference import CyclotomicField as ReferenceField
+from cyclotomic_reference import cyclotomic_polynomial as reference_polynomial
 from klcells.cyclotomic import CyclotomicField, cyclotomic_polynomial
 
 
@@ -21,6 +22,13 @@ def test_small_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomials_match_divisor_recursion():
+    """The prime-by-prime construction equals x^n - 1 divided by every
+    Phi_d, d a proper divisor of n."""
+    for n in range(1, 1001):
+        assert cyclotomic_polynomial(n) == reference_polynomial(n), n
 
 
 def test_zeta_power_relations():

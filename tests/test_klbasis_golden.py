@@ -45,9 +45,13 @@ SPECS = {
 
 SPECS_BY_COMMAND = {
     "klbasis": SPECS,
-    # I2(25) has two left cells of 24 elements each.
+    # I2(25) has two left cells of 24 elements each; B4 (1,1,1,2) has 58
+    # left cells of up to 14 elements, with class words of up to 16
+    # letters, and A5 has 76 of up to 16 elements.
     "cells": {**SPECS, "D4": "group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n",
-              "I2(25)": "group I2 25\nL s = 1\nL t = 1\n"},
+              "I2(25)": "group I2 25\nL s = 1\nL t = 1\n",
+              "B4_1_1_1_2": "group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 2\n",
+              "A5": "group A 5\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\n"},
     # Rational tables (A3, B3, D4, B4, F4, D5), irrational real values
     # (H3, I2(5), I2(8)) and the reducible A1 x A2.
     "characters": {

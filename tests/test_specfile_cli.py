@@ -16,7 +16,7 @@ from klcells.coxeter import ConjugacyViolation, InfiniteOrTooLarge
 from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow,
                            payload_digest)
 from klcells.ordered_coeffs import LEX, LEX_BOUND, RATIONAL
-from klcells.specfile import SpecParseError, parse_spec, render_spec
+from klcells.specfile import SpecParseError, parse_spec
 
 
 def test_parse_named_group():
@@ -98,19 +98,6 @@ def test_syntax_error_location():
         parse_spec("group A 2\nL s = 1\nL lex t = e_1\n")  # mixed styles
     with pytest.raises(SpecParseError):
         parse_spec("")
-
-
-def test_parse_render_identity():
-    cases = [
-        "group I2 4\nL s = 1\nL t = 2\n",
-        "group A 3\nL s = 1/2\nL t = 1/2\nL u = 1/2\n",
-        "group matrix\n2\n5\nL s = 0\nL t = 0\n",
-        "group B 2\nL lex s = e_1\nL lex t = e_2\n",
-        "group B 2\nL lex s = 0\nL lex t = e_1\n",
-    ]
-    for text in cases:
-        spec = parse_spec(text)
-        assert parse_spec(render_spec(spec)) == spec
 
 
 def run_cli(capsys, *argv):
