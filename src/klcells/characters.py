@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from operator import mul
+from typing import Iterator, List, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic, CyclotomicField
 
@@ -79,17 +80,19 @@ class CharacterTable:
         return [int(row[0].to_fraction()) for row in self.rows]
 
     @cached_property
-    def dual(self) -> Tuple[int, List[List[Tuple[int, ...]]]]:
-        """(scale, dual) with dual[r][l] the power-basis coefficients of
-        D * |C_l| * conj(chi_r(l)) as ints and scale = D * |W|, where D is
-        the lcm of their denominators, so that
-        <f, chi_r> = sum_l f(l) * dual[r][l] / scale.  Built on first use,
-        since most tables are never used to decompose."""
+    def dual(self) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
+        """(scale, dual) with dual[r][l] the nonzero power-basis coefficients
+        of D * |C_l| * conj(chi_r(l)) as (index, int) pairs and
+        scale = D * |W|, where D is the lcm of their denominators, so that
+        <f, chi_r> = sum_l f(l) * dual[r][l] / scale.  A rational entry is
+        one pair at most.  Built on first use, since most tables are never
+        used to decompose."""
         sizes = self.classes.sizes
         conj = [[v.conj() * size for v, size in zip(row, sizes)]
                 for row in self.rows]
         d = lcm(*(v.den for row in conj for v in row))
-        dual = [[tuple(c * (d // v.den) for c in v.num) for v in row]
+        dual = [[[(j, c * (d // v.den)) for j, c in enumerate(v.num) if c]
+                 for v in row]
                 for row in conj]
         return d * sum(sizes), dual
 
@@ -112,8 +115,14 @@ class CharacterTable:
         }
 
 
+_ZERO = "0"
+
+
 def _fraction_text(a: int, den: int) -> str:
-    """str(Fraction(a, den)) for den >= 1, without building the Fraction."""
+    """str(Fraction(a, den)) for den >= 1, without building the Fraction.
+    Every zero is the one string _ZERO: most coefficients of a table are."""
+    if not a:
+        return _ZERO
     g = gcd(a, den)
     return str(a // g) if g == den else f"{a // g}/{den // g}"
 
@@ -197,15 +206,51 @@ def _charpoly_mod(a: List[List[int]], p: int) -> List[int]:
     return polys[d][::-1]
 
 
+def _scan_order(p: int) -> Iterator[int]:
+    """0, 1, p-1, 2, p-2, ...: every residue mod p, small absolute values
+    first."""
+    yield 0
+    for t in range(1, p // 2 + 1):
+        yield t
+        if p - t != t:
+            yield p - t
+
+
+def _divide_linear(coeffs: List[int], x: int, p: int) -> Tuple[List[int], int]:
+    """(quotient, remainder) of the polynomial by (X - x) mod p, by
+    synthetic division; coefficients leading first."""
+    acc = 0
+    out = []
+    for c in coeffs:
+        acc = (acc * x + c) % p
+        out.append(acc)
+    return out[:-1], out[-1]
+
+
 def _poly_roots_mod(coeffs: List[int], p: int) -> List[int]:
+    """The distinct roots in F_p, ascending, of the polynomial with the
+    given coefficients (leading first, leading coefficient nonzero mod p).
+
+    x runs in _scan_order, and each root is divided out until the quotient
+    is constant, where the scan stops.  The eigenvalues of a class matrix
+    M_i are |C_i| chi(g_i) / chi(1), so for a rational table they are
+    integers of size at most |C_i|, found among the first 2|C_i| + 1
+    values of x, not the p of a full scan."""
     roots = []
-    for x in range(p):
+    for x in _scan_order(p):
+        if len(coeffs) == 1:
+            break
         acc = 0
         for c in coeffs:
             acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
+        if acc:
+            continue
+        roots.append(x)
+        quotient, rem = _divide_linear(coeffs, x, p)
+        while not rem:  # x may be a repeated root
+            coeffs = quotient
+            quotient, rem = _divide_linear(coeffs, x, p)
+    return sorted(roots)
 
 
 def _rref(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
@@ -278,10 +323,8 @@ def _refine(space: _Subspace, mat: List[List[int]], p: int) -> List[_Subspace]:
     """Split a mat-invariant subspace into eigenspaces of mat."""
     d = space.dim
     k = len(mat)
-    images = []
-    for row in space.rows:
-        img = [sum(mat[l][j] * row[j] for j in range(k)) % p for l in range(k)]
-        images.append(space.coords(img))
+    images = [space.coords([sum(map(mul, mrow, row)) % p for mrow in mat])
+              for row in space.rows]
     # action[t][idx] = coefficient of basis row t in the image of row idx
     action = [[images[idx][t] for idx in range(d)] for t in range(d)]
     roots = _poly_roots_mod(_charpoly_mod(action, p), p)
@@ -365,6 +408,14 @@ def character_table(group) -> CharacterTable:
             g = group.mul(g, rep)
         power_class.append(row)
 
+    # The DFT kernel of each class l of order m, built once for all rows:
+    # kernels[l][e] = zeta_m^(-e) mod p, so zeta_m^(-jt) = kernels[l][jt % m].
+    inv_sizes = [pow(size, -1, p) for size in classes.sizes]
+    kernels = []
+    for m in class_orders:
+        zinv = pow(zeta_fp, -(exponent // m), p)
+        kernels.append([pow(zinv, e, p) for e in range(m)])
+
     rows_out: List[List[Cyclotomic]] = []
     for s in spaces:
         u = s.rows[0]
@@ -373,9 +424,7 @@ def character_table(group) -> CharacterTable:
         scale = pow(u[0], -1, p)
         u = [(x * scale) % p for x in u]
         # chi(1)^2 = |G| / sum_l u_l u_{l*} / |C_l|
-        acc = 0
-        for l in range(k):
-            acc = (acc + u[l] * u[inv_class[l]] * pow(classes.sizes[l], -1, p)) % p
+        acc = sum(u[l] * u[inv_class[l]] * inv_sizes[l] for l in range(k)) % p
         chi1_sq = (n * pow(acc, -1, p)) % p
         chi1 = None
         for r in range(1, p // 2 + 1):
@@ -384,19 +433,16 @@ def character_table(group) -> CharacterTable:
                 break
         if chi1 is None:
             raise ArithmeticError("degree is not a square mod p")
-        chi_fp = [(chi1 * u[l] * pow(classes.sizes[l], -1, p)) % p for l in range(k)]
+        chi_fp = [(chi1 * u[l] * inv_sizes[l]) % p for l in range(k)]
 
         row = []
         for l in range(k):
             m = class_orders[l]
-            zm = pow(zeta_fp, exponent // m, p)
+            kernel = kernels[l]
             minv = pow(m, -1, p)
-            mults = []
-            for j in range(m):
-                c = 0
-                for t in range(m):
-                    c = (c + chi_fp[power_class[l][t]] * pow(zm, (-j * t) % m, p)) % p
-                mults.append((c * minv) % p)
+            powers = [chi_fp[c] for c in power_class[l]]
+            mults = [sum(v * kernel[j * t % m] for t, v in enumerate(powers)) * minv % p
+                     for j in range(m)]
             if sum(mults) % p != chi1 % p:
                 raise ArithmeticError("eigenvalue multiplicities do not sum to the degree")
             value = [0] * field.degree
@@ -450,9 +496,8 @@ def decompose(f: Sequence[Cyclotomic], table: CharacterTable
             acc = [0] * deg
             for a, dv in zip(ints, drow):
                 if a:
-                    for j, c in enumerate(dv):
-                        if c:
-                            acc[j] += a * c
+                    for j, c in dv:
+                        acc[j] += a * c
             coeffs.append(table.field.from_numerators(acc, den))
     else:
         coeffs = [inner_product(f, row, table) for row in table.rows]

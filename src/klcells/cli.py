@@ -27,8 +27,8 @@ from typing import List, Optional
 from .cells import cells_report
 from .characters import character_table
 from .cherednik_rank1 import Rank1Params, cm_report, inertia_and_cells
-from .conjecture import (B2_REGIME_POINTS, emit_report, replace_file,
-                         run_conjecture_suite)
+from .conjecture import (B2_REGIME_POINTS, replace_file, run_conjecture_suite,
+                         write_report)
 from .coxeter import DEFAULT_SIZE_CAP, build_group
 from .hecke import BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow, kl_basis
 from .specfile import parse_spec
@@ -162,14 +162,13 @@ def _load_table(args) -> KLTable:
 
 
 def _emit(doc: dict, output: Optional[str]) -> None:
-    payload = emit_report(doc)
     if output:
         try:
-            replace_file(output, lambda fh: fh.write(payload))
+            replace_file(output, lambda fh: write_report(doc, fh))
         except OSError as exc:
             raise InputError(f"cannot write {output!r}: {exc}") from None
     else:
-        sys.stdout.write(payload)
+        write_report(doc, sys.stdout)
 
 
 def _run(args) -> int:

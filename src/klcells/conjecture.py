@@ -17,7 +17,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .cells import cells, cells_report, left_cell_character, left_preorder
 from .characters import character_table
@@ -132,9 +132,37 @@ def b2_regime_report(a: Fraction, b: Fraction) -> dict:
     return doc
 
 
+REPORT_CHUNK = 1 << 16
+
+
+def _report_pieces(doc, chunk: int) -> Iterator[str]:
+    """The canonical JSON text of doc (stable key order, indent 2, trailing
+    newline) in pieces of at least `chunk` characters, the last excepted:
+    a write-through stream then makes one system call per piece, not one
+    per token, and the whole text is never held at once."""
+    buf: List[str] = []
+    size = 0
+    for token in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc):
+        buf.append(token)
+        size += len(token)
+        if size >= chunk:
+            yield "".join(buf)
+            buf.clear()
+            size = 0
+    buf.append("\n")
+    yield "".join(buf)
+
+
+def write_report(doc, fh: TextIO, chunk: int = REPORT_CHUNK) -> None:
+    """Write emit_report(doc) to fh, one piece of about `chunk` characters
+    at a time."""
+    for piece in _report_pieces(doc, chunk):
+        fh.write(piece)
+
+
 def emit_report(results: dict) -> str:
     """Canonical JSON text: stable key order, trailing newline."""
-    return json.dumps(results, sort_keys=True, indent=2) + "\n"
+    return "".join(_report_pieces(results, REPORT_CHUNK))
 
 
 def replace_file(path: str, write: Callable[[TextIO], None]) -> None:

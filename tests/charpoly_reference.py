@@ -1,7 +1,13 @@
-"""The characteristic polynomial mod p by Faddeev-LeVerrier, which the
-library used before its Hessenberg reduction.  It is O(d^4) but simple:
-M_k = A M_(k-1) + c_(k-1) I and c_k = -tr(A M_k) / k, so it needs p > d.
-test_characters compares `_charpoly_mod` with it.
+"""References for the F_p steps of the character table, each the simple
+method the library used before its faster one; test_characters compares
+the library with them.
+
+The characteristic polynomial by Faddeev-LeVerrier, before the Hessenberg
+reduction of `_charpoly_mod`: O(d^4) but simple, M_k = A M_(k-1) +
+c_(k-1) I and c_k = -tr(A M_k) / k, so it needs p > d.
+
+The roots of a polynomial by evaluating it at every x in F_p, before the
+scan of `_poly_roots_mod` that stops at the last root.
 """
 
 from typing import List
@@ -21,3 +27,16 @@ def charpoly_faddeev_leverrier(a: List[List[int]], p: int) -> List[int]:
         for i in range(d):
             m[i][i] = (m[i][i] + c) % p
     return coeffs
+
+
+def poly_roots_brute_force(coeffs: List[int], p: int) -> List[int]:
+    """Every x in F_p, ascending, at which the polynomial with the given
+    coefficients (leading first) vanishes mod p."""
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.append(x)
+    return roots

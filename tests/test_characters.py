@@ -2,15 +2,16 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from api_helpers import from_integers, regular_character, trivial_character
-from charpoly_reference import charpoly_faddeev_leverrier
+from charpoly_reference import charpoly_faddeev_leverrier, poly_roots_brute_force
 from mn_oracle import coxeter_class_cycle_types, symmetric_group_table
+import klcells.characters as characters
 from klcells.characters import (CharacterTable, CyclicGroup, _charpoly_mod,
-                                character_table, decompose, dixon_prime,
-                                inner_product, verify_orthogonality)
+                                _poly_roots_mod, character_table, decompose,
+                                dixon_prime, inner_product, verify_orthogonality)
 from klcells.coxeter import CoxeterMatrix, build_group, named_coxeter_matrix
 
 # Groups for the decomposition tests: Weyl groups with rational tables,
@@ -268,6 +269,19 @@ def test_dual_table_is_built_on_first_decompose():
     assert scale == 6 and len(dual) == len(table.rows)
 
 
+def test_dual_of_a_rational_table_is_one_pair_per_entry():
+    """A rational table's dual keeps the constant coefficient of each nonzero
+    entry and drops the other deg - 1, all zero."""
+    table = decompose_table("D4")
+    _, dual = table.dual
+    assert table.field.degree > 1
+    assert all(entry == [] or (len(entry) == 1 and entry[0][0] == 0)
+               for drow in dual for entry in drow)
+    assert any(entry == [] for drow in dual for entry in drow)
+    _, dual = decompose_table("H3").dual
+    assert any(len(entry) > 1 for drow in dual for entry in drow)
+
+
 def test_altered_tables():
     """On tables that are not character tables, decompose still agrees with
     inner_product and verify_orthogonality says no."""
@@ -306,6 +320,65 @@ def matrices_mod_p(draw):
 def test_charpoly_matches_faddeev_leverrier(case):
     a, p = case
     assert _charpoly_mod(a, p) == charpoly_faddeev_leverrier(a, p)
+
+
+def _poly_mul_mod(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+@st.composite
+def split_polynomials_mod_p(draw):
+    """Products of (x - r) over drawn roots, some repeated, times an
+    irreducible quadratic x^2 + bx + c (b^2 - 4c a non-square) or not."""
+    p = draw(st.sampled_from((13, 61, 7681)))
+    roots = draw(st.lists(st.integers(0, p - 1), max_size=6))
+    roots += draw(st.lists(st.sampled_from(roots), max_size=4)) if roots else []
+    coeffs = [1]
+    for r in roots:
+        coeffs = _poly_mul_mod(coeffs, [1, -r % p], p)
+    if draw(st.booleans()):
+        b = draw(st.integers(0, p - 1))
+        disc = draw(st.integers(1, p - 1).filter(
+            lambda n: pow(n, (p - 1) // 2, p) == p - 1))
+        c = (b * b - disc) * pow(4, -1, p) % p
+        coeffs = _poly_mul_mod(coeffs, [1, b, c], p)
+    return coeffs, p
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(split_polynomials_mod_p())
+@example(([1], 13))
+@example(([1, 0, 0, 0], 13))      # x^3
+@example(([1, 7, 12, 5], 13))     # (x-2)^3
+@example(([1, 0, 11], 13))        # x^2 - 2, irreducible
+def test_poly_roots_match_brute_force(case):
+    coeffs, p = case
+    assert _poly_roots_mod(coeffs, p) == poly_roots_brute_force(coeffs, p)
+
+
+def test_root_scan_stops_at_the_last_root(monkeypatch):
+    """Roots r with |r| <= 3, repeated, are all found among the first
+    2 * 3 + 1 values of the scan, which then stops: the loop draws at most
+    one more value before it sees the constant quotient."""
+    scan = characters._scan_order
+    seen = []
+
+    def recorded(p):
+        for x in scan(p):
+            seen.append(x)
+            yield x
+
+    monkeypatch.setattr(characters, "_scan_order", recorded)
+    p = 7681
+    coeffs = [1]
+    for r in (3, -3, 0, 2, 2, -1, -1, -1):
+        coeffs = _poly_mul_mod(coeffs, [1, -r % p], p)
+    assert _poly_roots_mod(coeffs, p) == [0, 2, 3, p - 3, p - 1]
+    assert seen[:7] == [0, 1, p - 1, 2, p - 2, 3, p - 3] and len(seen) <= 8
 
 
 def _jordan_block(d, lam):

@@ -1,12 +1,18 @@
 import json
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from klcells.conjecture import (B2_REGIME_POINTS, MATCH,
+from klcells.characters import character_table
+from klcells.conjecture import (B2_REGIME_POINTS, MATCH, REPORT_CHUNK,
                                 b2_regime_report, check_rank1_vs_a1,
                                 classify_b2_regime, emit_report,
-                                run_conjecture_suite, store_snapshot)
+                                run_conjecture_suite, store_snapshot,
+                                write_report)
+from klcells.coxeter import build_group, named_coxeter_matrix
 
 
 def test_degenerate_point_matches():
@@ -99,6 +105,73 @@ def test_emit_report_stable_and_empty_ok():
     text = emit_report(doc)
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == doc
+
+
+class RecordingSink:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _canonical(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# JSON-like documents without floats, whose strings need escapes: quotes,
+# backslashes, control and non-ASCII characters.
+json_strings = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€😀'),
+                                 st.characters()))
+json_docs = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 40, 10 ** 40),
+              json_strings),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(json_docs, st.integers(1, 64))
+@example({}, 1)
+@example([[[]]], 1)
+@example({"a": {}, "b": [[], {}], "": None}, 1)
+def test_written_pieces_join_to_the_canonical_text(doc, chunk):
+    sink = RecordingSink()
+    write_report(doc, sink, chunk)
+    assert "".join(sink.writes) == _canonical(doc)
+    assert emit_report(doc) == _canonical(doc)
+
+
+@cache
+def b4_characters_doc():
+    return character_table(build_group(named_coxeter_matrix("B", 4))).to_json_dict()
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 4096])
+def test_report_is_written_in_bounded_pieces(chunk):
+    doc = b4_characters_doc()
+    tokens = list(json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc))
+    sink = RecordingSink()
+    write_report(doc, sink, chunk)
+    assert len(sink.writes) > 1
+    assert max(map(len, sink.writes)) <= chunk + max(map(len, tokens))
+    assert "".join(sink.writes) == _canonical(doc)
+
+
+def test_report_smaller_than_a_chunk_is_one_write():
+    doc = b4_characters_doc()
+    assert len(_canonical(doc)) < REPORT_CHUNK
+    sink = RecordingSink()
+    write_report(doc, sink)
+    assert sink.writes == [_canonical(doc)]
+
+
+def test_zero_coefficients_are_one_string():
+    zeros = [text for row in b4_characters_doc()["irreducibles"]
+             for value in row for text in value if text == "0"]
+    assert len(zeros) > 1
+    assert all(text is zeros[0] for text in zeros)
 
 
 def test_snapshots_roundtrip(tmp_path):
