@@ -4,7 +4,7 @@
     klcells klbasis SPECFILE ...
     klcells characters SPECFILE [--size-cap N] [--output PATH]
     klcells cm-rank1 --d 3 --c 1,1/2        (or --kappa 1,1,-2)
-    klcells conjecture [--c-values 0,1/2,1] [--reports-dir DIR] [--no-b2]
+    klcells conjecture [--c-values 0,1/2,1] [--reports-dir DIR] [--no-b2] [--update-snapshots]
 
 Exit status: 0 on success, 1 on input errors (bad arguments, parse or
 semantic errors), 2 on internal invariant violations.  JSON goes to
@@ -14,11 +14,11 @@ yields byte-identical output to a cold run.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import List, Optional
 
 # Every command's module is imported here, when the CLI loads: the traced
@@ -45,56 +45,60 @@ class InternalCheckError(RuntimeError):
     """An invariant the pipeline guarantees was violated (exit status 2)."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputError(message)
+_OUTPUT = {"--output": ("output", str, None)}
+_SPEC_OPTIONS = {"SPECFILE": ("specfile", str, None),
+                 "--size-cap": ("size_cap", int, DEFAULT_SIZE_CAP), **_OUTPUT}
+_KL_OPTIONS = {"--cache-dir": ("cache_dir", str, lambda: os.environ.get(CACHE_ENV)),
+               "--no-cache": ("no_cache", bool, False), **_SPEC_OPTIONS}
+
+# command -> {option: (attribute, kind, default)}: a `bool` option is a flag,
+# a callable default is read at parse time, and SPECFILE is the one positional.
+_COMMANDS = {
+    "cells": _KL_OPTIONS, "klbasis": _KL_OPTIONS, "characters": _SPEC_OPTIONS,
+    "cm-rank1": {"--d": ("d", int, None), "--c": ("c", str, None),
+                 "--kappa": ("kappa", str, None), **_OUTPUT},
+    "conjecture": {
+        "--c-values": ("c_values", str, "0,1/2,1,3,7/5"), "--no-b2": ("no_b2", bool, False),
+        "--reports-dir": ("reports_dir", str, lambda: os.environ.get(REPORTS_ENV, "reports")),
+        "--update-snapshots": ("update_snapshots", bool, False), **_OUTPUT},
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="klcells", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        p.add_argument("--output", help="write JSON here instead of stdout")
-
-    def add_spec_command(name, help_text, kl_cache=True):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("specfile", help="input DSL file, or '-' for stdin")
-        if kl_cache:
-            p.add_argument("--cache-dir",
-                           default=os.environ.get(CACHE_ENV),
-                           help="KL basis cache directory (default: $KLCELLS_CACHE_DIR)")
-            p.add_argument("--no-cache", action="store_true",
-                           help="ignore any cache directory")
-        p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
-                       help="abort if the group or root system exceeds this")
-        add_common(p)
-        return p
-
-    add_spec_command("cells", "left/right/two-sided KL cells and cell characters")
-    add_spec_command("klbasis", "the Kazhdan-Lusztig basis table")
-    add_spec_command("characters", "the exact character table of W", kl_cache=False)
-
-    cm = sub.add_parser("cm-rank1", help="Calogero-Moser cell data for mu_d")
-    cm.add_argument("--d", type=int, required=True)
-    cm.add_argument("--c", help="comma-separated rationals c_1..c_{d-1}")
-    cm.add_argument("--kappa", help="comma-separated rationals kappa_1..kappa_d")
-    add_common(cm)
-
-    conj = sub.add_parser("conjecture",
-                          help="rank-1 vs A1 cross-check plus B2 regime reports")
-    conj.add_argument("--c-values", default="0,1/2,1,3,7/5",
-                      help="comma-separated rational c points for the d=2 check")
-    conj.add_argument("--no-b2", action="store_true",
-                      help="skip the B2 regime reports")
-    conj.add_argument("--reports-dir",
-                      default=os.environ.get(REPORTS_ENV, "reports"),
-                      help="snapshot directory (default: $KLCELLS_REPORTS_DIR or ./reports)")
-    conj.add_argument("--update-snapshots", action="store_true",
-                      help="overwrite drifted snapshots instead of failing")
-    add_common(conj)
-    return parser
+def _parse_args(argv: List[str]) -> SimpleNamespace:
+    """The namespace `_run` reads.  An option is `--name value` or `--name=value`,
+    by its name or a unique prefix; a value after a space may not start with "--"."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise InputError(f"unknown command {argv[0]!r}" if argv else "missing command")
+    options = _COMMANDS[argv[0]]
+    args = SimpleNamespace(command=argv[0], **{
+        a: d() if callable(d) else d for a, _, d in options.values()})
+    rest = iter(argv[1:])
+    for tok in rest:
+        if tok == "-" or not tok.startswith("-"):
+            if "SPECFILE" not in options or args.specfile is not None:
+                raise InputError(f"unexpected argument {tok!r}")
+            args.specfile = tok
+            continue
+        name, eq, value = tok.partition("=")
+        names = [o for o in options if o.startswith(name) and name.startswith("--")]
+        if len(names) != 1:
+            raise InputError(f"unknown option {name!r} for {args.command}")
+        attr, kind, _ = options[names[0]]
+        if kind is bool and eq:
+            raise InputError(f"{names[0]} takes no value")
+        if kind is not bool and not eq:
+            value = next(rest, "--")
+            if value.startswith("--"):
+                raise InputError(f"{names[0]} needs a value")
+        try:
+            setattr(args, attr, True if kind is bool else kind(value))
+        except ValueError:
+            raise InputError(f"{names[0]} needs an integer, not {value!r}") from None
+    if "SPECFILE" in options and args.specfile is None:
+        raise InputError(f"{args.command} needs a SPECFILE (or - for stdin)")
+    if getattr(args, "size_cap", 1) < 1:
+        raise InputError("--size-cap must be at least 1")
+    return args
 
 
 def _read_spec(path: str) -> str:
@@ -139,8 +143,7 @@ def _read_cached_table(path: str, algebra: HeckeAlgebra) -> Optional[KLTable]:
 
 def _load_table(args) -> KLTable:
     spec = parse_spec(_read_spec(args.specfile))
-    group = build_group(spec.matrix, gen_names=spec.gen_names,
-                        size_cap=args.size_cap)
+    group = build_group(spec.matrix, gen_names=spec.gen_names, size_cap=args.size_cap)
     algebra = HeckeAlgebra(group, spec.weights)
     cache_dir = None if args.no_cache else args.cache_dir
     if cache_dir is None:
@@ -174,19 +177,17 @@ def _emit(doc: dict, output: Optional[str]) -> None:
 def _run(args) -> int:
     if args.command == "cells":
         table = _load_table(args)
-        chars = character_table(table.group)
-        _emit(cells_report(table, chars), args.output)
+        _emit(cells_report(table, character_table(table.group)), args.output)
     elif args.command == "klbasis":
         table = _load_table(args)
         _emit(table.to_json_dict(), args.output)
     elif args.command == "characters":
         spec = parse_spec(_read_spec(args.specfile))
-        group = build_group(spec.matrix, gen_names=spec.gen_names,
-                            size_cap=args.size_cap)
+        group = build_group(spec.matrix, gen_names=spec.gen_names, size_cap=args.size_cap)
         _emit(character_table(group).to_json_dict(), args.output)
     elif args.command == "cm-rank1":
-        if (args.c is None) == (args.kappa is None):
-            raise InputError("give exactly one of --c or --kappa")
+        if args.d is None or (args.c is None) == (args.kappa is None):
+            raise InputError("give --d and exactly one of --c or --kappa")
         try:
             if args.c is not None:
                 params = Rank1Params.from_c(args.d, _parse_rationals(args.c))
@@ -195,7 +196,7 @@ def _run(args) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from None
         _emit(cm_report(inertia_and_cells(params)), args.output)
-    elif args.command == "conjecture":
+    else:  # conjecture
         c_values = _parse_rationals(args.c_values)
         if not c_values:
             raise InputError("--c-values names no c value")
@@ -218,17 +219,16 @@ def _run(args) -> int:
                 f"(rerun with --update-snapshots to accept)")
         if doc["verdict"] != "MATCH":
             raise InternalCheckError("rank-1 vs A1 comparison returned MISMATCH")
-    else:
-        raise InputError("missing command (try: cells, klbasis, characters, "
-                         "cm-rank1, conjecture)")
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in argv):
+        sys.stdout.write(__doc__)  # -h, --help or a prefix of it, anywhere
+        return 0
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
+        return _run(_parse_args(argv))
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write("usage: klcells {cells,klbasis,characters,cm-rank1,conjecture} ...\n")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -6,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from api_helpers import element_by_name, generators, lex_generic, longest_element
 from hecke_reference import (add, bar, c_gen, clean, cs_product_reference,
@@ -309,6 +312,21 @@ def test_serialization_roundtrip_and_key_stability():
             KLTable.from_json_dict(bad, a)
     with pytest.raises(ValueError):
         KLTable.from_json_dict(full, alg)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.text())
+@example("")
+@example("kl_\u00e9\u4e00\U0001d11e\x00")
+def test_sha256_is_hashlibs(text):
+    """The cache digests hash with the interpreter's built-in SHA-256, or
+    with hashlib where there is none; either gives hashlib's hex digest."""
+    want = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert hecke._sha256(text) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "_sha256", None)  # None: the import fails
+        mp.setitem(sys.modules, "_sha2", None)
+        assert hecke._sha256(text) == want
 
 
 def test_lex_mode_generic_weights():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pkgutil
@@ -142,6 +143,117 @@ def test_cli_cm_rank1(tmp_path, capsys):
 def test_cli_unknown_command(capsys):
     code, out, err = run_cli(capsys, "frobnicate")
     assert code == 1
+    assert "usage" in err
+
+
+def exit_status(capsys, *argv):
+    """`run_cli`, counting a SystemExit raised by `main` as its exit status."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                            # no command
+    ["frobnicate"],                                # unknown command
+    ["cells", "{spec}", "--frobnicate"],           # unknown option
+    ["cells", "{spec}", "-x"],
+    ["characters", "{spec}", "--cache-dir", "d"],  # an option of another command
+    ["cells", "{spec}", "--output"],               # missing value
+    ["klbasis", "{spec}", "--size-cap"],
+    ["cells", "{spec}", "--no-cache=yes"],         # a flag takes no value
+    ["cells", "{spec}", "--size-cap", "many"],     # not an integer
+    ["characters", "{spec}", "--size-cap=1.5"],
+    ["cm-rank1", "--d", "three", "--c", "1"],
+    ["cells"],                                     # missing SPECFILE
+    ["klbasis", "--no-cache"],
+    ["cells", "{spec}", "{spec}"],                 # extra positional
+    ["cm-rank1", "{spec}", "--d", "2", "--c", "1"],
+    ["conjecture", "extra", "--no-b2"],
+    ["cm-rank1", "--c", "1"],                      # cm-rank1 without --d
+])
+def test_argument_errors_exit_1_with_usage(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    spec = write(tmp_path / "a1.spec", "group A 1\nL s = 1\n")
+    code, out, err = exit_status(capsys, *[a.replace("{spec}", spec) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "usage" in err
+    assert sorted(os.listdir(tmp_path)) == ["a1.spec"]
+
+
+def test_option_value_may_follow_an_equals_sign(tmp_path, capsys):
+    spec = write(tmp_path / "b2.spec", "group B 2\nL s = 1\nL t = 2\n")
+    for spaced, joined in [
+            (["cells", spec, "--no-cache", "--size-cap", "100"],
+             ["cells", spec, "--no-cache", "--size-cap=100"]),
+            (["cm-rank1", "--d", "3", "--c", "1,1/2"], ["cm-rank1", "--d=3", "--c=1,1/2"]),
+            (["conjecture", "--c-values", "1/2", "--no-b2"],
+             ["conjecture", "--c-values=1/2", "--no-b2"])]:
+        code, out, err = run_cli(capsys, *spaced)
+        assert (code, err) == (0, "") and out
+        assert run_cli(capsys, *joined) == (0, out, "")
+
+
+def test_options_may_be_abbreviated(tmp_path, capsys):
+    spec = write(tmp_path / "b2.spec", "group B 2\nL s = 1\nL t = 2\n")
+    code, out, _ = run_cli(capsys, "cells", spec, "--no-cache")
+    assert code == 0
+    cache = tmp_path / "cache"
+    # --no-c is --no-cache: the cache directory is never made.
+    assert run_cli(capsys, "cells", spec, "--cache", str(cache), "--no-c") == (0, out, "")
+    assert not cache.exists()
+    # --cache is --cache-dir, and a SPECFILE may follow the options.
+    assert run_cli(capsys, "cells", "--cache", str(cache), spec) == (0, out, "")
+    assert [f[:3] for f in os.listdir(cache)] == ["kl_"]
+
+
+def test_reports_dir_env_var(tmp_path, capsys, monkeypatch):
+    reports = tmp_path / "envreports"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("KLCELLS_REPORTS_DIR", str(reports))
+    code, _, err = run_cli(capsys, "conjecture", "--c-values", "1")
+    assert code == 0, err
+    assert len(os.listdir(reports)) == sum(len(v) for v in B2_REGIME_POINTS.values())
+    assert sorted(os.listdir(tmp_path)) == ["envreports"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["cells", "--help"],
+                                  ["cm-rank1", "-h"], ["klbasis", "x.spec", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = exit_status(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "klcells" in out and "cells" in out
+
+
+def test_a_value_may_not_start_with_two_dashes(tmp_path, capsys, monkeypatch):
+    """`--cache-dir --no-cache` is a missing value, not a directory named
+    '--no-cache'."""
+    monkeypatch.chdir(tmp_path)
+    spec = write(tmp_path / "a1.spec", "group A 1\nL s = 1\n")
+    code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", "--no-cache")
+    assert (code, out) == (1, "") and "usage" in err
+    assert sorted(os.listdir(tmp_path)) == ["a1.spec"]
+
+
+@pytest.mark.parametrize("option, value", [("--kappa", "-2,1,1"), ("--c", "-1,1/2")])
+def test_value_may_start_with_a_minus(capsys, option, value):
+    """A kappa vector sums to zero, so one entry is negative, often the
+    first; the token after --kappa or --c is its value."""
+    code, out, err = run_cli(capsys, "cm-rank1", "--d", "3", option, value)
+    assert (code, err) == (0, "") and out
+    assert run_cli(capsys, "cm-rank1", "--d", "3", f"{option}={value}") == (0, out, "")
+
+
+@pytest.mark.parametrize("command", ["cells", "klbasis", "characters"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_size_cap_below_1_is_an_input_error(tmp_path, capsys, command, cap):
+    spec = write(tmp_path / "b3.spec", "group B 3\nL s = 1\nL t = 1\nL u = 1\n")
+    code, out, err = run_cli(capsys, command, spec, "--size-cap", cap)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "error: --size-cap must be at least 1"
     assert "usage" in err
 
 
@@ -609,11 +721,27 @@ def test_import_loads_no_dataclasses():
 
 
 def test_import_loads_no_hashlib():
-    """hashlib (and OpenSSL's _hashlib) is imported where a KL cache digest
-    is taken, so the commands that read or write no KL cache never load it."""
-    assert fresh_python("import klcells.cli, sys; "
-                        "print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))"
-                        ) == "[]\n"
+    """Loading the CLI loads neither hashlib (and OpenSSL's _hashlib) nor
+    argparse (and the gettext it imports): the digests come from the
+    interpreter's built-in SHA-256, and the CLI parses argv from a table."""
+    assert fresh_python("import klcells.cli, sys; print(sorted({'hashlib', '_hashlib', "
+                        "'argparse', 'gettext'} & sys.modules.keys()))") == "[]\n"
+
+
+@pytest.mark.skipif(not (importlib.util.find_spec("_sha256") or importlib.util.find_spec("_sha2")),
+                    reason="this interpreter has no built-in SHA-256 module")
+def test_cached_cells_never_load_openssl(tmp_path):
+    """A cold `cells` run that writes the KL cache, and a warm one that
+    reads it and checks its digest, never load OpenSSL's _hashlib."""
+    spec = write(tmp_path / "b3.spec", "group B 3\nL s = 1\nL t = 1\nL u = 3/2\n")
+    cache = str(tmp_path / "cache")
+    out = fresh_python(
+        "import io, os, sys, contextlib, klcells.cli\n"
+        "for run in ('cold', 'warm'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = klcells.cli.main(['cells', {spec!r}, '--cache-dir', {cache!r}])\n"
+        f"    print(run, code, len(os.listdir({cache!r})), '_hashlib' in sys.modules)\n")
+    assert out == "cold 0 1 False\nwarm 0 1 False\n"
 
 
 def test_library_calls_load_no_kl_code():
