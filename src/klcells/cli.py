@@ -53,13 +53,14 @@ _KL_OPTIONS = {"--cache-dir": ("cache_dir", str, lambda: os.environ.get(CACHE_EN
 
 # command -> {option: (attribute, kind, default)}: a `bool` option is a flag,
 # a callable default is read at parse time, and SPECFILE is the one positional.
+# An empty directory, given or from the environment, is none given.
 _COMMANDS = {
     "cells": _KL_OPTIONS, "klbasis": _KL_OPTIONS, "characters": _SPEC_OPTIONS,
     "cm-rank1": {"--d": ("d", int, None), "--c": ("c", str, None),
                  "--kappa": ("kappa", str, None), **_OUTPUT},
     "conjecture": {
         "--c-values": ("c_values", str, "0,1/2,1,3,7/5"), "--no-b2": ("no_b2", bool, False),
-        "--reports-dir": ("reports_dir", str, lambda: os.environ.get(REPORTS_ENV, "reports")),
+        "--reports-dir": ("reports_dir", str, lambda: os.environ.get(REPORTS_ENV)),
         "--update-snapshots": ("update_snapshots", bool, False), **_OUTPUT},
 }
 
@@ -146,7 +147,7 @@ def _load_table(args) -> KLTable:
     group = build_group(spec.matrix, gen_names=spec.gen_names, size_cap=args.size_cap)
     algebra = HeckeAlgebra(group, spec.weights)
     cache_dir = None if args.no_cache else args.cache_dir
-    if cache_dir is None:
+    if not cache_dir:
         return kl_basis(algebra)
     path = os.path.join(cache_dir, f"kl_{algebra.content_key()}.json")
     table = _read_cached_table(path, algebra)
@@ -197,6 +198,7 @@ def _run(args) -> int:
             raise InputError(str(exc)) from None
         _emit(cm_report(inertia_and_cells(params)), args.output)
     else:  # conjecture
+        reports_dir = args.reports_dir or "reports"
         c_values = _parse_rationals(args.c_values)
         if not c_values:
             raise InputError("--c-values names no c value")
@@ -206,11 +208,11 @@ def _run(args) -> int:
             doc = run_conjecture_suite(
                 c_values,
                 b2_points={} if args.no_b2 else B2_REGIME_POINTS,
-                reports_dir=None if args.no_b2 else args.reports_dir,
+                reports_dir=None if args.no_b2 else reports_dir,
                 update_snapshots=args.update_snapshots,
             )
         except OSError as exc:
-            raise InputError(f"cannot write {args.reports_dir!r}: {exc}") from None
+            raise InputError(f"cannot write {reports_dir!r}: {exc}") from None
         _emit(doc, args.output)
         drift = [e for e in doc["b2_regimes"] if e.get("snapshot") == "drift"]
         if drift:

@@ -35,13 +35,20 @@ carries a bound on its digits and on its exponents, checked before every
 read of a digit; a table whose bound would pass B bits is rebuilt with
 the next width of _SLOT_WIDTHS, and past the last one SlotOverflow is
 raised, so a digit never wraps.  An exponent that could leave the slot
-box raises BoxOverflow, which no width mends.  When the construction
-ends, the part of the table that the KL cache stores (below) is decoded
-to LaurentElt once, and no packed int leaves it.  A packed int spans the
-whole slot box, a product over the exponent coordinates, so past
-_MAX_SLOTS slots (lex weights on many coordinates, or rational weights
-of a very large ratio) the table is built term by term as LaurentElt
-instead, with the same cancellation (`_construct_terms`).
+box raises BoxOverflow, which no width mends.  A row's exponent bound is
+the one its construction step carried out of the cancellation: C_w is a
+sum of the terms of C_s C_u and of the m_y C_y, and `_cancel` bounds and
+checks the exponents of each before it adds them, so the bound may be
+looser than the exact one but never tighter.  On every input checked
+(A4, A5, D4, D5, H3, B3, B4, B5, F4, I2(m) and A1^4, with equal, zero,
+integer, rational and lex weights) it was L(w), per coordinate, at every
+step.  When the construction ends, the part of the table that the KL
+cache stores (below) is decoded to LaurentElt once, and no packed int
+leaves it.  A packed int spans the whole slot box, a product over the
+exponent coordinates, so past _MAX_SLOTS slots (lex weights on many
+coordinates, or rational weights of a very large ratio) the table is
+built term by term as LaurentElt instead, with the same cancellation
+(`_construct_terms`).
 
 The corrections are all the construction knows about the C_s C_w table;
 `KLTable.cs_product_in_c` derives every entry from them:
@@ -276,7 +283,10 @@ class _Packing:
     sum_i x_i place_i is a balanced mixed radix over the box: additive
     and order preserving on it.  R is one more than the largest |slot| in
     the box, so every position slot + R is positive and a shift by
-    B slot(L(s)) multiplies by v^(+-L(s)) exactly.
+    B slot(L(s)) multiplies by v^(+-L(s)) exactly.  A row's bound on
+    max |x_i| over its exponents (its reach) is the one its construction
+    step carried (`_cancel`), never read back off its digits: every term
+    the step adds to the row lies within it, so the checks stay sound.
 
     Digits are read (zero test, high part, mu, decode) only while a bound
     below `limit` = 2^(B-2) holds for every digit: then X has one balanced
@@ -307,7 +317,6 @@ class _Packing:
         self._slot_reach: Dict[int, Tuple[int, ...]] = {}
         self._decoded: Dict[int, LaurentElt] = {}
         self._masks: Dict[int, Tuple[int, int]] = {}
-        self._reaches: Dict[int, Tuple[int, ...]] = {}
 
     # -- exponents: grid keys, slots, coordinates -----------------------
 
@@ -378,24 +387,6 @@ class _Packing:
                 norm += abs(d)
             reach = tuple(map(max, reach, self._reach(slot)))
         return m, terms, norm, reach
-
-    def row_reach(self, row: Iterable[int]) -> Tuple[int, ...]:
-        """max |x_i| per coordinate over the exponents of the packed
-        coefficients `row`, which are all at most 0.  With one coordinate
-        that is the lowest nonzero position, read off the lowest set bit;
-        in lex mode a later coordinate of a higher position can be larger,
-        so every digit is read (memoised per coefficient)."""
-        bits, R = self.bits, self.R
-        if len(self.box) == 1:
-            return (R - min(((x & -x).bit_length() - 1) // bits for x in row),)
-        memo, found = self._reaches, set()
-        for x in row:
-            r = memo.get(x)
-            if r is None:
-                r = memo[x] = tuple(map(max, self.zero_reach, *(
-                    self._reach(pos - R) for pos, _ in self._digits(x))))
-            found.add(r)
-        return tuple(map(max, self.zero_reach, *found))
 
     def tighten(self, values: Iterable[int], bound: int) -> int:
         """A digit bound for `values`, all of whose digits are bounded by
@@ -671,10 +662,10 @@ def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
 
 def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
             c_exp: List[Packed], digits: List[int], reach: List[Tuple[int, ...]]
-            ) -> Tuple[Packed, Packed, int]:
+            ) -> Tuple[Packed, Packed, int, Tuple[int, ...]]:
     """For an ascent w = su > u with L(s) > 0, return (C_w, {y: m_y}) with
-    C_s C_u = C_w + sum_y m_y C_y, packed, and a bound on the digits of
-    C_w.
+    C_s C_u = C_w + sum_y m_y C_y, packed, a bound on the digits of C_w
+    and one on |x_i| over its exponents.
 
     C_s C_u = T_s C_u + v^{-L(s)} C_u is bar-invariant; the non-negative
     part of each lower coefficient is cancelled by subtracting a
@@ -686,6 +677,9 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
     m_y C_y is an int multiply when m_y is a constant, else one shift and
     multiply per term of m_y: cheaper than a Kronecker product of whole
     ints, as m_y has few terms and lex slots are wide.  left[y] is sy.
+    Every term of C_s C_u has |x_i| <= reach[u]_i + |L(s)_i|, and every
+    term of m_y C_y at most ext(m_y)_i + reach[y]_i; `top`, the max of
+    these, bounds every exponent of C_w, which is a sum of such terms.
 
     Only y with sy < y are visited: C_s C_u lies in the span of the C_y
     with sy < y (Lusztig, Hecke algebras with unequal parameters,
@@ -734,7 +728,7 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
                 cand[z] = -term
                 if left[z] < z:
                     heapq.heappush(heap, -z)
-    return {y: x for y, x in cand.items() if x}, correction, bound
+    return {y: x for y, x in cand.items() if x}, correction, bound, top
 
 
 def _read_mu(pk: _Packing, s: int, left: List[int], u: int, row: Packed) -> Packed:
@@ -774,10 +768,9 @@ def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
                     c_exp[w] = {left[s][y]: x for y, x in c_exp[u].items()}
                     digits[w], reach[w] = digits[u], reach[u]
             elif s == first:
-                c_exp[w], corrections[(s, u)], bound = _cancel(
+                c_exp[w], corrections[(s, u)], bound, reach[w] = _cancel(
                     pk, s, left[s], u, w, c_exp, digits, reach)
                 digits[w] = pk.tighten(c_exp[w].values(), bound)
-                reach[w] = pk.row_reach(c_exp[w].values())
             elif algebra.equal_parameters:
                 corrections[(s, u)] = _read_mu(pk, s, left[s], u, c_exp[u])
             else:

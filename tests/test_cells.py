@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from klcells.cells import (CellPartition, cells,
                            left_cell_character, left_preorder)
 from klcells.characters import character_table
 from klcells.coxeter import WeightFunction, build_group, named_coxeter_matrix
+from klcells.cli import main
 from klcells.hecke import HeckeAlgebra, kl_basis
+from klcells.specfile import parse_spec
 
 
 def pipeline(kind, n, weights):
@@ -120,6 +123,26 @@ def test_right_cells_are_inverted_left_cells():
     right = cells(graph, "right", W)
     inverted = {frozenset(W.inv(w) for w in b) for b in left.blocks}
     assert right.as_sets() == inverted
+
+
+def test_f4_equal_parameter_cells(tmp_path, capsys):
+    """`klcells cells` on F4 with L = 1 gives the known 72 left cells and
+    11 two-sided cells, one for each of Lusztig's 11 families (Characters
+    of reductive groups over a finite field, 1984), and the right cells
+    are the inverted left cells."""
+    text = "group matrix\n4\n3 2 2\n4 2\n3\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n"
+    spec = tmp_path / "f4.spec"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["cells", str(spec), "--no-cache"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    parsed = parse_spec(text)
+    W = build_group(parsed.matrix, gen_names=parsed.gen_names)
+    index = {W.name(w): w for w in range(len(W))}
+    left = doc["left_cells"]["blocks"]
+    assert len(W) == 1152
+    assert (len(left), len(doc["two_sided_cells"]["blocks"])) == (72, 11)
+    assert ({frozenset(W.name(W.inv(index[y])) for y in b) for b in left}
+            == {frozenset(b) for b in doc["right_cells"]["blocks"]})
 
 
 def test_left_refines_two_sided():

@@ -389,6 +389,46 @@ def test_box_overflow_is_not_retried(case_tables, monkeypatch, tmp_path):
     assert main(["klbasis", str(spec), "--no-cache"]) == 2
 
 
+def exact_reach(pk, row):
+    """max |x_i| per coordinate over the exponents of the packed row, in
+    slot units, read off every digit: the reference for the bound that
+    each construction step carries."""
+    reach = pk.zero_reach
+    for x in row.values():
+        for pos, _ in pk._digits(x):
+            reach = tuple(map(max, reach, map(abs, pk._slot_coords(pos - pk.R))))
+    return reach
+
+
+@pytest.mark.parametrize("text", [
+    "group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n",
+    "group B 3\nL lex s = e_3\nL lex t = e_3\nL lex u = e_1\n",
+    "group B 3\nL s = 0\nL t = 0\nL u = 1\n",
+    "group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 2\n",
+    "group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n",
+    "group D 4\nL s = 1/3\nL t = 1/3\nL u = 1/3\nL v = 1/3\n",
+    "group I2 8\nL lex s = e_2\nL lex t = e_1\n",
+])
+def test_carried_reach_is_the_exact_reach(text, monkeypatch):
+    """The exponent bound a construction step carries out of `_cancel` is
+    the exact max |x_i| over the exponents of the row it builds, and so is
+    the bound stored for every row a later step reads."""
+    spec = parse_spec(text)
+    alg = HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights)
+    word, cancel, steps = alg.group.word, hecke._cancel, []
+
+    def checked(pk, s, left, u, w, c_exp, digits, reach):
+        assert reach[u] == exact_reach(pk, c_exp[u]), (s, u)
+        out = cancel(pk, s, left, u, w, c_exp, digits, reach)
+        if s == word(w)[0]:
+            assert out[3] == exact_reach(pk, out[0]), (s, w)
+            steps.append(w)
+        return out
+    monkeypatch.setattr(hecke, "_cancel", checked)
+    kl_basis(alg)
+    assert steps
+
+
 @pytest.mark.parametrize("text", [
     "group B 3\nL s = 1\nL t = 1\nL u = 10\n",
     "group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 10\n",

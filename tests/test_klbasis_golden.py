@@ -35,6 +35,8 @@ SPECS = {
     "B3_1_1_3/2": "group B 3\nL s = 1\nL t = 1\nL u = 3/2\n",
     "B3_0_0_1": "group B 3\nL s = 0\nL t = 0\nL u = 1\n",
     "B3_lex_e1_e1_e2": "group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n",
+    # The packed lex construction with two coordinates, past B3.
+    "B4_lex_e1_e1_e1_e2": "group B 4\nL lex s = e_1\nL lex t = e_1\nL lex u = e_1\nL lex v = e_2\n",
     "I2(5)_lex_e1": "group I2 5\nL lex s = e_1\nL lex t = e_1\n",
     # Equal weights off 1 (the exponent grid is in units of the weight),
     # and equal positive weights with a zero-weight class.

@@ -383,6 +383,40 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert any(f.startswith("kl_") for f in os.listdir(cache))
 
 
+@pytest.mark.parametrize("command", ["cells", "klbasis"])
+@pytest.mark.parametrize("env, args", [("", []), (None, ["--cache-dir", ""]),
+                                       (None, ["--cache-dir="])])
+def test_empty_cache_dir_is_no_cache(tmp_path, capsys, monkeypatch, command, env, args):
+    """An empty cache directory, set as KLCELLS_CACHE_DIR= or given as
+    --cache-dir "", is none: the --no-cache bytes, no warning, no file."""
+    spec = write(tmp_path / "b2.spec", "group B 2\nL s = 1\nL t = 2\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("KLCELLS_CACHE_DIR", raising=False)
+    expected = run_cli(capsys, command, spec, "--no-cache")
+    assert expected[0] == 0 and expected[2] == ""
+    if env is not None:
+        monkeypatch.setenv("KLCELLS_CACHE_DIR", env)
+    assert run_cli(capsys, command, spec, *args) == expected
+    assert os.listdir(work) == []
+
+
+@pytest.mark.parametrize("env, args", [("", []), (None, ["--reports-dir", ""])])
+def test_empty_reports_dir_is_the_default(tmp_path, capsys, monkeypatch, env, args):
+    """An empty reports directory, set as KLCELLS_REPORTS_DIR= or given as
+    --reports-dir "", is none: the snapshots go to ./reports."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KLCELLS_REPORTS_DIR", raising=False)
+    if env is not None:
+        monkeypatch.setenv("KLCELLS_REPORTS_DIR", env)
+    code, out, err = run_cli(capsys, "conjecture", "--c-values", "1", *args)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "MATCH"
+    assert os.listdir(tmp_path) == ["reports"]
+    assert len(os.listdir(tmp_path / "reports")) == sum(len(v) for v in B2_REGIME_POINTS.values())
+
+
 def test_cli_characters(tmp_path, capsys):
     spec = write(tmp_path / "b2.spec", "group B 2\nL s = 1\nL t = 1\n")
     code, out, _ = run_cli(capsys, "characters", spec)
