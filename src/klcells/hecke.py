@@ -59,7 +59,7 @@ The corrections are all the construction knows about the C_s C_w table;
 
 Nothing is multiplied out in the T-basis and then re-expanded.
 
-The KL cache (format 3) stores only what the construction alone knows.
+The KL cache (format 4) stores only what the construction alone knows.
 Of the C_s C_w table it writes the corrections of each ascent pair,
 `{}` when there are none.  Of C_w = sum_y p_{y,w} T_y it writes only the
 rows with index(w) <= index(w^-1): the anti-involution T_w -> T_{w^-1}
@@ -84,14 +84,20 @@ on the s above by exponent key shifts, and the other rows from their
 inverses.  `cells` reads only the corrections and derives no row.  The
 file is compact JSON with a `format` field and the SHA-256 of its
 canonical payload, checked before anything is parsed; `to_cache_text`
-renders what the table holds and `from_json_dict` loads only that.
+renders what the table holds and `from_json_dict` loads only that.  It
+keys element w by its index as a decimal string, str(w) (`"57"`, and
+`"s|57"` for a product), where format 3 wrote its reduced word; the
+loader knows no other spelling.  That index is the ShortLex order that
+`CoxeterGroup` enumerates in, so the order is part of the format: a
+change to it must bump CACHE_FORMAT.
 These digests, the `content_key` in the file name and the `"key"` of the
 `cells` output are SHA-256 from CPython's built-in `_sha256` module
 (`_sha2` from 3.12), and from hashlib only where neither exists: the
 digest is the same, and `import hashlib` loads OpenSSL, which cost each
 `klcells` process about 5 ms and 4 MB (2-core Xeon, CPython 3.11).
-Format 3 halves format 2: A5 (equal parameters) 594 kB -> 268 kB, F4
-with L = (1,1,2,2) 4.77 MB -> 2.50 MB.
+Format 3 halved format 2, and format 4 cuts a third more: A5 (equal
+parameters) 594 kB -> 268 kB -> 175 kB, F4 with L = (1,1,2,2) 4.77 MB
+-> 2.50 MB -> 1.72 MB.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ from .ordered_coeffs import LaurentElt, OrderedExponent
 HeckeCoeffs = Dict[int, LaurentElt]
 Packed = Dict[int, int]  # element -> packed coefficient (`_Packing`)
 
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 # Slot widths B in bits, tried in order: a table is built with the first
 # one that its checked digit bound fits.
@@ -485,34 +491,35 @@ class KLTable:
         text, texts = _texts()
         return self._document(((w, self._row(w, texts)) for w in range(n)),
                               (((s, w), self.cs_product_in_c(s, w))
-                               for s in range(rank) for w in range(n)), text)
+                               for s in range(rank) for w in range(n)), text,
+                              list(map(self.group.name, range(n))))
 
     def to_cache_text(self) -> str:
-        """The format-3 KL cache file: compact canonical JSON of what the
-        table holds plus `format`, then `digest` (payload_digest of the
-        rest) appended as the last field."""
+        """The format-4 KL cache file: compact canonical JSON of what the
+        table holds, keyed by element index, plus `format`, then `digest`
+        (payload_digest of the rest) appended as the last field."""
         text, _ = _texts()
         doc = self._document(((w, {y: text(c) for y, c in row.items()})
                               for w, row in self._stored.items()),
-                             self._corrections.items(), text)
+                             self._corrections.items(), text,
+                             list(map(str, range(len(self.group)))))
         doc["format"] = CACHE_FORMAT
         body = _canonical(doc)
         return f'{body[:-1]},"digest":"{_sha256(body)}"}}'
 
     def _document(self, rows: Iterable[Tuple[int, Dict[int, str]]],
                   products: Iterable[Tuple[Tuple[int, int], HeckeCoeffs]],
-                  text: Callable[[LaurentElt], str]) -> dict:
+                  text: Callable[[LaurentElt], str], labels: List[str]) -> dict:
         """The header and content key of the algebra, the rows (w, {y:
         text}) as `c_basis` and the products ((s, w), {y: coefficient}) as
-        `cs_products`, keyed by element names."""
+        `cs_products`, with element w keyed by `labels[w]`."""
         group, algebra = self.group, self.algebra
-        names = [group.name(w) for w in range(len(group))]
         doc = algebra.header()
         doc["key"] = algebra.content_key()
-        doc["c_basis"] = {names[w]: dict(zip(map(names.__getitem__, row), row.values()))
+        doc["c_basis"] = {labels[w]: dict(zip(map(labels.__getitem__, row), row.values()))
                           for w, row in rows}
-        doc["cs_products"] = {f"{group.gen_names[s]}|{names[w]}":
-                              {names[y]: text(h[y]) for y in sorted(h)}
+        doc["cs_products"] = {f"{group.gen_names[s]}|{labels[w]}":
+                              {labels[y]: text(h[y]) for y in sorted(h)}
                               for (s, w), h in products}
         return doc
 
@@ -523,7 +530,8 @@ class KLTable:
 
         The top-level fields must be exactly the writer's: `format` equal
         to CACHE_FORMAT, the header of `algebra`, its content `key`, and a
-        `digest` equal to the payload digest.  The rows must be exactly
+        `digest` equal to the payload digest.  Every element key must be
+        an index as the writer writes it, str(w).  The rows must be exactly
         the stored part (`_stored_rows`) and pass `_check_rows`.  Each
         product key must be an ascent pair, all of them must be present,
         and each correction must be nonzero, bar-invariant and sit at a y
@@ -540,8 +548,7 @@ class KLTable:
             raise ValueError("KL cache digest mismatch")
         group, grid = algebra.group, algebra.grid
         inv, lmul, length = group.inv, group.lmul_gen, group.length
-        names = [group.name(w) for w in range(len(group))]
-        index = {nm: w for w, nm in enumerate(names)}
+        index = {str(w): w for w in range(len(group))}
         parsed: Dict[str, LaurentElt] = {}  # the file repeats few distinct coefficients
 
         def coeffs(obj: dict) -> HeckeCoeffs:
@@ -570,7 +577,7 @@ class KLTable:
             for y, m in h.items():
                 if (not m or m.bar() != m or lmul(s, y) > y
                         or length(y) >= length(su)):
-                    raise ValueError(f"bad correction at y = {names[y]} for {key}")
+                    raise ValueError(f"bad correction at y = {group.name(y)} for {key}")
             products[(s, u)] = h
         if len(products) != sum(algebra.positive) * len(group) // 2:
             raise ValueError("an ascent pair of the C_s C_w table is missing")

@@ -298,13 +298,21 @@ def test_serialization_roundtrip_and_key_stability():
             == zero_table.to_json_dict())
     # The full `klbasis` document holds what the cache derives: a descent
     # product, a row rebuilt from its inverse, a zero-weight product.  The
-    # cache holds none of them, not even at its derived value.
+    # cache holds none of them, not even at its derived value.  The cache
+    # keys element w by its index, str(w), and `klbasis` by its name.
     full, zero_full = table.to_json_dict(), zero_table.to_json_dict()
+    W = alg.group
+    ix = {W.name(w): str(w) for w in range(len(W))}
+
+    def by_index(coeffs):
+        return {ix[y]: text for y, text in coeffs.items()}
+
     for a, d, edit in [
-            (alg, doc, lambda d: d["cs_products"].update({"s|s": full["cs_products"]["s|s"]})),
-            (alg, doc, lambda d: d["c_basis"].update({"t s": full["c_basis"]["t s"]})),
-            (zero_alg, zero_doc,
-             lambda d: d["cs_products"].update({"t|e": zero_full["cs_products"]["t|e"]}))]:
+            (alg, doc, lambda d: d["cs_products"].update(
+                {f"s|{ix['s']}": by_index(full["cs_products"]["s|s"])})),
+            (alg, doc, lambda d: d["c_basis"].update({ix["t s"]: by_index(full["c_basis"]["t s"])})),
+            (zero_alg, zero_doc, lambda d: d["cs_products"].update(
+                {f"t|{ix['e']}": by_index(zero_full["cs_products"]["t|e"])}))]:
         bad = json.loads(json.dumps(d))
         edit(bad)
         bad["digest"] = payload_digest(bad)

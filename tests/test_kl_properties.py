@@ -109,14 +109,14 @@ def test_kl_table_matches_brute_oracle_and_reference(alg):
 def stored_part(alg, rows):
     """The part of the rows {y: p_(y,w)} that the KL cache stores, as its
     `c_basis`: the rows with index(w) <= index(w^-1), each with the y that
-    have sy < y for every s in L(w) with L(s) > 0."""
+    have sy < y for every s in L(w) with L(s) > 0, keyed by index."""
     W = alg.group
     out = {}
     for w, row in enumerate(rows):
         if W.inv(w) >= w:
             desc = [s for s in W.left_descents(w) if alg.weights[s].sign() > 0]
-            out[W.name(w)] = {W.name(y): c.render() for y, c in row.items()
-                              if all(W.lmul_gen(s, y) < y for s in desc)}
+            out[str(w)] = {str(y): c.render() for y, c in row.items()
+                           if all(W.lmul_gen(s, y) < y for s in desc)}
     return out
 
 
@@ -212,8 +212,8 @@ def test_extremal_identity_and_cache_round_trip(kind, data):
             su = W.lmul_gen(s, u)
             if alg.weights[s].sign() > 0 and su > u:
                 corrections = table.cs_product_in_c(s, u)
-                ascents[f"{W.gen_names[s]}|{W.name(u)}"] = {
-                    W.name(y): m.render() for y, m in corrections.items() if y != su}
+                ascents[f"{W.gen_names[s]}|{u}"] = {
+                    str(y): m.render() for y, m in corrections.items() if y != su}
     assert doc["cs_products"] == ascents
     loaded = KLTable.from_json_dict(doc, alg)
     for w in range(len(W)):

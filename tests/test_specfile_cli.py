@@ -13,7 +13,7 @@ from api_helpers import fresh_python
 from klcells.cells import NonIntegerMultiplicity
 from klcells.cli import main
 from klcells.conjecture import B2_REGIME_POINTS
-from klcells.coxeter import ConjugacyViolation, InfiniteOrTooLarge
+from klcells.coxeter import ConjugacyViolation, CoxeterMatrix, InfiniteOrTooLarge, build_group
 from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow,
                            payload_digest)
 from klcells.ordered_coeffs import LEX, LEX_BOUND, RATIONAL
@@ -535,11 +535,32 @@ def assert_resigned_edit_is_recomputed(tmp_path, capsys, spec_text, edit):
     assert path.read_text(encoding="utf-8") == good
 
 
+def element_keys(doc):
+    """{name: key} for the elements of the group in the header of the KL
+    cache document `doc`, which keys element w by its ShortLex index, str(w)."""
+    group = build_group(CoxeterMatrix.from_rows(doc["matrix"]),
+                        gen_names=tuple(doc["generators"]))
+    return {group.name(w): str(w) for w in range(len(group))}
+
+
+def rekey(doc, key):
+    """`doc` with every element key of `c_basis` and `cs_products` mapped
+    through `key`."""
+    def coeffs(obj):
+        return {key[y]: text for y, text in obj.items()}
+    out = dict(doc)
+    out["c_basis"] = {key[w]: coeffs(row) for w, row in doc["c_basis"].items()}
+    out["cs_products"] = {f"{s}|{key[u]}": coeffs(obj)
+                          for k, obj in doc["cs_products"].items() for s, u in [k.split("|")]}
+    return out
+
+
 def set_first_stored(doc, prefix, text):
-    """Set p_(y,w) to `text` for the first stored y != w of the first row w
-    whose name starts with `prefix`."""
-    w, y = next((w, y) for w, row in sorted(doc["c_basis"].items()) if w.startswith(prefix)
-                for y in row if y != w)
+    """Set p_(y,w) to `text` for the first stored y != w, by name, of the
+    first row w whose name starts with `prefix`."""
+    name = {k: nm for nm, k in element_keys(doc).items()}
+    w, y = next((w, y) for w, row in sorted(doc["c_basis"].items(), key=lambda r: name[r[0]])
+                if name[w].startswith(prefix) for y in sorted(row, key=name.get) if y != w)
     doc["c_basis"][w][y] = text
 
 
@@ -602,50 +623,63 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     assert code == 0
     [path] = cache.iterdir()
     good = path.read_text(encoding="utf-8")
+    # The cache keys element w by its ShortLex index, str(w): ix["s t"] == "3".
+    ix = element_keys(json.loads(good))
     foreign = json.loads(good)
     foreign["key"] = "0" * 64
     malformed = json.loads(good)
-    malformed["c_basis"]["e"] = "1*v^(0)"
+    malformed["c_basis"][ix["e"]] = "1*v^(0)"
     # An exponent off the algebra's grid: weights 1 and 2 put every
     # exponent in Z, so v^(1/3) cannot come from this table.
     off_grid = json.loads(good)
-    off_grid["c_basis"]["s"]["e"] = "1*v^(1/3)"
+    off_grid["c_basis"][ix["s"]][ix["e"]] = "1*v^(1/3)"
     zero_den = json.loads(good)
-    zero_den["c_basis"]["s"]["e"] = "1*v^(1/0)"
+    zero_den["c_basis"][ix["s"]][ix["e"]] = "1*v^(1/0)"
     # The edits above keep a stale digest; those below the cases dict
     # re-sign the edited payload, so that the parse and invariant checks
     # are the ones to fail.  A format-1 cache held the indented full
     # table that `klbasis` prints; a format-2 cache held every row and
-    # the full C_s C_w table, and its loader took the full rows.
+    # the full C_s C_w table, and its loader took the full rows; a
+    # format-3 cache held what format 4 holds, keyed by element names.
     code, format1, _ = run_cli(capsys, "klbasis", spec, "--no-cache")
     assert code == 0
     format2 = json.loads(format1)
     format2["format"] = 2
+    format3 = rekey(json.loads(good), {k: nm for nm, k in ix.items()})
+    format3["format"] = 3
     wrong_format = json.loads(good)
     wrong_format["format"] = 1
     stale = json.loads(good)
-    stale["c_basis"]["s t"]["s"] = "1*v^(-3)"
+    stale["c_basis"][ix["s t"]][ix["s"]] = "1*v^(-3)"
     cases = {"{": "{", "{}": "{}", "[]": "[]", "truncated": good[: len(good) // 2],
              "nested too deep": "[" * 100000,
              "foreign": json.dumps(foreign), "malformed": json.dumps(malformed),
              "off grid": json.dumps(off_grid), "1/0": json.dumps(zero_den),
-             "format 1": format1, "format 2": resign(format2),
+             "format 1": format1, "format 2": resign(format2), "format 3": resign(format3),
              "wrong format": resign(wrong_format), "stale digest": json.dumps(stale)}
+    # Only the key the writer writes names an element: element 5 ("s t s",
+    # a stored row and the ascent pair "t|5") keyed in any other way, in
+    # every place it is a key, is unknown.  "012" and "8" = |W| are past
+    # the group, "05" is padded as "012" is, and "s t s" is format 3's key.
+    for bad in ("012", "05", "+5", " 5", "5.0", str(len(ix)), "s t s"):
+        cases[f"element key {bad!r}"] = resign(rekey(json.loads(good), {
+            k: bad if k == ix["s t s"] else k for k in ix.values()}))
     # Row "s t": L(st) = {s}, so p_(s,st) = v^-2 is stored and
     # p_(t,st) = v^-1 and p_(e,st) = v^-1 p_(s,st) are derived.  Row
     # "t s" is not stored: it is row "s t" inverted.  Ascent pair "t|s t s"
     # (su = s t s t) holds the correction m_(t s) = v + v^-1.
+    e, s, t, st, ts, sts, tst, stst = (ix[nm] for nm in (
+        "e", "s", "t", "s t", "t s", "s t s", "t s t", "s t s t"))
     for label, edit in [
-            ("signed off grid", lambda d: d["c_basis"]["s t"].update(s="1*v^(-1/3)")),
-            ("signed 1/0", lambda d: d["c_basis"]["s t"].update(s="1*v^(-1/0)")),
-            ("p_ww != 1", lambda d: d["c_basis"]["s t"].update({"s t": "1*v^(-1)"})),
-            ("non-negative lower exponent",
-             lambda d: d["c_basis"]["s t"].update(s="1*v^(1)")),
-            ("longer element in C_w", lambda d: d["c_basis"]["t"].update({"t s": "1*v^(-1)"})),
-            ("missing stored row", lambda d: d["c_basis"].pop("s t")),
+            ("signed off grid", lambda d: d["c_basis"][st].update({s: "1*v^(-1/3)"})),
+            ("signed 1/0", lambda d: d["c_basis"][st].update({s: "1*v^(-1/0)"})),
+            ("p_ww != 1", lambda d: d["c_basis"][st].update({st: "1*v^(-1)"})),
+            ("non-negative lower exponent", lambda d: d["c_basis"][st].update({s: "1*v^(1)"})),
+            ("longer element in C_w", lambda d: d["c_basis"][t].update({ts: "1*v^(-1)"})),
+            ("missing stored row", lambda d: d["c_basis"].pop(st)),
             ("derived row disagrees",
-             lambda d: d["c_basis"].update({"t s": {"t s": "1*v^(0)", "t": "1*v^(-2)"}})),
-            ("non-extremal disagrees", lambda d: d["c_basis"]["s t"].update(t="1*v^(-2)")),
+             lambda d: d["c_basis"].update({ts: {ts: "1*v^(0)", t: "1*v^(-2)"}})),
+            ("non-extremal disagrees", lambda d: d["c_basis"][st].update({t: "1*v^(-2)"})),
             # The loader takes only what the writer writes: a row it does
             # not know, a header of another algebra, a field it does not
             # write, and the entries it derives, even at their derived values.
@@ -653,24 +687,23 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
             ("wrong matrix", lambda d: d.update(matrix=[[1, 7], [7, 1]])),
             ("wrong weights", lambda d: d["weights"].update(s="99", t="-5")),
             ("extra top-level field", lambda d: d.update(comment="")),
-            ("derived row", lambda d: d["c_basis"].update(
-                {"t s": {"t s": "1*v^(0)", "t": "1*v^(-1)"}})),
-            ("non-extremal coefficient", lambda d: d["c_basis"]["s t"].update(t="1*v^(-1)")),
-            ("C_su term", lambda d: d["cs_products"]["t|s t s"].update({"s t s t": "1*v^(0)"})),
-            ("unknown product element", lambda d: d["cs_products"]["s|e"].update(q="1*v^(0)")),
-            ("missing ascent key", lambda d: d["cs_products"].pop("t|s t")),
+            ("derived row", lambda d: d["c_basis"].update({ts: {ts: "1*v^(0)", t: "1*v^(-1)"}})),
+            ("non-extremal coefficient", lambda d: d["c_basis"][st].update({t: "1*v^(-1)"})),
+            ("C_su term", lambda d: d["cs_products"][f"t|{sts}"].update({stst: "1*v^(0)"})),
+            ("unknown product element", lambda d: d["cs_products"][f"s|{e}"].update(q="1*v^(0)")),
+            ("missing ascent key", lambda d: d["cs_products"].pop(f"t|{st}")),
             ("unknown product generator",
-             lambda d: d["cs_products"].update({"q|e": d["cs_products"].pop("s|e")})),
+             lambda d: d["cs_products"].update({f"q|{e}": d["cs_products"].pop(f"s|{e}")})),
             ("key on a descent pair",
-             lambda d: d["cs_products"].update({"s|s": {"s": "1*v^(-1) + 1*v^(1)"}})),
-            ("C_su term disagrees", lambda d: d["cs_products"]["s|e"].update(s="1*v^(1)")),
-            ("zero correction", lambda d: d["cs_products"]["t|s t s"].update(t="0")),
+             lambda d: d["cs_products"].update({f"s|{s}": {s: "1*v^(-1) + 1*v^(1)"}})),
+            ("C_su term disagrees", lambda d: d["cs_products"][f"s|{e}"].update({s: "1*v^(1)"})),
+            ("zero correction", lambda d: d["cs_products"][f"t|{sts}"].update({t: "0"})),
             ("correction not bar-invariant",
-             lambda d: d["cs_products"]["t|s t s"].update(t="1*v^(-1)")),
+             lambda d: d["cs_products"][f"t|{sts}"].update({t: "1*v^(-1)"})),
             ("correction at sy > y",
-             lambda d: d["cs_products"]["t|s t s"].update(s="1*v^(-1) + 1*v^(1)")),
+             lambda d: d["cs_products"][f"t|{sts}"].update({s: "1*v^(-1) + 1*v^(1)"})),
             ("correction not shorter than su",
-             lambda d: d["cs_products"]["t|s"].update({"t s t": "1*v^(0)"}))]:
+             lambda d: d["cs_products"][f"t|{s}"].update({tst: "1*v^(0)"}))]:
         doc = json.loads(good)
         edit(doc)
         cases[label] = resign(doc)
@@ -711,7 +744,7 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     [lex_path] = [p for p in cache.iterdir() if p.name != path.name]
     lex_good = lex_path.read_text(encoding="utf-8")
     wrong_arity = json.loads(lex_good)
-    wrong_arity["c_basis"]["s"]["e"] = "1*v^(-1,0,0)"
+    wrong_arity["c_basis"][ix["s"]][ix["e"]] = "1*v^(-1,0,0)"
     for broken in (json.dumps(wrong_arity), resign(wrong_arity)):
         lex_path.write_text(broken, encoding="utf-8")
         code, out, err = run_cli(capsys, "cells", lex_spec, "--cache-dir", str(cache))
@@ -725,7 +758,7 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     [zero_path] = [p for p in cache.iterdir() if p.name not in (path.name, lex_path.name)]
     zero_good = zero_path.read_text(encoding="utf-8")
     zero_key = json.loads(zero_good)
-    zero_key["cs_products"]["t|e"] = {"t": "1*v^(0)"}
+    zero_key["cs_products"][f"t|{ix['e']}"] = {ix["t"]: "1*v^(0)"}
     zero_path.write_text(resign(zero_key), encoding="utf-8")
     code, out, err = run_cli(capsys, "cells", zero_spec, "--cache-dir", str(cache))
     assert (code, err, out) == (0, "", zero_cold)
