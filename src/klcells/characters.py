@@ -17,7 +17,7 @@ works; CoxeterGroup does, and CyclicGroup below covers mu_d.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, List, Sequence, Tuple
 
@@ -425,14 +425,12 @@ def character_table(group) -> CharacterTable:
         u = [(x * scale) % p for x in u]
         # chi(1)^2 = |G| / sum_l u_l u_{l*} / |C_l|
         acc = sum(u[l] * u[inv_class[l]] * inv_sizes[l] for l in range(k)) % p
+        # dixon_prime gives p > 2|G| >= 2 chi(1)^2, so the residue is chi(1)^2
+        # itself and chi(1) its integer square root.
         chi1_sq = (n * pow(acc, -1, p)) % p
-        chi1 = None
-        for r in range(1, p // 2 + 1):
-            if (r * r) % p == chi1_sq:
-                chi1 = r
-                break
-        if chi1 is None:
-            raise ArithmeticError("degree is not a square mod p")
+        chi1 = isqrt(chi1_sq)
+        if chi1 * chi1 != chi1_sq:
+            raise ArithmeticError("degree residue is not a perfect square")
         chi_fp = [(chi1 * u[l] * inv_sizes[l]) % p for l in range(k)]
 
         row = []

@@ -47,29 +47,27 @@ class Rank1Params(Frozen):
 
     @staticmethod
     def from_c(d: int, c_values: Sequence) -> "Rank1Params":
-        if d < 2:
-            raise ValueError("need d >= 2")
-        if len(c_values) != d - 1:  # before Q(zeta_d) is built: d may be huge
-            raise ValueError(f"c must have {d - 1} entries")
-        field = CyclotomicField.get(d)
-        c = tuple(v if isinstance(v, Cyclotomic) else field.from_fraction(v)
-                  for v in c_values)
+        c = _coerce(d, "c", d - 1, c_values)
         return Rank1Params(d, c, c_to_kappa(d, c))
 
     @staticmethod
     def from_kappa(d: int, kappa_values: Sequence) -> "Rank1Params":
-        if d < 2:
-            raise ValueError("need d >= 2")
-        if len(kappa_values) != d:  # before Q(zeta_d) is built: d may be huge
-            raise ValueError(f"kappa must have {d} entries")
-        field = CyclotomicField.get(d)
-        kappa = tuple(v if isinstance(v, Cyclotomic) else field.from_fraction(v)
-                      for v in kappa_values)
+        kappa = _coerce(d, "kappa", d, kappa_values)
         return Rank1Params(d, kappa_to_c(d, kappa), kappa)
 
     def kappa_indexed(self, i: int) -> Cyclotomic:
         """kappa_i with the cyclic convention kappa_0 = kappa_d (1-based tuple)."""
         return self.kappa[(i - 1) % self.d]
+
+
+def _coerce(d: int, name: str, count: int, values: Sequence) -> Tuple[Cyclotomic, ...]:
+    """values as `count` elements of Q(zeta_d), d >= 2."""
+    if d < 2:
+        raise ValueError("need d >= 2")
+    if len(values) != count:  # before Q(zeta_d) is built: d may be huge
+        raise ValueError(f"{name} must have {count} entries")
+    field = CyclotomicField.get(d)
+    return tuple(v if isinstance(v, Cyclotomic) else field.from_fraction(v) for v in values)
 
 
 def c_to_kappa(d: int, c: Sequence[Cyclotomic]) -> Tuple[Cyclotomic, ...]:
@@ -329,54 +327,22 @@ class CMCellData:
         self.families: List[List[int]] = families  # exponents j of det^j
 
 
-def _orbit_partition(d: int, gens: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """Orbits of {1..d} under the listed transpositions."""
-    parent = list(range(d + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in gens:
-        parent[find(i)] = find(j)
-    orbits: Dict[int, List[int]] = {}
-    for i in range(1, d + 1):
-        orbits.setdefault(find(i), []).append(i)
-    return sorted((sorted(v) for v in orbits.values()), key=lambda b: b[0])
-
-
 def inertia_and_cells(params: Rank1Params) -> CMCellData:
-    """Cells both as inertia orbits and by kappa equality, with agreement
-    asserted; the fiber is the set of distinct kappa values."""
+    """Cells, inertia generators and fiber in one pass over the kappa values.
+
+    The cells are the kappa-equality blocks of indices 1..d (s^i pairs with
+    kappa_i, s^d = 1).  Inertia is the Young subgroup stabilizing the kappa
+    tuple, generated by adjacent transpositions inside each block, so its
+    orbits are those blocks by construction.  The fiber is the set of
+    distinct kappa values."""
     d = params.d
-    # kappa-equality blocks of indices 1..d (s^i pairs with kappa_i, s^d = 1).
-    value_blocks: List[Tuple[Cyclotomic, List[int]]] = []
+    blocks: Dict[Cyclotomic, List[int]] = {}  # in order of each block's least index
     for i in range(1, d + 1):
-        v = params.kappa_indexed(i)
-        for val, blk in value_blocks:
-            if val == v:
-                blk.append(i)
-                break
-        else:
-            value_blocks.append((v, [i]))
-    eq_blocks = sorted((sorted(blk) for _, blk in value_blocks), key=lambda b: b[0])
-
-    # Inertia: the Young subgroup stabilizing the kappa tuple, generated by
-    # adjacent transpositions inside each block.
-    gens: List[Tuple[int, int]] = []
-    for _, blk in value_blocks:
-        blk = sorted(blk)
-        gens.extend((blk[t], blk[t + 1]) for t in range(len(blk) - 1))
-    orbit_blocks = _orbit_partition(d, gens)
-    if orbit_blocks != eq_blocks:
-        raise AssertionError("inertia orbits disagree with kappa equality")
-
-    fiber = [val for val, _ in sorted(value_blocks,
-                                      key=lambda vb: vb[0].sort_key())]
-    cells = [sorted(i % d for i in blk) for blk in eq_blocks]
-    cells.sort(key=lambda b: b[0])
+        blocks.setdefault(params.kappa_indexed(i), []).append(i)
+    gens = [(blk[t], blk[t + 1]) for blk in blocks.values() for t in range(len(blk) - 1)]
+    fiber = sorted(blocks, key=Cyclotomic.sort_key)
+    cells = sorted((sorted(i % d for i in blk) for blk in blocks.values()),
+                   key=lambda b: b[0])
     families = [list(b) for b in cells]
     return CMCellData(params, cells, gens, fiber, families)
 

@@ -19,7 +19,7 @@ import tempfile
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
-from .cells import cells, cells_report, left_cell_character, left_preorder
+from .cells import cells_report
 from .characters import character_table
 from .cherednik_rank1 import Rank1Params, cm_multiplicities, cm_report, inertia_and_cells
 from .coxeter import WeightFunction, build_group, named_coxeter_matrix
@@ -61,7 +61,9 @@ def _det_value(j: int, elem: int) -> int:
 
 def check_rank1_vs_a1(c: Fraction) -> dict:
     """Compare CM cells/multiplicities at d=2 with the KL side for A1,
-    L(s) = c, under the identification s^0 <-> e, s^1 <-> s."""
+    L(s) = c, under the identification s^0 <-> e, s^1 <-> s.  The KL
+    left cells, two-sided cells and cell characters are read from the
+    `cells` report of A1 (`cells_report`), by element name."""
     c = Fraction(c)
     if c < 0:
         raise ValueError("c must be >= 0 so that L(s) = c is a weight")
@@ -81,33 +83,32 @@ def check_rank1_vs_a1(c: Fraction) -> dict:
 
     # Kazhdan-Lusztig side.
     group = build_group(named_coxeter_matrix("A", 1))
-    algebra = HeckeAlgebra(group, WeightFunction.rational([c]))
-    table = kl_basis(algebra)
-    graph = left_preorder(table)
-    left = cells(graph, "left", group)
-    two_sided = cells(graph, "two-sided", group)
-    chars = character_table(group)
-    kl_chars = [left_cell_character(table, b, chars).values for b in left.blocks]
+    table = kl_basis(HeckeAlgebra(group, WeightFunction.rational([c])))
+    report = cells_report(table, character_table(group))
+    left = report["left_cells"]["blocks"]
+    two_sided = report["two_sided_cells"]["blocks"]
+    kl_chars = [list(cc["values"].values()) for cc in report["cell_characters"]]
 
     # mu_2 exponent j maps to the A1 element of the same index.
-    cm_as_sets = {frozenset(b) for b in cm_cells}
-    left_match = cm_as_sets == left.as_sets()
-    two_sided_match = cm_as_sets == two_sided.as_sets()
+    cm_named = [[group.name(j) for j in b] for b in cm_cells]
+    cm_as_sets = {frozenset(b) for b in cm_named}
+    left_match = cm_as_sets == {frozenset(b) for b in left}
+    two_sided_match = cm_as_sets == {frozenset(b) for b in two_sided}
     chars_match = sorted(cm_chars) == sorted(kl_chars)
 
     aligned = left_match
     if left_match:
-        kl_by_set = {frozenset(b): v for b, v in zip(left.blocks, kl_chars)}
+        kl_by_set = {frozenset(b): v for b, v in zip(left, kl_chars)}
         aligned = all(kl_by_set[frozenset(b)] == v
-                      for b, v in zip(cm_cells, cm_chars))
+                      for b, v in zip(cm_named, cm_chars))
 
     verdict = MATCH if (left_match and two_sided_match and chars_match) else MISMATCH
     return {
         "d": 2,
         "c": str(c),
         "cm": cm_report(data),
-        "kl_left_cells": [[group.name(w) for w in b] for b in left.blocks],
-        "kl_two_sided_cells": [[group.name(w) for w in b] for b in two_sided.blocks],
+        "kl_left_cells": left,
+        "kl_two_sided_cells": two_sided,
         "cm_cell_characters": {f"cell_{i}": v for i, v in enumerate(cm_chars)},
         "kl_cell_characters": {f"cell_{i}": v for i, v in enumerate(kl_chars)},
         "cells_verdict": MATCH if (left_match and two_sided_match) else MISMATCH,
@@ -172,10 +173,10 @@ def replace_file(path: str, write: Callable[[TextIO], None]) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:  # closes fd whatever fails
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             write(fh)
         os.replace(tmp, path)
     except BaseException:

@@ -115,10 +115,8 @@ def named_coxeter_matrix(kind: str, n: int) -> CoxeterMatrix:
         bonds = {(0, 1): n}
     else:
         raise ValueError(f"unknown Coxeter type {kind!r}")
-    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
-    for (i, j), v in bonds.items():
-        m[i][j] = m[j][i] = v
-    return CoxeterMatrix.from_rows(m)
+    return CoxeterMatrix.from_upper_triangle(
+        rank, [[bonds.get((i, j), 2) for j in range(i + 1, rank)] for i in range(rank - 1)])
 
 
 def _ground_field(matrix: CoxeterMatrix, cap: int) -> CyclotomicField:

@@ -236,24 +236,23 @@ class HeckeAlgebra:
             hit = self._walks[mask] = (tuple(keys), steps)
         return hit
 
-    def parabolic_cosets(self, mask: int) -> Tuple[Tuple[int, ...], dict, dict]:
-        """(keys, cosets, inverses): the keys of `parabolic_walk`, and for z
-        the longest element of its coset Pz, cosets[z] lists the u_j z and
-        inverses[z] their inverses.  Memoised per mask; only rows read
-        (`KLTable._row`) need the lists."""
+    def parabolic_cosets(self, mask: int) -> Tuple[Tuple[int, ...], dict]:
+        """(keys, cosets): the keys of `parabolic_walk`, and for z the
+        longest element of its coset Pz, cosets[z] lists the u_j z.
+        Memoised per mask; only rows read (`KLTable._row`) need the lists,
+        and a row read through its inverse maps them by `group.inv`."""
         hit = self._cosets.get(mask)
         if hit is None:
             group, masks = self.group, self.descent_masks
             keys, steps = self.parabolic_walk(mask)
-            cosets, inverses = {}, {}
+            cosets = {}
             for z in range(len(group)):
                 if masks[z] & mask == mask:
                     coset = [z]  # coset[j] = u_j z, walking down from z
                     for i, s in steps:
                         coset.append(group.lmul_gen(s, coset[i]))
                     cosets[z] = coset
-                    inverses[z] = [group.inv(y) for y in coset]
-            hit = self._cosets[mask] = (keys, cosets, inverses)
+            hit = self._cosets[mask] = (keys, cosets)
         return hit
 
 
@@ -455,17 +454,18 @@ class KLTable:
         """C_w as {y: x}, with derive(c, keys) listing an x for v^-e c, for
         each grid key of e in `keys`, for a stored coefficient c: the one
         place that derives what a table does not store.  A row not stored
-        is its inverse's, p_{y,w} = p_{y^-1,w^-1}.  In a stored row, with P
-        the parabolic subgroup on the s in L(w) with L(s) > 0, each
-        left-extremal z is the longest in its coset Pz, and
+        is its inverse's, p_{y,w} = p_{y^-1,w^-1}, so it is read through
+        the stored row of w^-1 with each y mapped by `group.inv`.  In a
+        stored row, with P the parabolic subgroup on the s in L(w) with
+        L(s) > 0, each left-extremal z is the longest in its coset Pz, and
         p_{uz,w} = v^{-L(u)} p_{z,w} for u in P (module docstring)."""
-        v = min(w, self.group.inv(w))
-        keys, cosets, inverses = self.algebra.parabolic_cosets(self.algebra.descent_masks[v])
-        if v < w:
-            cosets = inverses
+        inv = self.group._inv.__getitem__  # group.inv without a Python call per element
+        v = min(w, inv(w))
+        keys, cosets = self.algebra.parabolic_cosets(self.algebra.descent_masks[v])
         row = {}
         for z, c in self._stored[v].items():
-            row.update(zip(cosets[z], derive(c, keys)))
+            ys = cosets[z] if v == w else map(inv, cosets[z])
+            row.update(zip(ys, derive(c, keys)))
         return row
 
     def c_expansion(self, w: int) -> HeckeCoeffs:

@@ -13,6 +13,10 @@ from klcells.characters import (CharacterTable, CyclicGroup, _charpoly_mod,
                                 _poly_roots_mod, character_table, decompose,
                                 dixon_prime, inner_product, verify_orthogonality)
 from klcells.coxeter import CoxeterMatrix, build_group, named_coxeter_matrix
+from klcells.specfile import parse_spec
+from test_klbasis_golden import SPECS_BY_COMMAND
+
+GOLDEN_CHARACTER_SPECS = SPECS_BY_COMMAND["characters"]
 
 # Groups for the decomposition tests: Weyl groups with rational tables,
 # H3, I2(5), I2(8) whose tables have irrational real values, and Z/5,
@@ -74,6 +78,21 @@ def test_dixon_prime_choice():
     assert dixon_prime(6, 6) == 13       # least p = 1 mod 6 above 12
     assert dixon_prime(24, 12) == 61     # least p = 1 mod 12 above 48
     assert dixon_prime(48, 12) == 97
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN_CHARACTER_SPECS), "Z/5"])
+def test_degree_residue_is_the_square_itself(name):
+    """character_table reads chi(1) as the integer square root of the
+    residue of chi(1)^2 mod p, which needs chi(1)^2 <= |W| and 2|W| < p."""
+    if name == "Z/5":
+        group = CyclicGroup(5)
+    else:
+        spec = parse_spec(GOLDEN_CHARACTER_SPECS[name])
+        group = build_group(spec.matrix, gen_names=spec.gen_names)
+    table = character_table(group)
+    order = len(group)
+    assert all(row[0].to_fraction() ** 2 <= order for row in table.rows)
+    assert 2 * order < dixon_prime(order, table.field.order)
 
 
 def test_s3_table():

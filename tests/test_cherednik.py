@@ -298,6 +298,44 @@ def test_all_kappa_distinct_gives_singletons():
     assert data.inertia_gens == []
 
 
+def _orbits(d, transpositions):
+    """Orbits of {1..d} under the transpositions, by union-find."""
+    parent = list(range(d + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in transpositions:
+        parent[find(i)] = find(j)
+    orbits = {}
+    for i in range(1, d + 1):
+        orbits.setdefault(find(i), []).append(i)
+    return list(orbits.values())
+
+
+def test_cells_are_the_orbits_of_the_inertia_generators():
+    """The cells are the kappa-equality blocks, which are the orbits of the
+    inertia generators: checked here on c points and on kappa points with
+    repeated values, d = 2..8."""
+    rng = random.Random(89)
+    points = []
+    for d in range(2, 9):
+        for _ in range(4):
+            points.append(rational_params(d, random_c(rng, d)))
+            values = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+            mean = sum(values) / d  # shifting keeps which kappas are equal
+            points.append(Rank1Params.from_kappa(d, [v - mean for v in values]))
+    points.append(Rank1Params.from_kappa(6, [1, 1, -1, -1, 0, 0]))
+    for P in points:
+        data = inertia_and_cells(P)
+        orbits = sorted((sorted(i % P.d for i in o) for o in _orbits(P.d, data.inertia_gens)),
+                        key=lambda b: b[0])
+        assert data.cells == orbits, P.kappa
+        assert data.families == data.cells
+
+
 def test_report_shape():
     doc = cm_report(inertia_and_cells(rational_params(2, [1])))
     assert doc["d"] == 2

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from fractions import Fraction
 from functools import cache
 
@@ -10,8 +12,8 @@ from klcells.characters import character_table
 from klcells.conjecture import (B2_REGIME_POINTS, MATCH, REPORT_CHUNK,
                                 b2_regime_report, check_rank1_vs_a1,
                                 classify_b2_regime, emit_report,
-                                run_conjecture_suite, store_snapshot,
-                                write_report)
+                                replace_file, run_conjecture_suite,
+                                store_snapshot, write_report)
 from klcells.coxeter import build_group, named_coxeter_matrix
 
 
@@ -195,3 +197,30 @@ def test_run_conjecture_suite(tmp_path):
     assert doc["verdict"] == MATCH
     assert doc["b2_regimes"][0]["snapshot"] == "created"
     assert doc["b2_partition_constant_per_regime"] == {"b=a": True}
+
+
+def test_replace_file_closes_its_temp_file_when_chmod_fails(tmp_path, monkeypatch):
+    """A step before the write fails: the temporary file is closed and
+    removed, and the error reaches the caller."""
+    target = tmp_path / "out.json"
+
+    def refuse(*args):
+        raise PermissionError("chmod refused")
+
+    fds = "/proc/self/fd"
+    open_before = sorted(os.listdir(fds)) if os.path.isdir(fds) else None
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fchmod", refuse)
+        for _ in range(5):
+            with pytest.raises(OSError):
+                replace_file(str(target), lambda fh: fh.write("x"))
+    if open_before is not None:
+        assert sorted(os.listdir(fds)) == open_before
+    assert list(tmp_path.iterdir()) == []
+
+    replace_file(str(target), lambda fh: fh.write("x"))
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.read_text(encoding="utf-8") == "x"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
