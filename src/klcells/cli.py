@@ -7,9 +7,14 @@
     klcells conjecture [--c-values 0,1/2,1] [--reports-dir DIR] [--no-b2] [--update-snapshots]
 
 Exit status: 0 on success, 1 on input errors (bad arguments, parse or
-semantic errors), 2 on internal invariant violations.  JSON goes to
-standard output (or --output) with stable key order; a warm KL cache
-yields byte-identical output to a cold run.
+semantic errors) and on a standard output that cannot be written, 2 on
+internal invariant violations.  JSON goes to standard output (or
+--output) with stable key order; a warm KL cache yields byte-identical
+output to a cold run.
+
+A command ends once its output is flushed, through os._exit: the
+interpreter's module teardown and final garbage collections do not run.
+main(argv) only returns the status; it never ends the process.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import Callable, List, Optional, TextIO
 
 # Every command's module is imported here, when the CLI loads: the traced
 # benchmark (perfbench/tracing.py) wraps functions only in the klcells
@@ -43,6 +48,10 @@ class InputError(ValueError):
 
 class InternalCheckError(RuntimeError):
     """An invariant the pipeline guarantees was violated (exit status 2)."""
+
+
+class StdoutError(Exception):
+    """Standard output is closed or does not take the bytes (exit status 1)."""
 
 
 _OUTPUT = {"--output": ("output", str, None)}
@@ -165,6 +174,23 @@ def _load_table(args) -> KLTable:
     return table
 
 
+def _write_stdout(write: Callable[[TextIO], None]) -> None:
+    """`write(sys.stdout)`, then flush it, so that a closed stdout, a full
+    device or a pipe whose reader quit fails here, inside `main`."""
+    if sys.stdout is None:  # Python's stdout when fd 1 was closed at start-up
+        raise StdoutError("it is closed")
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise StdoutError(exc) from None
+
+
+def _stdout_failed(reason) -> int:
+    sys.stderr.write(f"error: cannot write standard output: {reason}\n")
+    return 1
+
+
 def _emit(doc: dict, output: Optional[str]) -> None:
     if output:
         try:
@@ -172,7 +198,7 @@ def _emit(doc: dict, output: Optional[str]) -> None:
         except OSError as exc:
             raise InputError(f"cannot write {output!r}: {exc}") from None
     else:
-        write_report(doc, sys.stdout)
+        _write_stdout(lambda fh: write_report(doc, fh))
 
 
 def _run(args) -> int:
@@ -225,12 +251,16 @@ def _run(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the command in `argv` (default: sys.argv[1:]) and return its exit
+    status, with its output flushed.  It never ends the process."""
     argv = sys.argv[1:] if argv is None else argv
-    if any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in argv):
-        sys.stdout.write(__doc__)  # -h, --help or a prefix of it, anywhere
-        return 0
     try:
+        if any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in argv):
+            _write_stdout(lambda fh: fh.write(__doc__))  # -h, --help or a prefix, anywhere
+            return 0
         return _run(_parse_args(argv))
+    except StdoutError as exc:
+        return _stdout_failed(exc)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write("usage: klcells {cells,klbasis,characters,cm-rank1,conjecture} ...\n")
@@ -248,7 +278,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The `klcells` console script and `python -m klcells.cli`: run `main`,
+    flush the standard streams and end the process with `os._exit`.
+
+    Nothing is left to do once the output is out, so the interpreter's
+    teardown (every module's, and the final garbage collections over the
+    heap) is skipped: klcells registers no atexit handler and leaves no file
+    open.  An exception out of `main` ends the process the usual way."""
+    status = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:  # the bytes of a failed write, which main reported
+        status = status or _stdout_failed(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

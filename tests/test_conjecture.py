@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import klcells.conjecture
 from klcells.characters import character_table
-from klcells.conjecture import (B2_REGIME_POINTS, MATCH, REPORT_CHUNK,
+from klcells.cli import main
+from klcells.conjecture import (B2_REGIME_POINTS, MATCH, MISMATCH, REPORT_CHUNK,
                                 b2_regime_report, check_rank1_vs_a1,
                                 classify_b2_regime, emit_report,
                                 replace_file, run_conjecture_suite,
@@ -47,15 +49,37 @@ def test_negative_c_rejected():
         check_rank1_vs_a1(Fraction(-1))
 
 
-def test_corrupted_partition_reports_mismatch():
+def merge_left_cells(report):
+    report["left_cells"]["blocks"] = [sum(report["left_cells"]["blocks"], [])]
+
+
+def change_one_character(report):
+    report["cell_characters"][0]["values"]["e"] += 1
+
+
+@pytest.mark.parametrize("corrupt, cells_verdict, characters_verdict", [
+    (merge_left_cells, MISMATCH, MATCH),
+    (change_one_character, MATCH, MISMATCH),
+], ids=["merged-left-cell", "changed-character"])
+def test_disagreeing_kl_side_reports_mismatch(monkeypatch, capsys, corrupt,
+                                               cells_verdict, characters_verdict):
+    """The A1 check compares the CM side with the `cells_report` it is given:
+    a KL side that disagrees is a MISMATCH, and `conjecture` exits 2."""
+    real = klcells.conjecture.cells_report
+
+    def corrupted(*args):
+        report = real(*args)
+        corrupt(report)
+        return report
+
+    monkeypatch.setattr(klcells.conjecture, "cells_report", corrupted)
     r = check_rank1_vs_a1(Fraction(1))
-    # simulate a corrupted CM partition: claim one big cell
-    corrupted = dict(r)
-    corrupted_cells = {frozenset([0, 1])}
-    kl_sets = {frozenset([0]), frozenset([1])}
-    assert corrupted_cells != kl_sets  # the comparison the verdict rests on
-    # and the pipeline itself flags it if fed inconsistent characters
-    assert sorted(r["cm_cell_characters"].values()) != [[1, 1], [1, 1]]
+    assert (r["cells_verdict"], r["characters_verdict"], r["verdict"]) == (
+        cells_verdict, characters_verdict, MISMATCH)
+    assert r["per_cell_character_agreement"] is False
+    assert main(["conjecture", "--no-b2"]) == 2
+    assert capsys.readouterr().err == (
+        "internal invariant violation: rank-1 vs A1 comparison returned MISMATCH\n")
 
 
 def test_classify_regimes():

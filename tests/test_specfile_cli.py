@@ -1,8 +1,13 @@
+import errno
 import importlib.util
+import io
 import json
 import os
 import pkgutil
+import shutil
 import stat
+import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -11,7 +16,7 @@ import pytest
 import klcells
 from api_helpers import fresh_python
 from klcells.cells import NonIntegerMultiplicity
-from klcells.cli import main
+from klcells.cli import entry, main
 from klcells.conjecture import B2_REGIME_POINTS
 from klcells.coxeter import ConjugacyViolation, CoxeterMatrix, InfiniteOrTooLarge, build_group
 from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow,
@@ -830,3 +835,173 @@ def test_each_submodule_name_is_the_module(name):
     exec(f"import klcells.{name} as x", scope)
     assert isinstance(scope["x"], types.ModuleType)
     assert scope["x"].__name__ == f"klcells.{name}"
+
+
+class Exited(Exception):
+    """Raised by the patched `os._exit`."""
+
+
+def run_entry(monkeypatch, capsys, status, flush_error=None):
+    """`entry()` with a `main` that writes one line to stdout without
+    flushing it and returns `status`, and an `os._exit` that raises.
+    Returns the flushes of stdout and the exit, in order, and stderr."""
+    log = []
+
+    class Stdout(io.StringIO):
+        def flush(self):
+            log.append(("flush", self.getvalue()))
+            if flush_error:
+                raise flush_error
+
+    def fake_main():
+        sys.stdout.write("doc\n")
+        return status
+
+    def fake_exit(code):
+        log.append(("exit", code))
+        raise Exited
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    monkeypatch.setattr("klcells.cli.main", fake_main)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(Exited):
+        entry()
+    return log, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("status", [0, 1, 2])
+def test_entry_exits_with_the_status_of_main_after_the_flush(monkeypatch, capsys, status):
+    assert run_entry(monkeypatch, capsys, status) == (
+        [("flush", "doc\n"), ("exit", status)], "")
+
+
+def test_entry_turns_a_failed_final_flush_into_exit_1(monkeypatch, capsys):
+    """A flush that fails after a successful `main` is exit 1 with one error
+    line, never a silent 0.  After a failed `main` the flush only meets the
+    bytes whose write `main` already reported, and the status stands."""
+    broken = OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+    log, err = run_entry(monkeypatch, capsys, 0, broken)
+    assert log == [("flush", "doc\n"), ("exit", 1)]
+    assert err == f"error: cannot write standard output: {broken}\n"
+    assert run_entry(monkeypatch, capsys, 2, broken) == (
+        [("flush", "doc\n"), ("exit", 2)], "")
+
+
+D4_SPEC = "group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n"
+
+
+PYTHON_M_CLI = [sys.executable, "-m", "klcells.cli"]
+
+
+def cli_env(unbuffered=False):
+    """The environment of a fresh `python -m klcells.cli` from this source
+    tree, with a buffered stdout unless `unbuffered`."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONUNBUFFERED" and not k.startswith("KLCELLS_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(klcells.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def cli_process(*argv, unbuffered=False, **kwargs):
+    return subprocess.run(PYTHON_M_CLI + list(argv), env=cli_env(unbuffered),
+                          timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+@pytest.mark.parametrize("argv", [
+    ["cells", "d4.spec", "--no-cache"],
+    ["klbasis", "d4.spec", "--no-cache"],  # 376 KB: many pieces of output
+    ["characters", "d4.spec"],
+    ["cm-rank1", "--d", "3", "--c", "1,1/2"],
+    ["conjecture", "--no-b2"],
+], ids=["cells", "klbasis", "characters", "cm-rank1", "conjecture"])
+def test_process_prints_the_bytes_of_main(tmp_path, capsys, monkeypatch, argv, sink):
+    """A command ends through `os._exit` once its output is flushed: the
+    process prints every byte that `main` prints, to a file and to a pipe."""
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "d4.spec", D4_SPEC)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    if sink == "file":
+        with open(tmp_path / "out.json", "wb") as fh:
+            run = cli_process(*argv, cwd=tmp_path, stdout=fh, stderr=subprocess.PIPE)
+        printed = (tmp_path / "out.json").read_bytes()
+    else:
+        run = cli_process(*argv, cwd=tmp_path, capture_output=True)
+        printed = run.stdout
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert printed == out.encode("utf-8")
+
+
+def test_process_exits_1_on_input_errors_and_2_on_drift(tmp_path):
+    run = cli_process("cells", "missing.spec", cwd=tmp_path, capture_output=True)
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr.startswith(b"error: cannot read 'missing.spec'")
+    reports = tmp_path / "reports"
+    shutil.copytree(os.path.join(os.path.dirname(__file__), "golden", "b2"), reports)
+    edited = sorted(reports.iterdir())[0]
+    edited.write_text(edited.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    run = cli_process("conjecture", "--reports-dir", str(reports), cwd=tmp_path,
+                      capture_output=True)
+    assert run.returncode == 2
+    assert json.loads(run.stdout)["verdict"] == "MATCH"
+    assert run.stderr == (b"internal invariant violation: snapshot drift for 1 B2 "
+                          b"parameter points (rerun with --update-snapshots to accept)\n")
+
+
+def stdout_error(code):
+    return f"error: cannot write standard output: [Errno {code}] {os.strerror(code)}\n".encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "write-through"])
+@pytest.mark.parametrize("argv", [["cm-rank1", "--d", "3", "--c", "1,1/2"],
+                                  ["klbasis", "d4.spec", "--no-cache"]],
+                         ids=["one-piece", "many-pieces"])
+def test_full_stdout_exits_1_with_one_error_line(tmp_path, argv, unbuffered):
+    """A document that fits the buffer fails at the flush, a larger one at a
+    write; both end in the same line, with no traceback."""
+    write(tmp_path / "d4.spec", D4_SPEC)
+    with open("/dev/full", "wb") as full:
+        run = cli_process(*argv, unbuffered=unbuffered, cwd=tmp_path, stdout=full,
+                          stderr=subprocess.PIPE)
+    assert (run.returncode, run.stderr) == (1, stdout_error(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "write-through"])
+def test_stdout_pipe_closed_early_exits_1_with_one_error_line(tmp_path, unbuffered):
+    """`klcells klbasis d4.spec | head -c 10`."""
+    write(tmp_path / "d4.spec", D4_SPEC)
+    proc = subprocess.Popen(PYTHON_M_CLI + ["klbasis", "d4.spec", "--no-cache"],
+                            env=cli_env(unbuffered), cwd=tmp_path,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "arity'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, stdout_error(errno.EPIPE))
+
+
+@pytest.mark.parametrize("argv", [["cm-rank1", "--d", "3", "--c", "1,1/2"], ["--help"]])
+def test_closed_stdout_exits_1_with_one_error_line(tmp_path, argv):
+    """`klcells ... >&-`: Python starts with sys.stdout None."""
+    run = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *PYTHON_M_CLI, *argv],
+                         env=cli_env(), cwd=tmp_path, capture_output=True, timeout=120)
+    assert (run.returncode, run.stderr) == (
+        1, b"error: cannot write standard output: it is closed\n")
+
+
+def test_main_reports_an_unwritable_stdout_and_returns(monkeypatch, capsys):
+    """`main` never ends the process: a stdout that refuses the bytes is
+    status 1, returned, with the error line on stderr."""
+
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for stdout in (Full(), None):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["cm-rank1", "--d", "2", "--c", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write standard output: ")
