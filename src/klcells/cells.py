@@ -30,8 +30,8 @@ from .hecke import KLTable
 
 
 class NonIntegerMultiplicity(ArithmeticError):
-    """A cell character decomposed with a non-integer or negative multiplicity
-    (always an implementation bug, never valid input)."""
+    """A cell character whose multiplicities are not all nonnegative
+    integers (always an implementation bug, never valid input)."""
 
 
 class PreorderGraph:
@@ -108,8 +108,7 @@ class CellPartition:
     (b strictly precedes a, with no block between them).
     """
 
-    def __init__(self, kind, blocks, block_of, hasse):
-        self.kind: str = kind
+    def __init__(self, blocks, block_of, hasse):
         self.blocks: List[List[int]] = blocks
         self.block_of: List[int] = block_of
         self.hasse: List[Tuple[int, int]] = hasse
@@ -162,15 +161,13 @@ def cells(graph: PreorderGraph, kind: str, group: CoxeterGroup) -> CellPartition
         succ = inverted if kind == "right" else [a | b for a, b in zip(succ, inverted)]
     comps = _tarjan_scc(graph.size, succ)
     blocks, block_of = _canonical_blocks(comps, graph.size)
-    return CellPartition(kind, blocks, block_of,
-                         _block_order(comps, block_of, succ))
+    return CellPartition(blocks, block_of, _block_order(comps, block_of, succ))
 
 
 class CellCharacter:
     """Integer character of the W-module carried by one left cell."""
 
-    def __init__(self, cell, values, multiplicities):
-        self.cell: List[int] = cell
+    def __init__(self, values, multiplicities):
         self.values: List[int] = values  # per conjugacy class, in class order
         self.multiplicities: List[int] = multiplicities  # per irreducible, in table row order
 
@@ -221,12 +218,8 @@ def left_cell_character(table: KLTable, cell: Sequence[int],
     coeffs, ok = decompose([chars.field.from_fraction(v) for v in values], chars)
     if not ok:
         raise NonIntegerMultiplicity(
-            f"cell {sorted(cell)} decomposes with non-integer multiplicities")
-    mults = [int(c.to_fraction()) for c in coeffs]
-    if any(m < 0 for m in mults):
-        raise NonIntegerMultiplicity(
-            f"cell {sorted(cell)} decomposes with a negative multiplicity")
-    return CellCharacter(list(cell), values, mults)
+            f"cell {sorted(cell)} decomposes with non-integer or negative multiplicities")
+    return CellCharacter(values, [int(c.to_fraction()) for c in coeffs])
 
 
 def check_refinement(left: CellPartition, two_sided: CellPartition

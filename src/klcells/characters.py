@@ -10,8 +10,8 @@ Hessenberg form.  Eigenvalue multiplicities of rho(g) are then
 recovered by a discrete Fourier transform over F_p and lifted to the
 cyclotomic field Q(zeta_exponent), where all values are exact.
 
-Any group object with mul/inv/identity/element_order/conjugacy_classes
-works; CoxeterGroup does, and CyclicGroup below covers mu_d.
+Any group object with mul/inv/identity/element_order/name/conjugacy_classes
+works; CoxeterGroup is the one the pipeline builds.
 """
 
 from __future__ import annotations
@@ -22,49 +22,6 @@ from operator import mul
 from typing import Iterator, List, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic, CyclotomicField
-
-
-class CyclicGroup:
-    """Z/d with the same element-oracle surface as CoxeterGroup."""
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("cyclic group order must be >= 1")
-        self.d = d
-        self._classes = _CyclicClasses(d)
-
-    def __len__(self) -> int:
-        return self.d
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.d
-
-    def inv(self, a: int) -> int:
-        return (-a) % self.d
-
-    def element_order(self, a: int) -> int:
-        return self.d // gcd(a, self.d) if a else 1
-
-    def name(self, a: int) -> str:
-        return f"s^{a}"
-
-    def conjugacy_classes(self) -> "_CyclicClasses":
-        return self._classes
-
-
-class _CyclicClasses:
-    def __init__(self, d: int):
-        self.blocks = [[a] for a in range(d)]
-        self.class_of = list(range(d))
-        self.representatives = list(range(d))
-        self.sizes = [1] * d
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 class CharacterTable:
@@ -97,9 +54,8 @@ class CharacterTable:
         return d * sum(sizes), dual
 
     def to_json_dict(self) -> dict:
-        group = self.group
         reps = self.classes.representatives
-        name = getattr(group, "name", lambda w: str(w))
+        name = self.group.name
         return {
             "zeta_order": self.field.order,
             "classes": [

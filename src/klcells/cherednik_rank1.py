@@ -170,9 +170,6 @@ class AlgebraElt:
     def __sub__(self, other: "AlgebraElt") -> "AlgebraElt":
         return self + (-other)
 
-    def scale(self, coeff: Cyclotomic) -> "AlgebraElt":
-        return AlgebraElt(self.params, {m: c * coeff for m, c in self.terms.items()})
-
     def __mul__(self, other: "AlgebraElt") -> "AlgebraElt":
         """Right-multiply self by each monomial x^c xi^e s^j of other: self x^c
         comes from `_times_x` (once per c), then xi^e twists the s^i part by
@@ -254,25 +251,6 @@ def _times_x(params: Rank1Params, terms: Dict[Monomial, Cyclotomic]
 
 
 # -- named elements and checks ------------------------------------------------
-
-
-def normal_form(params: Rank1Params, word: Sequence) -> AlgebraElt:
-    """Rewrite a word in the generators to the x^a xi^b s^i basis.
-
-    Tokens are 'x', 'xi', 's', or any scalar acceptable to the field;
-    the result does not depend on how the word is associated.
-    """
-    out = AlgebraElt.one(params)
-    for token in word:
-        if token == "x":
-            out = out * AlgebraElt.x(params)
-        elif token == "xi":
-            out = out * AlgebraElt.xi(params)
-        elif token == "s":
-            out = out * AlgebraElt.s(params)
-        else:
-            out = out * AlgebraElt.scalar(params, token)
-    return out
 
 
 def euler_element(params: Rank1Params) -> AlgebraElt:

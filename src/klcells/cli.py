@@ -7,7 +7,7 @@
     klcells conjecture [--c-values 0,1/2,1] [--reports-dir DIR] [--no-b2] [--update-snapshots]
 
 Exit status: 0 on success, 1 on input errors (bad arguments, parse or
-semantic errors) and on a standard output that cannot be written, 2 on
+semantic errors) and on an output that cannot be written, 2 on
 internal invariant violations.  JSON goes to standard output (or
 --output) with stable key order; a warm KL cache yields byte-identical
 output to a cold run.
@@ -35,7 +35,7 @@ from .cherednik_rank1 import Rank1Params, cm_report, inertia_and_cells
 from .conjecture import (B2_REGIME_POINTS, replace_file, run_conjecture_suite,
                          write_report)
 from .coxeter import DEFAULT_SIZE_CAP, build_group
-from .hecke import BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow, kl_basis
+from .hecke import HeckeAlgebra, KLTable, kl_basis
 from .specfile import parse_spec
 
 CACHE_ENV = "KLCELLS_CACHE_DIR"
@@ -43,15 +43,16 @@ REPORTS_ENV = "KLCELLS_REPORTS_DIR"
 
 
 class InputError(ValueError):
-    """Bad command line, unreadable file, or malformed specification."""
+    """Bad command line, unreadable input, or malformed specification."""
 
 
 class InternalCheckError(RuntimeError):
     """An invariant the pipeline guarantees was violated (exit status 2)."""
 
 
-class StdoutError(Exception):
-    """Standard output is closed or does not take the bytes (exit status 1)."""
+class OutputError(Exception):
+    """Standard output or an output path is closed or does not take the
+    bytes (exit status 1); the arguments are the target and the reason."""
 
 
 _OUTPUT = {"--output": ("output", str, None)}
@@ -113,6 +114,8 @@ def _parse_args(argv: List[str]) -> SimpleNamespace:
 
 def _read_spec(path: str) -> str:
     if path == "-":
+        if sys.stdin is None:  # Python's stdin when fd 0 was closed at start-up
+            raise InputError("cannot read standard input: it is closed")
         return sys.stdin.read()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -178,16 +181,16 @@ def _write_stdout(write: Callable[[TextIO], None]) -> None:
     """`write(sys.stdout)`, then flush it, so that a closed stdout, a full
     device or a pipe whose reader quit fails here, inside `main`."""
     if sys.stdout is None:  # Python's stdout when fd 1 was closed at start-up
-        raise StdoutError("it is closed")
+        raise OutputError("standard output", "it is closed")
     try:
         write(sys.stdout)
         sys.stdout.flush()
     except OSError as exc:
-        raise StdoutError(exc) from None
+        raise OutputError("standard output", exc) from None
 
 
-def _stdout_failed(reason) -> int:
-    sys.stderr.write(f"error: cannot write standard output: {reason}\n")
+def _output_failed(target: str, reason) -> int:
+    sys.stderr.write(f"error: cannot write {target}: {reason}\n")
     return 1
 
 
@@ -195,8 +198,8 @@ def _emit(doc: dict, output: Optional[str]) -> None:
     if output:
         try:
             replace_file(output, lambda fh: write_report(doc, fh))
-        except OSError as exc:
-            raise InputError(f"cannot write {output!r}: {exc}") from None
+        except OSError as exc:  # strerror leaves out the temporary file's name
+            raise OutputError(repr(output), exc.strerror or exc) from None
     else:
         _write_stdout(lambda fh: write_report(doc, fh))
 
@@ -238,7 +241,7 @@ def _run(args) -> int:
                 update_snapshots=args.update_snapshots,
             )
         except OSError as exc:
-            raise InputError(f"cannot write {reports_dir!r}: {exc}") from None
+            raise OutputError(repr(reports_dir), exc.strerror or exc) from None
         _emit(doc, args.output)
         drift = [e for e in doc["b2_regimes"] if e.get("snapshot") == "drift"]
         if drift:
@@ -259,15 +262,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             _write_stdout(lambda fh: fh.write(__doc__))  # -h, --help or a prefix, anywhere
             return 0
         return _run(_parse_args(argv))
-    except StdoutError as exc:
-        return _stdout_failed(exc)
+    except OutputError as exc:
+        return _output_failed(*exc.args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write("usage: klcells {cells,klbasis,characters,cm-rank1,conjecture} ...\n")
         return 1
-    except (SlotOverflow, BoxOverflow) as exc:  # ValueErrors, but no fault of the input
-        sys.stderr.write(f"internal invariant violation: {exc}\n")
-        return 2
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -290,7 +290,7 @@ def entry() -> None:
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:  # the bytes of a failed write, which main reported
-        status = status or _stdout_failed(exc)
+        status = status or _output_failed("standard output", exc)
     if sys.stderr is not None:
         sys.stderr.flush()
     os._exit(status)

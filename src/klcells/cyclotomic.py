@@ -9,9 +9,8 @@ modulo Phi_N never leaves the integers: +, -, *, the Galois maps, the
 inverse (a product of Galois conjugates over the rational norm) and the
 zero, rationality and equality tests run on ints alone, and each result
 is normalised by at most one gcd (none when den == 1).  Fractions appear
-only at the boundary (from_fraction, from_coeffs, to_fraction, coeffs,
-render, sort_key).  One field instance is shared per N
-(``CyclotomicField.get``).
+only at the boundary (from_fraction, to_fraction, coeffs, render,
+sort_key).  One field instance is shared per N (``CyclotomicField.get``).
 
 Used in three places: the ground scalars of the geometric reflection
 representation (2cos(pi/m) = zeta_2m + zeta_2m^-1), character table
@@ -24,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def _int_poly_div_exact(num: Sequence[int], den: Sequence[int]) -> Tuple[int, ...]:
@@ -128,19 +127,6 @@ class CyclotomicField:
     def zeta(self, k: int = 1) -> "Cyclotomic":
         """zeta_N^k as a field element."""
         return Cyclotomic(self, self._xpow[k % self.order])
-
-    def from_coeffs(self, coeffs: Iterable) -> "Cyclotomic":
-        """sum_i coeffs[i] zeta^i for rationals coeffs, of any length."""
-        vals = [Fraction(x) for x in coeffs]
-        den = lcm(*(x.denominator for x in vals))
-        num = [0] * self.degree
-        for i, x in enumerate(vals):
-            c = x.numerator * (den // x.denominator)
-            if c:
-                for j, t in enumerate(self._xpow[i % self.order]):
-                    if t:
-                        num[j] += c * t
-        return self.from_numerators(num, den)
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.order})"

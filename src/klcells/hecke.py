@@ -95,9 +95,8 @@ These digests, the `content_key` in the file name and the `"key"` of the
 (`_sha2` from 3.12), and from hashlib only where neither exists: the
 digest is the same, and `import hashlib` loads OpenSSL, which cost each
 `klcells` process about 5 ms and 4 MB (2-core Xeon, CPython 3.11).
-Format 3 halved format 2, and format 4 cuts a third more: A5 (equal
-parameters) 594 kB -> 268 kB -> 175 kB, F4 with L = (1,1,2,2) 4.77 MB
--> 2.50 MB -> 1.72 MB.
+A cache holds 175 kB for A5 (equal parameters) and 1.72 MB for F4 with
+L = (1,1,2,2).
 """
 
 from __future__ import annotations
@@ -133,12 +132,12 @@ _SLOT_WIDTHS = (16, 32, 64)
 _MAX_SLOTS = 1 << 10
 
 
-class SlotOverflow(ValueError):
+class SlotOverflow(ArithmeticError):
     """A packed digit could pass the limit of its slot width: the table is
     rebuilt with the next width (see `_Packing`)."""
 
 
-class BoxOverflow(ValueError):
+class BoxOverflow(ArithmeticError):
     """A packed exponent could leave the slot box, which bounds every
     exponent the construction reaches: no slot width helps."""
 

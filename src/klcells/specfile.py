@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .coxeter import (CoxeterMatrix, WeightFunction, default_gen_names,
                       named_coxeter_matrix, validate_weights)
@@ -34,14 +34,9 @@ class SpecParseError(ValueError):
 
 
 class ParsedSpec(Frozen):
-    name: Optional[str]  # "A 2", "I2 5", ... or None for explicit matrices
     matrix: CoxeterMatrix
     gen_names: Tuple[str, ...]
     weights: WeightFunction
-
-    @property
-    def mode(self) -> str:
-        return self.weights.mode
 
 
 def _meaningful_lines(text: str) -> List[Tuple[int, str]]:
@@ -76,7 +71,6 @@ def parse_spec(text: str) -> ParsedSpec:
     tokens = line.split()
     if tokens[0] != "group":
         raise SpecParseError(lineno, 1, "specification must start with 'group'")
-    name: Optional[str] = None
     if len(tokens) == 3 and tokens[1] in ("A", "B", "D", "I2"):
         try:
             n = int(tokens[2])
@@ -87,7 +81,6 @@ def parse_spec(text: str) -> ParsedSpec:
             matrix = named_coxeter_matrix(tokens[1], n)
         except ValueError as exc:
             raise SpecParseError(lineno, 7, str(exc)) from None
-        name = f"{tokens[1]} {n}"
     elif len(tokens) == 2 and tokens[1] == "matrix":
         lineno, line = need_line("the rank")
         try:
@@ -175,4 +168,4 @@ def parse_spec(text: str) -> ParsedSpec:
         weights = WeightFunction.rational([rational[g] for g in range(matrix.rank)])
 
     validate_weights(matrix, weights, gen_names)
-    return ParsedSpec(name, matrix, gen_names, weights)
+    return ParsedSpec(matrix, gen_names, weights)

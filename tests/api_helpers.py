@@ -3,13 +3,14 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import klcells
 from klcells.characters import CharacterTable
 from klcells.cherednik_rank1 import AlgebraElt, CMCellData, Rank1Params
 from klcells.coxeter import ConjugacyClasses, CoxeterGroup, WeightFunction
-from klcells.cyclotomic import Cyclotomic
+from klcells.cyclotomic import Cyclotomic, CyclotomicField
 from klcells.ordered_coeffs import (RATIONAL, LaurentElt, ModeMismatchError,
                                     OrderedExponent)
 
@@ -62,6 +63,11 @@ def lex_generic(rank: int) -> WeightFunction:
     return WeightFunction(tuple(
         OrderedExponent.lex(tuple(1 if j == i else 0 for j in range(rank)))
         for i in range(rank)))
+
+
+def from_coeffs(field: CyclotomicField, coeffs: Iterable) -> Cyclotomic:
+    """sum_i coeffs[i] zeta^i for rationals coeffs, of any length."""
+    return sum((field.zeta(i) * Fraction(x) for i, x in enumerate(coeffs)), field.zero())
 
 
 def from_integers(table: CharacterTable, values: Sequence[int]) -> List[Cyclotomic]:

@@ -157,8 +157,8 @@ def test_left_refines_two_sided():
 
 def test_refinement_violation_detected():
     # Corrupt partitions on purpose: {e,s} left inside split two-sided blocks.
-    left = CellPartition("left", [[0, 1], [2]], [0, 0, 1], [])
-    two = CellPartition("two-sided", [[0], [1], [2]], [0, 1, 2], [])
+    left = CellPartition([[0, 1], [2]], [0, 0, 1], [])
+    two = CellPartition([[0], [1], [2]], [0, 1, 2], [])
     violation = check_refinement(left, two)
     assert violation is not None
     assert violation[0] == [0, 1]
@@ -171,20 +171,20 @@ def test_a2_cell_characters():
     by_block = {}
     for block in left.blocks:
         cc = left_cell_character(table, block, chars)
-        by_block[tuple(sorted(W.name(w) for w in block))] = cc
+        by_block[tuple(sorted(W.name(w) for w in block))] = block, cc
     # Identity cell carries sign, longest-element cell carries trivial:
     # forced by the strictly-negative correction convention of the basis.
-    assert by_block[("e",)].values == [1, -1, 1]
-    assert by_block[("s t s",)].values == [1, 1, 1]
-    assert by_block[("s", "t s")].values == [2, 0, -1]
-    assert by_block[("s t", "t")].values == [2, 0, -1]
+    assert by_block[("e",)][1].values == [1, -1, 1]
+    assert by_block[("s t s",)][1].values == [1, 1, 1]
+    assert by_block[("s", "t s")][1].values == [2, 0, -1]
+    assert by_block[("s t", "t")][1].values == [2, 0, -1]
     # multiplicity vectors are unit vectors here
-    for cc in by_block.values():
+    for _, cc in by_block.values():
         assert sum(cc.multiplicities) == 1
         assert all(m >= 0 for m in cc.multiplicities)
     # degree equals cell size
-    for cc in by_block.values():
-        assert cc.values[0] == len(cc.cell)
+    for block, cc in by_block.values():
+        assert cc.values[0] == len(block)
 
 
 def test_cell_character_sum_is_regular():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from api_helpers import from_integers, regular_character, trivial_character
 from charpoly_reference import charpoly_faddeev_leverrier, poly_roots_brute_force
 from mn_oracle import coxeter_class_cycle_types, symmetric_group_table
 import klcells.characters as characters
-from klcells.characters import (CharacterTable, CyclicGroup, _charpoly_mod,
+from klcells.characters import (CharacterTable, _charpoly_mod,
                                 _poly_roots_mod, character_table, decompose,
                                 dixon_prime, inner_product, verify_orthogonality)
 from klcells.coxeter import CoxeterMatrix, build_group, named_coxeter_matrix
@@ -66,6 +67,50 @@ class TrivialGroup:
             def __len__(self):
                 return 1
         return C()
+
+
+class CyclicGroup:
+    """Z/d with the same element-oracle surface as CoxeterGroup: a group
+    that is not a Coxeter group, with characters that are not real."""
+
+    def __init__(self, d: int):
+        if d < 1:
+            raise ValueError("cyclic group order must be >= 1")
+        self.d = d
+        self._classes = _CyclicClasses(d)
+
+    def __len__(self) -> int:
+        return self.d
+
+    @property
+    def identity(self) -> int:
+        return 0
+
+    def mul(self, a: int, b: int) -> int:
+        return (a + b) % self.d
+
+    def inv(self, a: int) -> int:
+        return (-a) % self.d
+
+    def element_order(self, a: int) -> int:
+        return self.d // gcd(a, self.d) if a else 1
+
+    def name(self, a: int) -> str:
+        return f"s^{a}"
+
+    def conjugacy_classes(self) -> "_CyclicClasses":
+        return self._classes
+
+
+class _CyclicClasses:
+    def __init__(self, d: int):
+        self.blocks = [[a] for a in range(d)]
+        self.class_of = list(range(d))
+        self.representatives = list(range(d))
+        self.sizes = [1] * d
+
+    def __len__(self) -> int:
+        return len(self.blocks)
 
 
 def test_trivial_group():

@@ -21,8 +21,8 @@ from klcells import hecke
 from klcells.cli import main
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              named_coxeter_matrix)
-from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, _construct_terms, kl_basis,
-                           payload_digest)
+from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow, _construct_terms,
+                           kl_basis, payload_digest)
 from klcells.ordered_coeffs import LaurentElt, OrderedExponent
 from klcells.specfile import parse_spec
 
@@ -352,14 +352,14 @@ def test_lex_mode_generic_weights():
 
 def test_narrow_slots_raise_and_never_give_a_wrong_table(case_tables, monkeypatch, tmp_path):
     """The checked digit and exponent bounds decide whether a slot width
-    holds a table: a width too narrow raises ValueError (the CLI exits 2),
+    holds a table: a width too narrow raises SlotOverflow (the CLI exits 2),
     a wider one after it is tried next, and every width the checks
     accept gives the same table."""
     spec = tmp_path / "h3.spec"
     spec.write_text("group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n", encoding="utf-8")
     monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (4,))
     for label, alg, _ in case_tables:
-        with pytest.raises(ValueError):
+        with pytest.raises(SlotOverflow):
             kl_basis(alg)
     assert main(["klbasis", str(spec), "--no-cache"]) == 2
     monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (4, 16))
@@ -371,7 +371,7 @@ def test_narrow_slots_raise_and_never_give_a_wrong_table(case_tables, monkeypatc
             monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (bits,))
             try:
                 narrow = kl_basis(alg)
-            except ValueError:
+            except SlotOverflow:
                 continue
             assert narrow.to_json_dict() == expected, (label, bits)
 

@@ -253,14 +253,14 @@ def test_cell_invariants(alg):
     left_edges = [(w, y) for w in range(len(W)) for y in graph.succ[w]]
     right_edges = [(W.inv(w), W.inv(y)) for w, y in left_edges]
     orders = {}
-    for p, edges in ((left, left_edges), (right, right_edges),
-                     (two_sided, left_edges + right_edges)):
+    for kind, p, edges in (("left", left, left_edges), ("right", right, right_edges),
+                           ("two-sided", two_sided, left_edges + right_edges)):
         order = block_reach(p, edges)
         reduction = {(a, b) for a, b in order
                      if not any((a, c) in order and (c, b) in order
                                 for c in range(len(p.blocks)))}
-        assert sorted(p.hasse) == sorted(reduction), p.kind
-        orders[p.kind] = order
+        assert sorted(p.hasse) == sorted(reduction), kind
+        orders[kind] = order
     to_right = [right.block_of[W.inv(b[0])] for b in left.blocks]
     assert orders["right"] == {(to_right[a], to_right[b]) for a, b in orders["left"]}
 

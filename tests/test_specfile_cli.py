@@ -27,9 +27,8 @@ from klcells.specfile import SpecParseError, parse_spec
 
 def test_parse_named_group():
     spec = parse_spec("group I2 4\nL s = 1\nL t = 1\n")
-    assert spec.name == "I2 4"
     assert spec.matrix.entries == ((1, 4), (4, 1))
-    assert spec.mode == RATIONAL
+    assert spec.weights.mode == RATIONAL
     assert spec.weights[0].value == (Fraction(1),)
 
 
@@ -42,13 +41,12 @@ def test_parse_comments_and_blanks():
     L t = 1
     """
     spec = parse_spec(text)
-    assert spec.name == "A 2"
+    assert spec.matrix.entries == ((1, 3), (3, 1))
 
 
 def test_parse_matrix_form():
     text = "group matrix\n3\n3 2\n3\nL s = 1\nL t = 1\nL u = 1\n"
     spec = parse_spec(text)
-    assert spec.name is None
     assert spec.matrix.entries == ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 
 
@@ -60,7 +58,7 @@ def test_parse_rank_one_matrix():
 
 def test_parse_lex_weights():
     spec = parse_spec("group B 2\nL lex s = e_1\nL lex t = e_2\n")
-    assert spec.mode == LEX
+    assert spec.weights.mode == LEX
     assert spec.weights[0].value == (1, 0)
     assert spec.weights[1].value == (0, 1)
     spec0 = parse_spec("group B 2\nL lex s = e_1\nL lex t = 0\n")
@@ -1005,3 +1003,42 @@ def test_main_reports_an_unwritable_stdout_and_returns(monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["cm-rank1", "--d", "2", "--c", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write standard output: ")
+
+
+UNWRITABLE = {  # argv, and the path as given
+    "output": (["cells", "a1.spec", "--no-cache", "--output", "missing/x.json"],
+               "missing/x.json"),
+    "reports-dir": (["conjecture", "--c-values", "1", "--reports-dir", "file/x"], "file/x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unwritable_output_path_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                            case):
+    """An --output in a missing directory and a --reports-dir under a
+    regular file: one line that names the path as given, with no usage line
+    and no temporary file name, from `main` and from a process."""
+    argv, path = UNWRITABLE[case]
+    write(tmp_path / "a1.spec", "group A 1\nL s = 1\n")
+    write(tmp_path / "file", "")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    run = cli_process(*argv, cwd=tmp_path, capture_output=True, text=True)
+    for status, stdout, stderr in ((code, out, err), (run.returncode, run.stdout, run.stderr)):
+        assert (status, stdout) == (1, "")
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith(f"error: cannot write {path!r}: ")
+        assert not any(s in stderr for s in ("Traceback", "usage", ".tmp"))
+
+
+def test_closed_stdin_is_an_input_error(tmp_path, capsys, monkeypatch):
+    """`klcells cells - <&-`: Python starts with sys.stdin None."""
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run_cli(capsys, "cells", "-")
+    run = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", *PYTHON_M_CLI, "cells", "-"],
+                         env=cli_env(), cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120)
+    for status, stdout, stderr in ((code, out, err), (run.returncode, run.stdout, run.stderr)):
+        assert (status, stdout) == (1, "")
+        assert stderr.startswith("error: cannot read standard input: it is closed\n")
+        assert "Traceback" not in stderr
