@@ -113,15 +113,23 @@ def _parse_args(argv: List[str]) -> SimpleNamespace:
 
 
 def _read_spec(path: str) -> str:
+    """The text of SPECFILE, or of standard input for `-`: its bytes
+    decoded strictly as UTF-8, whatever the locale."""
     if path == "-":
         if sys.stdin is None:  # Python's stdin when fd 0 was closed at start-up
             raise InputError("cannot read standard input: it is closed")
-        return sys.stdin.read()
+        source, data = "standard input", sys.stdin.buffer.read()
+    else:
+        source = repr(path)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {source}: {exc}") from None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {source}: {exc}") from None
 
 
 def _parse_rationals(text: str) -> List[Fraction]:

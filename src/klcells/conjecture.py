@@ -193,14 +193,19 @@ def store_snapshot(report: dict, reports_dir: str, update: bool = False) -> str:
 
     An existing snapshot with different content means the pipeline output
     changed for identical inputs; callers treat that as a regression
-    unless update is requested.
+    unless update is requested.  One that cannot be read raises
+    ValueError, `cannot read 'PATH': reason`; a failed write raises the
+    OSError.
     """
     os.makedirs(reports_dir, exist_ok=True)
     path = snapshot_path(reports_dir, report)
     payload = emit_report(report)
     if os.path.exists(path) and not update:
-        with open(path, "r", encoding="utf-8") as fh:
-            old = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                old = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {path!r}: {exc.strerror or exc}") from None
         return "match" if old == payload else "drift"
     replace_file(path, lambda fh: fh.write(payload))
     return "created"

@@ -59,7 +59,7 @@ The corrections are all the construction knows about the C_s C_w table;
 
 Nothing is multiplied out in the T-basis and then re-expanded.
 
-The KL cache (format 4) stores only what the construction alone knows.
+The KL cache (format 5) stores only what the construction alone knows.
 Of the C_s C_w table it writes the corrections of each ascent pair,
 `{}` when there are none.  Of C_w = sum_y p_{y,w} T_y it writes only the
 rows with index(w) <= index(w^-1): the anti-involution T_w -> T_{w^-1}
@@ -67,21 +67,30 @@ commutes with the bar involution, so it maps C_w to C_{w^-1} and
 
     p_{y,w} = p_{y^-1,w^-1}
 
-and of each written row only the left-extremal coefficients.  For s in
-L(w) with L(s) > 0, comparing T_y coefficients in
+and of each written row only the coefficients extremal on both sides.
+For s in L(w) with L(s) > 0, comparing T_y coefficients in
 C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w gives
 
     p_{y,w} = v^{-L(s)} p_{sy,w}    whenever sy > y
 
-(Lusztig, Hecke algebras with unequal parameters, ch. 5-6), so only the
-y with sy < y for every such s are written.  A zero-weight s is left
-out: C_s C_w = C_{sw} is not a multiple of C_w.
+(Lusztig, Hecke algebras with unequal parameters, ch. 5-6), and for s in
+R(w) with L(s) > 0, from C_w C_s = (v^{L(s)} + v^{-L(s)}) C_w,
+
+    p_{y,w} = v^{-L(s)} p_{ys,w}    whenever ys > y.
+
+So with I and J the generators of positive weight in L(w) and R(w),
+p_{y,w} = v^{-(L(z) - L(y))} p_{z,w} on each double coset P_I z P_J of
+the parabolic subgroups, z its longest element (Geck and Pfeiffer,
+Characters of finite Coxeter groups and Iwahori-Hecke algebras, 2.1),
+and only those z are written: the y with sy < y for every s in I and
+ys < y for every s in J.  A zero-weight s is left out: C_s C_w = C_{sw}
+is not a multiple of C_w.
 
 A KLTable holds just that stored part, built (`kl_basis`) or loaded
 (`KLTable.from_json_dict`, which checks it), and `KLTable._row` derives
-the rest when a row is read: down each coset of the parabolic subgroup
-on the s above by exponent key shifts, and the other rows from their
-inverses.  `cells` reads only the corrections and derives no row.  The
+the rest when a row is read: down each double coset by exponent key
+shifts, and the other rows from their inverses.  `cells` reads only the
+corrections and derives no row.  The
 file is compact JSON with a `format` field and the SHA-256 of its
 canonical payload, checked before anything is parsed; `to_cache_text`
 renders what the table holds and `from_json_dict` loads only that.  It
@@ -95,8 +104,9 @@ These digests, the `content_key` in the file name and the `"key"` of the
 (`_sha2` from 3.12), and from hashlib only where neither exists: the
 digest is the same, and `import hashlib` loads OpenSSL, which cost each
 `klcells` process about 5 ms and 4 MB (2-core Xeon, CPython 3.11).
-A cache holds 175 kB for A5 (equal parameters) and 1.72 MB for F4 with
-L = (1,1,2,2).
+A cache holds 85 kB for A5 (equal parameters) and 666 kB for F4 with
+L = (1,1,2,2), 0.49 and 0.39 of format 4, which kept every left-extremal
+coefficient.
 """
 
 from __future__ import annotations
@@ -107,7 +117,7 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, le, mul
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .coxeter import CoxeterGroup, WeightFunction, validate_weights
 from .ordered_coeffs import LaurentElt, OrderedExponent
@@ -115,7 +125,7 @@ from .ordered_coeffs import LaurentElt, OrderedExponent
 HeckeCoeffs = Dict[int, LaurentElt]
 Packed = Dict[int, int]  # element -> packed coefficient (`_Packing`)
 
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 # Slot widths B in bits, tried in order: a table is built with the first
 # one that its checked digit bound fits.
@@ -167,8 +177,8 @@ def payload_digest(doc: dict) -> str:
 class HeckeAlgebra:
     """Context object: group, validated weights, the grid every decoded
     coefficient keeps its int exponent keys on, which generators have
-    L(s) > 0, and the cosets of the parabolic subgroups along which the
-    coefficients of a row are derived."""
+    L(s) > 0, and the double cosets of the parabolic subgroups along which
+    the coefficients of a row are derived."""
 
     def __init__(self, group: CoxeterGroup, weights: WeightFunction):
         validate_weights(group.matrix, weights, group.gen_names)
@@ -178,6 +188,8 @@ class HeckeAlgebra:
         self.positive = [L.sign() > 0 for L in weights.exps]
         self._walks: Dict[int, tuple] = {}
         self._cosets: Dict[int, tuple] = {}
+        self._double: Dict[Tuple[int, int, int], tuple] = {}
+        self._key_tuples: Dict[tuple, tuple] = {}
 
     def header(self) -> dict:
         """Group and weights as JSON: the head of the KL cache and reports."""
@@ -208,10 +220,16 @@ class HeckeAlgebra:
     def descent_masks(self) -> List[int]:
         """Bit s of entry w is set when s is in L(w) and L(s) > 0: the
         descents that relate the coefficients of C_w (module docstring).
-        y is left-extremal for w when mask[w] is a subset of mask[y]."""
+        Entry w^-1 holds the same for R(w).  y is extremal for w when
+        mask[w] is a subset of mask[y] and mask[w^-1] of mask[y^-1]."""
         group, positive = self.group, self.positive
         return [sum(1 << s for s in group.left_descents(w) if positive[s])
                 for w in range(len(group))]
+
+    @cached_property
+    def weight_keys(self) -> List[int]:
+        """The grid key of L(s) for each generator s."""
+        return [L.encode(self.grid) for L in self.weights.exps]
 
     def parabolic_walk(self, mask: int) -> Tuple[Tuple[int, ...], List[Tuple[int, int]]]:
         """(keys, steps) for the parabolic subgroup P on the generators in
@@ -220,8 +238,7 @@ class HeckeAlgebra:
         (i, s) = steps[j - 1].  Memoised per mask."""
         hit = self._walks.get(mask)
         if hit is None:
-            group = self.group
-            weight_keys = [L.encode(self.grid) for L in self.weights.exps]
+            group, weight_keys = self.group, self.weight_keys
             elems, keys, steps = [group.identity], [0], []
             seen = {group.identity}
             for i, u in enumerate(elems):  # grows while it is read
@@ -239,19 +256,42 @@ class HeckeAlgebra:
         """(keys, cosets): the keys of `parabolic_walk`, and for z the
         longest element of its coset Pz, cosets[z] lists the u_j z.
         Memoised per mask; only rows read (`KLTable._row`) need the lists,
-        and a row read through its inverse maps them by `group.inv`."""
+        through `double_coset`."""
         hit = self._cosets.get(mask)
         if hit is None:
-            group, masks = self.group, self.descent_masks
+            lmul, masks = self.group._lmul, self.descent_masks
             keys, steps = self.parabolic_walk(mask)
             cosets = {}
-            for z in range(len(group)):
-                if masks[z] & mask == mask:
+            for z, m in enumerate(masks):
+                if m & mask == mask:
                     coset = [z]  # coset[j] = u_j z, walking down from z
                     for i, s in steps:
-                        coset.append(group.lmul_gen(s, coset[i]))
+                        coset.append(lmul[s][coset[i]])
                     cosets[z] = coset
             hit = self._cosets[mask] = (keys, cosets)
+        return hit
+
+    def double_coset(self, left: int, right: int, z: int) -> Tuple[List[int], Tuple[int, ...]]:
+        """(ys, keys) for z the longest element of its double coset
+        P_I z P_J, with I and J the generators in `left` and `right`: ys
+        lists the double coset and keys[j] is the grid key of
+        L(z) - L(ys[j]).  The right coset z P_J is the left coset of z^-1
+        under P_J, inverted; each x in it that is the longest in its
+        coset P_I x is walked down that coset.  Memoised, and equal key
+        tuples are one object, for the memos of `_texts`."""
+        hit = self._double.get((left, right, z))
+        if hit is None:
+            inv = self.group._inv
+            lkeys, lcosets = self.parabolic_cosets(left)
+            rkeys, rcosets = self.parabolic_cosets(right)
+            ys, keys = [], []
+            for x, kr in zip(rcosets[inv[z]], rkeys):  # x = u z^-1, x^-1 = z u^-1 in z P_J
+                coset = lcosets.get(inv[x])  # P_I x^-1, if x^-1 is the longest in it
+                if coset is not None:
+                    ys += coset
+                    keys += map(kr.__add__, lkeys)
+            keys = tuple(keys)
+            hit = self._double[left, right, z] = (ys, self._key_tuples.setdefault(keys, keys))
         return hit
 
 
@@ -431,8 +471,8 @@ class _Packing:
 
 class KLTable:
     """The KL basis, as the part of it that the KL cache stores (module
-    docstring): `stored`, the left-extremal coefficients of the rows C_w
-    with index(w) <= index(w^-1), and `corrections`, the {y: m_y} of
+    docstring): `stored`, the coefficients extremal on both sides of the
+    rows C_w with index(w) <= index(w^-1), and `corrections`, the {y: m_y} of
     C_s C_u = C_su + sum_y m_y C_y for every ascent pair (s, u), su > u
     and L(s) > 0, all LaurentElt.  `_row` derives the other coefficients
     of a row as it is read, and `cs_product_in_c` the C_s C_w table."""
@@ -455,16 +495,17 @@ class KLTable:
         place that derives what a table does not store.  A row not stored
         is its inverse's, p_{y,w} = p_{y^-1,w^-1}, so it is read through
         the stored row of w^-1 with each y mapped by `group.inv`.  In a
-        stored row, with P the parabolic subgroup on the s in L(w) with
-        L(s) > 0, each left-extremal z is the longest in its coset Pz, and
-        p_{uz,w} = v^{-L(u)} p_{z,w} for u in P (module docstring)."""
+        stored row, with I and J the s in L(w) and R(w) with L(s) > 0,
+        each stored z is the longest in its double coset P_I z P_J, on
+        which p_{y,w} = v^{-(L(z) - L(y))} p_{z,w} (module docstring)."""
         inv = self.group._inv.__getitem__  # group.inv without a Python call per element
         v = min(w, inv(w))
-        keys, cosets = self.algebra.parabolic_cosets(self.algebra.descent_masks[v])
+        masks = self.algebra.descent_masks
+        left, right = masks[v], masks[inv(v)]
         row = {}
         for z, c in self._stored[v].items():
-            ys = cosets[z] if v == w else map(inv, cosets[z])
-            row.update(zip(ys, derive(c, keys)))
+            ys, keys = self.algebra.double_coset(left, right, z)
+            row.update(zip(ys if v == w else map(inv, ys), derive(c, keys)))
         return row
 
     def c_expansion(self, w: int) -> HeckeCoeffs:
@@ -488,13 +529,20 @@ class KLTable:
         derived as it is rendered, and every C_s C_w."""
         n, rank = len(self.group), self.group.rank
         text, texts = _texts()
-        return self._document(((w, self._row(w, texts)) for w in range(n)),
-                              (((s, w), self.cs_product_in_c(s, w))
-                               for s in range(rank) for w in range(n)), text,
+        inv = self.group._inv.__getitem__
+
+        def rows() -> Iterator[Tuple[int, dict]]:
+            for v in self._stored:  # each stored row is derived once, for v and v^-1
+                row = self._row(v, texts)
+                yield v, row
+                if inv(v) != v:
+                    yield inv(v), dict(zip(map(inv, row), row.values()))
+        return self._document(rows(), (((s, w), self.cs_product_in_c(s, w))
+                                       for s in range(rank) for w in range(n)), text,
                               list(map(self.group.name, range(n))))
 
     def to_cache_text(self) -> str:
-        """The format-4 KL cache file: compact canonical JSON of what the
+        """The KL cache file: compact canonical JSON of what the
         table holds, keyed by element index, plus `format`, then `digest`
         (payload_digest of the rest) appended as the last field."""
         text, _ = _texts()
@@ -618,19 +666,18 @@ def _texts() -> Tuple[Callable[..., str], Callable[..., List[str]]]:
 
 def _stored_rows(algebra: HeckeAlgebra, rows: Iterable[Tuple[int, dict]]) -> Dict[int, dict]:
     """Of the rows (w, {y: p_{y,w}}), the part a KL table holds: the rows
-    with index(w) <= index(w^-1), each with its left-extremal y only,
-    those whose descent mask holds w's (module docstring), in increasing
-    order, so that a derived row comes in one order whatever made it."""
+    with index(w) <= index(w^-1), each with only the y extremal on both
+    sides, those whose descent mask holds w's and whose inverse's holds
+    w^-1's (module docstring), in increasing order, so that a derived row
+    comes in one order whatever made it."""
     masks, inv = algebra.descent_masks, algebra.group.inv
-    extremal: Dict[int, set] = {}  # descent mask -> the y left-extremal for it
+    rank = algebra.group.rank
+    sides = [m | masks[inv(y)] << rank for y, m in enumerate(masks)]  # L(y) and R(y) as one mask
     out = {}
     for w, row in rows:
         if inv(w) >= w:
-            m = masks[w]
-            ys = extremal.get(m)
-            if ys is None:
-                ys = extremal[m] = {y for y, my in enumerate(masks) if my & m == m}
-            out[w] = {y: row[y] for y in sorted(row.keys() & ys)}
+            m = sides[w]
+            out[w] = {y: row[y] for y in sorted(y for y in row if sides[y] & m == m)}
     return out
 
 
@@ -639,10 +686,18 @@ def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
     only shorter y (smaller index) with nonzero coefficients whose
     exponents are negative and, with every exponent that `_row` derives
     from them, in the slot box (`_slot_box`), which holds every exponent
-    of a KL table: each of them decodes, so no row read later can fail."""
+    of a KL table: each of them decodes, so no row read later can fail.
+
+    `_row` derives v^-k p_{z,w} on the double coset of a stored z, for k
+    from 0 to D = L(z) - L(d), d the shortest element of the double coset.
+    Weights are >= 0 in every coordinate, so each derived exponent lies
+    coordinate by coordinate between e and e - D, for e an exponent of
+    p_{z,w}, and the box holds all of them when it holds those two."""
     group, grid = algebra.group, algebra.grid
     units, box = _slot_box(algebra)
     bound = [b * unit for b, unit in zip(box, units)]
+    masks, inv, lmul, rmul = algebra.descent_masks, group._inv, group._lmul, group._rmul
+    weight_keys = algebra.weight_keys
 
     @lru_cache(maxsize=None)
     def in_box(key: int) -> bool:
@@ -652,18 +707,42 @@ def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
             return False
 
     @lru_cache(maxsize=None)
-    def fine(mask: int, key: int) -> bool:
-        return key < 0 and all(in_box(key - k) for k in algebra.parabolic_walk(mask)[0])
+    def depth(left: int, right: int, z: int) -> int:
+        """The grid key of L(z) - L(d), d reached from z by descents in the
+        generators of `left` on the left and of `right` on the right: the
+        shortest element of the double coset P_I z P_J."""
+        key = 0
+        while True:
+            s = masks[z] & left
+            if s:
+                s = s.bit_length() - 1
+                z = lmul[s][z]
+            else:
+                s = masks[inv[z]] & right
+                if not s:
+                    return key
+                s = s.bit_length() - 1
+                z = rmul[z][s]
+            key += weight_keys[s]
 
-    one, masks = algebra.one_coeff(), algebra.descent_masks
+    checked: Dict[Tuple[int, int], bool] = {}  # (id(c), depth); `stored` keeps each c alive
+    one = algebra.one_coeff()
     for w, row in stored.items():
-        if row.get(w) != one:
-            raise ValueError(f"p_(w,w) != 1 for w = {group.name(w)}")
-        m = masks[w]
+        left, right = masks[w], masks[inv[w]]
+        if row.get(w) != one or not in_box(-depth(left, right, w)):
+            raise ValueError(f"p_(w,w) != 1 for w = {group.name(w)}, or it derives an "
+                             f"exponent outside the box")
         for y, c in row.items():
-            if y != w and (y > w or not c or not all(fine(m, g) for g, _ in c.items())):
-                raise ValueError(f"p_(y,w) for y = {group.name(y)}, w = {group.name(w)} is "
-                                 f"not a shorter element's, with negative exponents in the box")
+            if y != w:
+                d = depth(left, right, y)
+                ok = checked.get((id(c), d))
+                if ok is None:
+                    ok = checked[id(c), d] = bool(c) and all(
+                        g < 0 and in_box(g) and in_box(g - d) for g, _ in c.items())
+                if y > w or not ok:
+                    raise ValueError(f"p_(y,w) for y = {group.name(y)}, w = {group.name(w)} "
+                                     f"is not a shorter element's, with negative exponents "
+                                     f"that stay in the box with every one derived")
 
 
 def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,

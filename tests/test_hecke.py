@@ -297,9 +297,11 @@ def test_serialization_roundtrip_and_key_stability():
     assert (KLTable.from_json_dict(zero_doc, zero_alg).to_json_dict()
             == zero_table.to_json_dict())
     # The full `klbasis` document holds what the cache derives: a descent
-    # product, a row rebuilt from its inverse, a zero-weight product.  The
-    # cache holds none of them, not even at its derived value.  The cache
-    # keys element w by its index, str(w), and `klbasis` by its name.
+    # product, a row rebuilt from its inverse, a coefficient derived on the
+    # right (t in R(st), so p_(s,st) = v^-2 p_(st,st)), a zero-weight
+    # product.  The cache holds none of them, not even at its derived value.
+    # The cache keys element w by its index, str(w), and `klbasis` by its
+    # name.
     full, zero_full = table.to_json_dict(), zero_table.to_json_dict()
     W = alg.group
     ix = {W.name(w): str(w) for w in range(len(W))}
@@ -311,6 +313,8 @@ def test_serialization_roundtrip_and_key_stability():
             (alg, doc, lambda d: d["cs_products"].update(
                 {f"s|{ix['s']}": by_index(full["cs_products"]["s|s"])})),
             (alg, doc, lambda d: d["c_basis"].update({ix["t s"]: by_index(full["c_basis"]["t s"])})),
+            (alg, doc, lambda d: d["c_basis"][ix["s t"]].update(
+                {ix["s"]: full["c_basis"]["s t"]["s"]})),
             (zero_alg, zero_doc, lambda d: d["cs_products"].update(
                 {f"t|{ix['e']}": by_index(zero_full["cs_products"]["t|e"])}))]:
         bad = json.loads(json.dumps(d))

@@ -8,8 +8,9 @@ were taken from the stdout of `klcells klbasis SPEC --no-cache`,
 reads no KL cache, so takes no --no-cache) for the specs below.  Any
 change to group enumeration, the KL construction, the coefficient ring,
 the cell order, the cell characters, the character tables or the JSON
-emitter that moves a single output byte fails here.  To re-record after a
-deliberate output change:
+emitter that moves a single output byte fails here.  The KL cache of each
+`klbasis` and `cells` spec loads back, so a warm run on it is a hit.  To
+re-record after a deliberate output change:
 
     PYTHONPATH=src python tests/test_klbasis_golden.py klbasis > tests/golden/klbasis_sha256.json
     PYTHONPATH=src python tests/test_klbasis_golden.py cells > tests/golden/cells_sha256.json
@@ -26,6 +27,9 @@ from pathlib import Path
 import pytest
 
 from klcells.cli import main
+from klcells.coxeter import build_group
+from klcells.hecke import HeckeAlgebra, KLTable, kl_basis
+from klcells.specfile import parse_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -99,6 +103,16 @@ def test_klbasis_bytes_match_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SPECS_BY_COMMAND["cells"]))
 def test_cells_bytes_match_golden(name, tmp_path):
     check_golden("cells", name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS_BY_COMMAND["cells"]))
+def test_cache_of_every_golden_spec_loads(name):
+    """`KLTable.from_json_dict` accepts the document that `to_cache_text`
+    writes, and the table it loads writes the same file."""
+    spec = parse_spec(SPECS_BY_COMMAND["cells"][name])
+    algebra = HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights)
+    text = kl_basis(algebra).to_cache_text()
+    assert KLTable.from_json_dict(json.loads(text), algebra).to_cache_text() == text
 
 
 @pytest.mark.parametrize("name", sorted(SPECS_BY_COMMAND["characters"]))

@@ -473,6 +473,25 @@ def test_unusable_reports_dir_is_an_input_error(tmp_path, capsys):
     assert errors[0].startswith(f"error: cannot write {str(blocker / 'sub')!r}: ")
 
 
+def test_unreadable_snapshot_is_a_read_error(tmp_path, capsys):
+    """A snapshot that exists but cannot be read (here a directory in its
+    place) is one `error: cannot read` line naming it, exit 1, not a write
+    error of the reports directory."""
+    reports = tmp_path / "rep"
+    assert run_cli(capsys, "conjecture", "--c-values", "1", "--reports-dir", str(reports))[0] == 0
+    snapshots = sorted(reports.iterdir())
+    for path in snapshots:
+        path.unlink()
+        path.mkdir()
+    code, out, err = run_cli(capsys, "conjecture", "--c-values", "1",
+                             "--reports-dir", str(reports))
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: cannot read ") and line.endswith(": Is a directory")
+    assert line[len("error: cannot read "):-len(": Is a directory")] in {
+        repr(str(p)) for p in snapshots}
+
+
 @pytest.mark.parametrize("c_values", ["", ","])
 def test_conjecture_over_no_c_value_is_an_input_error(capsys, c_values):
     code, out, err = run_cli(capsys, "conjecture", "--c-values", c_values, "--no-b2")
@@ -568,9 +587,9 @@ def set_first_stored(doc, prefix, text):
 
 
 def test_lex_cache_past_the_coordinate_bound_is_recomputed(tmp_path, capsys):
-    """A re-signed lex cache whose stored coefficient passes every row
-    check, but whose derived coefficients v^(-L(u)) p_(z,w) would pass the
-    lex coordinate bound, is a miss."""
+    """A re-signed lex cache whose stored coefficient keeps the lex
+    coordinate bound, but whose derived coefficients v^(-L(u)) p_(z,w)
+    would pass it, is a miss."""
     # s, of weight e_1, is in L(w) for w = s..., so p_(sy,w) is derived
     # as v^(-e_1) p_(y,w) from each stored p_(y,w), y != w.
     assert_resigned_edit_is_recomputed(
@@ -578,16 +597,26 @@ def test_lex_cache_past_the_coordinate_bound_is_recomputed(tmp_path, capsys):
         lambda doc: set_first_stored(doc, "s", f"1*v^(-{LEX_BOUND},0)"))
 
 
-@pytest.mark.parametrize("spec_text, exponent", [
-    ("group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n", f"-1,-{LEX_BOUND}"),
-    ("group B 3\nL s = 1\nL t = 1\nL u = 3/2\n", "-1000"),
-], ids=["b3lex", "b3"])
-def test_cache_past_the_slot_box_is_recomputed(tmp_path, capsys, spec_text, exponent):
+B3_LEX = "group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n"
+B3_RATIONAL = "group B 3\nL s = 1\nL t = 1\nL u = 3/2\n"
+
+
+@pytest.mark.parametrize("spec_text, prefix, exponent", [
+    (B3_LEX, "", f"-1,-{LEX_BOUND}"),
+    (B3_RATIONAL, "", "-1000"),
+    # On the edge of the box, L(w0) + max_s L(s) per coordinate: (7, 4)
+    # and 12.  In a row w = s..., v^(-L(s)) times it is derived.
+    (B3_LEX, "s", "-7,0"),
+    (B3_RATIONAL, "s", "-12"),
+], ids=["b3lex", "b3", "b3lex-derived", "b3-derived"])
+def test_cache_past_the_slot_box_is_recomputed(tmp_path, capsys, spec_text, prefix, exponent):
     """A re-signed cache with a stored exponent outside the slot box, which
     holds every exponent of a KL table, is a miss, also when the exponent
-    keeps the lex coordinate bound."""
+    keeps the lex coordinate bound, and so is one with a stored exponent
+    in the box that derives one outside it."""
     assert_resigned_edit_is_recomputed(
-        tmp_path, capsys, spec_text, lambda doc: set_first_stored(doc, "", f"1*v^({exponent})"))
+        tmp_path, capsys, spec_text,
+        lambda doc: set_first_stored(doc, prefix, f"1*v^({exponent})"))
 
 
 @pytest.mark.parametrize("weights", ["L s = 1\nL t = 1\nL u = 3/2\n",
@@ -635,30 +664,38 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     # An exponent off the algebra's grid: weights 1 and 2 put every
     # exponent in Z, so v^(1/3) cannot come from this table.
     off_grid = json.loads(good)
-    off_grid["c_basis"][ix["s"]][ix["e"]] = "1*v^(1/3)"
+    off_grid["c_basis"][ix["s t s"]][ix["s"]] = "1*v^(1/3)"
     zero_den = json.loads(good)
-    zero_den["c_basis"][ix["s"]][ix["e"]] = "1*v^(1/0)"
+    zero_den["c_basis"][ix["s t s"]][ix["s"]] = "1*v^(1/0)"
     # The edits above keep a stale digest; those below the cases dict
     # re-sign the edited payload, so that the parse and invariant checks
     # are the ones to fail.  A format-1 cache held the indented full
     # table that `klbasis` prints; a format-2 cache held every row and
     # the full C_s C_w table, and its loader took the full rows; a
-    # format-3 cache held what format 4 holds, keyed by element names.
+    # format-3 cache held what format 4 holds, keyed by element names; a
+    # format-4 cache held every left-extremal coefficient, which format 5
+    # holds only when it is right-extremal too.
     code, format1, _ = run_cli(capsys, "klbasis", spec, "--no-cache")
     assert code == 0
     format2 = json.loads(format1)
     format2["format"] = 2
     format3 = rekey(json.loads(good), {k: nm for nm, k in ix.items()})
     format3["format"] = 3
+    format4 = json.loads(good)
+    format4["format"] = 4
+    for w, y, text in (("s t", "s", "1*v^(-2)"), ("s t s", "s t", "1*v^(-1)"),
+                       ("t s t", "t s", "1*v^(-2)")):
+        format4["c_basis"][ix[w]][ix[y]] = text
     wrong_format = json.loads(good)
     wrong_format["format"] = 1
     stale = json.loads(good)
-    stale["c_basis"][ix["s t"]][ix["s"]] = "1*v^(-3)"
+    stale["c_basis"][ix["s t s"]][ix["s"]] = "1*v^(-3)"
     cases = {"{": "{", "{}": "{}", "[]": "[]", "truncated": good[: len(good) // 2],
              "nested too deep": "[" * 100000,
              "foreign": json.dumps(foreign), "malformed": json.dumps(malformed),
              "off grid": json.dumps(off_grid), "1/0": json.dumps(zero_den),
              "format 1": format1, "format 2": resign(format2), "format 3": resign(format3),
+             "format 4": resign(format4),
              "wrong format": resign(wrong_format), "stale digest": json.dumps(stale)}
     # Only the key the writer writes names an element: element 5 ("s t s",
     # a stored row and the ascent pair "t|5") keyed in any other way, in
@@ -667,22 +704,27 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     for bad in ("012", "05", "+5", " 5", "5.0", str(len(ix)), "s t s"):
         cases[f"element key {bad!r}"] = resign(rekey(json.loads(good), {
             k: bad if k == ix["s t s"] else k for k in ix.values()}))
-    # Row "s t": L(st) = {s}, so p_(s,st) = v^-2 is stored and
-    # p_(t,st) = v^-1 and p_(e,st) = v^-1 p_(s,st) are derived.  Row
-    # "t s" is not stored: it is row "s t" inverted.  Ascent pair "t|s t s"
-    # (su = s t s t) holds the correction m_(t s) = v + v^-1.
+    # Row "s t": L(st) = {s} and R(st) = {t}, so only p_(st,st) = 1 is
+    # stored: p_(t,st) = v^-1 is derived on the left, p_(s,st) = v^-2 on
+    # the right and p_(e,st) = v^-3 on both.  Row "s t s": L = R = {s}, so
+    # p_(s,sts) = v^-3 + v^-1 is stored and p_(e,sts) = v^-1 p_(s,sts)
+    # is derived.  Row "t s" is not stored: it is row "s t" inverted.
+    # Ascent pair "t|s t s" (su = s t s t) holds the correction
+    # m_(t s) = v + v^-1.
     e, s, t, st, ts, sts, tst, stst = (ix[nm] for nm in (
         "e", "s", "t", "s t", "t s", "s t s", "t s t", "s t s t"))
     for label, edit in [
-            ("signed off grid", lambda d: d["c_basis"][st].update({s: "1*v^(-1/3)"})),
-            ("signed 1/0", lambda d: d["c_basis"][st].update({s: "1*v^(-1/0)"})),
+            ("signed off grid", lambda d: d["c_basis"][sts].update({s: "1*v^(-1/3)"})),
+            ("signed 1/0", lambda d: d["c_basis"][sts].update({s: "1*v^(-1/0)"})),
             ("p_ww != 1", lambda d: d["c_basis"][st].update({st: "1*v^(-1)"})),
-            ("non-negative lower exponent", lambda d: d["c_basis"][st].update({s: "1*v^(1)"})),
-            ("longer element in C_w", lambda d: d["c_basis"][t].update({ts: "1*v^(-1)"})),
+            ("non-negative lower exponent", lambda d: d["c_basis"][sts].update({s: "1*v^(1)"})),
+            ("zero stored coefficient", lambda d: d["c_basis"][sts].update({s: "0"})),
+            ("longer element in C_w", lambda d: d["c_basis"][t].update({tst: "1*v^(-1)"})),
             ("missing stored row", lambda d: d["c_basis"].pop(st)),
             ("derived row disagrees",
              lambda d: d["c_basis"].update({ts: {ts: "1*v^(0)", t: "1*v^(-2)"}})),
             ("non-extremal disagrees", lambda d: d["c_basis"][st].update({t: "1*v^(-2)"})),
+            ("right-derived disagrees", lambda d: d["c_basis"][st].update({s: "1*v^(-1)"})),
             # The loader takes only what the writer writes: a row it does
             # not know, a header of another algebra, a field it does not
             # write, and the entries it derives, even at their derived values.
@@ -692,6 +734,7 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
             ("extra top-level field", lambda d: d.update(comment="")),
             ("derived row", lambda d: d["c_basis"].update({ts: {ts: "1*v^(0)", t: "1*v^(-1)"}})),
             ("non-extremal coefficient", lambda d: d["c_basis"][st].update({t: "1*v^(-1)"})),
+            ("right-derived coefficient", lambda d: d["c_basis"][st].update({s: "1*v^(-2)"})),
             ("C_su term", lambda d: d["cs_products"][f"t|{sts}"].update({stst: "1*v^(0)"})),
             ("unknown product element", lambda d: d["cs_products"][f"s|{e}"].update(q="1*v^(0)")),
             ("missing ascent key", lambda d: d["cs_products"].pop(f"t|{st}")),
@@ -1029,6 +1072,37 @@ def test_unwritable_output_path_exits_1_with_one_error_line(tmp_path, capsys, mo
         assert len(stderr.splitlines()) == 1
         assert stderr.startswith(f"error: cannot write {path!r}: ")
         assert not any(s in stderr for s in ("Traceback", "usage", ".tmp"))
+
+
+def test_spec_that_is_not_utf8_fails_alike_from_a_file_and_from_stdin(tmp_path, capsys,
+                                                                      monkeypatch):
+    """A spec is decoded strictly as UTF-8 from a file and from standard
+    input alike, whatever the locale: both fail with the decode error,
+    naming their source, from `main` and from a process with no LANG."""
+    data = b"\xff\xfe"
+    (tmp_path / "bad.spec").write_bytes(data)
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    expected = {"bad.spec": f"error: cannot read 'bad.spec': {reason}\n",
+                "-": f"error: cannot read standard input: {reason}\n"}
+    monkeypatch.chdir(tmp_path)
+    env = {k: v for k, v in cli_env().items() if not k.startswith(("LANG", "LC_"))}
+    for source, err in expected.items():
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+        assert run_cli(capsys, "cells", source, "--no-cache") == (1, "", err)
+        run = subprocess.run(PYTHON_M_CLI + ["cells", source, "--no-cache"], input=data, env=env,
+                             cwd=tmp_path, capture_output=True, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr.decode()) == (1, b"", err)
+
+
+def test_spec_on_stdin_is_read_as_utf8_bytes(tmp_path, capsys, monkeypatch):
+    """A spec on standard input is its UTF-8 bytes, with CRLF line ends as
+    a file may have them: the same output as the file."""
+    text = "group A 2\r\nL s = 1\r\nL t = 1\r\n"
+    spec = write(tmp_path / "a2.spec", text)
+    expected = run_cli(capsys, "cells", spec, "--no-cache")
+    assert expected[0] == 0
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    assert run_cli(capsys, "cells", "-", "--no-cache") == expected
 
 
 def test_closed_stdin_is_an_input_error(tmp_path, capsys, monkeypatch):
