@@ -14,16 +14,19 @@ u = sw, falls into one of four cases:
   value L.  Then m_y = mu(y,u), the coefficient of v^{-L} in p_{y,u},
   for each y != u with sy < y (Kazhdan and Lusztig, Representations of
   Coxeter groups and Hecke algebras, Invent. Math. 53 (1979), section 2),
-  read straight off the known row C_u with no cancellation.  Zero
-  weights do not break this: every exponent is then a multiple of L, so
-  p_{z,y} lies in v^{-L} Z[v^{-L}] for z != y.  The T_y coefficient of
-  C_s C_u is p_{sy,u} + v^L p_{y,u}, whose only term of exponent >= 0 is
-  the constant mu(y,u), and by downward induction every m_z subtracted
+  at every ascent pair, construction steps included.  Zero weights do
+  not break this: every exponent is then a multiple of L, so p_{z,y}
+  lies in v^{-L} Z[v^{-L}] for z != y.  The T_y coefficient of C_s C_u
+  is p_{sy,u} + v^L p_{y,u}, whose only term of exponent >= 0 is the
+  constant mu(y,u), and by downward induction every m_z subtracted
   before y is an integer, which moves only exponents <= -L.  So the
-  cancellation takes m_y = mu(y,u).
+  cancellation takes m_y = mu(y,u).  The mu follow from the stored part
+  of the table (below), so the construction keeps no correction and
+  does no work for these pairs: `_mu_corrections` derives every one,
+  for a built and a loaded table alike.
 * other ascent pairs, unequal parameters: the same cancellation runs on
   C_s C_u and only its corrections m_y are kept, since C_w is already
-  known.  (The mu read is false here: 8 of the 48 ascent pairs of B3
+  known.  (The mu rule is false here: 8 of the 48 ascent pairs of B3
   with L = (1,1,3/2) fail it.)
 * L(s) = 0: T_s^2 = 1, so C_w = T_s C_u with no cancellation.
 
@@ -50,8 +53,8 @@ coordinates, or rational weights of a very large ratio) the table is
 built term by term as LaurentElt instead, with the same cancellation
 (`_construct_terms`).
 
-The corrections are all the construction knows about the C_s C_w table;
-`KLTable.cs_product_in_c` derives every entry from them:
+The corrections are all the construction needs to know about the C_s C_w
+table; `KLTable.cs_product_in_c` derives every entry from them:
 
     C_s C_w = C_{sw}                          if L(s) = 0,
     C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w      if sw < w and L(s) > 0,
@@ -59,9 +62,10 @@ The corrections are all the construction knows about the C_s C_w table;
 
 Nothing is multiplied out in the T-basis and then re-expanded.
 
-The KL cache (format 5) stores only what the construction alone knows.
-Of the C_s C_w table it writes the corrections of each ascent pair,
-`{}` when there are none.  Of C_w = sum_y p_{y,w} T_y it writes only the
+The KL cache (format 6) stores a part of the table from which the rest
+is cheap to derive.  Of the C_s C_w table it writes, with unequal parameters, the corrections
+of each ascent pair, `{}` when there are none, and with equal parameters
+none at all (below).  Of C_w = sum_y p_{y,w} T_y it writes only the
 rows with index(w) <= index(w^-1): the anti-involution T_w -> T_{w^-1}
 commutes with the bar involution, so it maps C_w to C_{w^-1} and
 
@@ -82,15 +86,29 @@ So with I and J the generators of positive weight in L(w) and R(w),
 p_{y,w} = v^{-(L(z) - L(y))} p_{z,w} on each double coset P_I z P_J of
 the parabolic subgroups, z its longest element (Geck and Pfeiffer,
 Characters of finite Coxeter groups and Iwahori-Hecke algebras, 2.1),
-and only those z are written: the y with sy < y for every s in I and
+and only those z are kept: the y with sy < y for every s in I and
 ys < y for every s in J.  A zero-weight s is left out: C_s C_w = C_{sw}
-is not a multiple of C_w.
+is not a multiple of C_w.  Of them, p_{w,w} = 1 is not written: the
+loader restores it.
 
-A KLTable holds just that stored part, built (`kl_basis`) or loaded
-(`KLTable.from_json_dict`, which checks it), and `KLTable._row` derives
-the rest when a row is read: down each double coset by exponent key
-shifts, and the other rows from their inverses.  `cells` reads only the
-corrections and derives no row.  The
+With equal parameters these kept coefficients give every mu(y,u), L
+the weight: mu(y,u) is the v^-L coefficient of p_{y,u}.  On a double
+coset P_I z P_J with z != u, p_{y,u} = v^{-(L(z) - L(y))} p_{z,u} has
+no exponent above -2L unless y = z, so only the kept z can have
+mu != 0.  On the double coset of u itself p_{y,u} = v^{-(L(u) - L(y))},
+so mu(y,u) = 1 exactly at y = tu (t in I) and y = ut (t in J).  A row u
+not kept, index(u) > index(u^-1), reads mu(y,u) = mu(y^-1,u^-1) off the
+row of u^-1.  So the
+corrections of (s, u) are the mu(y,u) at the y with s in L(y) but not
+in L(u) (`_mu_corrections`), and the cache does not write them.
+
+A KLTable holds just that stored part, p_{w,w} included, built
+(`kl_basis`) or loaded (`KLTable.from_json_dict`, which checks it), and
+`KLTable._row` derives the rest when a row is read: down each double
+coset by exponent key shifts, and the other rows from their inverses.
+With equal parameters the table derives its corrections when it is made,
+from the stored rows and the group tables alone.  `cells` reads only
+the corrections and derives no row.  The
 file is compact JSON with a `format` field and the SHA-256 of its
 canonical payload, checked before anything is parsed; `to_cache_text`
 renders what the table holds and `from_json_dict` loads only that.  It
@@ -104,9 +122,10 @@ These digests, the `content_key` in the file name and the `"key"` of the
 (`_sha2` from 3.12), and from hashlib only where neither exists: the
 digest is the same, and `import hashlib` loads OpenSSL, which cost each
 `klcells` process about 5 ms and 4 MB (2-core Xeon, CPython 3.11).
-A cache holds 85 kB for A5 (equal parameters) and 666 kB for F4 with
-L = (1,1,2,2), 0.49 and 0.39 of format 4, which kept every left-extremal
-coefficient.
+A cache holds 32 kB for A5 (equal parameters) and 655 kB for F4 with
+L = (1,1,2,2), 0.38 and 0.98 of format 5, which also wrote p_{w,w} and
+the equal-parameter corrections; format 5 kept 0.49 and 0.39 of
+format 4, which kept every left-extremal coefficient.
 """
 
 from __future__ import annotations
@@ -117,7 +136,7 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, le, mul
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .coxeter import CoxeterGroup, WeightFunction, validate_weights
 from .ordered_coeffs import LaurentElt, OrderedExponent
@@ -125,7 +144,7 @@ from .ordered_coeffs import LaurentElt, OrderedExponent
 HeckeCoeffs = Dict[int, LaurentElt]
 Packed = Dict[int, int]  # element -> packed coefficient (`_Packing`)
 
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 
 # Slot widths B in bits, tried in order: a table is built with the first
 # one that its checked digit bound fits.
@@ -213,7 +232,7 @@ class HeckeAlgebra:
     @cached_property
     def equal_parameters(self) -> bool:
         """Every positive weight is the same: the ascent corrections are
-        the mu(y,u) of the rows (module docstring)."""
+        the mu(y,u), derived from the stored rows (module docstring)."""
         return len({L for L, p in zip(self.weights.exps, self.positive) if p}) == 1
 
     @cached_property
@@ -470,19 +489,23 @@ class _Packing:
 
 
 class KLTable:
-    """The KL basis, as the part of it that the KL cache stores (module
+    """The KL basis, as the part of it that the construction keeps (module
     docstring): `stored`, the coefficients extremal on both sides of the
-    rows C_w with index(w) <= index(w^-1), and `corrections`, the {y: m_y} of
-    C_s C_u = C_su + sum_y m_y C_y for every ascent pair (s, u), su > u
-    and L(s) > 0, all LaurentElt.  `_row` derives the other coefficients
-    of a row as it is read, and `cs_product_in_c` the C_s C_w table."""
+    rows C_w with index(w) <= index(w^-1), and `corrections`, the {y: m_y}
+    of C_s C_u = C_su + sum_y m_y C_y for every ascent pair (s, u), su > u
+    and L(s) > 0, all LaurentElt.  With equal parameters `corrections` is
+    passed as None and derived from `stored` (`_mu_corrections`), whether
+    the table was built or loaded.  `_row`
+    derives the other coefficients of a row as it is read, and
+    `cs_product_in_c` the C_s C_w table."""
 
     def __init__(self, algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs],
-                 corrections: Dict[Tuple[int, int], HeckeCoeffs]):
+                 corrections: Optional[Dict[Tuple[int, int], HeckeCoeffs]] = None):
         self.algebra = algebra
         self.group = algebra.group
         self._stored = stored
-        self._corrections = corrections
+        self._corrections = (_mu_corrections(algebra, stored) if corrections is None
+                             else corrections)
         grid = algebra.grid
         self._one = algebra.one_coeff()
         # v^L(s) + v^-L(s): C_s C_w is this multiple of C_w when sw < w
@@ -542,14 +565,16 @@ class KLTable:
                               list(map(self.group.name, range(n))))
 
     def to_cache_text(self) -> str:
-        """The KL cache file: compact canonical JSON of what the
-        table holds, keyed by element index, plus `format`, then `digest`
-        (payload_digest of the rest) appended as the last field."""
+        """The KL cache file: compact canonical JSON of what the table
+        holds, less what the loader restores (p_{w,w} = 1, and with equal
+        parameters every correction), keyed by element index, plus
+        `format`, then `digest` (payload_digest of the rest) appended as
+        the last field."""
         text, _ = _texts()
-        doc = self._document(((w, {y: text(c) for y, c in row.items()})
+        products = () if self.algebra.equal_parameters else self._corrections.items()
+        doc = self._document(((w, {y: text(c) for y, c in row.items() if y != w})
                               for w, row in self._stored.items()),
-                             self._corrections.items(), text,
-                             list(map(str, range(len(self.group)))))
+                             products, text, list(map(str, range(len(self.group)))))
         doc["format"] = CACHE_FORMAT
         body = _canonical(doc)
         return f'{body[:-1]},"digest":"{_sha256(body)}"}}'
@@ -578,11 +603,14 @@ class KLTable:
         The top-level fields must be exactly the writer's: `format` equal
         to CACHE_FORMAT, the header of `algebra`, its content `key`, and a
         `digest` equal to the payload digest.  Every element key must be
-        an index as the writer writes it, str(w).  The rows must be exactly
-        the stored part (`_stored_rows`) and pass `_check_rows`.  Each
-        product key must be an ascent pair, all of them must be present,
-        and each correction must be nonzero, bar-invariant and sit at a y
-        with sy < y shorter than su.  Anything else raises ValueError (or
+        an index as the writer writes it, str(w).  No row may list its
+        own p_{w,w}; with it restored to 1, the rows must be exactly the
+        stored part (`_stored_rows`) and pass `_check_rows`.  With equal
+        parameters `cs_products` must be empty: the corrections are
+        derived from the rows (`_mu_corrections`).  Otherwise each product
+        key must be an ascent pair, all of them must be present, and each
+        correction must be nonzero, bar-invariant and sit at a y with
+        sy < y shorter than su.  Anything else raises ValueError (or
         KeyError, TypeError, ... on a document of the wrong shape).  The
         table holds the LaurentElt parsed and checked here; no row is
         derived.
@@ -607,11 +635,21 @@ class KLTable:
                 out[index[nm]] = c
             return out
 
-        rows = {index[name]: coeffs(obj) for name, obj in doc["c_basis"].items()}
+        one = algebra.one_coeff()
+        rows = {}
+        for name, obj in doc["c_basis"].items():
+            w = index[name]
+            if name in obj:
+                raise ValueError(f"the row of {group.name(w)} lists its p_(w,w)")
+            rows[w] = {**coeffs(obj), w: one}
         stored = _stored_rows(algebra, rows.items())
         if stored != rows or len(stored) != sum(inv(w) >= w for w in range(len(group))):
             raise ValueError("the rows are not the stored part of a KL table")
         _check_rows(algebra, stored)
+        if algebra.equal_parameters:
+            if doc["cs_products"] != {}:
+                raise ValueError("an equal-parameter cache stores no C_s C_w product")
+            return KLTable(algebra, stored)
 
         products: Dict[Tuple[int, int], HeckeCoeffs] = {}
         for key, obj in doc["cs_products"].items():
@@ -682,11 +720,12 @@ def _stored_rows(algebra: HeckeAlgebra, rows: Iterable[Tuple[int, dict]]) -> Dic
 
 
 def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
-    """ValueError unless each stored row C_w has p_{w,w} = 1 and, elsewhere,
+    """ValueError unless each stored row C_w has, besides p_{w,w} = 1,
     only shorter y (smaller index) with nonzero coefficients whose
     exponents are negative and, with every exponent that `_row` derives
-    from them, in the slot box (`_slot_box`), which holds every exponent
-    of a KL table: each of them decodes, so no row read later can fail.
+    from them and from p_{w,w}, in the slot box (`_slot_box`), which
+    holds every exponent of a KL table: each of them decodes, so no row
+    read later can fail.
 
     `_row` derives v^-k p_{z,w} on the double coset of a stored z, for k
     from 0 to D = L(z) - L(d), d the shortest element of the double coset.
@@ -726,12 +765,11 @@ def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
             key += weight_keys[s]
 
     checked: Dict[Tuple[int, int], bool] = {}  # (id(c), depth); `stored` keeps each c alive
-    one = algebra.one_coeff()
     for w, row in stored.items():
         left, right = masks[w], masks[inv[w]]
-        if row.get(w) != one or not in_box(-depth(left, right, w)):
-            raise ValueError(f"p_(w,w) != 1 for w = {group.name(w)}, or it derives an "
-                             f"exponent outside the box")
+        if not in_box(-depth(left, right, w)):
+            raise ValueError(f"p_(w,w) derives an exponent outside the box for w = "
+                             f"{group.name(w)}")
         for y, c in row.items():
             if y != w:
                 d = depth(left, right, y)
@@ -743,6 +781,60 @@ def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
                     raise ValueError(f"p_(y,w) for y = {group.name(y)}, w = {group.name(w)} "
                                      f"is not a shorter element's, with negative exponents "
                                      f"that stay in the box with every one derived")
+
+
+def _mu_corrections(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]
+                    ) -> Dict[Tuple[int, int], HeckeCoeffs]:
+    """The corrections of every ascent pair (s, u) of an equal-parameter
+    table, from its stored part alone: m_y = mu(y,u) at each y with s in
+    L(y) but not in L(u), L(s) > 0 and mu(y,u) != 0 (module docstring).
+    In a stored row u, mu(y,u) is nonzero only at a stored y, where it is
+    the v^-L coefficient, and at y = tu and y = ut for t of positive
+    weight in L(u) and R(u), where it is 1; a row u not stored takes
+    mu(y,u) = mu(y^-1,u^-1) from u^-1.
+    Reads no derived row and no coset list."""
+    group, masks = algebra.group, algebra.descent_masks
+    inv, lmul, rmul = group._inv, group._lmul, group._rmul
+    key = -algebra.weight_keys[algebra.positive.index(True)]  # the grid key of -L
+    positive = sum(1 << s for s, p in enumerate(algebra.positive) if p)
+    gens: Dict[int, Tuple[int, ...]] = {}  # a mask -> its generators
+    mus: Dict[int, int] = {}  # id(c) -> mu; `stored` keeps each c alive
+    consts: Dict[int, LaurentElt] = {}  # mu -> mu v^0
+
+    def generators(mask: int) -> Tuple[int, ...]:
+        hit = gens.get(mask)
+        if hit is None:
+            hit = gens[mask] = tuple(s for s in range(group.rank) if mask >> s & 1)
+        return hit
+
+    out: Dict[Tuple[int, int], HeckeCoeffs] = {}
+    for v, row in stored.items():
+        near = {}  # y -> mu(y,v), where it is nonzero
+        for z, c in row.items():
+            mu = mus.get(id(c))
+            if mu is None:
+                mu = mus[id(c)] = next((k for g, k in c.items() if g == key), 0)
+            if mu:
+                near[z] = mu
+        for t in generators(masks[v]):
+            near[lmul[t][v]] = 1
+        for t in generators(masks[inv[v]]):
+            near[rmul[v][t]] = 1
+        sides = [(v, near)]
+        if inv[v] != v:
+            sides.append((inv[v], {inv[y]: mu for y, mu in near.items()}))
+        for u, ys in sides:
+            ascents = positive & ~masks[u]
+            pairs: Dict[int, HeckeCoeffs] = {s: {} for s in generators(ascents)}
+            for y, mu in ys.items():
+                for s in generators(masks[y] & ascents):
+                    c = consts.get(mu)
+                    if c is None:
+                        c = consts[mu] = LaurentElt(algebra.grid, {0: mu})
+                    pairs[s][y] = c
+            for s, h in pairs.items():
+                out[s, u] = h
+    return out
 
 
 def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
@@ -816,22 +908,6 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
     return {y: x for y, x in cand.items() if x}, correction, bound, top
 
 
-def _read_mu(pk: _Packing, s: int, left: List[int], u: int, row: Packed) -> Packed:
-    """The corrections of the ascent pair (s, u) for equal parameters:
-    mu(y,u), the digit of p_{y,u} at v^{-L(s)}, for y != u with sy < y
-    (left[y] = sy).  p_{y,u} has no exponent above -L(s), so the digit is
-    the rounded high part of its packed int at that position."""
-    shift = pk.BR - pk.shift[s]
-    half = 1 << (shift - 1)
-    out: Packed = {}
-    for y, x in row.items():
-        if y != u and left[y] < y:
-            mu = (x + half) >> shift
-            if mu:
-                out[y] = mu * pk.one
-    return out
-
-
 def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
     """The KL table, built packed with `bits` bits a slot."""
     pk = _Packing(algebra, bits)
@@ -841,6 +917,7 @@ def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
     c_exp: List[Packed] = [{group.identity: pk.one}] + [None] * (n - 1)
     digits = [1] * n  # bound on every digit of C_w's coefficients
     reach = [pk.zero_reach] * n  # bound on |x_i| over their exponents
+    equal = algebra.equal_parameters  # then the corrections are derived, not kept
     corrections: Dict[Tuple[int, int], Packed] = {}
     for w in range(1, n):
         first = group.word(w)[0]
@@ -853,19 +930,19 @@ def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
                     c_exp[w] = {left[s][y]: x for y, x in c_exp[u].items()}
                     digits[w], reach[w] = digits[u], reach[u]
             elif s == first:
-                c_exp[w], corrections[(s, u)], bound, reach[w] = _cancel(
+                c_exp[w], correction, bound, reach[w] = _cancel(
                     pk, s, left[s], u, w, c_exp, digits, reach)
                 digits[w] = pk.tighten(c_exp[w].values(), bound)
-            elif algebra.equal_parameters:
-                corrections[(s, u)] = _read_mu(pk, s, left[s], u, c_exp[u])
-            else:
+                if not equal:
+                    corrections[(s, u)] = correction
+            elif not equal:
                 corrections[(s, u)] = _cancel(pk, s, left[s], u, w, c_exp, digits, reach)[1]
     decode = pk.decode
     return KLTable(algebra,
                    {w: {y: decode(x) for y, x in row.items()}
                     for w, row in _stored_rows(algebra, enumerate(c_exp)).items()},
-                   {pair: {y: decode(m) for y, m in h.items()}
-                    for pair, h in corrections.items()})
+                   None if equal else {pair: {y: decode(m) for y, m in h.items()}
+                                       for pair, h in corrections.items()})
 
 
 def _add_into(h: HeckeCoeffs, y: int, c: LaurentElt) -> None:
@@ -916,10 +993,11 @@ def _cancel_terms(algebra: HeckeAlgebra, s: int, u: int, w: int, c_exp: List[Hec
 
 
 def _construct_terms(algebra: HeckeAlgebra) -> KLTable:
-    """`_construct` in the dict ring, for a slot box too wide to pack:
-    every ascent pair by the full cancellation."""
+    """`_construct` in the dict ring, for a slot box too wide to pack: with
+    unequal parameters, every ascent pair by the full cancellation."""
     group, grid = algebra.group, algebra.grid
     n = len(group)
+    equal = algebra.equal_parameters
     v_pm = [(LaurentElt.v_power(L, grid=grid), LaurentElt.v_power(-L, grid=grid))
             for L in algebra.weights.exps]
     c_exp: List[HeckeCoeffs] = [{group.identity: algebra.one_coeff()}] + [None] * (n - 1)
@@ -931,11 +1009,14 @@ def _construct_terms(algebra: HeckeAlgebra) -> KLTable:
             if not algebra.positive[s]:
                 if s == first:
                     c_exp[w] = {group.lmul_gen(s, y): c for y, c in c_exp[u].items()}
-                continue
-            cw, corrections[(s, u)] = _cancel_terms(algebra, s, u, w, c_exp, *v_pm[s])
-            if s == first:
-                c_exp[w] = cw
-    return KLTable(algebra, _stored_rows(algebra, enumerate(c_exp)), corrections)
+            elif s == first or not equal:
+                cw, correction = _cancel_terms(algebra, s, u, w, c_exp, *v_pm[s])
+                if s == first:
+                    c_exp[w] = cw
+                if not equal:
+                    corrections[(s, u)] = correction
+    return KLTable(algebra, _stored_rows(algebra, enumerate(c_exp)),
+                   None if equal else corrections)
 
 
 def kl_basis(algebra: HeckeAlgebra) -> KLTable:

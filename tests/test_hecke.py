@@ -298,8 +298,10 @@ def test_serialization_roundtrip_and_key_stability():
             == zero_table.to_json_dict())
     # The full `klbasis` document holds what the cache derives: a descent
     # product, a row rebuilt from its inverse, a coefficient derived on the
-    # right (t in R(st), so p_(s,st) = v^-2 p_(st,st)), a zero-weight
-    # product.  The cache holds none of them, not even at its derived value.
+    # right (t in R(st), so p_(s,st) = v^-2 p_(st,st)), p_(w,w) = 1, a
+    # zero-weight product and, as the positive weights are equal, an
+    # ascent product of the zero-weight table.  The cache holds none of
+    # them, not even at its derived value.
     # The cache keys element w by its index, str(w), and `klbasis` by its
     # name.
     full, zero_full = table.to_json_dict(), zero_table.to_json_dict()
@@ -315,8 +317,11 @@ def test_serialization_roundtrip_and_key_stability():
             (alg, doc, lambda d: d["c_basis"].update({ix["t s"]: by_index(full["c_basis"]["t s"])})),
             (alg, doc, lambda d: d["c_basis"][ix["s t"]].update(
                 {ix["s"]: full["c_basis"]["s t"]["s"]})),
+            (alg, doc, lambda d: d["c_basis"][ix["s t"]].update({ix["s t"]: "1*v^(0)"})),
             (zero_alg, zero_doc, lambda d: d["cs_products"].update(
-                {f"t|{ix['e']}": by_index(zero_full["cs_products"]["t|e"])}))]:
+                {f"t|{ix['e']}": by_index(zero_full["cs_products"]["t|e"])})),
+            (zero_alg, zero_doc, lambda d: d["cs_products"].update(  # C_s C_ts = C_sts
+                {f"s|{ix['t s']}": {}}))]:
         bad = json.loads(json.dumps(d))
         edit(bad)
         bad["digest"] = payload_digest(bad)

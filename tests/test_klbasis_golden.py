@@ -28,7 +28,8 @@ import pytest
 
 from klcells.cli import main
 from klcells.coxeter import build_group
-from klcells.hecke import HeckeAlgebra, KLTable, kl_basis
+from klcells.hecke import HeckeAlgebra, KLTable, _cancel_terms, kl_basis
+from klcells.ordered_coeffs import LaurentElt
 from klcells.specfile import parse_spec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -113,6 +114,43 @@ def test_cache_of_every_golden_spec_loads(name):
     algebra = HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights)
     text = kl_basis(algebra).to_cache_text()
     assert KLTable.from_json_dict(json.loads(text), algebra).to_cache_text() == text
+
+
+# The equal-parameter `cells` specs, and two with a zero-weight class or
+# a lex weight past them.
+EQUAL_SPECS = {
+    **{name: SPECS_BY_COMMAND["cells"][name] for name in (
+        "A3", "A3_1/2", "H3", "D4", "D4_2", "B3_1_1_0", "B3_0_0_1", "I2(5)_lex_e1",
+        "I2(25)", "A5")},
+    "B4_1_1_1_0": "group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 0\n",
+    "A1^5_lex_e1": "group matrix\n5\n2 2 2 2\n2 2 2\n2 2\n2\n"
+                   + "".join(f"L lex {g} = e_1\n" for g in "stuvw"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_SPECS))
+def test_derived_corrections_match_the_full_cancellation(name):
+    """With equal parameters the table derives the corrections of every
+    ascent pair from its stored rows; each equals the corrections of the
+    full cancellation of C_s C_u (`_cancel_terms`), run on the rows that
+    `c_expansion` gives."""
+    spec = parse_spec(EQUAL_SPECS[name])
+    algebra = HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights)
+    assert algebra.equal_parameters
+    table = kl_basis(algebra)
+    W, grid = algebra.group, algebra.grid
+    rows = [table.c_expansion(w) for w in range(len(W))]
+    for s, L in enumerate(algebra.weights.exps):
+        if not algebra.positive[s]:
+            continue
+        v_pm = (LaurentElt.v_power(L, grid=grid), LaurentElt.v_power(-L, grid=grid))
+        for u in range(len(W)):
+            su = W.lmul_gen(s, u)
+            if su > u:
+                product = dict(table.cs_product_in_c(s, u))
+                assert product.pop(su) == algebra.one_coeff()
+                assert product == _cancel_terms(algebra, s, u, su, rows, *v_pm)[1], (
+                    W.gen_names[s], W.name(u))
 
 
 @pytest.mark.parametrize("name", sorted(SPECS_BY_COMMAND["characters"]))

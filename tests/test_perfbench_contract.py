@@ -69,7 +69,18 @@ def test_benchmark_reads_the_kl_cache(tmp_path, capsys):
         for coeffs in full["cs_products"].values() for t in coeffs.values())
     assert 0 < terms["hecke.c_terms"] < sum(
         t.count(" + ") + 1 for coeffs in full["c_basis"].values() for t in coeffs.values())
-    metrics = probe.ordered_coeffs(1, [path])
-    for op in ("mul", "add", "split_bar", "parse", "render"):
-        assert metrics[f"ordered_coeffs.{op}_ns.rational"] > 0
-        assert metrics[f"ordered_coeffs.{op}_ns.rational.ops"] > 0
+    # An equal-parameter cache holds no C_s C_w product, and of the rows
+    # only their off-diagonal coefficients.  B3 with L = (0,0,1) is the
+    # smallest cache the benchmark writes; the probe draws from its rows.
+    spec.write_text("group B 3\nL s = 0\nL t = 0\nL u = 1\n", encoding="utf-8")
+    equal_cache = tmp_path / "equal-cache"
+    assert main(["cells", str(spec), "--cache-dir", str(equal_cache)]) == 0
+    capsys.readouterr()
+    [equal_path] = [str(p) for p in equal_cache.iterdir()]
+    terms = run.count_terms([equal_path])
+    assert terms["hecke.c_terms"] > 0 and terms["hecke.cs_terms"] == 0
+    for cached in (path, equal_path):
+        metrics = probe.ordered_coeffs(1, [cached])
+        for op in ("mul", "add", "split_bar", "parse", "render"):
+            assert metrics[f"ordered_coeffs.{op}_ns.rational"] > 0
+            assert metrics[f"ordered_coeffs.{op}_ns.rational.ops"] > 0

@@ -19,7 +19,7 @@ from klcells.cells import NonIntegerMultiplicity
 from klcells.cli import entry, main
 from klcells.conjecture import B2_REGIME_POINTS
 from klcells.coxeter import ConjugacyViolation, CoxeterMatrix, InfiniteOrTooLarge, build_group
-from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow,
+from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow, kl_basis,
                            payload_digest)
 from klcells.ordered_coeffs import LEX, LEX_BOUND, RATIONAL
 from klcells.specfile import SpecParseError, parse_spec
@@ -674,14 +674,20 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     # the full C_s C_w table, and its loader took the full rows; a
     # format-3 cache held what format 4 holds, keyed by element names; a
     # format-4 cache held every left-extremal coefficient, which format 5
-    # holds only when it is right-extremal too.
+    # holds only when it is right-extremal too; a format-5 cache held what
+    # format 6 holds and p_(w,w) = 1 in every row (with these unequal
+    # weights its C_s C_w products are format 6's).
     code, format1, _ = run_cli(capsys, "klbasis", spec, "--no-cache")
     assert code == 0
     format2 = json.loads(format1)
     format2["format"] = 2
-    format3 = rekey(json.loads(good), {k: nm for nm, k in ix.items()})
+    format5 = json.loads(good)
+    format5["format"] = 5
+    for w, row in format5["c_basis"].items():
+        row[w] = "1*v^(0)"
+    format3 = rekey(format5, {k: nm for nm, k in ix.items()})
     format3["format"] = 3
-    format4 = json.loads(good)
+    format4 = json.loads(json.dumps(format5))
     format4["format"] = 4
     for w, y, text in (("s t", "s", "1*v^(-2)"), ("s t s", "s t", "1*v^(-1)"),
                        ("t s t", "t s", "1*v^(-2)")):
@@ -695,7 +701,7 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
              "foreign": json.dumps(foreign), "malformed": json.dumps(malformed),
              "off grid": json.dumps(off_grid), "1/0": json.dumps(zero_den),
              "format 1": format1, "format 2": resign(format2), "format 3": resign(format3),
-             "format 4": resign(format4),
+             "format 4": resign(format4), "format 5": resign(format5),
              "wrong format": resign(wrong_format), "stale digest": json.dumps(stale)}
     # Only the key the writer writes names an element: element 5 ("s t s",
     # a stored row and the ascent pair "t|5") keyed in any other way, in
@@ -704,11 +710,11 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     for bad in ("012", "05", "+5", " 5", "5.0", str(len(ix)), "s t s"):
         cases[f"element key {bad!r}"] = resign(rekey(json.loads(good), {
             k: bad if k == ix["s t s"] else k for k in ix.values()}))
-    # Row "s t": L(st) = {s} and R(st) = {t}, so only p_(st,st) = 1 is
-    # stored: p_(t,st) = v^-1 is derived on the left, p_(s,st) = v^-2 on
-    # the right and p_(e,st) = v^-3 on both.  Row "s t s": L = R = {s}, so
-    # p_(s,sts) = v^-3 + v^-1 is stored and p_(e,sts) = v^-1 p_(s,sts)
-    # is derived.  Row "t s" is not stored: it is row "s t" inverted.
+    # Row "s t": L(st) = {s} and R(st) = {t}, so it stores only
+    # p_(st,st) = 1, which is not written: p_(t,st) = v^-1 is derived on
+    # the left, p_(s,st) = v^-2 on the right and p_(e,st) = v^-3 on both.
+    # Row "s t s": L = R = {s}, so p_(s,sts) = v^-3 + v^-1 is stored and
+    # p_(e,sts) = v^-1 p_(s,sts) is derived.  Row "t s" is not stored: it is row "s t" inverted.
     # Ascent pair "t|s t s" (su = s t s t) holds the correction
     # m_(t s) = v + v^-1.
     e, s, t, st, ts, sts, tst, stst = (ix[nm] for nm in (
@@ -717,12 +723,12 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
             ("signed off grid", lambda d: d["c_basis"][sts].update({s: "1*v^(-1/3)"})),
             ("signed 1/0", lambda d: d["c_basis"][sts].update({s: "1*v^(-1/0)"})),
             ("p_ww != 1", lambda d: d["c_basis"][st].update({st: "1*v^(-1)"})),
+            ("listed p_ww", lambda d: d["c_basis"][st].update({st: "1*v^(0)"})),
             ("non-negative lower exponent", lambda d: d["c_basis"][sts].update({s: "1*v^(1)"})),
             ("zero stored coefficient", lambda d: d["c_basis"][sts].update({s: "0"})),
             ("longer element in C_w", lambda d: d["c_basis"][t].update({tst: "1*v^(-1)"})),
             ("missing stored row", lambda d: d["c_basis"].pop(st)),
-            ("derived row disagrees",
-             lambda d: d["c_basis"].update({ts: {ts: "1*v^(0)", t: "1*v^(-2)"}})),
+            ("derived row disagrees", lambda d: d["c_basis"].update({ts: {t: "1*v^(-2)"}})),
             ("non-extremal disagrees", lambda d: d["c_basis"][st].update({t: "1*v^(-2)"})),
             ("right-derived disagrees", lambda d: d["c_basis"][st].update({s: "1*v^(-1)"})),
             # The loader takes only what the writer writes: a row it does
@@ -732,7 +738,7 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
             ("wrong matrix", lambda d: d.update(matrix=[[1, 7], [7, 1]])),
             ("wrong weights", lambda d: d["weights"].update(s="99", t="-5")),
             ("extra top-level field", lambda d: d.update(comment="")),
-            ("derived row", lambda d: d["c_basis"].update({ts: {ts: "1*v^(0)", t: "1*v^(-1)"}})),
+            ("derived row", lambda d: d["c_basis"].update({ts: {}})),
             ("non-extremal coefficient", lambda d: d["c_basis"][st].update({t: "1*v^(-1)"})),
             ("right-derived coefficient", lambda d: d["c_basis"][st].update({s: "1*v^(-2)"})),
             ("C_su term", lambda d: d["cs_products"][f"t|{sts}"].update({stst: "1*v^(0)"})),
@@ -809,6 +815,84 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     code, out, err = run_cli(capsys, "cells", zero_spec, "--cache-dir", str(cache))
     assert (code, err, out) == (0, "", zero_cold)
     assert zero_path.read_text(encoding="utf-8") == zero_good
+
+
+def format5_text(doc, table):
+    """The KL cache file that format 5 wrote for `table`, whose format-6
+    document is `doc`: p_(w,w) = 1 in every row, and the corrections of
+    every ascent pair, `{}` for none."""
+    W = table.group
+    old = {k: v for k, v in doc.items() if k != "digest"}
+    old["format"] = 5
+    old["c_basis"] = {w: {**row, w: "1*v^(0)"} for w, row in doc["c_basis"].items()}
+    old["cs_products"] = {
+        f"{W.gen_names[s]}|{u}": {str(y): m.render()
+                                  for y, m in sorted(table.cs_product_in_c(s, u).items())
+                                  if y != W.lmul_gen(s, u)}
+        for s in range(W.rank) for u in range(len(W))
+        if table.algebra.positive[s] and W.lmul_gen(s, u) > u}
+    body = json.dumps(old, sort_keys=True, separators=(",", ":"))
+    return f'{body[:-1]},"digest":"{payload_digest(old)}"}}'
+
+
+def test_equal_parameter_cache_holds_no_product(tmp_path, capsys, monkeypatch):
+    """With equal parameters the cache holds no C_s C_w product and no
+    row its p_(w,w): `cells` derives the corrections from the rows.  A
+    listed p_(w,w), any product entry, even at its true value, and a
+    deleted row are each recomputed, re-signed, and the file replaced.  A
+    format-5 file is replaced once, then hit, and the hit reads no row
+    and builds no coset list."""
+    text = "group B 2\nL s = 1\nL t = 1\n"
+    spec = write(tmp_path / "b2.spec", text)
+    code, cold, _ = run_cli(capsys, "cells", spec, "--no-cache")
+    assert code == 0
+    cache = tmp_path / "cache"
+    assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache))[0] == 0
+    [path] = cache.iterdir()
+    good = path.read_text(encoding="utf-8")
+    doc = json.loads(good)
+    assert doc["cs_products"] == {}
+    assert not [w for w, row in doc["c_basis"].items() if w in row]
+    parsed = parse_spec(text)
+    table = kl_basis(HeckeAlgebra(build_group(parsed.matrix, gen_names=parsed.gen_names),
+                                  parsed.weights))
+    old = format5_text(doc, table)
+    products = json.loads(old)["cs_products"]
+    ix = element_keys(doc)
+    e, s, ts, sts = (ix[nm] for nm in ("e", "s", "t s", "s t s"))
+    # C_s C_ts = C_sts + C_s: mu(s, ts) = 1, the v^-1 coefficient of p_(s,ts).
+    assert products[f"s|{ts}"] == {s: "1*v^(0)"}
+    cases = {}
+    for label, edit in [
+            ("listed p_ww", lambda d: d["c_basis"][sts].update({sts: "1*v^(0)"})),
+            ("listed p_ee", lambda d: d["c_basis"][e].update({e: "1*v^(0)"})),
+            ("empty product", lambda d: d["cs_products"].update({f"s|{e}": {}})),
+            ("product at its value", lambda d: d["cs_products"].update(
+                {f"s|{ts}": products[f"s|{ts}"]})),
+            ("every product at its value", lambda d: d["cs_products"].update(products)),
+            ("products not a dict", lambda d: d.update(cs_products=[])),
+            ("deleted empty row", lambda d: d["c_basis"].pop(e)),
+            ("deleted row", lambda d: d["c_basis"].pop(sts))]:
+        edited = json.loads(good)
+        edit(edited)
+        cases[label] = resign(edited)
+    for label, broken in cases.items():
+        path.write_text(broken, encoding="utf-8")
+        assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache)) == (0, cold, ""), label
+        assert path.read_text(encoding="utf-8") == good, label
+
+    def fail(*args):
+        raise AssertionError("no KL work expected")
+
+    path.write_text(old, encoding="utf-8")
+    assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache)) == (0, cold, "")
+    assert path.read_text(encoding="utf-8") == good
+    inode = path.stat().st_ino
+    monkeypatch.setattr("klcells.cli.kl_basis", fail)
+    monkeypatch.setattr(KLTable, "_row", fail)
+    monkeypatch.setattr(HeckeAlgebra, "parabolic_cosets", fail)
+    assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache)) == (0, cold, "")
+    assert path.stat().st_ino == inode
 
 
 def test_unusable_cache_dir_is_a_miss(tmp_path, capsys):
