@@ -62,23 +62,52 @@ table; `KLTable.cs_product_in_c` derives every entry from them:
 
 Nothing is multiplied out in the T-basis and then re-expanded.
 
-The KL cache (format 6) stores a part of the table from which the rest
-is cheap to derive.  Of the C_s C_w table it writes, with unequal parameters, the corrections
-of each ascent pair, `{}` when there are none, and with equal parameters
-none at all (below).  Of C_w = sum_y p_{y,w} T_y it writes only the
-rows with index(w) <= index(w^-1): the anti-involution T_w -> T_{w^-1}
-commutes with the bar involution, so it maps C_w to C_{w^-1} and
+The KL cache (format 7) stores a part of the table from which the rest
+is cheap to derive.  Of the C_s C_w table it writes, with unequal
+parameters, the corrections of each ascent pair, `{}` when there are
+none, and with equal parameters none at all (below).  Of C_w = sum_y
+p_{y,w} T_y it writes one row per orbit of W under the symmetries of the
+table, and of each written row only the coefficients extremal on both
+sides.
 
-    p_{y,w} = p_{y^-1,w^-1}
+The symmetries are w -> w^-1 and the diagram automorphisms.  The
+anti-involution T_w -> T_{w^-1} commutes with the bar involution, so it
+maps C_w to C_{w^-1} and
 
-and of each written row only the coefficients extremal on both sides.
-For s in L(w) with L(s) > 0, comparing T_y coefficients in
+    p_{y,w} = p_{y^-1,w^-1}.
+
+A permutation pi of the generators with m_{pi s, pi t} = m_st and
+L(pi s) = L(s) extends to an automorphism sigma of W, sigma(s_1 ... s_k)
+= pi(s_1) ... pi(s_k), and T_w -> T_{sigma(w)} to an automorphism of the
+Hecke algebra that commutes with the bar involution, so
+
+    p_{sigma(y),sigma(w)} = p_{y,w}
+
+(Lusztig, Hecke algebras with unequal parameters, CRM Monograph Series
+18, 2003, ch. 5-6).  `diagram_automorphisms` finds every such pi that
+moves the generators of one connected component of the Coxeter graph:
+none for B3, H3, F4 with L = (1,1,2,2) or I2(4) with L = (1,2), the five
+of triality for D4, one flip for A_n (n > 1), D_n (n > 4), E6 and, with
+equal weights, B2, F4 and I2(m).  The orbits of W under the group that
+these and w -> w^-1 generate are walked breadth-first, and the smallest
+index in each is its representative (`HeckeAlgebra.orbits`); the rows
+written are exactly the representatives'.  Every other member w = g(x),
+for g a generator and x a member walked before w, has p_{g(y),w} =
+p_{y,x}: its row is x's relabelled.  So the ShortLex order and the set
+of symmetries the search finds are part of the format: a change to
+either must bump CACHE_FORMAT.  With equal parameters `kl_basis` builds
+the representatives' rows alone and relabels the others; with unequal
+ones it builds every row, as w -> w^-1 does not carry the corrections
+of C_s C_u (it turns left products into right ones).
+
+Of each written row only the coefficients extremal on both sides are
+kept.  For s in L(w) with L(s) > 0, comparing T_y coefficients in
 C_s C_w = (v^{L(s)} + v^{-L(s)}) C_w gives
 
     p_{y,w} = v^{-L(s)} p_{sy,w}    whenever sy > y
 
-(Lusztig, Hecke algebras with unequal parameters, ch. 5-6), and for s in
-R(w) with L(s) > 0, from C_w C_s = (v^{L(s)} + v^{-L(s)}) C_w,
+(Lusztig, ch. 5-6), and for s in R(w) with L(s) > 0, from C_w C_s =
+(v^{L(s)} + v^{-L(s)}) C_w,
 
     p_{y,w} = v^{-L(s)} p_{ys,w}    whenever ys > y.
 
@@ -97,15 +126,15 @@ coset P_I z P_J with z != u, p_{y,u} = v^{-(L(z) - L(y))} p_{z,u} has
 no exponent above -2L unless y = z, so only the kept z can have
 mu != 0.  On the double coset of u itself p_{y,u} = v^{-(L(u) - L(y))},
 so mu(y,u) = 1 exactly at y = tu (t in I) and y = ut (t in J).  A row u
-not kept, index(u) > index(u^-1), reads mu(y,u) = mu(y^-1,u^-1) off the
-row of u^-1.  So the
-corrections of (s, u) are the mu(y,u) at the y with s in L(y) but not
-in L(u) (`_mu_corrections`), and the cache does not write them.
+not written, u = g(x), reads mu(g(y),u) = mu(y,x) off the row of x.  So
+the corrections of (s, u) are the mu(y,u) at the y with s in L(y) but
+not in L(u) (`_mu_corrections`), and the cache does not write them.
 
 A KLTable holds just that stored part, p_{w,w} included, built
 (`kl_basis`) or loaded (`KLTable.from_json_dict`, which checks it), and
-`KLTable._row` derives the rest when a row is read: down each double
-coset by exponent key shifts, and the other rows from their inverses.
+`KLTable._row` derives the rest of a written row when it is read, down
+each double coset by exponent key shifts, and `KLTable._orbit_rows`
+relabels it along its orbit.
 With equal parameters the table derives its corrections when it is made,
 from the stored rows and the group tables alone.  `cells` reads only
 the corrections and derives no row.  The
@@ -115,17 +144,16 @@ renders what the table holds and `from_json_dict` loads only that.  It
 keys element w by its index as a decimal string, str(w) (`"57"`, and
 `"s|57"` for a product), where format 3 wrote its reduced word; the
 loader knows no other spelling.  That index is the ShortLex order that
-`CoxeterGroup` enumerates in, so the order is part of the format: a
-change to it must bump CACHE_FORMAT.
+`CoxeterGroup` enumerates in, which picks the orbit representatives too.
 These digests, the `content_key` in the file name and the `"key"` of the
 `cells` output are SHA-256 from CPython's built-in `_sha256` module
 (`_sha2` from 3.12), and from hashlib only where neither exists: the
 digest is the same, and `import hashlib` loads OpenSSL, which cost each
 `klcells` process about 5 ms and 4 MB (2-core Xeon, CPython 3.11).
-A cache holds 32 kB for A5 (equal parameters) and 655 kB for F4 with
-L = (1,1,2,2), 0.38 and 0.98 of format 5, which also wrote p_{w,w} and
-the equal-parameter corrections; format 5 kept 0.49 and 0.39 of
-format 4, which kept every left-extremal coefficient.
+A cache holds 3.6 kB for D4, 21 kB for A5 and 227 kB for F4 (equal
+parameters), 0.47, 0.66 and 0.54 of format 6, which wrote the rows of
+every w with index(w) <= index(w^-1), and 655 kB for F4 with
+L = (1,1,2,2), which no diagram automorphism keeps, as format 6 did.
 """
 
 from __future__ import annotations
@@ -138,13 +166,13 @@ from functools import cached_property, lru_cache
 from operator import add, le, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .coxeter import CoxeterGroup, WeightFunction, validate_weights
+from .coxeter import CoxeterGroup, CoxeterMatrix, WeightFunction, validate_weights
 from .ordered_coeffs import LaurentElt, OrderedExponent
 
 HeckeCoeffs = Dict[int, LaurentElt]
 Packed = Dict[int, int]  # element -> packed coefficient (`_Packing`)
 
-CACHE_FORMAT = 6
+CACHE_FORMAT = 7
 
 # Slot widths B in bits, tried in order: a table is built with the first
 # one that its checked digit bound fits.
@@ -193,11 +221,66 @@ def payload_digest(doc: dict) -> str:
     return _sha256(_canonical({k: v for k, v in doc.items() if k != "digest"}))
 
 
+def diagram_automorphisms(matrix: CoxeterMatrix, weights: WeightFunction
+                          ) -> List[Tuple[int, ...]]:
+    """Every permutation pi != 1 of the generators that moves only those
+    of one connected component of the Coxeter graph (bonds m_st > 2), with
+    m_{pi s, pi t} = m_st and L(pi s) = L(s) for all s and t: pi[s] is the
+    image of s.  Each component is searched by backtracking over its
+    generators in breadth-first order from its first, so that each one
+    after the first is bonded to an earlier one; an image is tried only
+    where every bond to an earlier generator's image matches, and a
+    mismatch drops the branch at once, so no search runs over all
+    permutations of the generators."""
+    m, rank = matrix.entries, matrix.rank
+    out: List[Tuple[int, ...]] = []
+    seen = [False] * rank
+    for root in range(rank):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for s in order:  # grows while it is read
+            for t in range(rank):
+                if m[s][t] > 2 and not seen[t]:
+                    seen[t] = True
+                    order.append(t)
+        image: Dict[int, int] = {}
+
+        def extend(k: int) -> None:
+            if k == len(order):
+                if any(t != s for s, t in image.items()):
+                    out.append(tuple(image.get(s, s) for s in range(rank)))
+                return
+            s, used = order[k], set(image.values())
+            for t in order:
+                if (t not in used and weights[t] == weights[s]
+                        and all(m[t][image[x]] == m[s][x] for x in order[:k])):
+                    image[s] = t
+                    extend(k + 1)
+                    del image[s]
+        extend(0)
+    return out
+
+
+def _element_map(group: CoxeterGroup, pi: Tuple[int, ...]) -> List[int]:
+    """w -> sigma(w) for the automorphism sigma of W with sigma(s) = pi[s],
+    built in ShortLex order: w = u g with u shorter, and sigma(u g) =
+    sigma(u) pi[g]."""
+    rmul, words = group._rmul, group._words
+    out = [group.identity] * len(group)
+    for w in range(1, len(group)):
+        g = words[w][-1]
+        out[w] = rmul[out[rmul[w][g]]][pi[g]]
+    return out
+
+
 class HeckeAlgebra:
     """Context object: group, validated weights, the grid every decoded
     coefficient keeps its int exponent keys on, which generators have
-    L(s) > 0, and the double cosets of the parabolic subgroups along which
-    the coefficients of a row are derived."""
+    L(s) > 0, the double cosets of the parabolic subgroups along which
+    the coefficients of a row are derived, and the orbits of W under the
+    symmetries along which rows are relabelled."""
 
     def __init__(self, group: CoxeterGroup, weights: WeightFunction):
         validate_weights(group.matrix, weights, group.gen_names)
@@ -234,6 +317,47 @@ class HeckeAlgebra:
         """Every positive weight is the same: the ascent corrections are
         the mu(y,u), derived from the stored rows (module docstring)."""
         return len({L for L, p in zip(self.weights.exps, self.positive) if p}) == 1
+
+    @cached_property
+    def symmetries(self) -> List[List[int]]:
+        """The element maps of the symmetry generators of the table (module
+        docstring): w -> w^-1, then sigma for each diagram automorphism."""
+        group = self.group
+        return [group._inv, *(_element_map(group, pi)
+                              for pi in diagram_automorphisms(group.matrix, self.weights))]
+
+    @cached_property
+    def orbits(self) -> Dict[int, List[Tuple[int, int, List[int]]]]:
+        """The orbits of W under `symmetries`, keyed by their
+        representatives, each the smallest index in its orbit: orbits[r]
+        lists the other members in the breadth-first order of a walk from
+        r, as (w, x, g), w = g[x] for the element map g of a generator and
+        x either r or a member listed before w, so p_{g[y],w} = p_{y,x}."""
+        gens, n = self.symmetries, len(self.group)
+        seen = [False] * n
+        out = {}
+        for r in range(n):
+            if not seen[r]:
+                seen[r] = True
+                walk = out[r] = []
+                members = [r]
+                for x in members:  # grows while it is read
+                    for g in gens:
+                        w = g[x]
+                        if not seen[w]:
+                            seen[w] = True
+                            walk.append((w, x, g))
+                            members.append(w)
+        return out
+
+    @cached_property
+    def representative(self) -> List[int]:
+        """The representative of the orbit of each element (`orbits`)."""
+        out = list(range(len(self.group)))
+        for r, walk in self.orbits.items():
+            for w, _, _ in walk:
+                out[w] = r
+        return out
 
     @cached_property
     def descent_masks(self) -> List[int]:
@@ -491,13 +615,13 @@ class _Packing:
 class KLTable:
     """The KL basis, as the part of it that the construction keeps (module
     docstring): `stored`, the coefficients extremal on both sides of the
-    rows C_w with index(w) <= index(w^-1), and `corrections`, the {y: m_y}
+    rows C_r of the orbit representatives r, and `corrections`, the {y: m_y}
     of C_s C_u = C_su + sum_y m_y C_y for every ascent pair (s, u), su > u
     and L(s) > 0, all LaurentElt.  With equal parameters `corrections` is
     passed as None and derived from `stored` (`_mu_corrections`), whether
-    the table was built or loaded.  `_row`
-    derives the other coefficients of a row as it is read, and
-    `cs_product_in_c` the C_s C_w table."""
+    the table was built or loaded.  `_row` and `_orbit_rows` derive the
+    other coefficients and rows as they are read, and `cs_product_in_c`
+    the C_s C_w table."""
 
     def __init__(self, algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs],
                  corrections: Optional[Dict[Tuple[int, int], HeckeCoeffs]] = None):
@@ -512,28 +636,40 @@ class KLTable:
         self._scalar = [LaurentElt.v_power(L, grid=grid) + LaurentElt.v_power(-L, grid=grid)
                        for L in algebra.weights.exps]
 
-    def _row(self, w: int, derive: Callable[[LaurentElt, Tuple[int, ...]], list]) -> dict:
-        """C_w as {y: x}, with derive(c, keys) listing an x for v^-e c, for
-        each grid key of e in `keys`, for a stored coefficient c: the one
-        place that derives what a table does not store.  A row not stored
-        is its inverse's, p_{y,w} = p_{y^-1,w^-1}, so it is read through
-        the stored row of w^-1 with each y mapped by `group.inv`.  In a
-        stored row, with I and J the s in L(w) and R(w) with L(s) > 0,
-        each stored z is the longest in its double coset P_I z P_J, on
-        which p_{y,w} = v^{-(L(z) - L(y))} p_{z,w} (module docstring)."""
-        inv = self.group._inv.__getitem__  # group.inv without a Python call per element
-        v = min(w, inv(w))
+    def _row(self, r: int, derive: Callable[[LaurentElt, Tuple[int, ...]], list]) -> dict:
+        """C_r as {y: x}, for a stored row r, with derive(c, keys) listing
+        an x for v^-e c, for each grid key of e in `keys`, for a stored
+        coefficient c: the one place that derives a coefficient a table
+        does not store.  With I and J the s in L(r) and R(r) with
+        L(s) > 0, each stored z is the longest in its double coset
+        P_I z P_J, on which p_{y,r} = v^{-(L(z) - L(y))} p_{z,r} (module
+        docstring)."""
         masks = self.algebra.descent_masks
-        left, right = masks[v], masks[inv(v)]
+        left, right = masks[r], masks[self.group._inv[r]]
         row = {}
-        for z, c in self._stored[v].items():
+        for z, c in self._stored[r].items():
             ys, keys = self.algebra.double_coset(left, right, z)
-            row.update(zip(ys if v == w else map(inv, ys), derive(c, keys)))
+            row.update(zip(ys, derive(c, keys)))
         return row
+
+    def _orbit_rows(self, r: int, derive: Callable[[LaurentElt, Tuple[int, ...]], list]
+                    ) -> Iterator[Tuple[int, dict]]:
+        """(w, C_w as {y: x}) for each w in the orbit of the stored row r,
+        r first, then in the order of its walk (`HeckeAlgebra.orbits`):
+        `_row` of r, and each other row relabelled from the row x it is
+        walked from, p_{g[y],w} = p_{y,x}."""
+        rows = {r: self._row(r, derive)}
+        yield r, rows[r]
+        for w, x, g in self.algebra.orbits[r]:
+            row = rows[x]
+            rows[w] = dict(zip(map(g.__getitem__, row), row.values()))
+            yield w, rows[w]
 
     def c_expansion(self, w: int) -> HeckeCoeffs:
         """C_w in the T-basis."""
-        return self._row(w, lambda c, keys: [_lower(c, key) for key in keys])
+        rows = self._orbit_rows(self.algebra.representative[w],
+                                lambda c, keys: [_lower(c, key) for key in keys])
+        return next(row for u, row in rows if u == w)
 
     def cs_product_in_c(self, s: int, w: int) -> HeckeCoeffs:
         """C_s C_w in the C-basis, derived from the stored corrections by
@@ -552,15 +688,8 @@ class KLTable:
         derived as it is rendered, and every C_s C_w."""
         n, rank = len(self.group), self.group.rank
         text, texts = _texts()
-        inv = self.group._inv.__getitem__
-
-        def rows() -> Iterator[Tuple[int, dict]]:
-            for v in self._stored:  # each stored row is derived once, for v and v^-1
-                row = self._row(v, texts)
-                yield v, row
-                if inv(v) != v:
-                    yield inv(v), dict(zip(map(inv, row), row.values()))
-        return self._document(rows(), (((s, w), self.cs_product_in_c(s, w))
+        rows = (row for r in self._stored for row in self._orbit_rows(r, texts))
+        return self._document(rows, (((s, w), self.cs_product_in_c(s, w))
                                        for s in range(rank) for w in range(n)), text,
                               list(map(self.group.name, range(n))))
 
@@ -605,7 +734,9 @@ class KLTable:
         `digest` equal to the payload digest.  Every element key must be
         an index as the writer writes it, str(w).  No row may list its
         own p_{w,w}; with it restored to 1, the rows must be exactly the
-        stored part (`_stored_rows`) and pass `_check_rows`.  With equal
+        stored part (`_stored_rows`), one row for each orbit
+        representative of `HeckeAlgebra.orbits` and no other, and pass
+        `_check_rows`.  With equal
         parameters `cs_products` must be empty: the corrections are
         derived from the rows (`_mu_corrections`).  Otherwise each product
         key must be an ascent pair, all of them must be present, and each
@@ -622,7 +753,7 @@ class KLTable:
         if doc["digest"] != payload_digest(doc):
             raise ValueError("KL cache digest mismatch")
         group, grid = algebra.group, algebra.grid
-        inv, lmul, length = group.inv, group.lmul_gen, group.length
+        lmul, length = group.lmul_gen, group.length
         index = {str(w): w for w in range(len(group))}
         parsed: Dict[str, LaurentElt] = {}  # the file repeats few distinct coefficients
 
@@ -643,7 +774,7 @@ class KLTable:
                 raise ValueError(f"the row of {group.name(w)} lists its p_(w,w)")
             rows[w] = {**coeffs(obj), w: one}
         stored = _stored_rows(algebra, rows.items())
-        if stored != rows or len(stored) != sum(inv(w) >= w for w in range(len(group))):
+        if stored != rows or len(stored) != len(algebra.orbits):
             raise ValueError("the rows are not the stored part of a KL table")
         _check_rows(algebra, stored)
         if algebra.equal_parameters:
@@ -704,16 +835,16 @@ def _texts() -> Tuple[Callable[..., str], Callable[..., List[str]]]:
 
 def _stored_rows(algebra: HeckeAlgebra, rows: Iterable[Tuple[int, dict]]) -> Dict[int, dict]:
     """Of the rows (w, {y: p_{y,w}}), the part a KL table holds: the rows
-    with index(w) <= index(w^-1), each with only the y extremal on both
+    of the orbit representatives, each with only the y extremal on both
     sides, those whose descent mask holds w's and whose inverse's holds
     w^-1's (module docstring), in increasing order, so that a derived row
     comes in one order whatever made it."""
     masks, inv = algebra.descent_masks, algebra.group.inv
-    rank = algebra.group.rank
+    rank, orbits = algebra.group.rank, algebra.orbits
     sides = [m | masks[inv(y)] << rank for y, m in enumerate(masks)]  # L(y) and R(y) as one mask
     out = {}
     for w, row in rows:
-        if inv(w) >= w:
+        if w in orbits:  # a representative
             m = sides[w]
             out[w] = {y: row[y] for y in sorted(y for y in row if sides[y] & m == m)}
     return out
@@ -791,10 +922,10 @@ def _mu_corrections(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]
     In a stored row u, mu(y,u) is nonzero only at a stored y, where it is
     the v^-L coefficient, and at y = tu and y = ut for t of positive
     weight in L(u) and R(u), where it is 1; a row u not stored takes
-    mu(y,u) = mu(y^-1,u^-1) from u^-1.
-    Reads no derived row and no coset list."""
+    mu(g[y],u) = mu(y,x) from the row x it is walked from
+    (`HeckeAlgebra.orbits`).  Reads no derived row and no coset list."""
     group, masks = algebra.group, algebra.descent_masks
-    inv, lmul, rmul = group._inv, group._lmul, group._rmul
+    inv, lmul, rmul, orbits = group._inv, group._lmul, group._rmul, algebra.orbits
     key = -algebra.weight_keys[algebra.positive.index(True)]  # the grid key of -L
     positive = sum(1 << s for s, p in enumerate(algebra.positive) if p)
     gens: Dict[int, Tuple[int, ...]] = {}  # a mask -> its generators
@@ -820,10 +951,10 @@ def _mu_corrections(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]
             near[lmul[t][v]] = 1
         for t in generators(masks[inv[v]]):
             near[rmul[v][t]] = 1
-        sides = [(v, near)]
-        if inv[v] != v:
-            sides.append((inv[v], {inv[y]: mu for y, mu in near.items()}))
-        for u, ys in sides:
+        nears = {v: near}
+        for w, x, g in orbits[v]:
+            nears[w] = {g[y]: mu for y, mu in nears[x].items()}
+        for u, ys in nears.items():
             ascents = positive & ~masks[u]
             pairs: Dict[int, HeckeCoeffs] = {s: {} for s in generators(ascents)}
             for y, mu in ys.items():
@@ -909,7 +1040,11 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
 
 
 def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
-    """The KL table, built packed with `bits` bits a slot."""
+    """The KL table, built packed with `bits` bits a slot.  With equal
+    parameters only the rows of the orbit representatives are built, and
+    each other row is its orbit walk's relabelling (module docstring),
+    filled in as soon as its representative is built: every row an
+    element of smaller index reads is then there."""
     pk = _Packing(algebra, bits)
     group, positive = algebra.group, algebra.positive
     n = len(group)
@@ -918,8 +1053,11 @@ def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
     digits = [1] * n  # bound on every digit of C_w's coefficients
     reach = [pk.zero_reach] * n  # bound on |x_i| over their exponents
     equal = algebra.equal_parameters  # then the corrections are derived, not kept
+    orbits = algebra.orbits
     corrections: Dict[Tuple[int, int], Packed] = {}
     for w in range(1, n):
+        if equal and w not in orbits:
+            continue  # filled in with its representative
         first = group.word(w)[0]
         for s in group.left_descents(w):
             u = left[s][w]
@@ -937,6 +1075,10 @@ def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
                     corrections[(s, u)] = correction
             elif not equal:
                 corrections[(s, u)] = _cancel(pk, s, left[s], u, w, c_exp, digits, reach)[1]
+        if equal:
+            for v, p, g in orbits[w]:  # v = g[p], p built or filled before v
+                c_exp[v] = {g[y]: x for y, x in c_exp[p].items()}
+                digits[v], reach[v] = digits[p], reach[p]
     decode = pk.decode
     return KLTable(algebra,
                    {w: {y: decode(x) for y, x in row.items()}

@@ -1,5 +1,6 @@
 """Small helpers over the klcells API that only the tests use."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -31,6 +32,42 @@ def element_by_name(W: CoxeterGroup, text: str) -> int:
         return W.identity
     gen_of = {nm: i for i, nm in enumerate(W.gen_names)}
     return W.element_by_word(gen_of[t] for t in text.split())
+
+
+def orbit_representatives(W: CoxeterGroup, weights: WeightFunction) -> List[int]:
+    """The elements that are the smallest index in their orbit under
+    w -> w^-1 and the automorphisms s_1 ... s_k -> pi(s_1) ... pi(s_k) of W,
+    for every permutation pi of the generators that keeps each m_st and
+    each weight and maps each connected component of the Coxeter graph
+    (bonds m_st > 2) to itself: the rows a KL cache writes.  The search
+    tries all rank! permutations, so it is for small ranks only."""
+    m, rank, n = W.matrix.entries, W.rank, len(W)
+    component = []
+    for s in range(rank):
+        seen, todo = {s}, [s]
+        while todo:
+            x = todo.pop()
+            for t in range(rank):
+                if m[x][t] > 2 and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        component.append(seen)
+    maps = [[W.inv(w) for w in range(n)]]
+    for pi in itertools.permutations(range(rank)):
+        if (all(pi[s] in component[s] and weights[pi[s]] == weights[s] for s in range(rank))
+                and all(m[pi[s]][pi[t]] == m[s][t] for s in range(rank) for t in range(rank))):
+            maps.append([W.element_by_word(pi[g] for g in W.word(w)) for w in range(n)])
+    root = list(range(n))  # union-find, each root the smallest index of its class
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+    for g in maps:
+        for w in range(n):
+            a, b = find(w), find(g[w])
+            root[max(a, b)] = min(a, b)
+    return [w for w in range(n) if find(w) == w]
 
 
 def right_descents(W: CoxeterGroup, w: int) -> List[int]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -22,7 +23,7 @@ from klcells.cli import main
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              named_coxeter_matrix)
 from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow, _construct_terms,
-                           kl_basis, payload_digest)
+                           diagram_automorphisms, kl_basis, payload_digest)
 from klcells.ordered_coeffs import LaurentElt, OrderedExponent
 from klcells.specfile import parse_spec
 
@@ -179,7 +180,7 @@ def test_brute_force_solver_reproduces_table():
     # Independent bar-invariance solver, groups of order <= 24.
     cases = [("A", 1, [1]), ("A", 2, [1, 1]), ("B", 2, [1, 1]),
              ("B", 2, [1, 2]), ("B", 2, [2, 1]), ("B", 2, [1, 2]),
-             ("I2", 6, [1, 3]), ("A", 3, [1, 1, 1])]
+             ("I2", 6, [1, 3]), ("A", 3, [1, 1, 1]), ("I2", 5, [1, 1])]
     for kind, n, weights in cases:
         alg = make_algebra(kind, n, weights)
         table = kl_basis(alg)
@@ -458,6 +459,79 @@ def test_packed_matches_dict_ring_at_large_weight_ratios(text):
     packed, terms = kl_basis(alg), _construct_terms(alg)
     assert json.dumps(packed.to_json_dict()) == json.dumps(terms.to_json_dict())
     assert packed.to_cache_text() == terms.to_cache_text()
+
+
+@pytest.mark.parametrize("kind, n, weights", [
+    ("D", 4, [1, 1, 1, 1]), ("D", 4, [2, 2, 2, 2]), ("A", 4, [1, 1, 1, 1]),
+    ("A", 5, [1, 1, 1, 1, 1]), ("I2", 7, [1, 1]), ("B", 2, [1, 1]), ("B", 3, [1, 1, 1]),
+    ("B", 2, [1, 2]),
+], ids=["D4", "D4 L=2", "A4", "A5", "I2(7)", "B2 (1,1)", "B3 (1,1,1)", "B2 (1,2)"])
+def test_symmetric_construction_matches_dict_ring(kind, n, weights):
+    """With equal parameters the packed kl_basis builds the rows of the
+    orbit representatives alone and relabels the others, while the dict
+    ring (`_construct_terms`) builds every row by cancellation: both write
+    the same KL cache and the same `klbasis` document, key order
+    included.  Every row and C_s C_w product of the packed table is that
+    of a dict-ring table of the algebra with no symmetry, which builds
+    and stores every row.  B3 (1,1,1) has only w -> w^-1, and with
+    L = (1,2) no automorphism of B2 keeps the weights."""
+    alg = make_algebra(kind, n, weights)
+    packed, terms = kl_basis(alg), _construct_terms(alg)
+    assert packed.to_cache_text() == terms.to_cache_text()
+    assert json.dumps(packed.to_json_dict()) == json.dumps(terms.to_json_dict())
+    plain = make_algebra(kind, n, weights)
+    plain.symmetries = []  # every element its own orbit
+    reference = _construct_terms(plain)
+    W = alg.group
+    for w in range(len(W)):
+        assert packed.c_expansion(w) == reference.c_expansion(w), W.name(w)
+        for s in range(W.rank):
+            assert packed.cs_product_in_c(s, w) == reference.cs_product_in_c(s, w), (s, W.name(w))
+
+
+F4 = CoxeterMatrix.from_rows([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]])
+H3 = CoxeterMatrix.from_rows([[1, 5, 2], [5, 1, 3], [2, 3, 1]])
+
+
+def a2_power(k):
+    """The Coxeter matrix of A2^k, generators 2i and 2i + 1 bonded."""
+    return CoxeterMatrix.from_rows([[1 if i == j else 3 if i // 2 == j // 2 else 2
+                                     for j in range(2 * k)] for i in range(2 * k)])
+
+
+def test_symmetry_search():
+    """The symmetries of a table are w -> w^-1 and the diagram
+    automorphisms of each component that keep the weights: none for F4
+    with L = (1,1,2,2), I2(4) with L = (1,2), B3 and H3; the five of
+    triality (the permutations of the three outer nodes) for D4; one flip
+    a component for A2^4.  Each diagram automorphism's element map is
+    the automorphism of W it extends to.  The search backtracks, so A2^8
+    and A15, far past a search over all 16! and 15! permutations, take
+    no time."""
+    for matrix, weights in [(F4, [1, 1, 2, 2]), (named_coxeter_matrix("I2", 4), [1, 2]),
+                            (named_coxeter_matrix("B", 3), [1, 1, 1]), (H3, [1, 1, 1])]:
+        alg = HeckeAlgebra(build_group(matrix), WeightFunction.rational(weights))
+        assert alg.symmetries == [alg.group._inv], (matrix, weights)
+    d4 = named_coxeter_matrix("D", 4)  # node 1 is bonded to 0, 2 and 3
+    assert sorted(diagram_automorphisms(d4, WeightFunction.rational([1] * 4))) == [
+        (a, 1, b, c) for a, b, c in sorted(itertools.permutations((0, 2, 3)))
+        if (a, b, c) != (0, 2, 3)]
+    flips = [tuple(i ^ 1 if i // 2 == k else i for i in range(8)) for k in range(4)]
+    assert diagram_automorphisms(a2_power(4), WeightFunction.rational([1] * 8)) == flips
+    for matrix, weights in [(d4, [1] * 4), (a2_power(4), [1] * 8), (F4, [1] * 4)]:
+        W = build_group(matrix)
+        pis = diagram_automorphisms(matrix, WeightFunction.rational(weights))
+        alg = HeckeAlgebra(W, WeightFunction.rational(weights))
+        assert len(alg.symmetries) == 1 + len(pis) > 1
+        for pi, g in zip(pis, alg.symmetries[1:]):
+            assert [g[W.generator(s)] for s in range(W.rank)] == [W.generator(t) for t in pi]
+            for w in range(len(W)):
+                assert W.length(g[w]) == W.length(w)
+                for s in range(W.rank):
+                    assert g[W.rmul_gen(w, s)] == W.rmul_gen(g[w], pi[s])
+    assert len(diagram_automorphisms(a2_power(8), WeightFunction.rational([1] * 16))) == 8
+    assert diagram_automorphisms(named_coxeter_matrix("A", 15), WeightFunction.rational(
+        [1] * 15)) == [tuple(range(14, -1, -1))]
 
 
 def test_wide_lex_box_is_built_in_the_dict_ring(tmp_path):

@@ -3,10 +3,11 @@ Hecke relations hold in the reference T-basis arithmetic, the KL basis
 equals the brute-force solver's, the packed and the dict-ring
 constructions hold the solver's extremal coefficients and write the
 same cache byte for byte, every C_s C_w in the table equals the product
-multiplied out and re-expanded in the C-basis, the inverse symmetry and
-the extremal identity that the KL cache relies on hold for the solver's
-rows, the ascent corrections are well formed, the cache round-trips, and
-the cells satisfy the invariants that hold for every weight function."""
+multiplied out and re-expanded in the C-basis, the symmetries (w -> w^-1
+and the diagram automorphisms) and the extremal identity that the KL
+cache relies on hold for the solver's rows, the ascent corrections are
+well formed, the cache round-trips, and the cells satisfy the
+invariants that hold for every weight function."""
 
 import json
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from api_helpers import from_integers, regular_character
+from api_helpers import from_integers, orbit_representatives, regular_character
 from hecke_reference import (add, cs_product_reference, equal, multiply, scale,
                              t_basis)
 from kl_brute_oracle import brute_kl_expansions
@@ -107,18 +108,17 @@ def test_kl_table_matches_brute_oracle_and_reference(alg):
 
 def stored_part(alg, rows):
     """The part of the rows {y: p_(y,w)} that the KL cache stores, as its
-    `c_basis`: the rows with index(w) <= index(w^-1), each with the y != w
+    `c_basis`: the rows of the orbit representatives, each with the y != w
     that have sy < y for every s in L(w) and ys < y for every s in R(w),
     with L(s) > 0, keyed by index."""
     W = alg.group
     out = {}
-    for w, row in enumerate(rows):
-        if W.inv(w) >= w:
-            left = [s for s in W.left_descents(w) if alg.weights[s].sign() > 0]
-            right = [s for s in W.left_descents(W.inv(w)) if alg.weights[s].sign() > 0]
-            out[str(w)] = {str(y): c.render() for y, c in row.items()
-                           if y != w and all(W.lmul_gen(s, y) < y for s in left)
-                           and all(W.rmul_gen(y, s) < y for s in right)}
+    for w in orbit_representatives(W, alg.weights):
+        left = [s for s in W.left_descents(w) if alg.weights[s].sign() > 0]
+        right = [s for s in W.left_descents(W.inv(w)) if alg.weights[s].sign() > 0]
+        out[str(w)] = {str(y): c.render() for y, c in rows[w].items()
+                       if y != w and all(W.lmul_gen(s, y) < y for s in left)
+                       and all(W.rmul_gen(y, s) < y for s in right)}
     return out
 
 
@@ -150,21 +150,24 @@ def test_packed_construction_matches_dict_ring(kind, data):
     assert loaded.to_json_dict() == table.to_json_dict()
 
 
-@pytest.mark.parametrize("kind", ["rational", "zero", "lex"])
+@pytest.mark.parametrize("kind", ["rational", "zero", "lex", "equal"])
 @settings(max_examples=6, deadline=None, database=None)
 @given(data=st.data())
 def test_inverse_symmetry_and_ascent_corrections(kind, data):
-    """For each kind of weights: p_(y,w) = p_(y^-1,w^-1) for every (y, w)
-    of the brute-force solver, of whose rows kl_basis holds the stored
-    part, and every ascent correction m_y of C_s C_u = C_su + sum_y m_y C_y
-    in kl_basis is nonzero and bar-invariant, at a y with sy < y shorter
-    than su."""
+    """For each kind of weights: p_(g(y),g(w)) = p_(y,w) for every (y, w)
+    of the brute-force solver and every symmetry g of the algebra, w^-1
+    first, then its diagram automorphisms, of whose rows kl_basis holds
+    the stored part, and every ascent correction m_y of C_s C_u = C_su +
+    sum_y m_y C_y in kl_basis is nonzero and bar-invariant, at a y with
+    sy < y shorter than su."""
     alg = data.draw(algebras(kind))
     table = kl_basis(alg)
     W = alg.group
     brute = brute_kl_expansions(alg)
-    for w in range(len(W)):
-        assert equal({W.inv(y): c for y, c in brute[w].items()}, brute[W.inv(w)]), W.name(w)
+    assert alg.symmetries[0] == [W.inv(w) for w in range(len(W))]
+    for g in alg.symmetries:
+        for w in range(len(W)):
+            assert equal({g[y]: c for y, c in brute[w].items()}, brute[g[w]]), W.name(w)
     assert json.loads(table.to_cache_text())["c_basis"] == stored_part(alg, brute)
     for s in range(W.rank):
         if not alg.weights[s].sign() > 0:
@@ -187,7 +190,7 @@ def test_inverse_symmetry_and_ascent_corrections(kind, data):
 def test_extremal_identity_and_cache_round_trip(kind, data):
     """p_(y,w) = v^-L(s) p_(sy,w) for s in L(w), L(s) > 0, sy > y, of the
     brute-force solver; the cache keeps exactly its extremal
-    coefficients of the rows with index(w) <= index(w^-1), but p_(w,w),
+    coefficients of the rows of the orbit representatives, but p_(w,w),
     one key per ascent pair holding its corrections with unequal
     parameters and none with equal ones, and loads back to the same table,
     for each kind of weights (the rows are derived by exponent key shifts,

@@ -71,15 +71,21 @@ def test_benchmark_reads_the_kl_cache(tmp_path, capsys):
         t.count(" + ") + 1 for coeffs in full["c_basis"].values() for t in coeffs.values())
     # An equal-parameter cache holds no C_s C_w product, and of the rows
     # only their off-diagonal coefficients.  B3 with L = (0,0,1) is the
-    # smallest cache the benchmark writes; the probe draws from its rows.
-    spec.write_text("group B 3\nL s = 0\nL t = 0\nL u = 1\n", encoding="utf-8")
-    equal_cache = tmp_path / "equal-cache"
-    assert main(["cells", str(spec), "--cache-dir", str(equal_cache)]) == 0
-    capsys.readouterr()
-    [equal_path] = [str(p) for p in equal_cache.iterdir()]
-    terms = run.count_terms([equal_path])
-    assert terms["hecke.c_terms"] > 0 and terms["hecke.cs_terms"] == 0
-    for cached in (path, equal_path):
+    # smallest cache the benchmark writes, and D4 the one whose rows are
+    # cut most, to one per orbit under w -> w^-1 and triality; the probe
+    # draws from their rows.
+    equal_paths = []
+    for name, text in (("b3short", "group B 3\nL s = 0\nL t = 0\nL u = 1\n"),
+                       ("d4", "group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n")):
+        spec.write_text(text, encoding="utf-8")
+        equal_cache = tmp_path / f"{name}-cache"
+        assert main(["cells", str(spec), "--cache-dir", str(equal_cache)]) == 0
+        capsys.readouterr()
+        [equal_path] = [str(p) for p in equal_cache.iterdir()]
+        terms = run.count_terms([equal_path])
+        assert terms["hecke.c_terms"] > 0 and terms["hecke.cs_terms"] == 0, name
+        equal_paths.append(equal_path)
+    for cached in (path, *equal_paths):
         metrics = probe.ordered_coeffs(1, [cached])
         for op in ("mul", "add", "split_bar", "parse", "render"):
             assert metrics[f"ordered_coeffs.{op}_ns.rational"] > 0

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import klcells
-from api_helpers import fresh_python
+from api_helpers import fresh_python, orbit_representatives
 from klcells.cells import NonIntegerMultiplicity
 from klcells.cli import entry, main
 from klcells.conjecture import B2_REGIME_POINTS
@@ -676,7 +676,9 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     # format-4 cache held every left-extremal coefficient, which format 5
     # holds only when it is right-extremal too; a format-5 cache held what
     # format 6 holds and p_(w,w) = 1 in every row (with these unequal
-    # weights its C_s C_w products are format 6's).
+    # weights its C_s C_w products are format 6's); a format-6 cache held
+    # the rows of every w with index(w) <= index(w^-1), which with these
+    # weights (no diagram automorphism keeps L) are format 7's.
     code, format1, _ = run_cli(capsys, "klbasis", spec, "--no-cache")
     assert code == 0
     format2 = json.loads(format1)
@@ -692,6 +694,8 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     for w, y, text in (("s t", "s", "1*v^(-2)"), ("s t s", "s t", "1*v^(-1)"),
                        ("t s t", "t s", "1*v^(-2)")):
         format4["c_basis"][ix[w]][ix[y]] = text
+    format6 = json.loads(good)
+    format6["format"] = 6
     wrong_format = json.loads(good)
     wrong_format["format"] = 1
     stale = json.loads(good)
@@ -702,6 +706,7 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
              "off grid": json.dumps(off_grid), "1/0": json.dumps(zero_den),
              "format 1": format1, "format 2": resign(format2), "format 3": resign(format3),
              "format 4": resign(format4), "format 5": resign(format5),
+             "format 6": resign(format6),
              "wrong format": resign(wrong_format), "stale digest": json.dumps(stale)}
     # Only the key the writer writes names an element: element 5 ("s t s",
     # a stored row and the ascent pair "t|5") keyed in any other way, in
@@ -817,22 +822,103 @@ def test_unreadable_cache_is_recomputed(tmp_path, capsys):
     assert zero_path.read_text(encoding="utf-8") == zero_good
 
 
-def format5_text(doc, table):
-    """The KL cache file that format 5 wrote for `table`, whose format-6
-    document is `doc`: p_(w,w) = 1 in every row, and the corrections of
-    every ascent pair, `{}` for none."""
+D4_EQUAL = "group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n"
+
+
+def test_cache_rows_are_the_orbit_representatives(tmp_path, capsys):
+    """A KL cache holds one row for each orbit of W under w -> w^-1 and the
+    diagram automorphisms, that of its smallest index: 43 of the 192
+    elements of D4, whose automorphisms are those of triality.  A
+    re-signed D4 file that adds the row of another element, at its true
+    value or empty, drops the row of a representative, empty or not, or
+    moves a row to another element of its orbit is recomputed: the
+    --no-cache stdout, exit 0, nothing on stderr, and the file replaced.
+    So is the format-6 file, which wrote the rows of the 118 w with
+    index(w) <= index(w^-1)."""
+    spec = write(tmp_path / "d4.spec", D4_EQUAL)
+    code, cold, _ = run_cli(capsys, "cells", spec, "--no-cache")
+    assert code == 0
+    cache = tmp_path / "cache"
+    assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache))[0] == 0
+    [path] = cache.iterdir()
+    good = path.read_text(encoding="utf-8")
+    doc = json.loads(good)
+    parsed = parse_spec(D4_EQUAL)
+    W = build_group(parsed.matrix, gen_names=parsed.gen_names)
+    table = kl_basis(HeckeAlgebra(W, parsed.weights))
+    reps = orbit_representatives(W, parsed.weights)
+    assert sorted(doc["c_basis"], key=int) == [str(r) for r in reps] and len(reps) == 43
+    # Rows format 6 wrote but format 7 does not, with and without a
+    # stored coefficient, and representatives' rows with and without.
+    others = [w for w in range(len(W)) if w not in reps and W.inv(w) >= w]
+    full = next(w for w in others if extremal_part(table, w))
+    empty = next(w for w in others if not extremal_part(table, w))
+    kept = next(r for r in reps if doc["c_basis"][str(r)])
+    bare = next(r for r in reps if not doc["c_basis"][str(r)])
+    moved = table.algebra.orbits[kept][0][0]  # the first element walked from `kept`
+    cases = {"format 6": cache_text(format6_doc(table))}
+    for label, edit in [
+            ("added row", lambda rows: rows.update({str(full): extremal_part(table, full)})),
+            ("added empty row", lambda rows: rows.update({str(empty): {}})),
+            ("dropped row", lambda rows: rows.pop(str(kept))),
+            ("dropped empty row", lambda rows: rows.pop(str(bare))),
+            ("moved row", lambda rows: rows.update(
+                {str(moved): extremal_part(table, moved)}) or rows.pop(str(kept)))]:
+        edited = json.loads(good)
+        edit(edited["c_basis"])
+        cases[label] = resign(edited)
+    for label, broken in cases.items():
+        path.write_text(broken, encoding="utf-8")
+        assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache)) == (0, cold, ""), label
+        assert path.read_text(encoding="utf-8") == good, label
+
+
+def extremal_part(table, w):
+    """{y: text} for the coefficients p_(y,w), y != w, of C_w that are
+    extremal on both sides: sy < y for every s in L(w) and ys < y for
+    every s in R(w) with L(s) > 0, keyed by index."""
+    W, positive = table.group, table.algebra.positive
+    left = [s for s in W.left_descents(w) if positive[s]]
+    right = [s for s in W.left_descents(W.inv(w)) if positive[s]]
+    return {str(y): c.render() for y, c in table.c_expansion(w).items()
+            if y != w and all(W.lmul_gen(s, y) < y for s in left)
+            and all(W.rmul_gen(y, s) < y for s in right)}
+
+
+def cache_text(doc):
+    """The KL cache file of the payload `doc`, as the writer renders it."""
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return f'{body[:-1]},"digest":"{payload_digest(doc)}"}}'
+
+
+def format6_doc(table):
+    """The payload of the KL cache file that format 6 wrote for `table`:
+    the extremal part of each row C_w with index(w) <= index(w^-1), which
+    format 7 keeps only for the orbit representatives, and format 7's
+    products."""
     W = table.group
-    old = {k: v for k, v in doc.items() if k != "digest"}
+    doc = json.loads(table.to_cache_text())
+    del doc["digest"]
+    doc["format"] = 6
+    doc["c_basis"] = {str(w): extremal_part(table, w) for w in range(len(W)) if W.inv(w) >= w}
+    return doc
+
+
+def format5_text(table):
+    """The KL cache file that format 5 wrote for `table`: format 6's rows
+    with p_(w,w) = 1 in each, and the corrections of every ascent pair,
+    `{}` for none."""
+    W = table.group
+    old = format6_doc(table)
     old["format"] = 5
-    old["c_basis"] = {w: {**row, w: "1*v^(0)"} for w, row in doc["c_basis"].items()}
+    old["c_basis"] = {w: {**row, w: "1*v^(0)"} for w, row in old["c_basis"].items()}
     old["cs_products"] = {
         f"{W.gen_names[s]}|{u}": {str(y): m.render()
                                   for y, m in sorted(table.cs_product_in_c(s, u).items())
                                   if y != W.lmul_gen(s, u)}
         for s in range(W.rank) for u in range(len(W))
         if table.algebra.positive[s] and W.lmul_gen(s, u) > u}
-    body = json.dumps(old, sort_keys=True, separators=(",", ":"))
-    return f'{body[:-1]},"digest":"{payload_digest(old)}"}}'
+    return cache_text(old)
 
 
 def test_equal_parameter_cache_holds_no_product(tmp_path, capsys, monkeypatch):
@@ -841,7 +927,8 @@ def test_equal_parameter_cache_holds_no_product(tmp_path, capsys, monkeypatch):
     listed p_(w,w), any product entry, even at its true value, and a
     deleted row are each recomputed, re-signed, and the file replaced.  A
     format-5 file is replaced once, then hit, and the hit reads no row
-    and builds no coset list."""
+    and builds no coset list; so is a format-6 file, which holds the rows
+    of every w with index(w) <= index(w^-1)."""
     text = "group B 2\nL s = 1\nL t = 1\n"
     spec = write(tmp_path / "b2.spec", text)
     code, cold, _ = run_cli(capsys, "cells", spec, "--no-cache")
@@ -856,7 +943,7 @@ def test_equal_parameter_cache_holds_no_product(tmp_path, capsys, monkeypatch):
     parsed = parse_spec(text)
     table = kl_basis(HeckeAlgebra(build_group(parsed.matrix, gen_names=parsed.gen_names),
                                   parsed.weights))
-    old = format5_text(doc, table)
+    old = format5_text(table)
     products = json.loads(old)["cs_products"]
     ix = element_keys(doc)
     e, s, ts, sts = (ix[nm] for nm in ("e", "s", "t s", "s t s"))
@@ -884,9 +971,12 @@ def test_equal_parameter_cache_holds_no_product(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("no KL work expected")
 
-    path.write_text(old, encoding="utf-8")
-    assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache)) == (0, cold, "")
-    assert path.read_text(encoding="utf-8") == good
+    format6 = cache_text(format6_doc(table))
+    assert len(json.loads(format6)["c_basis"]) == 7 > len(doc["c_basis"]) == 5
+    for label, text in (("format 5", old), ("format 6", format6)):
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache)) == (0, cold, ""), label
+        assert path.read_text(encoding="utf-8") == good, label
     inode = path.stat().st_ino
     monkeypatch.setattr("klcells.cli.kl_basis", fail)
     monkeypatch.setattr(KLTable, "_row", fail)
