@@ -24,12 +24,12 @@ import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, List, Optional, TextIO
+from typing import Callable, List, Optional, TextIO, Tuple
 
 # Every command's module is imported here, when the CLI loads: the traced
 # benchmark (perfbench/tracing.py) wraps functions only in the klcells
 # modules loaded by `import klcells.cli`, and the package itself loads none.
-from .cells import cells_report
+from .cells import NonIntegerMultiplicity, cells_report
 from .characters import character_table
 from .cherednik_rank1 import Rank1Params, cm_report, inertia_and_cells
 from .conjecture import (B2_REGIME_POINTS, replace_file, run_conjecture_suite,
@@ -162,27 +162,52 @@ def _read_cached_table(path: str, algebra: HeckeAlgebra) -> Optional[KLTable]:
         return None
 
 
-def _load_table(args) -> KLTable:
+def _store_table(algebra: HeckeAlgebra, path: str) -> KLTable:
+    """The KL table of `algebra`, computed, and written to the cache at
+    `path`.  A cache that cannot be written costs a warning, never the
+    result."""
+    table = kl_basis(algebra)
+    text = table.to_cache_text()
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        replace_file(path, lambda fh: fh.write(text))
+    except OSError as exc:
+        sys.stderr.write(f"warning: KL cache not written: {exc}\n")
+    return table
+
+
+def _load_table(args) -> Tuple[KLTable, Optional[str]]:
+    """(table, path): the KL table of the spec, and the cache file it was
+    read from, None when it was computed."""
     spec = parse_spec(_read_spec(args.specfile))
     group = build_group(spec.matrix, gen_names=spec.gen_names, size_cap=args.size_cap)
     algebra = HeckeAlgebra(group, spec.weights)
     cache_dir = None if args.no_cache else args.cache_dir
     if not cache_dir:
-        return kl_basis(algebra)
+        return kl_basis(algebra), None
     path = os.path.join(cache_dir, f"kl_{algebra.content_key()}.json")
     table = _read_cached_table(path, algebra)
     if table is not None:
-        return table
+        return table, path
     # A missing or unreadable cache is a miss: recompute and replace it.
-    # A cache that cannot be written costs a warning, never the result.
-    table = kl_basis(algebra)
-    text = table.to_cache_text()
+    return _store_table(algebra, path), None
+
+
+def _cells(args) -> dict:
+    """The `cells` report.  A loaded table whose cell characters do not
+    decompose is a miss (a re-signed edit can pass every check of the
+    loader): it is recomputed, the cache replaced, with one warning, and
+    the report made again.  Nothing is printed before it returns."""
+    table, path = _load_table(args)
+    chars = character_table(table.group)
     try:
-        os.makedirs(cache_dir, exist_ok=True)
-        replace_file(path, lambda fh: fh.write(text))
-    except OSError as exc:
-        sys.stderr.write(f"warning: KL cache not written: {exc}\n")
-    return table
+        return cells_report(table, chars)
+    except NonIntegerMultiplicity as exc:
+        if path is None:
+            raise
+        sys.stderr.write(f"warning: KL cache {path!r} recomputed: {exc}\n")
+    table = _store_table(table.algebra, path)
+    return cells_report(table, chars)
 
 
 def _write_stdout(write: Callable[[TextIO], None]) -> None:
@@ -214,11 +239,9 @@ def _emit(doc: dict, output: Optional[str]) -> None:
 
 def _run(args) -> int:
     if args.command == "cells":
-        table = _load_table(args)
-        _emit(cells_report(table, character_table(table.group)), args.output)
+        _emit(_cells(args), args.output)
     elif args.command == "klbasis":
-        table = _load_table(args)
-        _emit(table.to_json_dict(), args.output)
+        _emit(_load_table(args)[0].to_json_dict(), args.output)
     elif args.command == "characters":
         spec = parse_spec(_read_spec(args.specfile))
         group = build_group(spec.matrix, gen_names=spec.gen_names, size_cap=args.size_cap)

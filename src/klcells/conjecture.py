@@ -17,12 +17,13 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .cells import cells_report
-from .characters import character_table
+from .characters import CharacterTable, character_table
 from .cherednik_rank1 import Rank1Params, cm_multiplicities, cm_report, inertia_and_cells
-from .coxeter import WeightFunction, build_group, named_coxeter_matrix
+from .coxeter import CoxeterGroup, WeightFunction, build_group, named_coxeter_matrix
 from .hecke import HeckeAlgebra, kl_basis
 
 MATCH = "MATCH"
@@ -54,6 +55,14 @@ def classify_b2_regime(a: Fraction, b: Fraction) -> str:
     return "b>2a"
 
 
+@lru_cache(maxsize=None)
+def _named_group(kind: str, n: int) -> Tuple[CoxeterGroup, CharacterTable]:
+    """The named Coxeter group and its character table, built once: the
+    suite reads A1 for every c value and I2(4) for every B2 point."""
+    group = build_group(named_coxeter_matrix(kind, n))
+    return group, character_table(group)
+
+
 def _det_value(j: int, elem: int) -> int:
     """det^j evaluated at s^elem in mu_2."""
     return -1 if (j * elem) % 2 else 1
@@ -82,9 +91,9 @@ def check_rank1_vs_a1(c: Fraction) -> dict:
         cm_chars.append(vals)
 
     # Kazhdan-Lusztig side.
-    group = build_group(named_coxeter_matrix("A", 1))
+    group, chars = _named_group("A", 1)
     table = kl_basis(HeckeAlgebra(group, WeightFunction.rational([c])))
-    report = cells_report(table, character_table(group))
+    report = cells_report(table, chars)
     left = report["left_cells"]["blocks"]
     two_sided = report["two_sided_cells"]["blocks"]
     kl_chars = [list(cc["values"].values()) for cc in report["cell_characters"]]
@@ -123,11 +132,8 @@ def b2_regime_report(a: Fraction, b: Fraction) -> dict:
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
         raise ValueError("regime parameters must be positive")
-    group = build_group(named_coxeter_matrix("I2", 4))
-    algebra = HeckeAlgebra(group, WeightFunction.rational([a, b]))
-    table = kl_basis(algebra)
-    chars = character_table(group)
-    doc = cells_report(table, chars)
+    group, chars = _named_group("I2", 4)
+    doc = cells_report(kl_basis(HeckeAlgebra(group, WeightFunction.rational([a, b]))), chars)
     doc["weights"] = {"a": str(a), "b": str(b)}
     doc["regime"] = classify_b2_regime(a, b)
     return doc

@@ -317,36 +317,44 @@ class CoxeterGroup:
         return self._classes
 
 
+def orbit_walks(size: int, maps: Sequence[Sequence[int]]
+                ) -> Dict[int, List[Tuple[int, int, Sequence[int]]]]:
+    """The orbits of 0..size-1 under the element maps `maps`, keyed by
+    their smallest elements: orbits[r] lists the other members in the
+    breadth-first order of a walk from r, as (w, x, g), w = g[x] for a map
+    g and x either r or a member listed before w."""
+    seen = [False] * size
+    out = {}
+    for r in range(size):
+        if not seen[r]:
+            seen[r] = True
+            walk = out[r] = []
+            members = [r]
+            for x in members:  # grows while it is read
+                for g in maps:
+                    w = g[x]
+                    if not seen[w]:
+                        seen[w] = True
+                        walk.append((w, x, g))
+                        members.append(w)
+    return out
+
+
 class ConjugacyClasses:
     """Orbit partition of W under conjugation, in canonical order."""
 
     def __init__(self, group: CoxeterGroup):
         self.group = group
-        n = len(group)
-        class_of = [-1] * n
-        blocks: List[List[int]] = []
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            cid = len(blocks)
-            orbit = [start]
-            class_of[start] = cid
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in range(group.rank):
-                        y = group.rmul_gen(group.lmul_gen(g, x), g)
-                        if class_of[y] < 0:
-                            class_of[y] = cid
-                            orbit.append(y)
-                            nxt.append(y)
-                frontier = nxt
-            blocks.append(sorted(orbit))
-        self.blocks = blocks
-        self.class_of = class_of
-        self.representatives = [b[0] for b in blocks]
-        self.sizes = [len(b) for b in blocks]
+        rmul = group._rmul
+        conj = [[rmul[y][s] for y in row] for s, row in enumerate(group._lmul)]  # w -> s w s
+        self.blocks = [sorted([r, *(w for w, _, _ in walk)])
+                       for r, walk in orbit_walks(len(group), conj).items()]
+        self.class_of = [0] * len(group)
+        for cid, block in enumerate(self.blocks):
+            for w in block:
+                self.class_of[w] = cid
+        self.representatives = [b[0] for b in self.blocks]
+        self.sizes = [len(b) for b in self.blocks]
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -90,7 +90,8 @@ none for B3, H3, F4 with L = (1,1,2,2) or I2(4) with L = (1,2), the five
 of triality for D4, one flip for A_n (n > 1), D_n (n > 4), E6 and, with
 equal weights, B2, F4 and I2(m).  The orbits of W under the group that
 these and w -> w^-1 generate are walked breadth-first, and the smallest
-index in each is its representative (`HeckeAlgebra.orbits`); the rows
+index in each is its representative (`HeckeAlgebra.orbits`, through
+`coxeter.orbit_walks`); the rows
 written are exactly the representatives'.  Every other member w = g(x),
 for g a generator and x a member walked before w, has p_{g(y),w} =
 p_{y,x}: its row is x's relabelled.  So the ShortLex order and the set
@@ -142,8 +143,7 @@ file is compact JSON with a `format` field and the SHA-256 of its
 canonical payload, checked before anything is parsed; `to_cache_text`
 renders what the table holds and `from_json_dict` loads only that.  It
 keys element w by its index as a decimal string, str(w) (`"57"`, and
-`"s|57"` for a product), where format 3 wrote its reduced word; the
-loader knows no other spelling.  That index is the ShortLex order that
+`"s|57"` for a product); the loader knows no other spelling.  That index is the ShortLex order that
 `CoxeterGroup` enumerates in, which picks the orbit representatives too.
 These digests, the `content_key` in the file name and the `"key"` of the
 `cells` output are SHA-256 from CPython's built-in `_sha256` module
@@ -151,9 +151,8 @@ These digests, the `content_key` in the file name and the `"key"` of the
 digest is the same, and `import hashlib` loads OpenSSL, which cost each
 `klcells` process about 5 ms and 4 MB (2-core Xeon, CPython 3.11).
 A cache holds 3.6 kB for D4, 21 kB for A5 and 227 kB for F4 (equal
-parameters), 0.47, 0.66 and 0.54 of format 6, which wrote the rows of
-every w with index(w) <= index(w^-1), and 655 kB for F4 with
-L = (1,1,2,2), which no diagram automorphism keeps, as format 6 did.
+parameters), and 655 kB for F4 with L = (1,1,2,2), which no diagram
+automorphism keeps.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ from functools import cached_property, lru_cache
 from operator import add, le, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .coxeter import CoxeterGroup, CoxeterMatrix, WeightFunction, validate_weights
+from .coxeter import CoxeterGroup, CoxeterMatrix, WeightFunction, orbit_walks, validate_weights
 from .ordered_coeffs import LaurentElt, OrderedExponent
 
 HeckeCoeffs = Dict[int, LaurentElt]
@@ -288,7 +287,6 @@ class HeckeAlgebra:
         self.weights = weights
         self.grid = OrderedExponent.grid_of(weights.mode, weights.arity, weights.exps)
         self.positive = [L.sign() > 0 for L in weights.exps]
-        self._walks: Dict[int, tuple] = {}
         self._cosets: Dict[int, tuple] = {}
         self._double: Dict[Tuple[int, int, int], tuple] = {}
         self._key_tuples: Dict[tuple, tuple] = {}
@@ -333,22 +331,7 @@ class HeckeAlgebra:
         lists the other members in the breadth-first order of a walk from
         r, as (w, x, g), w = g[x] for the element map g of a generator and
         x either r or a member listed before w, so p_{g[y],w} = p_{y,x}."""
-        gens, n = self.symmetries, len(self.group)
-        seen = [False] * n
-        out = {}
-        for r in range(n):
-            if not seen[r]:
-                seen[r] = True
-                walk = out[r] = []
-                members = [r]
-                for x in members:  # grows while it is read
-                    for g in gens:
-                        w = g[x]
-                        if not seen[w]:
-                            seen[w] = True
-                            walk.append((w, x, g))
-                            members.append(w)
-        return out
+        return orbit_walks(len(self.group), self.symmetries)
 
     @cached_property
     def representative(self) -> List[int]:
@@ -374,44 +357,33 @@ class HeckeAlgebra:
         """The grid key of L(s) for each generator s."""
         return [L.encode(self.grid) for L in self.weights.exps]
 
-    def parabolic_walk(self, mask: int) -> Tuple[Tuple[int, ...], List[Tuple[int, int]]]:
-        """(keys, steps) for the parabolic subgroup P on the generators in
+    def _coset_lists(self, mask: int) -> Tuple[Tuple[int, ...], dict]:
+        """(keys, cosets) for the parabolic subgroup P on the generators in
         `mask`, with elements u_0 = e, u_1, ... listed shortest first:
-        keys[j] is the grid key of L(u_j), and u_j = s u_i for
-        (i, s) = steps[j - 1].  Memoised per mask."""
-        hit = self._walks.get(mask)
+        keys[j] is the grid key of L(u_j), and for z the longest element of
+        its coset Pz, cosets[z] lists the u_j z.  Memoised per mask; only
+        rows read (`KLTable._row`) need the lists, through `double_coset`."""
+        hit = self._cosets.get(mask)
         if hit is None:
-            group, weight_keys = self.group, self.weight_keys
-            elems, keys, steps = [group.identity], [0], []
+            group, weight_keys, lmul = self.group, self.weight_keys, self.group._lmul
+            elems, keys, steps = [group.identity], [0], []  # u_j = s u_i, (i, s) = steps[j-1]
             seen = {group.identity}
             for i, u in enumerate(elems):  # grows while it is read
                 for s in range(group.rank):
-                    su = group.lmul_gen(s, u)
+                    su = lmul[s][u]
                     if mask >> s & 1 and su > u and su not in seen:
                         seen.add(su)
                         elems.append(su)
                         keys.append(keys[i] + weight_keys[s])
                         steps.append((i, s))
-            hit = self._walks[mask] = (tuple(keys), steps)
-        return hit
-
-    def parabolic_cosets(self, mask: int) -> Tuple[Tuple[int, ...], dict]:
-        """(keys, cosets): the keys of `parabolic_walk`, and for z the
-        longest element of its coset Pz, cosets[z] lists the u_j z.
-        Memoised per mask; only rows read (`KLTable._row`) need the lists,
-        through `double_coset`."""
-        hit = self._cosets.get(mask)
-        if hit is None:
-            lmul, masks = self.group._lmul, self.descent_masks
-            keys, steps = self.parabolic_walk(mask)
             cosets = {}
-            for z, m in enumerate(masks):
+            for z, m in enumerate(self.descent_masks):
                 if m & mask == mask:
                     coset = [z]  # coset[j] = u_j z, walking down from z
                     for i, s in steps:
                         coset.append(lmul[s][coset[i]])
                     cosets[z] = coset
-            hit = self._cosets[mask] = (keys, cosets)
+            hit = self._cosets[mask] = (tuple(keys), cosets)
         return hit
 
     def double_coset(self, left: int, right: int, z: int) -> Tuple[List[int], Tuple[int, ...]]:
@@ -425,8 +397,8 @@ class HeckeAlgebra:
         hit = self._double.get((left, right, z))
         if hit is None:
             inv = self.group._inv
-            lkeys, lcosets = self.parabolic_cosets(left)
-            rkeys, rcosets = self.parabolic_cosets(right)
+            lkeys, lcosets = self._coset_lists(left)
+            rkeys, rcosets = self._coset_lists(right)
             ys, keys = [], []
             for x, kr in zip(rcosets[inv[z]], rkeys):  # x = u z^-1, x^-1 = z u^-1 in z P_J
                 coset = lcosets.get(inv[x])  # P_I x^-1, if x^-1 is the longest in it
@@ -1048,7 +1020,7 @@ def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
     pk = _Packing(algebra, bits)
     group, positive = algebra.group, algebra.positive
     n = len(group)
-    left = [[group.lmul_gen(s, y) for y in range(n)] for s in range(group.rank)]
+    left = group._lmul
     c_exp: List[Packed] = [{group.identity: pk.one}] + [None] * (n - 1)
     digits = [1] * n  # bound on every digit of C_w's coefficients
     reach = [pk.zero_reach] * n  # bound on |x_i| over their exponents

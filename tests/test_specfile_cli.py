@@ -9,9 +9,12 @@ import stat
 import subprocess
 import sys
 import types
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import klcells
 from api_helpers import fresh_python, orbit_representatives
@@ -641,7 +644,7 @@ def test_warm_cells_derives_no_row(tmp_path, capsys, monkeypatch, weights):
     monkeypatch.setattr("klcells.cli.kl_basis", fail)  # the warm runs are cache hits
     with monkeypatch.context() as patch:
         patch.setattr(KLTable, "_row", fail)
-        patch.setattr(HeckeAlgebra, "parabolic_cosets", fail)
+        patch.setattr(HeckeAlgebra, "_coset_lists", fail)
         assert run_cli(capsys, "cells", spec, "--cache-dir", cache) == (0, expected["cells"], "")
     assert run_cli(capsys, "klbasis", spec, "--cache-dir", cache) == (0, expected["klbasis"], "")
 
@@ -980,7 +983,7 @@ def test_equal_parameter_cache_holds_no_product(tmp_path, capsys, monkeypatch):
     inode = path.stat().st_ino
     monkeypatch.setattr("klcells.cli.kl_basis", fail)
     monkeypatch.setattr(KLTable, "_row", fail)
-    monkeypatch.setattr(HeckeAlgebra, "parabolic_cosets", fail)
+    monkeypatch.setattr(HeckeAlgebra, "_coset_lists", fail)
     assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache)) == (0, cold, "")
     assert path.stat().st_ino == inode
 
@@ -996,6 +999,157 @@ def test_unusable_cache_dir_is_a_miss(tmp_path, capsys):
     assert out == cold
     [line] = err.splitlines()
     assert line.startswith("warning: ")
+
+
+D4 = "group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n"
+
+
+def run_main(*argv):
+    """(status, stdout, stderr) of main(argv), run in process; for
+    hypothesis tests, which take no function-scoped capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module", params=["d4", "b3"])
+def warm_cells(request, tmp_path_factory):
+    """(argv, path, good, cold) for `cells` on D4 or B3 with L = (1,1,3/2)
+    through a KL cache: the command, the cache file, its bytes, and the
+    --no-cache output."""
+    tmp = tmp_path_factory.mktemp(request.param)
+    spec = write(tmp / "spec", {"d4": D4, "b3": B3_RATIONAL}[request.param])
+    code, cold, _ = run_main("cells", spec, "--no-cache")
+    assert code == 0
+    argv = ("cells", spec, "--cache-dir", str(tmp / "cache"))
+    assert run_main(*argv) == (0, cold, "")
+    [path] = (tmp / "cache").iterdir()
+    return argv, path, path.read_text(encoding="utf-8"), cold
+
+
+def json_slots(obj):
+    """(dict, key) for every entry of every dict in the JSON value `obj`."""
+    out = []
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            out.append((obj, key))
+            out += json_slots(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            out += json_slots(value)
+    return out
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_unsigned_cache_edit_is_a_silent_miss(warm_cells, data):
+    """A KL cache file with a byte flipped, cut short, or with one key or
+    value of its document changed, and its digest not recomputed, is a
+    miss: `cells` prints the --no-cache bytes with exit 0 and nothing on
+    stderr, and writes the file anew."""
+    argv, path, good, cold = warm_cells
+    raw = good.encode()
+    kind = data.draw(st.sampled_from(["flip", "truncate", "key", "value"]))
+    if kind == "flip":
+        i = data.draw(st.integers(0, len(raw) - 1))
+        edited = raw[:i] + bytes([raw[i] ^ data.draw(st.integers(1, 255))]) + raw[i + 1:]
+    elif kind == "truncate":
+        edited = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        doc = json.loads(good)
+        parent, key = data.draw(st.sampled_from(json_slots(doc)))
+        if kind == "key":
+            new = data.draw(st.one_of(st.sampled_from(sorted(parent)), st.text(max_size=3)))
+            assume(new not in parent)
+            parent[new] = parent.pop(key)
+        else:
+            new = data.draw(st.one_of(st.sampled_from([v for d, k in json_slots(doc)
+                                                       for v in [d[k]] if not isinstance(v, dict)]),
+                                      st.sampled_from([None, 0, "", {}, []])))
+            assume(new != parent[key])
+            parent[key] = new
+        edited = json.dumps(doc).encode()
+    path.write_bytes(edited)
+    assert run_main(*argv) == (0, cold, "")
+    assert path.read_text(encoding="utf-8") == good
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_resigned_cache_edit_never_exits_2(warm_cells, data):
+    """A KL cache file with one stored coefficient or correction swapped
+    for another text of the file, a digit of it doubled, or it dropped,
+    and the digest recomputed, may print other cells (the loader does not
+    promise to catch it), but `cells` exits 0.  Where a cell character
+    does not decompose, the table is recomputed: one warning line, the
+    --no-cache bytes and the file written anew."""
+    argv, path, good, cold = warm_cells
+    doc = json.loads(good)
+    slots = [(row, y) for section in ("c_basis", "cs_products")
+             for row in doc[section].values() for y in row]
+    row, y = data.draw(st.sampled_from(slots))
+    kind = data.draw(st.sampled_from(["swap", "digit", "drop"]))
+    if kind == "swap":
+        row[y] = data.draw(st.sampled_from(sorted({r[k] for r, k in slots})))
+    elif kind == "digit":
+        i = data.draw(st.sampled_from([i for i, ch in enumerate(row[y]) if ch.isdigit()]))
+        row[y] = row[y][:i] + row[y][i] + row[y][i:]
+    else:
+        del row[y]
+    path.write_text(resign(doc), encoding="utf-8")
+    code, out, err = run_main(*argv)
+    assert code == 0
+    if err:
+        [line] = err.splitlines()
+        assert line.startswith("warning: ")
+        assert out == cold and path.read_text(encoding="utf-8") == good
+
+
+def test_cache_whose_cell_character_does_not_decompose_is_recomputed(tmp_path, capsys):
+    """A re-signed D4 cache with p_(y,w) = v^-1 in place of v^-2 at
+    w = s t u v t (index 58), y = s u t (index 17), passes every check of the
+    loader, but a cell character built from it does not decompose: `cells`
+    warns once, recomputes and replaces the file, and prints the
+    --no-cache bytes with exit 0."""
+    spec = write(tmp_path / "d4.spec", D4)
+    code, cold, _ = run_cli(capsys, "cells", spec, "--no-cache")
+    assert code == 0
+    cache = tmp_path / "cache"
+    assert run_cli(capsys, "cells", spec, "--cache-dir", str(cache)) == (0, cold, "")
+    [path] = cache.iterdir()
+    good = path.read_text(encoding="utf-8")
+    doc = json.loads(good)
+    assert doc["c_basis"]["58"]["17"] == "1*v^(-2)"
+    doc["c_basis"]["58"]["17"] = "1*v^(-1)"
+    path.write_text(resign(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", str(cache))
+    assert (code, out) == (0, cold)
+    [line] = err.splitlines()
+    assert line.startswith(f"warning: KL cache {str(path)!r} recomputed: cell [")
+    assert path.read_text(encoding="utf-8") == good
+
+
+def test_fresh_table_whose_cell_character_does_not_decompose_exits_2(tmp_path, capsys,
+                                                                     monkeypatch):
+    """Only a loaded table is recomputed: a table computed on a cache miss,
+    or recomputed after a loaded one failed, that gives a cell character
+    that does not decompose is a fault of the program (exit 2)."""
+    spec = write(tmp_path / "a1.spec", "group A 1\nL s = 1\n")
+    cache = str(tmp_path / "cache")
+    assert run_cli(capsys, "cells", spec, "--cache-dir", cache)[0] == 0
+
+    def broken(*args):
+        raise NonIntegerMultiplicity("cell [0] decomposes with non-integer multiplicities")
+
+    monkeypatch.setattr("klcells.cli.cells_report", broken)
+    code, out, err = run_cli(capsys, "cells", spec, "--cache-dir", cache)
+    warning, violation = err.splitlines()
+    assert (code, out) == (2, "") and warning.startswith("warning: KL cache ")
+    assert violation == "internal invariant violation: cell [0] decomposes with non-integer multiplicities"
+    shutil.rmtree(cache)
+    assert run_cli(capsys, "cells", spec, "--cache-dir", cache) == (
+        2, "", "internal invariant violation: cell [0] decomposes with non-integer multiplicities\n")
 
 
 def test_import_loads_no_dataclasses():
