@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclotomic, CyclotomicField
 
@@ -437,26 +437,47 @@ def decompose(f: Sequence[Cyclotomic], table: CharacterTable
     """Multiplicity vector of f against the irreducible rows, plus a flag
     telling whether every entry is a nonnegative rational integer.
 
-    A rational-valued f (every cell character) is decomposed in integers
-    against the cached dual table; any other f goes through inner_product."""
+    A rational-valued f is decomposed in integers against the cached dual
+    table; any other f goes through inner_product."""
     if all(v.is_rational() for v in f):
         e = lcm(*(v.den for v in f))
-        ints = [v.num[0] * (e // v.den) for v in f]
-        scale, dual = table.dual
-        den = scale * e
-        deg = table.field.degree
-        coeffs = []
-        for drow in dual:
-            acc = [0] * deg
-            for a, dv in zip(ints, drow):
-                if a:
-                    for j, c in dv:
-                        acc[j] += a * c
-            coeffs.append(table.field.from_numerators(acc, den))
+        scale = table.dual[0]
+        coeffs = [table.field.from_numerators(acc, scale * e) for acc in
+                  _dual_numerators([v.num[0] * (e // v.den) for v in f], table)]
     else:
         coeffs = [inner_product(f, row, table) for row in table.rows]
     ok = all(c.den == 1 and c.num[0] >= 0 and c.is_rational() for c in coeffs)
     return coeffs, ok
+
+
+def _dual_numerators(ints: Sequence[int], table: CharacterTable) -> List[List[int]]:
+    """Per irreducible row r, the power-basis numerators of
+    sum_l ints[l] * dual[r][l], i.e. of scale * <ints, chi_r>."""
+    deg = table.field.degree
+    out = []
+    for drow in table.dual[1]:
+        acc = [0] * deg
+        for a, dv in zip(ints, drow):
+            if a:
+                for j, c in dv:
+                    acc[j] += a * c
+        out.append(acc)
+    return out
+
+
+def integer_multiplicities(values: Sequence[int], table: CharacterTable
+                           ) -> Optional[List[int]]:
+    """The multiplicities of the integer class function `values` (every
+    cell character) against the irreducible rows, or None unless every one
+    is a nonnegative integer: `decompose` without leaving the ints."""
+    scale = table.dual[0]
+    out = []
+    for acc in _dual_numerators(values, table):
+        m, r = divmod(acc[0], scale)
+        if r or m < 0 or any(acc[1:]):
+            return None
+        out.append(m)
+    return out
 
 
 def verify_orthogonality(table: CharacterTable) -> bool:

@@ -286,9 +286,6 @@ class CoxeterGroup:
             w = self._rmul[w][g]
         return w
 
-    def rmul_gen(self, w: int, g: int) -> int:
-        return self._rmul[w][g]
-
     def lmul_gen(self, g: int, w: int) -> int:
         return self._lmul[g][w]
 

@@ -71,7 +71,7 @@ def orbit_representatives(W: CoxeterGroup, weights: WeightFunction) -> List[int]
 
 
 def right_descents(W: CoxeterGroup, w: int) -> List[int]:
-    return [g for g in range(W.rank) if W.length(W.rmul_gen(w, g)) < W.length(w)]
+    return [g for g in range(W.rank) if W.length(W.mul(w, W.generator(g))) < W.length(w)]
 
 
 def descents(W: CoxeterGroup, w: int, side: str = "left") -> List[int]:

@@ -77,7 +77,7 @@ def mul_ts_right(algebra: HeckeAlgebra, h: HeckeCoeffs, s: int) -> HeckeCoeffs:
     x = xi(algebra, s)
     out: HeckeCoeffs = {}
     for w, c in h.items():
-        ws = group.rmul_gen(w, s)
+        ws = group.mul(w, group.generator(s))
         out[ws] = out[ws] + c if ws in out else c
         if x and group.length(ws) < group.length(w):
             out[w] = out[w] + x * c if w in out else x * c

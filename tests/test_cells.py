@@ -7,7 +7,8 @@ from api_helpers import longest_element, right_descents
 from cells_reference import (column_norm, specialized_generator_action,
                              word_matrix)
 from rs_oracle import rs_left_cell_partition
-from klcells.cells import (CellPartition, cells,
+import klcells.cells
+from klcells.cells import (CellPartition, PreorderGraph, cells,
                            cells_report, check_refinement,
                            left_cell_character, left_preorder)
 from klcells.characters import character_table
@@ -125,6 +126,22 @@ def test_right_cells_are_inverted_left_cells():
     assert right.as_sets() == inverted
 
 
+@pytest.mark.parametrize("kind,n,weights", [
+    ("A", 4, [1, 1, 1, 1]), ("B", 3, [1, 1, 2]), ("D", 4, [1, 1, 1, 1])])
+def test_right_cells_match_a_search_of_the_inverted_graph(kind, n, weights):
+    """The right cells, relabelled from the left ones, are the left cells
+    of the inverted graph found by their own search: the same blocks,
+    block of each element and Hasse diagram.  On these groups the
+    relabelling moves block indices."""
+    W, table, graph = pipeline(kind, n, weights)
+    inverted = PreorderGraph(graph.size, [set() for _ in range(graph.size)])
+    for w, ys in enumerate(graph.succ):
+        inverted.succ[W.inv(w)].update(W.inv(y) for y in ys)
+    right, direct = cells(graph, "right", W), cells(inverted, "left", W)
+    assert (right.blocks, right.block_of, right.hasse) == (
+        direct.blocks, direct.block_of, direct.hasse)
+
+
 def test_f4_equal_parameter_cells(tmp_path, capsys):
     """`klcells cells` on F4 with L = 1 gives the known 72 left cells and
     11 two-sided cells, one for each of Lusztig's 11 families (Characters
@@ -215,8 +232,9 @@ def test_cell_characters_match_dense_products(kind, n, weights):
     """On every left cell and class, the packed-row character equals the
     trace of the dense product of generator matrices, and every entry of
     that product lies within the product of the generators' row norms
-    (of the rows the packed code holds), the bound its digit width needs.
-    The identity class, with bound 1 and diagonal 1, is read at width 2."""
+    (of the rows the packed code holds).  The packed products share one
+    digit width per cell, 1 + bit_length of the largest of these bounds
+    over the words, so every entry of every word's product fits it."""
     W = build_group(named_coxeter_matrix(kind, n))
     table = kl_basis(HeckeAlgebra(W, weights))
     chars = character_table(W)
@@ -224,7 +242,7 @@ def test_cell_characters_match_dense_products(kind, n, weights):
     for block in cells(left_preorder(table), "left", W).blocks:
         mats = specialized_generator_action(table, block)
         norms = [column_norm(mat) for mat in mats]
-        values = []
+        values, bounds, largest = [], [], 0
         for word in words:
             rho = word_matrix(mats, word)
             bound = 1
@@ -232,6 +250,10 @@ def test_cell_characters_match_dense_products(kind, n, weights):
                 bound *= norms[g]
             assert all(abs(x) <= bound for row in rho for x in row), (block, word)
             values.append(sum(rho[i][i] for i in range(len(block))))
+            bounds.append(bound)
+            largest = max(largest, *(abs(x) for row in rho for x in row))
+        # A base-2^B digit holds -2^(B-1) .. 2^(B-1) - 1, B the shared width.
+        assert largest < 1 << max(bounds).bit_length(), block
         assert left_cell_character(table, block, chars).values == values, block
 
 
@@ -255,3 +277,76 @@ def test_cells_report_shape():
     assert n_elements == len(W)
     for entry in doc["cell_characters"]:
         assert all(m >= 0 for m in entry["multiplicities"])
+
+
+F4 = "group matrix\n4\n3 2 2\n4 2\n3\n"
+REUSE_SPECS = {
+    "B3 lex": ("group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n", 20, 7),
+    "B3 (0,0,1)": ("group B 3\nL s = 0\nL t = 0\nL u = 1\n", 8, 4),
+    "B4 (1,1,1,2)": ("group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 2\n", 58, 13),
+    "D4": ("group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n", 36, 5),
+    "H3": ("group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n", 22, 8),
+    "A5": ("group A 5\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\n", 76, 6),
+    "F4": (F4 + "L s = 1\nL t = 1\nL u = 1\nL v = 1\n", 72, 10),
+}
+
+
+@pytest.fixture(scope="module")
+def reuse_tables():
+    """name -> (table, character table) for REUSE_SPECS, built once."""
+    out = {}
+    for name, (text, _, _) in REUSE_SPECS.items():
+        spec = parse_spec(text)
+        W = build_group(spec.matrix, gen_names=spec.gen_names)
+        out[name] = (kl_basis(HeckeAlgebra(W, spec.weights)), character_table(W))
+    return out
+
+
+def report_counting_direct(table, chars, monkeypatch):
+    """cells_report and the number of characters it computed directly."""
+    calls = []
+    direct = klcells.cells.left_cell_character
+
+    def counted(*args):
+        calls.append(args[1])
+        return direct(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(klcells.cells, "left_cell_character", counted)
+        doc = cells_report(table, chars)
+    return doc, len(calls)
+
+
+@pytest.mark.parametrize("name", ["B3 lex", "B4 (1,1,1,2)", "D4", "A5", "F4"])
+def test_reused_characters_match_direct_computation(name, reuse_tables, monkeypatch):
+    """Every left cell's values and multiplicities in `cells_report`, most
+    of them reused from another cell along a star operation, a diagram
+    automorphism or w -> w w0, equal those `left_cell_character` computes
+    for that cell alone.  D4 (triality) and F4 (the flip) reuse along
+    diagram automorphisms that move classes, so their values are permuted,
+    and every group along w -> w w0, whose values are read at the inverse
+    classes with the sign of each class."""
+    table, chars = reuse_tables[name]
+    W = table.group
+    doc, direct = report_counting_direct(table, chars, monkeypatch)
+    blocks = cells(left_preorder(table), "left", W).blocks
+    assert direct < len(blocks) == len(doc["cell_characters"])
+    reps = W.conjugacy_classes().representatives
+    for block, entry in zip(blocks, doc["cell_characters"]):
+        cc = left_cell_character(table, block, chars)
+        assert entry["values"] == {W.name(r): v for r, v in zip(reps, cc.values)}, block
+        assert entry["multiplicities"] == cc.multiplicities, block
+
+
+@pytest.mark.parametrize("name", list(REUSE_SPECS))
+def test_characters_computed_directly(name, reuse_tables, monkeypatch):
+    """How many left cells `cells_report` computes a character for: one per
+    orbit of the left cells under the star operations, the diagram
+    automorphisms and w -> w w0, so a map whose rows never match, and
+    falls back to the direct computation, changes the count.  B3 (0,0,1)
+    has no star operation (L(s) = L(t) = 0) and no diagram automorphism:
+    its 8 cells pair up under w -> w w0 alone."""
+    _, cells_expected, direct_expected = REUSE_SPECS[name]
+    table, chars = reuse_tables[name]
+    doc, direct = report_counting_direct(table, chars, monkeypatch)
+    assert (len(doc["left_cells"]["blocks"]), direct) == (cells_expected, direct_expected)

@@ -12,7 +12,8 @@ from mn_oracle import coxeter_class_cycle_types, symmetric_group_table
 import klcells.characters as characters
 from klcells.characters import (CharacterTable, _charpoly_mod,
                                 _poly_roots_mod, character_table, decompose,
-                                dixon_prime, inner_product, verify_orthogonality)
+                                dixon_prime, inner_product, integer_multiplicities,
+                                verify_orthogonality)
 from klcells.coxeter import CoxeterMatrix, build_group, named_coxeter_matrix
 from klcells.specfile import parse_spec
 from test_klbasis_golden import SPECS_BY_COMMAND
@@ -310,6 +311,43 @@ def test_virtual_characters_decompose_to_their_coefficients(name, data):
     coeffs, ok = decompose(f, table)
     assert coeffs == [table.field.from_fraction(m) for m in n]
     assert ok == all(m >= 0 for m in n)
+
+
+def test_integer_multiplicities_of_a2():
+    """The regular character of A2 decomposes to the degrees.  One more at
+    the identity leaves a remainder, and the trivial character taken from
+    the regular one a negative multiplicity: neither decomposes."""
+    W = build_group(named_coxeter_matrix("A", 2))
+    table = character_table(W)
+    regular = [int(v.to_fraction()) for v in regular_character(table)]
+    assert integer_multiplicities(regular, table) == table.degrees == [1, 1, 2]
+    trivial = [int(v.to_fraction()) for v in trivial_character(table)]
+    assert integer_multiplicities([a - b for a, b in zip(regular, trivial)], table) == [0, 1, 2]
+    assert integer_multiplicities([b - a for a, b in zip(regular, trivial)], table) is None
+    regular[table.classes.class_of[W.identity]] += 1
+    assert integer_multiplicities(regular, table) is None
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(sorted(DECOMPOSE_GROUPS)), st.data())
+def test_integer_multiplicities_match_decompose(name, data):
+    """On integer class functions, integer_multiplicities gives the
+    multiplicities of `decompose` as ints when they are all nonnegative
+    integers, and None otherwise.  The functions are integer combinations
+    of the integer-valued rows, some with a negative coefficient, and half
+    of them with one class value moved by one, so that every outcome
+    (integers, a negative one, a remainder) occurs on every table."""
+    table = decompose_table(name)
+    k = len(table.classes.blocks)
+    rows = [[int(v.to_fraction()) for v in row] for row in table.rows
+            if all(v.is_rational() for v in row)]
+    n = data.draw(st.lists(st.integers(-1, 3), min_size=len(rows), max_size=len(rows)))
+    values = [sum(m * row[l] for m, row in zip(n, rows)) for l in range(k)]
+    if data.draw(st.booleans()):
+        values[data.draw(st.integers(0, k - 1))] += 1
+    coeffs, ok = decompose([table.field.from_fraction(v) for v in values], table)
+    expected = [int(c.to_fraction()) for c in coeffs] if ok else None
+    assert integer_multiplicities(values, table) == expected
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSE_GROUPS))

@@ -528,7 +528,7 @@ def test_symmetry_search():
             for w in range(len(W)):
                 assert W.length(g[w]) == W.length(w)
                 for s in range(W.rank):
-                    assert g[W.rmul_gen(w, s)] == W.rmul_gen(g[w], pi[s])
+                    assert g[W.mul(w, W.generator(s))] == W.mul(g[w], W.generator(pi[s]))
     assert len(diagram_automorphisms(a2_power(8), WeightFunction.rational([1] * 16))) == 8
     assert diagram_automorphisms(named_coxeter_matrix("A", 15), WeightFunction.rational(
         [1] * 15)) == [tuple(range(14, -1, -1))]

@@ -118,7 +118,7 @@ def stored_part(alg, rows):
         right = [s for s in W.left_descents(W.inv(w)) if alg.weights[s].sign() > 0]
         out[str(w)] = {str(y): c.render() for y, c in rows[w].items()
                        if y != w and all(W.lmul_gen(s, y) < y for s in left)
-                       and all(W.rmul_gen(y, s) < y for s in right)}
+                       and all(W.mul(y, W.generator(s)) < y for s in right)}
     return out
 
 

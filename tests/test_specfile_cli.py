@@ -885,7 +885,7 @@ def extremal_part(table, w):
     right = [s for s in W.left_descents(W.inv(w)) if positive[s]]
     return {str(y): c.render() for y, c in table.c_expansion(w).items()
             if y != w and all(W.lmul_gen(s, y) < y for s in left)
-            and all(W.rmul_gen(y, s) < y for s in right)}
+            and all(W.mul(y, W.generator(s)) < y for s in right)}
 
 
 def cache_text(doc):
