@@ -141,7 +141,7 @@ class CellPartition:
 
 
 def _canonical_blocks(comps: List[List[int]], size: int):
-    blocks = sorted((sorted(c) for c in comps), key=lambda b: b[0])
+    blocks = sorted(comps, key=lambda b: b[0])  # each already sorted by _tarjan_scc
     block_of = [0] * size
     for i, b in enumerate(blocks):
         for w in b:
@@ -383,18 +383,6 @@ def _left_cell_characters(table: KLTable, left: CellPartition,
     return found
 
 
-def check_refinement(left: CellPartition, two_sided: CellPartition
-                     ) -> Optional[Tuple[List[int], List[int], List[int]]]:
-    """None if every left block sits inside one two-sided block, else the
-    violating (left block, first two-sided block, second two-sided block)."""
-    for block in left.blocks:
-        targets = {two_sided.block_of[w] for w in block}
-        if len(targets) > 1:
-            ids = sorted(targets)
-            return (block, two_sided.blocks[ids[0]], two_sided.blocks[ids[1]])
-    return None
-
-
 def cells_report(table: KLTable, chars: CharacterTable) -> dict:
     """JSON-ready summary: blocks, block order, characters, multiplicities."""
     group = table.group
@@ -402,9 +390,6 @@ def cells_report(table: KLTable, chars: CharacterTable) -> dict:
     left = cells(graph, "left", group)
     right = _inverted(left, group)
     two_sided = cells(graph, "two-sided", group)
-    violation = check_refinement(left, two_sided)
-    if violation is not None:
-        raise AssertionError(f"left cells do not refine two-sided cells: {violation}")
     names = [group.name(w) for w in range(len(group))]
 
     def blocks_json(p: CellPartition) -> dict:

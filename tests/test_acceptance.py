@@ -159,9 +159,11 @@ def test_criterion_7_b2_regimes(tmp_path):
         for a, b in points:
             rep = b2_regime_report(a, b)
             assert rep["regime"] == regime
-            # cells_report already asserts refinement; double-check cheaply
             blocks = rep["left_cells"]["blocks"]
             assert sum(len(b) for b in blocks) == 8
+            # Every left cell lies inside one two-sided cell.
+            two_sided = [set(b) for b in rep["two_sided_cells"]["blocks"]]
+            assert all(any(set(b) <= t for t in two_sided) for b in blocks)
             for entry in rep["cell_characters"]:
                 assert all(m >= 0 for m in entry["multiplicities"])
             partitions_by_regime.setdefault(regime, set()).add(

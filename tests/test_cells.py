@@ -8,8 +8,7 @@ from cells_reference import (column_norm, specialized_generator_action,
                              word_matrix)
 from rs_oracle import rs_left_cell_partition
 import klcells.cells
-from klcells.cells import (CellPartition, PreorderGraph, cells,
-                           cells_report, check_refinement,
+from klcells.cells import (PreorderGraph, cells, cells_report,
                            left_cell_character, left_preorder)
 from klcells.characters import character_table
 from klcells.coxeter import WeightFunction, build_group, named_coxeter_matrix
@@ -49,7 +48,7 @@ def test_zero_weights_single_cell():
         left = cells(graph, "left", W)
         assert len(left.blocks) == 1
         two = cells(graph, "two-sided", W)
-        assert check_refinement(left, two) is None
+        assert all(len({two.block_of[w] for w in b}) == 1 for b in left.blocks)
 
 
 def test_dihedral_cells_from_descent_sets():
@@ -169,16 +168,7 @@ def test_left_refines_two_sided():
         W, table, graph = pipeline(kind, n, weights)
         left = cells(graph, "left", W)
         two = cells(graph, "two-sided", W)
-        assert check_refinement(left, two) is None
-
-
-def test_refinement_violation_detected():
-    # Corrupt partitions on purpose: {e,s} left inside split two-sided blocks.
-    left = CellPartition([[0, 1], [2]], [0, 0, 1], [])
-    two = CellPartition([[0], [1], [2]], [0, 1, 2], [])
-    violation = check_refinement(left, two)
-    assert violation is not None
-    assert violation[0] == [0, 1]
+        assert all(len({two.block_of[w] for w in b}) == 1 for b in left.blocks)
 
 
 def test_a2_cell_characters():

@@ -90,3 +90,43 @@ def test_benchmark_reads_the_kl_cache(tmp_path, capsys):
         for op in ("mul", "add", "split_bar", "parse", "render"):
             assert metrics[f"ordered_coeffs.{op}_ns.rational"] > 0
             assert metrics[f"ordered_coeffs.{op}_ns.rational.ops"] > 0
+
+
+def test_traced_runs_record_the_gated_spans(tmp_path):
+    """The spans and counters that CI's traced benchmark gate requires to
+    be nonzero (its table of workload -> metrics; the two lists must
+    match) are recorded: a warm `cells` run times the cache load and the
+    cell characters and counts the left cells, and `verify_orthogonality`
+    times the decomposition.  The tracer patches klcells globally, so it
+    runs in a fresh interpreter."""
+    spec = tmp_path / "b3.spec"
+    spec.write_text("group B 3\nL s = 1\nL t = 1\nL u = 3/2\n", encoding="utf-8")
+    code = f"""
+import importlib.util, json
+import klcells.characters, klcells.cli, klcells.coxeter
+spec = importlib.util.spec_from_file_location("tracing", {str(PERFBENCH / "tracing.py")!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer("contract")
+tracing.install(tracer)
+phases = {{}}
+def phase(name, run):
+    start, counters = len(tracer.spans), dict(tracer.counters)
+    run()
+    phases[name] = {{"spans": sorted({{s[0] for s in tracer.spans[start:]}}),
+                     "counters": {{k: n - counters.get(k, 0) for k, n in tracer.counters.items()}}}}
+argv = ["cells", {str(spec)!r}, "--cache-dir", {str(tmp_path / "cache")!r},
+        "--output", {str(tmp_path / "cells.json")!r}]
+klcells.cli.main(argv)  # cold: fills the cache
+phase("warm", lambda: klcells.cli.main(argv))
+phase("orthogonality", lambda: klcells.characters.verify_orthogonality(
+    klcells.characters.character_table(
+        klcells.coxeter.build_group(klcells.coxeter.named_coxeter_matrix("D", 4)))))
+print(json.dumps(phases))
+"""
+    phases = json.loads(fresh_python(code))
+    warm = phases["warm"]
+    assert {"hecke.from_json_dict", "cells.cell_character"} <= set(warm["spans"])
+    assert warm["counters"].get("cells.left_cells", 0) > 0
+    assert "hecke.kl_basis" not in warm["spans"]  # a cache hit
+    assert "characters.decompose" in phases["orthogonality"]["spans"]

@@ -26,12 +26,12 @@ two-sided cell counts.
 The runs alternate between the trees, and so does the order within each
 run, so that drift of the machine falls on every tree alike.  For each
 TREE the script writes BENCH_<rev>.json into DIR (default: the directory
-holding tools/), with every sample and the median of each figure.  <rev>
-is the tree's short git HEAD, followed by "+" and the first 8 hex digits
-of `src_sha256` (a digest of src/klcells/*.py) when src/ differs from
-HEAD.  On a 2-core Xeon (CPython 3.11) the default rungs take about 11 s
-a run and 80 MB at most; --slow adds B5 and A6, about 85 s more, and B5
-peaks at 0.42 GB.
+holding tools/; made if missing), with every sample and the median of
+each figure.  <rev> is the tree's short git HEAD, followed by "+" and the
+first 8 hex digits of `src_sha256` (a digest of src/klcells/*.py) when
+src/ differs from HEAD.  On a 2-core Xeon (CPython 3.11) the default rungs
+take about 11 s a run and 80 MB at most; --slow adds B5 and A6, about
+85 s more, and B5 peaks at 0.42 GB.
 """
 
 from __future__ import annotations
@@ -190,6 +190,7 @@ def main(argv: List[str]) -> int:
             trees.append(os.path.abspath(arg))
     trees = trees or [os.path.dirname(HERE)]
     rungs = [*RUNGS, *(SLOW_RUNGS if slow else ())]
+    os.makedirs(out_dir, exist_ok=True)
     for tree in trees:  # fill the bytecode cache before anything is timed
         subprocess.run([sys.executable, "-c", "import klcells.cli"], check=True,
                        env=dict(os.environ, PYTHONPATH=os.path.join(tree, "src")))
