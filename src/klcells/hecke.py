@@ -31,27 +31,23 @@ u = sw, falls into one of four cases:
 * L(s) = 0: T_s^2 = 1, so C_w = T_s C_u with no cancellation.
 
 Inside the construction a coefficient sum_e c_e v^e is one Python int,
-X = sum_e c_e 2^(B (slot(e) + R)) (Kronecker substitution; `_Packing`
-has the slot map).  Sums are int + and -, v^(+-L(s)) is a shift, the
-zero test is X == 0, and m_y is the rounded high part of X.  Each row
-carries a bound on its digits and on its exponents, checked before every
-read of a digit; a table whose bound would pass B bits is rebuilt with
-the next width of _SLOT_WIDTHS, and past the last one SlotOverflow is
-raised, so a digit never wraps.  An exponent that could leave the slot
-box raises BoxOverflow, which no width mends.  A row's exponent bound is
-the one its construction step carried out of the cancellation: C_w is a
-sum of the terms of C_s C_u and of the m_y C_y, and `_cancel` bounds and
-checks the exponents of each before it adds them, so the bound may be
-looser than the exact one but never tighter.  On every input checked
-(A4, A5, D4, D5, H3, B3, B4, B5, F4, I2(m) and A1^4, with equal, zero,
-integer, rational and lex weights) it was L(w), per coordinate, at every
-step.  When the construction ends, the part of the table that the KL
-cache stores (below) is decoded to LaurentElt once, and no packed int
-leaves it.  A packed int spans the whole slot box, a product over the
-exponent coordinates, so past _MAX_SLOTS slots (lex weights on many
-coordinates, or rational weights of a very large ratio) the table is
-built term by term as LaurentElt instead, with the same cancellation
-(`_construct_terms`).
+X = sum_e c_e 2^(B (slot(e) + R)) (Kronecker substitution, B = _BITS;
+`_Packing` has the slot map).  Sums are int + and -, v^(+-L(s)) is a
+shift, the zero test is X == 0, and m_y is the rounded high part of X.
+Each row carries a bound on its digits and on its exponents, checked
+before every read of a digit, so a digit never wraps.  A row's exponent
+bound is the one its construction step carried out of the cancellation:
+C_w is a sum of the terms of C_s C_u and of the m_y C_y, and `_cancel`
+bounds and checks the exponents of each before it adds them, so the
+bound may be looser than the exact one but never tighter.  On every
+input checked (A4, A5, D4, D5, H3, B3, B4, B5, F4, I2(m) and A1^4, with
+equal, zero, integer, rational and lex weights) it was L(w), per
+coordinate, at every step.  When the construction ends, the part of the
+table that the KL cache stores (below) is decoded to LaurentElt once,
+and no packed int leaves it.  A table that does not pack (a slot box of
+more than _MAX_SLOTS slots, or a digit or exponent bound its slots do
+not hold) is built term by term as LaurentElt instead, with the same
+cancellation (`_construct_terms`).
 
 The corrections are all the construction needs to know about the C_s C_w
 table; `KLTable.cs_product_in_c` derives every entry from them:
@@ -173,29 +169,24 @@ Packed = Dict[int, int]  # element -> packed coefficient (`_Packing`)
 
 CACHE_FORMAT = 7
 
-# Slot widths B in bits, tried in order: a table is built with the first
-# one that its checked digit bound fits.
-_SLOT_WIDTHS = (16, 32, 64)
+# The slot width B in bits.  The largest checked digit bound measured is
+# 1888, on B5 with L = (1,1,1,1,2), against the limit 2^(B-2) = 16 384.
+_BITS = 16
 
-# `kl_basis` builds a table whose slot box has more slots than this in the
-# dict ring (`_construct_terms`).  A packed coefficient is about
-# B x (number of slots) bits, and in lex mode the box is a product over
-# the coordinates.  On a 2-core Xeon with CPython 3.11,
-# A1^7 with L = e_1, ..., e_7 (78 125 slots) took 1.1 s and 176 MB packed
-# against 0.03 s and 22 MB in the dict ring, and A1^8 would take
-# gigabytes; F4 with L = (e_1, e_1, e_2, e_2) (729 slots) took 5 s packed
-# against 11 s, but 306 MB against 176 MB.
+# `_Packing` refuses a slot box of more slots than this.  A packed
+# coefficient is about B x (number of slots) bits, and in lex mode the box
+# is a product over the coordinates.  On a 2-core Xeon with CPython 3.11
+# (CPU seconds, peak RSS), A1^7 with L = e_1, ..., e_7 (78 125 slots) took
+# 0.88-0.96 s and 170 MB packed against 0.013-0.025 s and 17 MB in the dict
+# ring, and A1^8 would take gigabytes; F4 with L = (e_1, e_1, e_2, e_2)
+# (729 slots) took 3.3-4.2 s packed against 8.6-9.8 s, but 303 MB against
+# 171 MB.
 _MAX_SLOTS = 1 << 10
 
 
-class SlotOverflow(ArithmeticError):
-    """A packed digit could pass the limit of its slot width: the table is
-    rebuilt with the next width (see `_Packing`)."""
-
-
-class BoxOverflow(ArithmeticError):
-    """A packed exponent could leave the slot box, which bounds every
-    exponent the construction reaches: no slot width helps."""
+class _Unpackable(ArithmeticError):
+    """The table does not pack: its slot box is too wide, or a checked
+    digit or exponent bound leaves the slots (`_Packing`)."""
 
 
 def _canonical(doc: dict) -> str:
@@ -425,14 +416,8 @@ def _slot_box(algebra: HeckeAlgebra) -> Tuple[List[Fraction], List[int]]:
     return units, box
 
 
-def _packs(algebra: HeckeAlgebra) -> bool:
-    """Whether a table of `algebra` is packed: its slot box has at most
-    _MAX_SLOTS slots."""
-    return math.prod(2 * b + 1 for b in _slot_box(algebra)[1]) <= _MAX_SLOTS
-
-
 class _Packing:
-    """The packed coefficients of one KL table, `bits` = B bits a slot.
+    """The packed coefficients of one KL table, B = _BITS bits a slot.
 
     An exponent e has coordinates x_i = e_i / unit_i, with unit_i the gcd
     of the weights' i-th coordinates, so that L = 2 or L = 1/2 leaves no
@@ -450,11 +435,11 @@ class _Packing:
     Digits are read (zero test, high part, mu, decode) only while a bound
     below `limit` = 2^(B-2) holds for every digit: then X has one balanced
     base-2^B expansion and every read is exact.  `check` raises
-    SlotOverflow (BoxOverflow for an exponent) before a read that the
-    bounds do not cover.
+    _Unpackable before a read that the bounds do not cover, and the
+    constructor for a box of more than _MAX_SLOTS slots.
     """
 
-    def __init__(self, algebra: HeckeAlgebra, bits: int):
+    def __init__(self, algebra: HeckeAlgebra):
         exps = algebra.weights.exps
         self.units, self.box = _slot_box(algebra)
         self.places: List[int] = []
@@ -462,6 +447,9 @@ class _Packing:
         for b in reversed(self.box):
             self.places.insert(0, radix)
             radix *= 2 * b + 1
+        if radix > _MAX_SLOTS:
+            raise _Unpackable(f"a slot box of {radix} slots is too wide to pack")
+        bits = _BITS
         self.grid, self.mode = algebra.grid, algebra.weights.mode
         self.bits, self.R = bits, radix // 2 + 1
         self.BR = bits * self.R
@@ -505,12 +493,12 @@ class _Packing:
     # -- digits ----------------------------------------------------------
 
     def check(self, reach: Tuple[int, ...], bound: int = 0) -> None:
-        """SlotOverflow unless every exponent bounded by `reach` is in the
+        """_Unpackable unless every exponent bounded by `reach` is in the
         box and every digit bounded by `bound` is below the limit."""
         if bound >= self.limit:
-            raise SlotOverflow(f"a KL coefficient may not fit {self.bits}-bit slots")
+            raise _Unpackable(f"a KL coefficient may not fit {self.bits}-bit slots")
         if not all(map(le, reach, self.box)):
-            raise BoxOverflow("a KL exponent may leave the slot box")
+            raise _Unpackable("a KL exponent may leave the slot box")
 
     def _digits(self, x: int) -> List[Tuple[int, int]]:
         """(position, digit) for the nonzero balanced base-2^B digits of x."""
@@ -1011,13 +999,13 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
     return {y: x for y, x in cand.items() if x}, correction, bound, top
 
 
-def _construct(algebra: HeckeAlgebra, bits: int) -> KLTable:
-    """The KL table, built packed with `bits` bits a slot.  With equal
+def _construct(algebra: HeckeAlgebra) -> KLTable:
+    """The KL table, built packed (`_Packing`).  With equal
     parameters only the rows of the orbit representatives are built, and
     each other row is its orbit walk's relabelling (module docstring),
     filled in as soon as its representative is built: every row an
     element of smaller index reads is then there."""
-    pk = _Packing(algebra, bits)
+    pk = _Packing(algebra)
     group, positive = algebra.group, algebra.positive
     n = len(group)
     left = group._lmul
@@ -1107,7 +1095,7 @@ def _cancel_terms(algebra: HeckeAlgebra, s: int, u: int, w: int, c_exp: List[Hec
 
 
 def _construct_terms(algebra: HeckeAlgebra) -> KLTable:
-    """`_construct` in the dict ring, for a slot box too wide to pack: with
+    """`_construct` in the dict ring, for a table that does not pack: with
     unequal parameters, every ascent pair by the full cancellation."""
     group, grid = algebra.group, algebra.grid
     n = len(group)
@@ -1138,16 +1126,9 @@ def kl_basis(algebra: HeckeAlgebra) -> KLTable:
 
     Every left descent s of w with L(s) > 0, with u = sw, gives the
     corrections of the ascent pair (s, u); see the module docstring.  The
-    table is built with the first slot width of _SLOT_WIDTHS whose checked
-    bounds hold; SlotOverflow if none does, BoxOverflow at once if an
-    exponent could leave the slot box.  A slot box of more than
-    _MAX_SLOTS slots is not packed: the table is built in the dict ring.
+    table is built packed, and in the dict ring if it does not pack.
     """
-    if not _packs(algebra):
+    try:
+        return _construct(algebra)
+    except _Unpackable:
         return _construct_terms(algebra)
-    for bits in _SLOT_WIDTHS[:-1]:
-        try:
-            return _construct(algebra, bits)
-        except SlotOverflow:
-            pass
-    return _construct(algebra, _SLOT_WIDTHS[-1])

@@ -22,8 +22,8 @@ from klcells import hecke
 from klcells.cli import main
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              named_coxeter_matrix)
-from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow, _construct_terms,
-                           diagram_automorphisms, kl_basis, payload_digest)
+from klcells.hecke import (HeckeAlgebra, KLTable, _construct_terms, diagram_automorphisms,
+                           kl_basis, payload_digest)
 from klcells.ordered_coeffs import LaurentElt, OrderedExponent
 from klcells.specfile import parse_spec
 
@@ -360,51 +360,74 @@ def test_lex_mode_generic_weights():
                 assert const == 0 and not pos
 
 
-def test_narrow_slots_raise_and_never_give_a_wrong_table(case_tables, monkeypatch, tmp_path):
-    """The checked digit and exponent bounds decide whether a slot width
-    holds a table: a width too narrow raises SlotOverflow (the CLI exits 2),
-    a wider one after it is tried next, and every width the checks
-    accept gives the same table."""
+def h3_klbasis_bytes(capsys, tmp_path):
+    """`klcells klbasis` on H3 (equal weights): (exit status, stdout)."""
     spec = tmp_path / "h3.spec"
     spec.write_text("group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n", encoding="utf-8")
-    monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (4,))
-    for label, alg, _ in case_tables:
-        with pytest.raises(SlotOverflow):
-            kl_basis(alg)
-    assert main(["klbasis", str(spec), "--no-cache"]) == 2
-    monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (4, 16))
-    for label, alg, table in case_tables:
-        assert kl_basis(alg).to_json_dict() == table.to_json_dict(), label
-    for label, alg, table in case_tables:
-        expected = table.to_json_dict()
-        for bits in range(3, 13):
-            monkeypatch.setattr(hecke, "_SLOT_WIDTHS", (bits,))
-            try:
-                narrow = kl_basis(alg)
-            except SlotOverflow:
-                continue
-            assert narrow.to_json_dict() == expected, (label, bits)
+    code = main(["klbasis", str(spec), "--no-cache"])
+    return code, capsys.readouterr().out
 
 
-def test_box_overflow_is_not_retried(case_tables, monkeypatch, tmp_path):
-    """An exponent that could leave the slot box raises BoxOverflow from
-    the first slot width, with no rebuild at a wider one (the CLI exits
-    2): here the box is halved, so the bound of the rows fails it."""
+def spy(monkeypatch, name):
+    """Record the algebra of every call of hecke.<name>, which still runs."""
+    calls, real = [], getattr(hecke, name)
+    monkeypatch.setattr(hecke, name, lambda alg: calls.append(alg) or real(alg))
+    return calls
+
+
+def test_narrow_slots_fall_back_to_the_dict_ring(case_tables, monkeypatch, capsys, tmp_path):
+    """The checked digit and exponent bounds decide whether a table packs
+    at _BITS bits a slot: one that does not is built in the dict ring, so
+    every width gives the 16-bit table, and the CLI exits 0 with its
+    bytes."""
+    expected = h3_klbasis_bytes(capsys, tmp_path)
+    assert expected[0] == 0
+    terms = spy(monkeypatch, "_construct_terms")
+    for bits in range(3, 13):
+        monkeypatch.setattr(hecke, "_BITS", bits)
+        for label, alg, table in case_tables:
+            terms.clear()
+            assert kl_basis(alg).to_json_dict() == table.to_json_dict(), (label, bits)
+            if bits == 4:
+                assert terms == [alg], label
+    monkeypatch.setattr(hecke, "_BITS", 4)
+    assert h3_klbasis_bytes(capsys, tmp_path) == expected
+
+
+def test_box_overflow_is_not_retried(case_tables, monkeypatch, capsys, tmp_path):
+    """An exponent that could leave the slot box ends the one packed
+    attempt, with no retry, and the dict ring builds the same table (the
+    CLI exits 0 with the same bytes): here the box is halved, so the bound
+    of the rows fails it."""
+    expected = h3_klbasis_bytes(capsys, tmp_path)
     slot_box = hecke._slot_box
     monkeypatch.setattr(hecke, "_slot_box",
                         lambda alg: (slot_box(alg)[0], [b // 2 for b in slot_box(alg)[1]]))
-    built = []
-    construct = hecke._construct
-    monkeypatch.setattr(hecke, "_construct",
-                        lambda alg, bits: built.append(bits) or construct(alg, bits))
-    for label, alg, _ in case_tables:
-        built.clear()
-        with pytest.raises(BoxOverflow):
-            kl_basis(alg)
-        assert built == [16], label
-    spec = tmp_path / "h3.spec"
-    spec.write_text("group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n", encoding="utf-8")
-    assert main(["klbasis", str(spec), "--no-cache"]) == 2
+    packed, terms = spy(monkeypatch, "_construct"), spy(monkeypatch, "_construct_terms")
+    for label, alg, table in case_tables:
+        packed.clear()
+        terms.clear()
+        assert kl_basis(alg).to_json_dict() == table.to_json_dict(), label
+        assert packed == terms == [alg], label
+    assert h3_klbasis_bytes(capsys, tmp_path) == expected
+
+
+def test_wide_slot_boxes_build_no_packed_row(monkeypatch):
+    """A1^5 with L = e_1, ..., e_5 (3125 slots) and I2(6) with L =
+    (1, 1000) (8007 slots) are refused before any packed row is built,
+    and built in the dict ring."""
+    def cancel(*args):
+        raise AssertionError("a packed row was built")
+
+    monkeypatch.setattr(hecke, "_cancel", cancel)
+    terms = spy(monkeypatch, "_construct_terms")
+    for text in ("group matrix\n5\n2 2 2 2\n2 2 2\n2 2\n2\n"
+                 + "".join(f"L lex {g} = e_{i}\n" for i, g in enumerate("stuvw", 1)),
+                 "group I2 6\nL s = 1\nL t = 1000\n"):
+        spec = parse_spec(text)
+        alg = HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights)
+        kl_basis(alg)
+        assert terms[-1] is alg, text
 
 
 def exact_reach(pk, row):

@@ -48,17 +48,29 @@ SPECS = {
     "A3_1/2": "group A 3\nL s = 1/2\nL t = 1/2\nL u = 1/2\n",
     "D4_2": "group D 4\nL s = 2\nL t = 2\nL u = 2\nL v = 2\n",
     "B3_1_1_0": "group B 3\nL s = 1\nL t = 1\nL u = 0\n",
+    # Two slot boxes too wide to pack, built in the dict ring: lex weights
+    # on five coordinates (3125 slots) and rational weights of ratio 1000
+    # (8007 slots).
+    "A1^5_lex_e1_e2_e3_e4_e5": "group matrix\n5\n2 2 2 2\n2 2 2\n2 2\n2\n"
+                               + "".join(f"L lex {g} = e_{i}\n" for i, g in enumerate("stuvw", 1)),
+    "I2(6)_1_1000": "group I2 6\nL s = 1\nL t = 1000\n",
 }
+
+F4_MATRIX = "group matrix\n4\n3 2 2\n4 2\n3\n"
 
 SPECS_BY_COMMAND = {
     "klbasis": SPECS,
     # I2(25) has two left cells of 24 elements each; B4 (1,1,1,2) has 58
     # left cells of up to 14 elements, with class words of up to 16
-    # letters, and A5 has 76 of up to 16 elements.
+    # letters, and A5 has 76 of up to 16 elements.  F4 reuses cell
+    # characters along its diagram flip, with the classes permuted; F4
+    # (1,1,2,2) has 92 left cells, and KL digits past 16.
     "cells": {**SPECS, "D4": "group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n",
               "I2(25)": "group I2 25\nL s = 1\nL t = 1\n",
               "B4_1_1_1_2": "group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 2\n",
-              "A5": "group A 5\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\n"},
+              "A5": "group A 5\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\n",
+              "F4": F4_MATRIX + "L s = 1\nL t = 1\nL u = 1\nL v = 1\n",
+              "F4_1_1_2_2": F4_MATRIX + "L s = 1\nL t = 1\nL u = 2\nL v = 2\n"},
     # Rational tables (A3, B3, D4, B4, F4, D5), irrational real values
     # (H3, I2(5), I2(8)) and the reducible A1 x A2.
     "characters": {
@@ -69,7 +81,7 @@ SPECS_BY_COMMAND = {
         "I2(5)": "group I2 5\nL s = 1\nL t = 1\n",
         "I2(8)": "group I2 8\nL s = 1\nL t = 1\n",
         "B4": "group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n",
-        "F4": "group matrix\n4\n3 2 2\n4 2\n3\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n",
+        "F4": F4_MATRIX + "L s = 1\nL t = 1\nL u = 1\nL v = 1\n",
         "D5": "group D 5\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\n",
         "A1xA2": "group matrix\n3\n2 2\n3\nL s = 1\nL t = 1\nL u = 1\n",
     },

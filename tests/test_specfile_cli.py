@@ -22,8 +22,7 @@ from klcells.cells import NonIntegerMultiplicity
 from klcells.cli import entry, main
 from klcells.conjecture import B2_REGIME_POINTS
 from klcells.coxeter import ConjugacyViolation, CoxeterMatrix, InfiniteOrTooLarge, build_group
-from klcells.hecke import (BoxOverflow, HeckeAlgebra, KLTable, SlotOverflow, kl_basis,
-                           payload_digest)
+from klcells.hecke import HeckeAlgebra, KLTable, kl_basis, payload_digest
 from klcells.ordered_coeffs import LEX, LEX_BOUND, RATIONAL
 from klcells.specfile import SpecParseError, parse_spec
 
@@ -346,9 +345,7 @@ def run_broken_cells(tmp_path, capsys, monkeypatch, exc):
 
 @pytest.mark.parametrize("exc", [KeyError("w"), IndexError("list index out of range"),
                                  TypeError("unsupported operand"),
-                                 NonIntegerMultiplicity("multiplicity 1/2"),
-                                 SlotOverflow("a KL coefficient may not fit 8-bit slots"),
-                                 BoxOverflow("a KL exponent may leave the slot box")])
+                                 NonIntegerMultiplicity("multiplicity 1/2")])
 def test_stray_internal_errors_exit_2(tmp_path, capsys, monkeypatch, exc):
     code, out, err = run_broken_cells(tmp_path, capsys, monkeypatch, exc)
     assert (code, out) == (2, "")
