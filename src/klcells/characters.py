@@ -6,8 +6,10 @@ characters.  Modulo a prime p = 1 (mod exponent), p > 2|W|, the space is
 split exactly over F_p into eigenspaces of M_1, M_2, ... until every space
 is a line; M_i is built only when the split reaches class i, and each
 split finds the characteristic polynomial in O(d^3) by a reduction to
-Hessenberg form.  Eigenvalue multiplicities of rho(g) are then
-recovered by a discrete Fourier transform over F_p and lifted to the
+Hessenberg form.  On a class closed under its coprime powers every
+character value is an integer of size at most chi(1) < p/2, read off its
+residue.  On the other classes the eigenvalue multiplicities of rho(g)
+are recovered by a discrete Fourier transform over F_p and lifted to the
 cyclotomic field Q(zeta_exponent), where all values are exact.
 
 Any group object with mul/inv/identity/element_order/name/conjugacy_classes
@@ -364,13 +366,20 @@ def character_table(group) -> CharacterTable:
             g = group.mul(g, rep)
         power_class.append(row)
 
-    # The DFT kernel of each class l of order m, built once for all rows:
-    # kernels[l][e] = zeta_m^(-e) mod p, so zeta_m^(-jt) = kernels[l][jt % m].
+    # A class closed under its coprime powers (rep^t ~ rep for every t prime
+    # to its order m) is rational: chi there is fixed by Gal(Q(zeta_m)/Q),
+    # so an integer with |chi| <= chi(1) < p/2, read off chi_fp as its
+    # symmetric lift.  Only the other classes need the DFT, whose kernel is
+    # built once for all rows: kernels[l][e] = zeta_m^(-e) mod p, so
+    # zeta_m^(-jt) = kernels[l][jt % m].
+    rational = [all(pc[t] == l for t in range(2, len(pc)) if gcd(t, len(pc)) == 1)
+                for l, pc in enumerate(power_class)]
     inv_sizes = [pow(size, -1, p) for size in classes.sizes]
     kernels = []
-    for m in class_orders:
+    for l, m in enumerate(class_orders):
         zinv = pow(zeta_fp, -(exponent // m), p)
-        kernels.append([pow(zinv, e, p) for e in range(m)])
+        kernels.append(None if rational[l] else [pow(zinv, e, p) for e in range(m)])
+    zero_tail = (0,) * (field.degree - 1)
 
     rows_out: List[List[Cyclotomic]] = []
     for s in spaces:
@@ -391,8 +400,16 @@ def character_table(group) -> CharacterTable:
 
         row = []
         for l in range(k):
-            m = class_orders[l]
             kernel = kernels[l]
+            if kernel is None:
+                c = chi_fp[l]
+                if c > p // 2:
+                    c -= p
+                if abs(c) > chi1:
+                    raise ArithmeticError("value on a rational class exceeds the degree")
+                row.append(field.from_numerators((c,) + zero_tail))
+                continue
+            m = class_orders[l]
             minv = pow(m, -1, p)
             powers = [chi_fp[c] for c in power_class[l]]
             mults = [sum(v * kernel[j * t % m] for t, v in enumerate(powers)) * minv % p

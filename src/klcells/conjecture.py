@@ -18,6 +18,7 @@ import os
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .cells import cells_report
@@ -141,27 +142,102 @@ def b2_regime_report(a: Fraction, b: Fraction) -> dict:
 
 REPORT_CHUNK = 1 << 16
 
+_CONTAINERS = (dict, list, tuple)
+_string = json.encoder.encode_basestring_ascii
+
+
+def _scalar(o) -> str:
+    """The JSON text of a str, None, bool or int; TypeError for anything
+    else, floats included."""
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"cannot encode {type(o).__name__} {o!r} in a report")
+
+
+def _members(o) -> Tuple[Optional[List[str]], Sequence]:
+    """(names, items) of a non-empty container: for a dict its encoded keys
+    in sorted order (TypeError unless every key is a str) and its values,
+    for a list or tuple None and its items."""
+    if isinstance(o, dict):
+        keys = sorted(o)
+        return list(map(_string, keys)), list(map(o.__getitem__, keys))
+    return None, o
+
+
+def _flat(o, nl: str) -> Optional[str]:
+    """The text of o at line start nl (a newline and its indent) if o is
+    a scalar or a container of scalars, else None.  A container of str alone
+    or of int alone is one join over a C function."""
+    if not isinstance(o, _CONTAINERS):
+        return _scalar(o)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    names, items = _members(o)
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        texts = map(_string, items)
+    elif kinds == {int}:
+        texts = map(int.__repr__, items)
+    elif any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        return None
+    else:
+        texts = map(_scalar, items)
+    inner = nl + "  "
+    if names is None:
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    return "{" + inner + ("," + inner).join(map(": ".join, zip(names, texts))) + nl + "}"
+
+
+def _nested(o, nl: str) -> Iterator[str]:
+    """The text of a container o that _flat leaves to it, in fragments."""
+    names, items = _members(o)
+    inner = nl + "  "
+    yield "[" if names is None else "{"
+    for i, item in enumerate(items):
+        head = ("," if i else "") + inner
+        if names is not None:
+            head += names[i] + ": "
+        text = _flat(item, inner)
+        if text is None:
+            yield head
+            yield from _nested(item, inner)
+        else:
+            yield head + text
+    yield nl + ("]" if names is None else "}")
+
 
 def _report_pieces(doc, chunk: int) -> Iterator[str]:
     """The canonical JSON text of doc (stable key order, indent 2, trailing
-    newline) in pieces of at least `chunk` characters, the last excepted:
-    a write-through stream then makes one system call per piece, not one
-    per token, and the whole text is never held at once."""
+    newline) in slices of `chunk` characters, the last one shorter: a
+    write-through stream then makes one system call per slice, not one per
+    token, and the whole text is never held at once."""
     buf: List[str] = []
     size = 0
-    for token in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc):
-        buf.append(token)
-        size += len(token)
+    flat = _flat(doc, "\n")
+    for fragment in chain(_nested(doc, "\n") if flat is None else (flat,), ("\n",)):
+        buf.append(fragment)
+        size += len(fragment)
         if size >= chunk:
-            yield "".join(buf)
-            buf.clear()
-            size = 0
-    buf.append("\n")
-    yield "".join(buf)
+            text = "".join(buf)
+            size %= chunk
+            end = len(text) - size
+            for i in range(0, end, chunk):
+                yield text[i:i + chunk]
+            buf = [text[end:]]
+    if size:
+        yield "".join(buf)
 
 
 def write_report(doc, fh: TextIO, chunk: int = REPORT_CHUNK) -> None:
-    """Write emit_report(doc) to fh, one piece of about `chunk` characters
+    """Write emit_report(doc) to fh, one piece of at most `chunk` characters
     at a time."""
     for piece in _report_pieces(doc, chunk):
         fh.write(piece)

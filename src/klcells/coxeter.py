@@ -215,11 +215,13 @@ class CoxeterGroup:
         # An element is fixed by its images of the simple roots (roots
         # 0..rank-1), which span V: the BFS is keyed by those, and the full
         # root permutation is built only for new elements.  heads[g] reads
-        # the key of ws off the permutation of w; at rank 1 a key is a bare
-        # int, and rank 0 has no heads.
+        # the key of ws off the permutation of w, and steps[g] the whole
+        # permutation of ws (a root system has at least two roots, so a tuple);
+        # at rank 1 a key is a bare int, and rank 0 has no heads.
         rank = self.rank
         gen_perms = self._gen_perms
         heads = [itemgetter(*pg[:rank]) for pg in gen_perms]
+        steps = [itemgetter(*pg) for pg in gen_perms]
         identity = tuple(range(len(self.roots)))
         perm_index = {itemgetter(*range(rank))(identity) if rank else (): 0}
         perms = [identity]
@@ -241,7 +243,7 @@ class CoxeterGroup:
                             raise InfiniteOrTooLarge(
                                 f"group exceeds {cap} elements")
                         perm_index[key] = idx
-                        perms.append(tuple(map(pw.__getitem__, gen_perms[g])))
+                        perms.append(steps[g](pw))
                         words.append(words[w] + (g,))
                         lengths.append(lengths[w] + 1)
                         nxt.append(idx)

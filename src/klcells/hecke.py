@@ -993,6 +993,7 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
             if x is not None:
                 cand[z] = x - term
             else:  # new to the heap's view of cand
+                # Only for z, sz outside supp(C_u): no weights tried, zero too, get here.
                 cand[z] = -term
                 if left[z] < z:
                     heapq.heappush(heap, -z)
@@ -1088,6 +1089,7 @@ def _cancel_terms(algebra: HeckeAlgebra, s: int, u: int, w: int, c_exp: List[Hec
         for z, cz in c_exp[y].items():
             _add_into(cand, z, minus_m * cz)
             if z not in queued:
+                # Only for a zero T_z coefficient of C_s C_u: no weights tried, zero too, get here.
                 queued.add(z)
                 if group.lmul_gen(s, z) < z:
                     heapq.heappush(heap, -z)

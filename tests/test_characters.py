@@ -363,6 +363,48 @@ def test_irreducible_rows_decompose_to_unit_vectors(name):
     assert irrational == (name in IRRATIONAL_TABLES)
 
 
+def rational_classes(table):
+    """The classes l whose representative g has g^t in class l for every t
+    prime to its order, found by multiplying out the powers of g."""
+    group, class_of = table.group, table.classes.class_of
+    out = []
+    for l, (g, m) in enumerate(zip(table.classes.representatives, table.class_orders)):
+        powers = [group.identity]
+        for _ in range(1, m):
+            powers.append(group.mul(powers[-1], g))
+        if all(class_of[powers[t]] == l for t in range(1, m) if gcd(t, m) == 1):
+            out.append(l)
+    return out
+
+
+def golden_character_table(name):
+    spec = parse_spec(GOLDEN_CHARACTER_SPECS[name])
+    return character_table(build_group(spec.matrix, gen_names=spec.gen_names))
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_GROUPS.keys() | GOLDEN_CHARACTER_SPECS.keys()))
+def test_rational_classes_carry_integers_at_most_the_degree(name):
+    """character_table reads the value on a class closed under coprime
+    powers off its residue mod p; the symmetric lift must give an integer c
+    with |c| <= chi(1), negative ones included.  Every class of a Weyl
+    group is such a class, and the irrational entries of H3, I2(5), I2(8)
+    and Z/5 lie on the other classes."""
+    table = (decompose_table(name) if name in DECOMPOSE_GROUPS
+             else golden_character_table(name))
+    rational = rational_classes(table)
+    values = [(row[0].to_fraction(), row[l]) for row in table.rows for l in rational]
+    assert all(v.is_rational() and v.den == 1 and abs(v.num[0]) <= degree
+               for degree, v in values)
+    # Z/5 has no rational class but the identity; the others have negative
+    # values there, so the lift's c - p branch runs.
+    assert any(v.num[0] < 0 for _, v in values) == (name != "Z/5")
+    irrational = {l for row in table.rows for l, v in enumerate(row) if not v.is_rational()}
+    assert irrational.isdisjoint(rational)
+    assert bool(irrational) == (name in IRRATIONAL_TABLES)
+    if name not in IRRATIONAL_TABLES:
+        assert len(rational) == len(table.rows)
+
+
 def test_dual_table_is_built_on_first_decompose():
     table = character_table(build_group(named_coxeter_matrix("A", 2)))
     assert "dual" not in vars(table)

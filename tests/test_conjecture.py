@@ -193,6 +193,24 @@ def test_report_smaller_than_a_chunk_is_one_write():
     assert sink.writes == [_canonical(doc)]
 
 
+def test_report_encodes_bools_none_and_tuples_as_json():
+    doc = {"flags": [True, False, None, 1, 0], "t": True, "f": False, "n": None,
+           "pair": (1, ("a", True), ()), "rows": [{"x": False}, [None, 1]]}
+    text = emit_report(doc)
+    assert text == _canonical(doc)
+    assert '"t": true' in text and '"f": false' in text and '"n": null' in text
+    assert emit_report((1, ("a",))) == emit_report([1, ["a"]]) == _canonical([1, ["a"]])
+    assert [emit_report(v) for v in (True, False, None)] == ["true\n", "false\n", "null\n"]
+
+
+@pytest.mark.parametrize("doc", [{"x": 1.5}, [1, 0.5], {"rows": [{"x": 2.0}]}, 1.0,
+                                 {1: "a"}, {"rows": {2: [1]}}, {"a": 1, 2: 3},
+                                 [Fraction(1, 2)], {"s": {1, 2}}])
+def test_report_refuses_floats_and_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        emit_report(doc)
+
+
 def test_zero_coefficients_are_one_string():
     zeros = [text for row in b4_characters_doc()["irreducibles"]
              for value in row for text in value if text == "0"]
