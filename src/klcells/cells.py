@@ -45,7 +45,7 @@ of 92, 25 of 112, 27 of 226 and 8 of 232 computed directly.
 from __future__ import annotations
 
 from math import prod
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .characters import CharacterTable, integer_multiplicities
 from .coxeter import CoxeterGroup, orbit_walks
@@ -136,9 +136,6 @@ class CellPartition:
         self.block_of: List[int] = block_of
         self.hasse: List[Tuple[int, int]] = hasse
 
-    def as_sets(self) -> Set[FrozenSet[int]]:
-        return {frozenset(b) for b in self.blocks}
-
 
 def _canonical_blocks(comps: List[List[int]], size: int):
     blocks = sorted(comps, key=lambda b: b[0])  # each already sorted by _tarjan_scc
@@ -186,11 +183,9 @@ def _inverted(left: CellPartition, group: CoxeterGroup) -> CellPartition:
 
 
 def cells(graph: PreorderGraph, kind: str, group: CoxeterGroup) -> CellPartition:
-    """Cell partition of the requested kind from the left preorder graph."""
-    if kind not in ("left", "right", "two-sided"):
-        raise ValueError("kind must be left, right or two-sided")
-    if kind == "right":
-        return _inverted(cells(graph, "left", group), group)
+    """Left or two-sided cell partition from the left preorder graph."""
+    if kind not in ("left", "two-sided"):
+        raise ValueError("kind must be left or two-sided")
     succ = graph.succ
     if kind == "two-sided":
         inverted: List[Set[int]] = [set() for _ in range(graph.size)]

@@ -190,15 +190,6 @@ class AlgebraElt:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElt):
-            return NotImplemented
-        return self.params.d == other.params.d and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.params.d, tuple(sorted(self.terms.items(),
-                                                 key=lambda kv: kv[0]))))
-
     def render(self) -> str:
         if not self.terms:
             return "0"

@@ -180,6 +180,8 @@ def _load_table(args) -> Tuple[KLTable, Optional[str]]:
     """(table, path): the KL table of the spec, and the cache file it was
     read from, None when it was computed."""
     spec = parse_spec(_read_spec(args.specfile))
+    if spec.weights is None:
+        raise ValueError(f"missing weight for {', '.join(spec.gen_names)}")
     group = build_group(spec.matrix, gen_names=spec.gen_names, size_cap=args.size_cap)
     algebra = HeckeAlgebra(group, spec.weights)
     cache_dir = None if args.no_cache else args.cache_dir

@@ -325,15 +325,6 @@ class HeckeAlgebra:
         return orbit_walks(len(self.group), self.symmetries)
 
     @cached_property
-    def representative(self) -> List[int]:
-        """The representative of the orbit of each element (`orbits`)."""
-        out = list(range(len(self.group)))
-        for r, walk in self.orbits.items():
-            for w, _, _ in walk:
-                out[w] = r
-        return out
-
-    @cached_property
     def descent_masks(self) -> List[int]:
         """Bit s of entry w is set when s is in L(w) and L(s) > 0: the
         descents that relate the coefficients of C_w (module docstring).
@@ -625,12 +616,6 @@ class KLTable:
             rows[w] = dict(zip(map(g.__getitem__, row), row.values()))
             yield w, rows[w]
 
-    def c_expansion(self, w: int) -> HeckeCoeffs:
-        """C_w in the T-basis."""
-        rows = self._orbit_rows(self.algebra.representative[w],
-                                lambda c, keys: [_lower(c, key) for key in keys])
-        return next(row for u, row in rows if u == w)
-
     def cs_product_in_c(self, s: int, w: int) -> HeckeCoeffs:
         """C_s C_w in the C-basis, derived from the stored corrections by
         the three rules in the module docstring."""
@@ -814,15 +799,17 @@ def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
     """ValueError unless each stored row C_w has, besides p_{w,w} = 1,
     only shorter y (smaller index) with nonzero coefficients whose
     exponents are negative and, with every exponent that `_row` derives
-    from them and from p_{w,w}, in the slot box (`_slot_box`), which
-    holds every exponent of a KL table: each of them decodes, so no row
-    read later can fail.
+    from them, in the slot box (`_slot_box`), which holds every exponent
+    of a KL table: each of them decodes, so no row read later can fail.
 
     `_row` derives v^-k p_{z,w} on the double coset of a stored z, for k
     from 0 to D = L(z) - L(d), d the shortest element of the double coset.
     Weights are >= 0 in every coordinate, so each derived exponent lies
     coordinate by coordinate between e and e - D, for e an exponent of
-    p_{z,w}, and the box holds all of them when it holds those two."""
+    p_{z,w}, and the box holds all of them when it holds those two.  From
+    p_{w,w} = 1 it derives exponents from 0 down to -(L(w) - L(d)), minus
+    the weight of letters removed from a reduced word of w: they lie in
+    [-L(w0), 0] whatever the file holds, so they need no check."""
     group, grid = algebra.group, algebra.grid
     units, box = _slot_box(algebra)
     bound = [b * unit for b, unit in zip(box, units)]
@@ -858,9 +845,6 @@ def _check_rows(algebra: HeckeAlgebra, stored: Dict[int, HeckeCoeffs]) -> None:
     checked: Dict[Tuple[int, int], bool] = {}  # (id(c), depth); `stored` keeps each c alive
     for w, row in stored.items():
         left, right = masks[w], masks[inv[w]]
-        if not in_box(-depth(left, right, w)):
-            raise ValueError(f"p_(w,w) derives an exponent outside the box for w = "
-                             f"{group.name(w)}")
         for y, c in row.items():
             if y != w:
                 d = depth(left, right, y)

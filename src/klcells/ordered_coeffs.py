@@ -6,7 +6,7 @@ written multiplicatively.  An OrderedExponent names an element of G as a
 tuple of Fraction coordinates, compared as a Python tuple
 (lexicographically): one coordinate in rational mode (G inside Q),
 `arity` integer coordinates in lex mode (G = Z^k; generic unequal
-parameters).  The mode is only a label: +, -, <, sign and render are one
+parameters).  The mode is only a label: negation, sign and render are one
 code path for both.
 
 LaurentElt is the boundary type of a coefficient: what a KL table
@@ -115,8 +115,10 @@ class OrderedExponent(Frozen):
     """An element g of the totally ordered exponent group G.
 
     ``value`` is a tuple of Fraction coordinates: one in rational mode,
-    `arity` in lex mode.  Python's tuple order is the order of G; it is
-    total and compatible with addition, and negation reverses it.
+    `arity` in lex mode.  Python's order on ``value`` is the order of G;
+    it is total and compatible with addition, and negation reverses it.
+    Sums and comparisons are made on the int keys of `encode`, which is
+    additive and order preserving.
     """
 
     mode: str
@@ -140,26 +142,8 @@ class OrderedExponent(Frozen):
     def lex(vec: Iterable[int]) -> "OrderedExponent":
         return OrderedExponent(LEX, tuple(vec))
 
-    def _check(self, other: "OrderedExponent") -> None:
-        if self.mode != other.mode or self.arity != other.arity:
-            raise ModeMismatchError(
-                f"exponent groups differ: {self.mode}/{self.arity} vs "
-                f"{other.mode}/{other.arity}"
-            )
-
-    def __add__(self, other: "OrderedExponent") -> "OrderedExponent":
-        self._check(other)
-        return OrderedExponent(self.mode, tuple(a + b for a, b in zip(self.value, other.value)))
-
     def __neg__(self) -> "OrderedExponent":
         return OrderedExponent(self.mode, tuple(-a for a in self.value))
-
-    def __sub__(self, other: "OrderedExponent") -> "OrderedExponent":
-        return self + (-other)
-
-    def __lt__(self, other: "OrderedExponent") -> bool:
-        self._check(other)
-        return self.value < other.value
 
     def sign(self) -> int:
         """-1, 0 or +1 according to the comparison with the group identity."""

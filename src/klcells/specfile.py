@@ -10,16 +10,17 @@ Lex-mode weights use basis vectors e_i of Z^n, 1 <= i <= rank:
     L lex s = e_1
     L lex t = e_2
 
-Every generator gets exactly one weight line; rational and lex styles
-cannot be mixed.  Parsing reports syntax errors with line and column;
-semantic checks are delegated to validate_weights.
+Every generator gets exactly one weight line, or none does: a spec with
+no weight line has weights None, for `characters`, which reads none.
+Rational and lex styles cannot be mixed.  Parsing reports syntax errors
+with line and column; semantic checks are delegated to validate_weights.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .coxeter import (CoxeterMatrix, WeightFunction, default_gen_names,
                       named_coxeter_matrix, validate_weights)
@@ -36,7 +37,7 @@ class SpecParseError(ValueError):
 class ParsedSpec(Frozen):
     matrix: CoxeterMatrix
     gen_names: Tuple[str, ...]
-    weights: WeightFunction
+    weights: Optional[WeightFunction]
 
 
 def _meaningful_lines(text: str) -> List[Tuple[int, str]]:
@@ -155,6 +156,8 @@ def parse_spec(text: str) -> ParsedSpec:
         raise SpecParseError(lines[-1][0], 1,
                              "rational and lex weight lines cannot be mixed")
     assigned = rational or lex_units
+    if not assigned:
+        return ParsedSpec(matrix, gen_names, None)
     missing = [gen_names[g] for g in range(matrix.rank) if g not in assigned]
     if missing:
         last = lines[-1][0]

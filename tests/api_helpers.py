@@ -1,5 +1,6 @@
 """Small helpers over the klcells API that only the tests use."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -12,6 +13,7 @@ from klcells.characters import CharacterTable
 from klcells.cherednik_rank1 import AlgebraElt, CMCellData, Rank1Params
 from klcells.coxeter import ConjugacyClasses, CoxeterGroup, WeightFunction
 from klcells.cyclotomic import Cyclotomic, CyclotomicField
+from klcells.hecke import HeckeCoeffs, KLTable
 from klcells.ordered_coeffs import (RATIONAL, LaurentElt, ModeMismatchError,
                                     OrderedExponent)
 
@@ -68,6 +70,18 @@ def orbit_representatives(W: CoxeterGroup, weights: WeightFunction) -> List[int]
             a, b = find(w), find(g[w])
             root[max(a, b)] = min(a, b)
     return [w for w in range(n) if find(w) == w]
+
+
+def c_rows(table: KLTable) -> List[HeckeCoeffs]:
+    """C_w in the T-basis for every w, indexed by w: the `c_basis` rows of
+    `table.to_json_dict()`, parsed on the algebra's grid."""
+    W, grid = table.group, table.algebra.grid
+    index = {W.name(w): w for w in range(len(W))}
+    parse = functools.lru_cache(maxsize=None)(lambda text: LaurentElt.parse(text, grid=grid))
+    rows = [None] * len(W)
+    for name, row in table.to_json_dict()["c_basis"].items():
+        rows[index[name]] = {index[y]: parse(text) for y, text in row.items()}
+    return rows
 
 
 def right_descents(W: CoxeterGroup, w: int) -> List[int]:

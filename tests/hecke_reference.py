@@ -9,9 +9,10 @@ tests can check the production table against an independent route.
 from __future__ import annotations
 
 import weakref
+from typing import List
 
 from laurent_ring import neg, sub as sub_coeff
-from klcells.hecke import HeckeAlgebra, HeckeCoeffs, KLTable
+from klcells.hecke import HeckeAlgebra, HeckeCoeffs
 from klcells.ordered_coeffs import LaurentElt
 
 _I_OF_T: "weakref.WeakKeyDictionary[HeckeAlgebra, list]" = weakref.WeakKeyDictionary()
@@ -143,18 +144,18 @@ def c_gen(algebra: HeckeAlgebra, s: int) -> HeckeCoeffs:
     return {gen: algebra.one_coeff()}
 
 
-def express_in_kl(h: HeckeCoeffs, table: KLTable) -> HeckeCoeffs:
-    """Unique expansion of h in the C-basis, by back-substitution from the
-    longest support element down."""
-    algebra = table.algebra
-    group = table.group
+def express_in_kl(h: HeckeCoeffs, algebra: HeckeAlgebra, rows: List[HeckeCoeffs]
+                  ) -> HeckeCoeffs:
+    """Unique expansion of h in the C-basis, with rows[w] = C_w in the
+    T-basis, by back-substitution from the longest support element down."""
+    group = algebra.group
     rest = clean(dict(h))
     out: HeckeCoeffs = {}
     while rest:
         y = max(rest, key=lambda x: (group.length(x), x))
         c = rest.pop(y)
         out[y] = c
-        for z, cz in table.c_expansion(y).items():
+        for z, cz in rows[y].items():
             if z == y:
                 continue
             val = sub_coeff(rest.get(z, zero_coeff(algebra)), c * cz)
@@ -165,7 +166,8 @@ def express_in_kl(h: HeckeCoeffs, table: KLTable) -> HeckeCoeffs:
     return out
 
 
-def cs_product_reference(table: KLTable, s: int, w: int) -> HeckeCoeffs:
-    """C_s C_w in the C-basis, by multiplying out and back-substituting."""
-    algebra = table.algebra
-    return express_in_kl(multiply(algebra, c_gen(algebra, s), table.c_expansion(w)), table)
+def cs_product_reference(algebra: HeckeAlgebra, rows: List[HeckeCoeffs], s: int, w: int
+                         ) -> HeckeCoeffs:
+    """C_s C_w in the C-basis, with rows[w] = C_w in the T-basis, by
+    multiplying out and back-substituting."""
+    return express_in_kl(multiply(algebra, c_gen(algebra, s), rows[w]), algebra, rows)

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from api_helpers import c_rows
 from hecke_reference import bar, equal
 from mn_oracle import coxeter_class_cycle_types, symmetric_group_table
 from rs_oracle import rs_left_cell_partition
@@ -58,8 +59,7 @@ def test_criterion_1_kl_defining_properties():
         for weights in weight_sets:
             alg, table = build_table(kind, n, weights)
             W = alg.group
-            for w in range(len(W)):
-                exp = table.c_expansion(w)
+            for w, exp in enumerate(c_rows(table)):
                 assert equal(bar(alg, exp), exp), (kind, n, weights, W.name(w))
                 assert exp[w] == alg.one_coeff()
                 for y, coeff in exp.items():
@@ -81,7 +81,7 @@ def test_criterion_2_type_a_robinson_schensted_oracle():
         table = kl_basis(alg)
         left = cells(left_preorder(table), "left", W)
         assert len(left.blocks) == expected_cells
-        assert left.as_sets() == rs_left_cell_partition(W)
+        assert {frozenset(b) for b in left.blocks} == rs_left_cell_partition(W)
 
 
 CELL_SUM_CASES = [

@@ -8,7 +8,7 @@ from cells_reference import (column_norm, specialized_generator_action,
                              word_matrix)
 from rs_oracle import rs_left_cell_partition
 import klcells.cells
-from klcells.cells import (PreorderGraph, cells, cells_report,
+from klcells.cells import (PreorderGraph, _inverted, cells, cells_report,
                            left_cell_character, left_preorder)
 from klcells.characters import character_table
 from klcells.coxeter import WeightFunction, build_group, named_coxeter_matrix
@@ -66,8 +66,9 @@ def test_dihedral_cells_from_descent_sets():
         assert sorted(by_descent) == [(0,), (1,)], m
         ends = {frozenset([e]), frozenset([w0])}
         left = ends | {frozenset(b) for b in by_descent.values()}
-        assert cells(graph, "left", W).as_sets() == left, m
-        assert cells(graph, "two-sided", W).as_sets() == ends | {frozenset(middle)}, m
+        assert {frozenset(b) for b in cells(graph, "left", W).blocks} == left, m
+        two_sided = {frozenset(b) for b in cells(graph, "two-sided", W).blocks}
+        assert two_sided == ends | {frozenset(middle)}, m
 
 
 def test_every_element_has_loop():
@@ -87,7 +88,7 @@ def test_no_edge_down_to_identity_when_positive():
 def test_s3_left_cells_match_robinson_schensted():
     W, table, graph = pipeline("A", 2, [1, 1])
     left = cells(graph, "left", W)
-    assert left.as_sets() == rs_left_cell_partition(W)
+    assert {frozenset(b) for b in left.blocks} == rs_left_cell_partition(W)
     assert blocks_as_names(W, left) == sorted([
         ["e"], ["s t s"], ["s", "t s"], ["s t", "t"]])
 
@@ -96,7 +97,7 @@ def test_s4_left_cells_match_robinson_schensted():
     W, table, graph = pipeline("A", 3, [1, 1, 1])
     left = cells(graph, "left", W)
     assert len(left.blocks) == 10
-    assert left.as_sets() == rs_left_cell_partition(W)
+    assert {frozenset(b) for b in left.blocks} == rs_left_cell_partition(W)
 
 
 def test_s5_left_cells_match_robinson_schensted():
@@ -105,7 +106,7 @@ def test_s5_left_cells_match_robinson_schensted():
     W, table, graph = pipeline("A", 4, [1, 1, 1, 1])
     left = cells(graph, "left", W)
     assert len(left.blocks) == 26
-    assert left.as_sets() == rs_left_cell_partition(W)
+    assert {frozenset(b) for b in left.blocks} == rs_left_cell_partition(W)
 
 
 def test_b2_equal_parameter_two_sided_cells():
@@ -120,9 +121,11 @@ def test_b2_equal_parameter_two_sided_cells():
 def test_right_cells_are_inverted_left_cells():
     W, table, graph = pipeline("B", 2, [1, 2])
     left = cells(graph, "left", W)
-    right = cells(graph, "right", W)
+    right = _inverted(left, W)
     inverted = {frozenset(W.inv(w) for w in b) for b in left.blocks}
-    assert right.as_sets() == inverted
+    assert {frozenset(b) for b in right.blocks} == inverted
+    with pytest.raises(ValueError):
+        cells(graph, "right", W)  # `cells_report` inverts the left cells itself
 
 
 @pytest.mark.parametrize("kind,n,weights", [
@@ -136,7 +139,7 @@ def test_right_cells_match_a_search_of_the_inverted_graph(kind, n, weights):
     inverted = PreorderGraph(graph.size, [set() for _ in range(graph.size)])
     for w, ys in enumerate(graph.succ):
         inverted.succ[W.inv(w)].update(W.inv(y) for y in ys)
-    right, direct = cells(graph, "right", W), cells(inverted, "left", W)
+    right, direct = _inverted(cells(graph, "left", W), W), cells(inverted, "left", W)
     assert (right.blocks, right.block_of, right.hasse) == (
         direct.blocks, direct.block_of, direct.hasse)
 

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from api_helpers import from_integers, orbit_representatives, regular_character
+from api_helpers import c_rows, from_integers, orbit_representatives, regular_character
 from hecke_reference import (add, cs_product_reference, equal, multiply, scale,
                              t_basis)
 from kl_brute_oracle import brute_kl_expansions
 from laurent_ring import sub
-from klcells.cells import cells, left_cell_character, left_preorder
+from klcells.cells import _inverted, cells, left_cell_character, left_preorder
 from klcells.characters import character_table
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
                              conjugate_generator_components,
@@ -96,14 +96,14 @@ def test_hecke_relations(alg):
 @given(algebras())
 def test_kl_table_matches_brute_oracle_and_reference(alg):
     table = kl_basis(alg)
-    W = alg.group
+    W, rows = alg.group, c_rows(table)
     brute = brute_kl_expansions(alg)
     for w in range(len(W)):
-        assert equal(table.c_expansion(w), brute[w]), W.name(w)
+        assert equal(rows[w], brute[w]), W.name(w)
     for s in range(W.rank):
         for w in range(len(W)):
-            assert equal(table.cs_product_in_c(s, w),
-                             cs_product_reference(table, s, w)), (W.gen_names[s], W.name(w))
+            assert equal(table.cs_product_in_c(s, w), cs_product_reference(alg, rows, s, w)), (
+                W.gen_names[s], W.name(w))
 
 
 def stored_part(alg, rows):
@@ -223,8 +223,9 @@ def test_extremal_identity_and_cache_round_trip(kind, data):
                     str(y): m.render() for y, m in corrections.items() if y != su}
     assert doc["cs_products"] == ({} if alg.equal_parameters else ascents)
     loaded = KLTable.from_json_dict(doc, alg)
+    loaded_rows, rows = c_rows(loaded), c_rows(table)
     for w in range(len(W)):
-        assert equal(loaded.c_expansion(w), table.c_expansion(w)), W.name(w)
+        assert equal(loaded_rows[w], rows[w]), W.name(w)
         for s in range(W.rank):
             assert equal(loaded.cs_product_in_c(s, w), table.cs_product_in_c(s, w))
     assert loaded.to_json_dict() == table.to_json_dict()
@@ -243,7 +244,7 @@ def test_cell_invariants(alg):
     chars = character_table(W)
     graph = left_preorder(table)
     left = cells(graph, "left", W)
-    right = cells(graph, "right", W)
+    right = _inverted(left, W)
     two_sided = cells(graph, "two-sided", W)
     total = [0] * len(chars.rows)
     values = [0] * len(chars.classes.blocks)
@@ -256,7 +257,8 @@ def test_cell_invariants(alg):
         assert len({two_sided.block_of[w] for w in block}) == 1, block
     assert total == chars.degrees
     assert from_integers(chars, values) == regular_character(chars)
-    assert right.as_sets() == {frozenset(W.inv(w) for w in b) for b in left.blocks}
+    assert {frozenset(b) for b in right.blocks} == {frozenset(W.inv(w) for w in b)
+                                                    for b in left.blocks}
     left_edges = [(w, y) for w in range(len(W)) for y in graph.succ[w]]
     right_edges = [(W.inv(w), W.inv(y)) for w, y in left_edges]
     orders = {}

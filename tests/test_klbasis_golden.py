@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from api_helpers import c_rows
 from klcells.cli import main
 from klcells.coxeter import build_group
 from klcells.hecke import HeckeAlgebra, KLTable, _cancel_terms, kl_basis
@@ -144,14 +145,14 @@ EQUAL_SPECS = {
 def test_derived_corrections_match_the_full_cancellation(name):
     """With equal parameters the table derives the corrections of every
     ascent pair from its stored rows; each equals the corrections of the
-    full cancellation of C_s C_u (`_cancel_terms`), run on the rows that
-    `c_expansion` gives."""
+    full cancellation of C_s C_u (`_cancel_terms`), run on the rows of
+    `to_json_dict` (`c_rows`)."""
     spec = parse_spec(EQUAL_SPECS[name])
     algebra = HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights)
     assert algebra.equal_parameters
     table = kl_basis(algebra)
     W, grid = algebra.group, algebra.grid
-    rows = [table.c_expansion(w) for w in range(len(W))]
+    rows = c_rows(table)
     for s, L in enumerate(algebra.weights.exps):
         if not algebra.positive[s]:
             continue

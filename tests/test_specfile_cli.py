@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import klcells
-from api_helpers import fresh_python, orbit_representatives
+from api_helpers import c_rows, fresh_python, orbit_representatives
 from klcells.cells import NonIntegerMultiplicity
 from klcells.cli import entry, main
 from klcells.conjecture import B2_REGIME_POINTS
@@ -429,6 +429,40 @@ def test_cli_characters(tmp_path, capsys):
     # characters reads no KL table, so it takes no cache options.
     code, out, err = run_cli(capsys, "characters", spec, "--no-cache")
     assert (code, out) == (1, "") and "--no-cache" in err
+
+
+# Weights for s and t of A6 but none for the other generators.
+PARTIAL_SPEC = "group A 6\nL s = 1\nL t = 1\n"
+PARTIAL_ERROR = "error: line 3, col 1: missing weight for u, v, w, x\n"
+
+
+def test_characters_needs_no_weight_line(tmp_path, capsys):
+    """`characters` reads no weights: on a spec with no weight line it
+    prints what it prints with weights.  A spec that gives some weights
+    but not all is an error for it too."""
+    weightless = write(tmp_path / "a6.spec", "group A 6\n")
+    weighted = write(tmp_path / "a6w.spec",
+                     "group A 6\n" + "".join(f"L {g} = 1\n" for g in "stuvwx"))
+    code, out, err = run_cli(capsys, "characters", weightless)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "characters", weighted) == (0, out, "")
+    partial = write(tmp_path / "partial.spec", PARTIAL_SPEC)
+    assert run_cli(capsys, "characters", partial) == (1, "", PARTIAL_ERROR)
+
+
+@pytest.mark.parametrize("command", ["cells", "klbasis"])
+def test_kl_commands_need_every_weight(command, tmp_path, capsys):
+    """`cells` and `klbasis` on a spec with no weight line exit 1 with one
+    line naming every generator, and on a spec missing some weights with
+    the parser's error, which names the missing ones; nothing is printed
+    to stdout and no KL cache is written."""
+    cache = str(tmp_path / "cache")
+    weightless = write(tmp_path / "a6.spec", "group A 6\n")
+    assert run_cli(capsys, command, weightless, "--cache-dir", cache) == (
+        1, "", "error: missing weight for s, t, u, v, w, x\n")
+    partial = write(tmp_path / "partial.spec", PARTIAL_SPEC)
+    assert run_cli(capsys, command, partial, "--cache-dir", cache) == (1, "", PARTIAL_ERROR)
+    assert not os.path.exists(cache)
 
 
 def test_cli_conjecture(tmp_path, capsys):
@@ -846,24 +880,26 @@ def test_cache_rows_are_the_orbit_representatives(tmp_path, capsys):
     parsed = parse_spec(D4_EQUAL)
     W = build_group(parsed.matrix, gen_names=parsed.gen_names)
     table = kl_basis(HeckeAlgebra(W, parsed.weights))
+    basis = c_rows(table)
     reps = orbit_representatives(W, parsed.weights)
     assert sorted(doc["c_basis"], key=int) == [str(r) for r in reps] and len(reps) == 43
     # Rows format 6 wrote but format 7 does not, with and without a
     # stored coefficient, and representatives' rows with and without.
     others = [w for w in range(len(W)) if w not in reps and W.inv(w) >= w]
-    full = next(w for w in others if extremal_part(table, w))
-    empty = next(w for w in others if not extremal_part(table, w))
+    full = next(w for w in others if extremal_part(table, basis[w], w))
+    empty = next(w for w in others if not extremal_part(table, basis[w], w))
     kept = next(r for r in reps if doc["c_basis"][str(r)])
     bare = next(r for r in reps if not doc["c_basis"][str(r)])
     moved = table.algebra.orbits[kept][0][0]  # the first element walked from `kept`
     cases = {"format 6": cache_text(format6_doc(table))}
     for label, edit in [
-            ("added row", lambda rows: rows.update({str(full): extremal_part(table, full)})),
+            ("added row", lambda rows: rows.update(
+                {str(full): extremal_part(table, basis[full], full)})),
             ("added empty row", lambda rows: rows.update({str(empty): {}})),
             ("dropped row", lambda rows: rows.pop(str(kept))),
             ("dropped empty row", lambda rows: rows.pop(str(bare))),
             ("moved row", lambda rows: rows.update(
-                {str(moved): extremal_part(table, moved)}) or rows.pop(str(kept)))]:
+                {str(moved): extremal_part(table, basis[moved], moved)}) or rows.pop(str(kept)))]:
         edited = json.loads(good)
         edit(edited["c_basis"])
         cases[label] = resign(edited)
@@ -873,14 +909,14 @@ def test_cache_rows_are_the_orbit_representatives(tmp_path, capsys):
         assert path.read_text(encoding="utf-8") == good, label
 
 
-def extremal_part(table, w):
-    """{y: text} for the coefficients p_(y,w), y != w, of C_w that are
-    extremal on both sides: sy < y for every s in L(w) and ys < y for
+def extremal_part(table, row, w):
+    """{y: text} for the coefficients p_(y,w), y != w, of C_w = `row` that
+    are extremal on both sides: sy < y for every s in L(w) and ys < y for
     every s in R(w) with L(s) > 0, keyed by index."""
     W, positive = table.group, table.algebra.positive
     left = [s for s in W.left_descents(w) if positive[s]]
     right = [s for s in W.left_descents(W.inv(w)) if positive[s]]
-    return {str(y): c.render() for y, c in table.c_expansion(w).items()
+    return {str(y): c.render() for y, c in row.items()
             if y != w and all(W.lmul_gen(s, y) < y for s in left)
             and all(W.mul(y, W.generator(s)) < y for s in right)}
 
@@ -896,11 +932,12 @@ def format6_doc(table):
     the extremal part of each row C_w with index(w) <= index(w^-1), which
     format 7 keeps only for the orbit representatives, and format 7's
     products."""
-    W = table.group
+    W, basis = table.group, c_rows(table)
     doc = json.loads(table.to_cache_text())
     del doc["digest"]
     doc["format"] = 6
-    doc["c_basis"] = {str(w): extremal_part(table, w) for w in range(len(W)) if W.inv(w) >= w}
+    doc["c_basis"] = {str(w): extremal_part(table, basis[w], w)
+                      for w in range(len(W)) if W.inv(w) >= w}
     return doc
 
 
