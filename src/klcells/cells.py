@@ -315,7 +315,7 @@ def _cell_moves(table: KLTable) -> List[Tuple[List[int], List[int], List[int], L
         moves.append((sigma, [words[sigma[group.generator(s)]][0] for s in gens], source,
                       [1] * len(reps), False))
     # w w0 = g (u w0) for w = g u, u shorter and so earlier in index order.
-    times_w0 = [max(range(len(group)), key=lengths.__getitem__)] * len(group)
+    times_w0 = [len(group) - 1] * len(group)  # ShortLex: the last element is w0
     for w in range(1, len(group)):
         g = words[w][0]
         times_w0[w] = lmul[g][times_w0[lmul[g][w]]]

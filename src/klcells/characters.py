@@ -12,8 +12,8 @@ residue.  On the other classes the eigenvalue multiplicities of rho(g)
 are recovered by a discrete Fourier transform over F_p and lifted to the
 cyclotomic field Q(zeta_exponent), where all values are exact.
 
-Any group object with mul/inv/identity/element_order/name/conjugacy_classes
-works; CoxeterGroup is the one the pipeline builds.
+Any group object with mul/inv/identity/name/conjugacy_classes works;
+CoxeterGroup is the one the pipeline builds.
 """
 
 from __future__ import annotations
@@ -329,7 +329,15 @@ def character_table(group) -> CharacterTable:
     k = len(classes.blocks)
     n = len(group)
     reps = classes.representatives
-    class_orders = [group.element_order(r) for r in reps]
+    # power_class[l][t] is the class of rep_l^t, for t below its order.
+    power_class = []
+    for rep in reps:
+        row, g = [classes.class_of[group.identity]], rep
+        while g != group.identity:
+            row.append(classes.class_of[g])
+            g = group.mul(g, rep)
+        power_class.append(row)
+    class_orders = list(map(len, power_class))
     exponent = lcm(*class_orders) if class_orders else 1
     p = dixon_prime(n, exponent)
     field = CyclotomicField.get(exponent)
@@ -354,17 +362,6 @@ def character_table(group) -> CharacterTable:
     inv_class = [classes.class_of[group.inv(r)] for r in reps]
     theta = _primitive_root(p)
     zeta_fp = pow(theta, (p - 1) // exponent, p)
-
-    # power map: class of rep_l^t
-    power_class = []
-    for l, rep in enumerate(reps):
-        m = class_orders[l]
-        row = []
-        g = group.identity
-        for _ in range(m):
-            row.append(classes.class_of[g])
-            g = group.mul(g, rep)
-        power_class.append(row)
 
     # A class closed under its coprime powers (rep^t ~ rep for every t prime
     # to its order m) is rational: chi there is fixed by Gal(Q(zeta_m)/Q),

@@ -303,13 +303,6 @@ class CoxeterGroup:
         lw = self._lengths[w]
         return [g for g in range(self.rank) if self._lengths[self._lmul[g][w]] < lw]
 
-    def element_order(self, w: int) -> int:
-        k, x = 1, w
-        while x != 0:
-            x = self.mul(x, w)
-            k += 1
-        return k
-
     def conjugacy_classes(self) -> "ConjugacyClasses":
         if self._classes is None:
             self._classes = ConjugacyClasses(self)

@@ -9,7 +9,8 @@ u = sw, falls into one of four cases:
 * construction step: s is the first letter of w's reduced word and
   L(s) > 0.  The bar-invariant product C_s C_u is reduced to C_w by
   subtracting bar-symmetric multiples m_y C_y of shorter elements,
-  longest support element first; C_s C_u = C_w + sum_y m_y C_y.
+  longest support element first, each C_y within the support of C_s C_u
+  (`_cancel`); C_s C_u = C_w + sum_y m_y C_y.
 * other ascent pairs, equal parameters: every positive weight is one
   value L.  Then m_y = mu(y,u), the coefficient of v^{-L} in p_{y,u},
   for each y != u with sy < y (Kazhdan and Lusztig, Representations of
@@ -153,7 +154,6 @@ automorphism keeps.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from fractions import Fraction
@@ -745,11 +745,6 @@ class KLTable:
         return KLTable(algebra, stored, products)
 
 
-def _lower(c: LaurentElt, key: int) -> LaurentElt:
-    """v^-e c, for `key` the grid key of e."""
-    return LaurentElt(c.grid, {g - key: k for g, k in c.items()})
-
-
 def _texts() -> Tuple[Callable[..., str], Callable[..., List[str]]]:
     """(text, texts): text(c, key=0) is the text of v^-e c, for `key` the
     grid key of e, and texts(c, keys) lists text(c, key) for the `keys`.
@@ -766,7 +761,7 @@ def _texts() -> Tuple[Callable[..., str], Callable[..., List[str]]]:
             value = (c.grid, *((g - key, k) for g, k in c.items()))
             t = rendered.get(value)
             if t is None:
-                t = rendered[value] = _lower(c, key).render()
+                t = rendered[value] = LaurentElt(c.grid, dict(value[1:])).render()
             hit = one[id(c), key] = (c, t)
         return hit[1]
 
@@ -921,22 +916,33 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
 
     C_s C_u = T_s C_u + v^{-L(s)} C_u is bar-invariant; the non-negative
     part of each lower coefficient is cancelled by subtracting a
-    bar-symmetric multiple m_y C_y, longest support element first (highest
-    index among equal lengths).  Subtracting m_y C_y changes only y and
-    elements shorter than y, so a heap of pending indices gives that
-    order: element indices are in ShortLex order, so a larger index is
-    never shorter.  m_y is the rounded high part of the coefficient, and
-    m_y C_y is an int multiply when m_y is a constant, else one shift and
-    multiply per term of m_y: cheaper than a Kronecker product of whole
-    ints, as m_y has few terms and lex slots are wide.  left[y] is sy.
-    Every term of C_s C_u has |x_i| <= reach[u]_i + |L(s)_i|, and every
-    term of m_y C_y at most ext(m_y)_i + reach[y]_i; `top`, the max of
-    these, bounds every exponent of C_w, which is a sum of such terms.
+    bar-symmetric multiple m_y C_y, in one pass down the index order
+    (ShortLex, so a larger index is never shorter), as m_y C_y changes
+    only y and shorter elements.  m_y is the rounded high part of the
+    coefficient, and m_y C_y is an int multiply when m_y is a constant,
+    else one shift and multiply per term of m_y: cheaper than a Kronecker
+    product of whole ints, as m_y has few terms and lex slots are wide.
+    left[y] is sy.  Every term of C_s C_u has |x_i| <= reach[u]_i +
+    |L(s)_i|, and every term of m_y C_y at most ext(m_y)_i + reach[y]_i;
+    `top`, the max of these, bounds every exponent of C_w, a sum of such
+    terms.
 
-    Only y with sy < y are visited: C_s C_u lies in the span of the C_y
-    with sy < y (Lusztig, Hecke algebras with unequal parameters,
-    Theorem 6.6; the argument needs only L(s) > 0), so m_y = 0 for the
-    others and their coefficients are already strictly negative.
+    The pass visits the y != w with sy < y among the keys of C_s C_u,
+    K = supp(C_u) u s supp(C_u): m_y = 0 at sy > y, as C_s C_u lies in
+    the span of the C_y with sy < y (Lusztig, Hecke algebras with unequal
+    parameters, Theorem 6.6; the argument needs only L(s) > 0).  No key
+    joins K, as every C_y subtracted has supp(C_y) in K = supp(C_w).  For
+    positive weights, p_{y,x} = v^{L(y)-L(x)} + higher terms for y <= x in
+    the Bruhat order, so supp(C_x) = [e,x], and [e,u] u s[e,u] = [e,su]
+    (lifting property): K = [e,w] holds each [e,y].  Zero weights reduce
+    to this: with S0 the generators of weight 0, the reflection subgroup
+    W~ generated by the W_{S0}-conjugates of the others is a Coxeter group
+    with positive weights, W is W~ x| W_{S0}, C_{xz} = C~_x T_z for x in
+    W~ and z in W_{S0}, s is a simple reflection of W~, and for u = xz,
+    C_s C_u = (C~_s C~_x) T_z.  These three statements are checked, not
+    cited (tests/test_hecke.py).  A key outside K would raise KeyError
+    (exit 2 from the CLI), never give another table; a zero p_{y,w} is
+    legal, so zero entries are dropped on return.
     """
     sh, BR, one = pk.shift[s], pk.BR, pk.one
     half, small = one >> 1, pk.limit << 1
@@ -950,11 +956,8 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
         sy = left[y]
         cand[sy] = cand.get(sy, 0) + x
         cand[y] = cand.get(y, 0) + (x << sh if sy < y else x >> sh)
-    heap = [-y for y in cand if y != w and left[y] < y]
-    heapq.heapify(heap)
     correction: Packed = {}
-    while heap:
-        y = -heapq.heappop(heap)
+    for y in sorted((y for y in cand if y != w and left[y] < y), reverse=True):
         hi = (cand[y] + half) >> BR
         if not hi:
             continue
@@ -973,14 +976,7 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
                 term = 0
                 for k, d in terms:
                     term += d * (cz << k if k >= 0 else cz >> -k)
-            x = cand.get(z)
-            if x is not None:
-                cand[z] = x - term
-            else:  # new to the heap's view of cand
-                # Only for z, sz outside supp(C_u): no weights tried, zero too, get here.
-                cand[z] = -term
-                if left[z] < z:
-                    heapq.heappush(heap, -z)
+            cand[z] -= term
     return {y: x for y, x in cand.items() if x}, correction, bound, top
 
 
@@ -1032,38 +1028,23 @@ def _construct(algebra: HeckeAlgebra) -> KLTable:
                                        for pair, h in corrections.items()})
 
 
-def _add_into(h: HeckeCoeffs, y: int, c: LaurentElt) -> None:
-    """h[y] += c in place, dropping the entry if it cancels."""
-    total = h[y] + c if y in h else c
-    if total:
-        h[y] = total
-    else:
-        del h[y]
-
-
 def _cancel_terms(algebra: HeckeAlgebra, s: int, u: int, w: int, c_exp: List[HeckeCoeffs],
                   v_plus: LaurentElt, v_minus: LaurentElt) -> Tuple[HeckeCoeffs, HeckeCoeffs]:
-    """`_cancel` in the dict ring: (C_w, {y: m_y}) with C_s C_u = C_w +
-    sum_y m_y C_y, each m_y the bar-symmetric extension of the part of the
-    T_y coefficient with exponents >= 0 (v^0 once); v_plus and v_minus
-    are v^(+-L(s))."""
-    group, grid = algebra.group, algebra.grid
+    """`_cancel` in the dict ring, with the same candidates and pass: (C_w,
+    {y: m_y}) with C_s C_u = C_w + sum_y m_y C_y, each m_y the
+    bar-symmetric extension of the part of the T_y coefficient with
+    exponents >= 0 (v^0 once); v_plus and v_minus are v^(+-L(s))."""
+    left, grid = algebra.group._lmul[s], algebra.grid
+    zero = LaurentElt(grid, {})
     cand: HeckeCoeffs = {}
     for y, c in c_exp[u].items():
-        sy = group.lmul_gen(s, y)
-        _add_into(cand, sy, c)
-        _add_into(cand, y, (v_plus if sy < y else v_minus) * c)
-    heap = [-y for y in cand if y != w and group.lmul_gen(s, y) < y]
-    heapq.heapify(heap)
-    queued = set(cand)
+        sy = left[y]
+        cand[sy] = cand.get(sy, zero) + c
+        cand[y] = cand.get(y, zero) + (v_plus if sy < y else v_minus) * c
     correction: HeckeCoeffs = {}
-    while heap:
-        y = -heapq.heappop(heap)
-        c = cand.get(y)
-        if c is None:
-            continue
+    for y in sorted((y for y in cand if y != w and left[y] < y), reverse=True):
         terms = {}
-        for g, k in c.items():
+        for g, k in cand[y].items():
             if g >= 0:
                 terms[g] = terms[-g] = k
         if not terms:
@@ -1071,13 +1052,8 @@ def _cancel_terms(algebra: HeckeAlgebra, s: int, u: int, w: int, c_exp: List[Hec
         m = correction[y] = LaurentElt(grid, terms)
         minus_m = m * -1
         for z, cz in c_exp[y].items():
-            _add_into(cand, z, minus_m * cz)
-            if z not in queued:
-                # Only for a zero T_z coefficient of C_s C_u: no weights tried, zero too, get here.
-                queued.add(z)
-                if group.lmul_gen(s, z) < z:
-                    heapq.heappush(heap, -z)
-    return cand, correction
+            cand[z] += minus_m * cz
+    return {y: c for y, c in cand.items() if c}, correction
 
 
 def _construct_terms(algebra: HeckeAlgebra) -> KLTable:

@@ -52,9 +52,6 @@ class TrivialGroup:
     def inv(self, a):
         return 0
 
-    def element_order(self, a):
-        return 1
-
     def name(self, a):
         return "e"
 
@@ -92,9 +89,6 @@ class CyclicGroup:
 
     def inv(self, a: int) -> int:
         return (-a) % self.d
-
-    def element_order(self, a: int) -> int:
-        return self.d // gcd(a, self.d) if a else 1
 
     def name(self, a: int) -> str:
         return f"s^{a}"

@@ -18,6 +18,7 @@ from hecke_reference import (add, bar, c_gen, clean, cs_product_reference,
                              zero_coeff)
 from kl_brute_oracle import brute_kl_expansions
 from laurent_ring import sub as sub_coeff
+from test_klbasis_golden import F4_MATRIX, SPECS_BY_COMMAND
 from klcells import hecke
 from klcells.cli import main
 from klcells.coxeter import (CoxeterMatrix, WeightFunction, build_group,
@@ -463,6 +464,81 @@ def test_carried_reach_is_the_exact_reach(text, monkeypatch):
     monkeypatch.setattr(hecke, "_cancel", checked)
     kl_basis(alg)
     assert steps
+
+
+# Every golden `cells` spec, and zero weights on B3, B4, F4, I2(8) and on
+# the A1 of D4 x A1.
+INVARIANT_SPECS = {
+    **SPECS_BY_COMMAND["cells"],
+    "B3_0_0_2": "group B 3\nL s = 0\nL t = 0\nL u = 2\n",
+    "B4_0_0_0_1": "group B 4\nL s = 0\nL t = 0\nL u = 0\nL v = 1\n",
+    "F4_1_1_0_0": F4_MATRIX + "L s = 1\nL t = 1\nL u = 0\nL v = 0\n",
+    "F4_0_0_1_1": F4_MATRIX + "L s = 0\nL t = 0\nL u = 1\nL v = 1\n",
+    "I2(8)_0_1": "group I2 8\nL s = 0\nL t = 1\n",
+    "D4xA1_1_1_1_1_0": "group matrix\n5\n3 2 2 2\n3 3 2\n2 2\n2\n"
+                       "L s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 0\n",
+}
+
+
+def test_cancellation_stays_in_the_support_of_the_product(monkeypatch):
+    """Both cancellations of C_s C_u keep to K = supp(C_u) u s supp(C_u),
+    the keys they start from (`_cancel`): every C_y subtracted has its
+    keys in K, and the C_su built has exactly the keys K."""
+    seen = {"_cancel": 0, "_cancel_terms": 0}
+
+    def check(name, left, u, c_exp, row, correction):
+        K = c_exp[u].keys() | set(map(left.__getitem__, c_exp[u]))
+        assert row.keys() == K, (name, u)
+        assert all(c_exp[y].keys() <= K for y in correction), (name, u)
+        seen[name] += 1
+
+    cancel, cancel_terms = hecke._cancel, hecke._cancel_terms
+
+    def packed(pk, s, left, u, w, c_exp, digits, reach):
+        out = cancel(pk, s, left, u, w, c_exp, digits, reach)
+        check("_cancel", left, u, c_exp, *out[:2])
+        return out
+
+    def terms(algebra, s, u, w, c_exp, v_plus, v_minus):
+        out = cancel_terms(algebra, s, u, w, c_exp, v_plus, v_minus)
+        check("_cancel_terms", algebra.group._lmul[s], u, c_exp, *out)
+        return out
+    monkeypatch.setattr(hecke, "_cancel", packed)
+    monkeypatch.setattr(hecke, "_cancel_terms", terms)
+    for text in INVARIANT_SPECS.values():
+        spec = parse_spec(text)
+        kl_basis(HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights))
+    assert all(seen.values()), seen
+
+
+def bruhat_intervals(W):
+    """[e,w] for every w, from the group tables alone: for s with sw < w,
+    y <= w exactly when the shorter of y and sy is <= sw (the lifting
+    property)."""
+    below = [{W.identity}] + [None] * (len(W) - 1)
+    for w in range(1, len(W)):
+        s = W.left_descents(w)[0]
+        lower, left = below[W.lmul_gen(s, w)], W._lmul[s]
+        below[w] = {y for y in range(len(W))
+                    if min(y, left[y], key=W.length) in lower}
+    return below
+
+
+@pytest.mark.parametrize("text", [
+    "group B 3\nL s = 1\nL t = 1\nL u = 3/2\n",
+    "group B 3\nL lex s = e_1\nL lex t = e_1\nL lex u = e_2\n",
+    "group B 4\nL s = 1\nL t = 1\nL u = 1\nL v = 2\n",
+    "group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n",
+    "group I2 8\nL lex s = e_2\nL lex t = e_1\n",
+], ids=["B3 (1,1,3/2)", "B3 lex", "B4 (1,1,1,2)", "H3", "I2(8) lex"])
+def test_positive_weights_give_full_bruhat_intervals(text):
+    """With every weight positive supp(C_w) is the Bruhat interval [e,w]:
+    the fact the fixed candidates of `_cancel` rest on."""
+    spec = parse_spec(text)
+    alg = HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights)
+    assert all(alg.positive)
+    rows = c_rows(kl_basis(alg))
+    assert [set(row) for row in rows] == bruhat_intervals(alg.group)
 
 
 @pytest.mark.parametrize("text", [

@@ -179,6 +179,9 @@ def exit_status(capsys, *argv):
     ["cm-rank1", "{spec}", "--d", "2", "--c", "1"],
     ["conjecture", "extra", "--no-b2"],
     ["cm-rank1", "--c", "1"],                      # cm-rank1 without --d
+    ["cm-rank1", "--d", "1", "--c", "1"],          # d below 2
+    ["cm-rank1", "--d", "0", "--c", "1"],
+    ["characters", "{spec}", "--no-cache"],        # characters reads no KL cache
 ])
 def test_argument_errors_exit_1_with_usage(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -187,6 +190,22 @@ def test_argument_errors_exit_1_with_usage(tmp_path, capsys, monkeypatch, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "usage" in err
     assert sorted(os.listdir(tmp_path)) == ["a1.spec"]
+
+
+def test_generators_past_eight_are_named_s1_s2_and_on(tmp_path, capsys):
+    """A1^9 has more generators than the letters s, ..., z: they are
+    s1, ..., s9, and a weight for s is an error.  Only `klbasis` runs on
+    it here: `cells` and `characters` take tens of seconds, as its 512
+    elements are 512 classes."""
+    names = [f"s{i}" for i in range(1, 10)]
+    matrix = "group matrix\n9\n" + "".join(" ".join("2" * k) + "\n" for k in range(8, 0, -1))
+    spec = write(tmp_path / "a1x9.spec", matrix + "".join(f"L {g} = 1\n" for g in names))
+    code, out, err = run_cli(capsys, "klbasis", spec, "--no-cache")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["generators"] == names
+    bad = write(tmp_path / "bad.spec", matrix + "L s = 1\n")
+    code, out, err = run_cli(capsys, "klbasis", bad, "--no-cache")
+    assert (code, out) == (1, "") and "unknown generator 's'" in err
 
 
 def test_option_value_may_follow_an_equals_sign(tmp_path, capsys):
