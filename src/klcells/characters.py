@@ -4,13 +4,17 @@ Dixon's class-sum approach: the class matrices M_i (class multiplication
 constants) commute, and their common eigenvectors are the central
 characters.  Modulo a prime p = 1 (mod exponent), p > 2|W|, the space is
 split exactly over F_p into eigenspaces of M_1, M_2, ... until every space
-is a line; M_i is built only when the split reaches class i, and each
-split finds the characteristic polynomial in O(d^3) by a reduction to
-Hessenberg form.  On a class closed under its coprime powers every
-character value is an integer of size at most chi(1) < p/2, read off its
-residue.  On the other classes the eigenvalue multiplicities of rho(g)
-are recovered by a discrete Fourier transform over F_p and lifted to the
-cyclotomic field Q(zeta_exponent), where all values are exact.
+is a line; M_i is built only when the split reaches class i.  A split of
+a d-dimensional space costs O(d^3) whatever the number of eigenvalues:
+one reduction of the action A to Hessenberg form H = T^-1 A T gives the
+characteristic polynomial, and each eigenspace is T ker(H - lam I), read
+off H in O(d^2) per eigenvalue with a small eigenspace, since each
+column of H - lam I brings one new row to eliminate.  On a class closed
+under its coprime powers every character value is an integer of size at
+most chi(1) < p/2, read off its residue.  On the other classes the
+eigenvalue multiplicities of rho(g) are recovered by a discrete Fourier
+transform over F_p and lifted to the cyclotomic field Q(zeta_exponent),
+where all values are exact.
 
 Any group object with mul/inv/identity/name/conjugacy_classes works;
 CoxeterGroup is the one the pipeline builds.
@@ -39,20 +43,22 @@ class CharacterTable:
         return [int(row[0].to_fraction()) for row in self.rows]
 
     @cached_property
-    def dual(self) -> Tuple[int, List[List[List[Tuple[int, int]]]]]:
-        """(scale, dual) with dual[r][l] the nonzero power-basis coefficients
-        of D * |C_l| * conj(chi_r(l)) as (index, int) pairs and
-        scale = D * |W|, where D is the lcm of their denominators, so that
-        <f, chi_r> = sum_l f(l) * dual[r][l] / scale.  A rational entry is
-        one pair at most.  Built on first use, since most tables are never
-        used to decompose."""
+    def dual(self) -> Tuple[int, List[List[Tuple[int, List[int]]]]]:
+        """(scale, dual) with dual[r] the pairs (j, ints) for each power-basis
+        index j at which some entry of row r is nonzero: ints[l] is the j-th
+        numerator of D * |C_l| * conj(chi_r(l)), and scale = D * |W|, where
+        D is the lcm of their denominators, so that
+        <f, chi_r> = sum_l f(l) * dual[r][l] / scale.  A rational row has
+        index 0 alone.  Built on first use, since most tables are never used
+        to decompose."""
         sizes = self.classes.sizes
         conj = [[v.conj() * size for v, size in zip(row, sizes)]
                 for row in self.rows]
         d = lcm(*(v.den for row in conj for v in row))
-        dual = [[[(j, c * (d // v.den)) for j, c in enumerate(v.num) if c]
-                 for v in row]
-                for row in conj]
+        dual = []
+        for row in conj:
+            nums = [[c * (d // v.den) for c in v.num] for v in row]
+            dual.append([(j, list(ints)) for j, ints in enumerate(zip(*nums)) if any(ints)])
         return d * sum(sizes), dual
 
     def to_json_dict(self) -> dict:
@@ -128,40 +134,104 @@ def _primitive_root(p: int) -> int:
         g += 1
 
 
-def _charpoly_mod(a: List[List[int]], p: int) -> List[int]:
-    """x^d + c1 x^(d-1) + ... + cd mod p, in O(d^3): a similarity
-    reduction to upper Hessenberg form H, then the recurrence
+def _charpoly_mod(a: List[List[int]], p: int
+                  ) -> Tuple[List[int], List[List[int]], List[List[int]]]:
+    """(coeffs, h, t): coeffs = [1, c1, ..., cd] with
+    x^d + c1 x^(d-1) + ... + cd = det(x - a) mod p, h upper Hessenberg and
+    a t = t h, in O(d^3).  Step m swaps a nonzero entry of column m - 1
+    into row m and clears the column below it with one similarity
+    I - u e_m^T; t gathers the inverse of each step.  The polynomial is the
+    recurrence
     P_(m+1) = x P_m - sum_(r <= m) h_(r,m) h_(r+1,r) ... h_(m,m-1) P_r
     over the characteristic polynomials P_m of the leading m x m blocks."""
     d = len(a)
     h = [[x % p for x in row] for row in a]
+    t = [[int(i == j) for j in range(d)] for i in range(d)]
+    # Columns m.. of t are still unit vectors: column i is e_(unit[i]).
+    unit = list(range(d))
     for m in range(1, d - 1):
         piv = next((i for i in range(m, d) if h[i][m - 1]), None)
         if piv is None:
             continue
-        h[m], h[piv] = h[piv], h[m]
-        for row in h:
-            row[m], row[piv] = row[piv], row[m]
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+            for row in t:
+                row[m], row[piv] = row[piv], row[m]
+            unit[m], unit[piv] = unit[piv], unit[m]
         inv = pow(h[m][m - 1], -1, p)
         hm = h[m]
+        u = [0] * (m + 1)
         for i in range(m + 1, d):
-            u = h[i][m - 1] * inv % p
-            if u:
-                # row_i -= u row_m, then col_m += u col_i: H stays similar.
-                h[i] = [(x - u * y) % p for x, y in zip(h[i], hm)]
-                for row in h:
-                    row[m] = (row[m] + u * row[i]) % p
+            ui = h[i][m - 1] * inv % p
+            if ui:
+                h[i] = [(x - ui * y) % p for x, y in zip(h[i], hm)]
+            u.append(ui)
+        if any(u):
+            # Rows i > m lost u_i row_m above; column m gains the columns
+            # past it weighted by u, in h and in t.
+            for row in h:
+                row[m] = (row[m] + sum(map(mul, row, u))) % p
+            for i in range(m + 1, d):
+                t[unit[i]][m] = u[i]
     polys = [[1]]  # constant term first
     for m in range(d):
         nxt = [0] + polys[m]
-        t = 1
+        f = 1  # h_(r+1,r) ... h_(m,m-1), zero below a zero subdiagonal entry
         for r in range(m, -1, -1):
-            f = t * h[r][m] % p
-            for j, c in enumerate(polys[r]):
-                nxt[j] = (nxt[j] - f * c) % p
-            t = t * h[r][r - 1] % p  # unused after r = 0
-        polys.append(nxt)
-    return polys[d][::-1]
+            c = f * h[r][m] % p
+            if c:
+                nxt[:r + 1] = [x - c * y for x, y in zip(nxt, polys[r])]
+            if not r or not h[r][r - 1]:
+                break
+            f = f * h[r][r - 1] % p
+        polys.append([x % p for x in nxt])
+    return polys[d][::-1], h, t
+
+
+def _hessenberg_kernel(h: List[List[int]], lam: int, p: int) -> List[List[int]]:
+    """A basis of ker(h - lam I) mod p for upper Hessenberg h.
+
+    Elimination column by column: the rows not yet used as pivots have
+    their support at column c or beyond, and row c + 1 is the only row to
+    join them there, so each column meets as many rows as the kernel has
+    dimensions so far, plus one.  Each kernel vector, one per free column
+    fc, is zero past fc and costs O(d^2) by back substitution through the
+    pivot rows before fc."""
+    d = len(h)
+
+    def shifted(i):
+        row = h[i][:]
+        row[i] = (row[i] - lam) % p
+        return row
+
+    pending = [shifted(0)] if d else []
+    pivot_rows: List[Tuple[int, List[int], int]] = []  # (column, row, 1/row[column])
+    free = []  # (column, pivots before it)
+    for c in range(d):
+        if c + 1 < d:
+            pending.append(shifted(c + 1))
+        at = next((i for i, row in enumerate(pending) if row[c]), None)
+        if at is None:
+            free.append((c, len(pivot_rows)))
+            continue
+        piv = pending.pop(at)
+        inv = pow(piv[c], -1, p)
+        for i, row in enumerate(pending):
+            if row[c]:
+                f = row[c] * inv % p
+                pending[i] = [(x - f * y) % p for x, y in zip(row, piv)]
+        pivot_rows.append((c, piv, inv))
+    basis = []
+    for fc, before in free:
+        y = [0] * d
+        y[fc] = 1
+        # A pivot row at column c is zero before c, and y is zero at c.
+        for c, row, inv in reversed(pivot_rows[:before]):
+            y[c] = -sum(map(mul, row, y)) * inv % p
+        basis.append(y)
+    return basis
 
 
 def _scan_order(p: int) -> Iterator[int]:
@@ -238,22 +308,6 @@ def _rref(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
     return rows[:r], pivots
 
 
-def _nullspace(a: List[List[int]], p: int) -> List[List[int]]:
-    d = len(a)
-    rows, pivots = _rref(a, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(d):
-        if free in pivot_set:
-            continue
-        vec = [0] * d
-        vec[free] = 1
-        for r, pc in zip(rows, pivots):
-            vec[pc] = (-r[free]) % p
-        basis.append(vec)
-    return basis
-
-
 class _Subspace:
     """Row space in rref form with pivot bookkeeping."""
 
@@ -265,42 +319,56 @@ class _Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _others(self) -> List[Tuple[int, List[int]]]:
+        """(c, column c of the rows) for each column c without a pivot.  A
+        row is one at its own pivot and zero at the others, so a
+        combination of the rows is its coefficients there, and only these
+        columns need sums.  Built for the spaces that get split."""
+        pivots = set(self.pivots)
+        return [(c, list(col)) for c, col in enumerate(zip(*self.rows)) if c not in pivots]
+
     def coords(self, vec: List[int]) -> List[int]:
         p = self.p
         out = [vec[pc] % p for pc in self.pivots]
-        residual = vec[:]
-        for c, row in zip(out, self.rows):
-            if c:
-                residual = [(x - c * y) % p for x, y in zip(residual, row)]
-        if any(residual):
+        if any((vec[c] - sum(map(mul, out, col))) % p for c, col in self._others):
             raise ArithmeticError("vector escaped an invariant subspace")
         return out
 
+    def combine(self, coeffs: List[int]) -> List[int]:
+        """sum_i coeffs[i] * rows[i] mod p, for coeffs reduced mod p."""
+        p = self.p
+        vec = [0] * len(self.rows[0])
+        for pc, x in zip(self.pivots, coeffs):
+            vec[pc] = x
+        for c, col in self._others:
+            vec[c] = sum(map(mul, coeffs, col)) % p
+        return vec
 
-def _refine(space: _Subspace, mat: List[List[int]], p: int) -> List[_Subspace]:
-    """Split a mat-invariant subspace into eigenspaces of mat."""
+
+def _refine(space: _Subspace, cols: List[List[Tuple[int, int]]], p: int
+            ) -> List[_Subspace]:
+    """Split a subspace invariant under a class matrix, given by the
+    nonzero (row, entry) pairs of its columns, into its eigenspaces: each
+    is t ker(h - lam I) in the basis of the space's rows, with h and t
+    from the Hessenberg reduction of the action that gives its
+    characteristic polynomial."""
     d = space.dim
-    k = len(mat)
-    images = [space.coords([sum(map(mul, mrow, row)) % p for mrow in mat])
-              for row in space.rows]
+    k = len(cols)
+    images = []
+    for row in space.rows:
+        image = [0] * k
+        for j, c in enumerate(row):
+            if c:
+                for l, v in cols[j]:
+                    image[l] += c * v
+        images.append(space.coords(image))
     # action[t][idx] = coefficient of basis row t in the image of row idx
-    action = [[images[idx][t] for idx in range(d)] for t in range(d)]
-    roots = _poly_roots_mod(_charpoly_mod(action, p), p)
-    out = []
-    for lam in roots:
-        shifted = [[(action[i][j] - (lam if i == j else 0)) % p for j in range(d)]
-                   for i in range(d)]
-        null_basis = _nullspace(shifted, p)
-        if not null_basis:
-            continue
-        ambient = []
-        for nv in null_basis:
-            vec = [0] * k
-            for coef, row in zip(nv, space.rows):
-                if coef:
-                    vec = [(x + coef * y) % p for x, y in zip(vec, row)]
-            ambient.append(vec)
-        out.append(_Subspace(ambient, p))
+    action = [list(col) for col in zip(*images)]
+    coeffs, h, t = _charpoly_mod(action, p)
+    out = [_Subspace([space.combine([sum(map(mul, trow, y)) % p for trow in t])
+                      for y in _hessenberg_kernel(h, lam, p)], p)
+           for lam in _poly_roots_mod(coeffs, p)]
     if sum(s.dim for s in out) != d:
         raise ArithmeticError("eigenspace refinement lost dimensions")
     return out
@@ -309,17 +377,18 @@ def _refine(space: _Subspace, mat: List[List[int]], p: int) -> List[_Subspace]:
 # -- the table -------------------------------------------------------------
 
 
-def _class_matrix(group, classes, i: int) -> List[List[int]]:
-    """M_i[l][j] = #{(x, y) in C_i x C_l : xy = rep_j}, from the
-    |C_i| * k products x^-1 rep_j with x in C_i."""
-    k = len(classes.blocks)
+def _class_matrix(group, classes, i: int) -> List[List[Tuple[int, int]]]:
+    """The nonzero entries of M_i by columns: cols[j] holds the pairs
+    (l, M_i[l][j]) with M_i[l][j] = #{(x, y) in C_i x C_l : xy = rep_j},
+    from the |C_i| * k products x^-1 rep_j with x in C_i."""
     class_of = classes.class_of
-    mat = [[0] * k for _ in range(k)]
+    cols: List[dict] = [{} for _ in classes.representatives]
     for x in classes.blocks[i]:
         xinv = group.inv(x)
-        for j, rep in enumerate(classes.representatives):
-            mat[class_of[group.mul(xinv, rep)]][j] += 1
-    return mat
+        for col, rep in zip(cols, classes.representatives):
+            l = class_of[group.mul(xinv, rep)]
+            col[l] = col.get(l, 0) + 1
+    return [list(col.items()) for col in cols]
 
 
 def character_table(group) -> CharacterTable:
@@ -348,13 +417,13 @@ def character_table(group) -> CharacterTable:
     for i in range(1, k):
         if all(s.dim == 1 for s in spaces):
             break
-        mat = _class_matrix(group, classes, i)
+        cols = _class_matrix(group, classes, i)
         nxt: List[_Subspace] = []
         for s in spaces:
             if s.dim == 1:
                 nxt.append(s)
             else:
-                nxt.extend(_refine(s, mat, p))
+                nxt.extend(_refine(s, cols, p))
         spaces = nxt
     if not all(s.dim == 1 for s in spaces):
         raise ArithmeticError("class matrices failed to separate characters")
@@ -471,10 +540,8 @@ def _dual_numerators(ints: Sequence[int], table: CharacterTable) -> List[List[in
     out = []
     for drow in table.dual[1]:
         acc = [0] * deg
-        for a, dv in zip(ints, drow):
-            if a:
-                for j, c in dv:
-                    acc[j] += a * c
+        for j, row in drow:
+            acc[j] = sum(map(mul, ints, row))
         out.append(acc)
     return out
 

@@ -217,7 +217,10 @@ class CoxeterGroup:
         # root permutation is built only for new elements.  heads[g] reads
         # the key of ws off the permutation of w, and steps[g] the whole
         # permutation of ws (a root system has at least two roots, so a tuple);
-        # at rank 1 a key is a bare int, and rank 0 has no heads.
+        # at rank 1 a key is a bare int, and rank 0 has no heads.  The walk
+        # meets each edge {w, ws} first from its shorter end, and l(ws) =
+        # l(w) +- 1, so a key is looked up only along an ascent, which also
+        # sets rmul[ws][s] = w: every descent is set before its row is read.
         rank = self.rank
         gen_perms = self._gen_perms
         heads = [itemgetter(*pg[:rank]) for pg in gen_perms]
@@ -227,14 +230,16 @@ class CoxeterGroup:
         perms = [identity]
         words: List[Tuple[int, ...]] = [()]
         lengths = [0]
-        rmul: List[List[int]] = []
+        rmul: List[List[int]] = [[-1] * rank]
         queue = [0]
         while queue:
             nxt = []
             for w in queue:
                 pw = perms[w]
-                row = []
+                row = rmul[w]
                 for g, head in enumerate(heads):
+                    if row[g] >= 0:
+                        continue
                     key = head(pw)
                     idx = perm_index.get(key)
                     if idx is None:
@@ -246,9 +251,10 @@ class CoxeterGroup:
                         perms.append(steps[g](pw))
                         words.append(words[w] + (g,))
                         lengths.append(lengths[w] + 1)
+                        rmul.append([-1] * rank)
                         nxt.append(idx)
-                    row.append(idx)
-                rmul.append(row)
+                    row[g] = idx
+                    rmul[idx][g] = w
             queue = nxt
         self.size = len(perms)
         self._words = words

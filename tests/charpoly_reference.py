@@ -8,9 +8,16 @@ c_(k-1) I and c_k = -tr(A M_k) / k, so it needs p > d.
 
 The roots of a polynomial by evaluating it at every x in F_p, before the
 scan of `_poly_roots_mod` that stops at the last root.
+
+The eigenspaces of a class matrix on an invariant subspace by one
+Gauss-Jordan nullspace of the d x d action per eigenvalue, O(d^3) each,
+before `_refine` read them all off one Hessenberg reduction.
 """
 
+from operator import mul
 from typing import List
+
+from klcells.characters import _charpoly_mod, _poly_roots_mod, _rref
 
 
 def charpoly_faddeev_leverrier(a: List[List[int]], p: int) -> List[int]:
@@ -40,3 +47,54 @@ def poly_roots_brute_force(coeffs: List[int], p: int) -> List[int]:
         if acc == 0:
             roots.append(x)
     return roots
+
+
+def _nullspace(a: List[List[int]], p: int) -> List[List[int]]:
+    d = len(a)
+    rows, pivots = _rref(a, p)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(d):
+        if free in pivot_set:
+            continue
+        vec = [0] * d
+        vec[free] = 1
+        for r, pc in zip(rows, pivots):
+            vec[pc] = (-r[free]) % p
+        basis.append(vec)
+    return basis
+
+
+def refine_by_nullspaces(rows: List[List[int]], mat: List[List[int]], p: int
+                         ) -> List[List[List[int]]]:
+    """The eigenspaces of mat (acting on columns) on the mat-invariant row
+    space with rref basis `rows`, as rref rows, in ascending order of
+    eigenvalue mod p."""
+    d = len(rows)
+    k = len(mat)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    images = []
+    for row in rows:
+        image = [sum(map(mul, mrow, row)) % p for mrow in mat]
+        coords = [image[pc] for pc in pivots]
+        residual = image
+        for c, basis_row in zip(coords, rows):
+            residual = [(x - c * y) % p for x, y in zip(residual, basis_row)]
+        assert not any(residual), "vector escaped an invariant subspace"
+        images.append(coords)
+    # action[t][idx] = coefficient of basis row t in the image of row idx
+    action = [[images[idx][t] for idx in range(d)] for t in range(d)]
+    out = []
+    for lam in _poly_roots_mod(_charpoly_mod(action, p)[0], p):
+        shifted = [[(action[i][j] - (lam if i == j else 0)) % p for j in range(d)]
+                   for i in range(d)]
+        ambient = []
+        for nv in _nullspace(shifted, p):
+            vec = [0] * k
+            for coef, row in zip(nv, rows):
+                vec = [(x + coef * y) % p for x, y in zip(vec, row)]
+            ambient.append(vec)
+        if ambient:
+            out.append(_rref(ambient, p)[0])
+    assert sum(map(len, out)) == d, "eigenspace refinement lost dimensions"
+    return out

@@ -3,17 +3,18 @@ from functools import cache
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from api_helpers import from_integers, regular_character, trivial_character
-from charpoly_reference import charpoly_faddeev_leverrier, poly_roots_brute_force
+from charpoly_reference import (charpoly_faddeev_leverrier, poly_roots_brute_force,
+                                refine_by_nullspaces)
 from mn_oracle import coxeter_class_cycle_types, symmetric_group_table
 import klcells.characters as characters
-from klcells.characters import (CharacterTable, _charpoly_mod,
-                                _poly_roots_mod, character_table, decompose,
-                                dixon_prime, inner_product, integer_multiplicities,
-                                verify_orthogonality)
+from klcells.characters import (CharacterTable, _Subspace, _charpoly_mod,
+                                _poly_roots_mod, _refine, _rref, character_table,
+                                decompose, dixon_prime, inner_product,
+                                integer_multiplicities, verify_orthogonality)
 from klcells.coxeter import CoxeterMatrix, build_group, named_coxeter_matrix
 from klcells.specfile import parse_spec
 from test_klbasis_golden import SPECS_BY_COMMAND
@@ -408,16 +409,15 @@ def test_dual_table_is_built_on_first_decompose():
 
 
 def test_dual_of_a_rational_table_is_one_pair_per_entry():
-    """A rational table's dual keeps the constant coefficient of each nonzero
-    entry and drops the other deg - 1, all zero."""
+    """A rational table's dual keeps the constant coefficients of each row,
+    zeros included, and drops the other deg - 1, all zero."""
     table = decompose_table("D4")
     _, dual = table.dual
     assert table.field.degree > 1
-    assert all(entry == [] or (len(entry) == 1 and entry[0][0] == 0)
-               for drow in dual for entry in drow)
-    assert any(entry == [] for drow in dual for entry in drow)
+    assert all(len(drow) == 1 and drow[0][0] == 0 for drow in dual)
+    assert any(0 in ints for drow in dual for _, ints in drow)
     _, dual = decompose_table("H3").dual
-    assert any(len(entry) > 1 for drow in dual for entry in drow)
+    assert any(len(drow) > 1 for drow in dual)
 
 
 def test_altered_tables():
@@ -453,11 +453,25 @@ def matrices_mod_p(draw):
     return rows, p
 
 
+def check_charpoly(a, p):
+    """_charpoly_mod's polynomial is Faddeev-LeVerrier's, and its h is
+    upper Hessenberg and similar to a through t: a t = t h, t invertible."""
+    coeffs, h, t = _charpoly_mod(a, p)
+    assert coeffs == charpoly_faddeev_leverrier(a, p)
+    d = len(a)
+    assert all(not h[i][j] for i in range(d) for j in range(i - 1))
+    def product(x, y):
+        return [[sum(x[i][r] * y[r][j] for r in range(d)) % p for j in range(d)]
+                for i in range(d)]
+
+    assert product(a, t) == product(t, h)
+    assert len(_rref(t, p)[0]) == d
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(matrices_mod_p())
 def test_charpoly_matches_faddeev_leverrier(case):
-    a, p = case
-    assert _charpoly_mod(a, p) == charpoly_faddeev_leverrier(a, p)
+    check_charpoly(*case)
 
 
 def _poly_mul_mod(f, g, p):
@@ -558,13 +572,87 @@ STRUCTURED_MATRICES = {
 @pytest.mark.parametrize("p", CHARPOLY_PRIMES)
 @pytest.mark.parametrize("name", sorted(STRUCTURED_MATRICES))
 def test_charpoly_on_structured_matrices(name, p):
-    a = STRUCTURED_MATRICES[name]
-    assert _charpoly_mod(a, p) == charpoly_faddeev_leverrier(a, p)
+    check_charpoly(STRUCTURED_MATRICES[name], p)
 
 
 def test_charpoly_of_known_matrices():
-    assert _charpoly_mod([], 13) == [1]
-    assert _charpoly_mod(_jordan_block(8, 0), 13) == [1] + [0] * 8      # x^8
-    assert _charpoly_mod(_jordan_block(3, 2), 13) == [1, 7, 12, 5]      # (x-2)^3
+    assert _charpoly_mod([], 13)[0] == [1]
+    assert _charpoly_mod(_jordan_block(8, 0), 13)[0] == [1] + [0] * 8   # x^8
+    assert _charpoly_mod(_jordan_block(3, 2), 13)[0] == [1, 7, 12, 5]   # (x-2)^3
     assert _charpoly_mod([[int(i == j) for j in range(4)] for i in range(4)],
-                         13) == [1, 9, 6, 9, 1]                           # (x-1)^4
+                         13)[0] == [1, 9, 6, 9, 1]                        # (x-1)^4
+
+
+def _dense(cols):
+    """The matrix whose columns have the nonzero (row, entry) pairs cols."""
+    mat = [[0] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
+        for l, v in col:
+            mat[l][j] = v
+    return mat
+
+
+def check_split(space, cols, p):
+    """_refine's eigenspaces, as rref rows in ascending order of eigenvalue,
+    are those of one nullspace per eigenvalue."""
+    out = _refine(space, cols, p)
+    assert [s.rows for s in out] == refine_by_nullspaces(space.rows, _dense(cols), p)
+    return out
+
+
+SPLIT_SPECS = {**GOLDEN_CHARACTER_SPECS,
+               "A1^5": "group matrix\n5\n2 2 2 2\n2 2 2\n2 2\n2\n"}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_SPECS))
+def test_split_matches_nullspaces_on_every_table_split(name, monkeypatch):
+    splits = []
+
+    def checked(space, cols, p):
+        splits.append(space.dim)
+        return check_split(space, cols, p)
+
+    monkeypatch.setattr(characters, "_refine", checked)
+    spec = parse_spec(SPLIT_SPECS[name])
+    character_table(build_group(spec.matrix, gen_names=spec.gen_names))
+    assert splits
+
+
+@st.composite
+def diagonalizable_matrices_mod_p(draw):
+    """(a, rows, p): a = s diag(e) s^-1 mod p with at most three distinct
+    eigenvalues, so that most repeat, and rows the rref basis of the span
+    of some columns of s, eigenvectors of a, or of the whole space."""
+    p = draw(st.sampled_from((13, 61, 97, 7681)))
+    d = draw(st.integers(1, 9))
+    values = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+    eig = draw(st.lists(st.sampled_from(values), min_size=d, max_size=d))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    s = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    rows, pivots = _rref([row + [int(i == j) for j in range(d)] for i, row in enumerate(s)], p)
+    assume(pivots == list(range(d)))
+    s_inv = [row[d:] for row in rows]
+    a = [[sum(s[i][t] * eig[t] * s_inv[t][j] for t in range(d)) % p for j in range(d)]
+         for i in range(d)]
+    span = draw(st.one_of(st.just(list(range(d))),
+                          st.lists(st.integers(0, d - 1), min_size=1, unique=True)))
+    return a, _rref([[s[i][t] for i in range(d)] for t in span], p)[0], p
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(diagonalizable_matrices_mod_p())
+@example(([[2, 0, 0], [0, 5, 0], [0, 0, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 13))
+@example(([[3, 0], [0, 3]], [[1, 0], [0, 1]], 13))  # one eigenvalue: no split
+@example(([[2, 0, 0], [0, 5, 0], [0, 0, 2]], [[1, 0, 1], [0, 1, 0]], 13))
+def test_split_matches_nullspaces_on_diagonalizable_matrices(case):
+    """On a diagonalizable matrix an eigenvalue of multiplicity m has m
+    independent eigenvectors, which an unreduced Hessenberg form cannot
+    have for m > 1: a repeated eigenvalue puts a zero on the subdiagonal
+    of h, and a kernel of dimension m into the split."""
+    a, rows, p = case
+    d = len(a)
+    cols = [[(l, a[l][j]) for l in range(d) if a[l][j]] for j in range(d)]
+    out = check_split(_Subspace(rows, p), cols, p)
+    if len(rows) == d and any(s.dim > 1 for s in out) and d > 1:
+        h = _charpoly_mod(a, p)[1]
+        assert any(not h[i][i - 1] for i in range(1, d))

@@ -9,6 +9,8 @@ from klcells.coxeter import (ConjugacyViolation, CoxeterMatrix,
                              InfiniteOrTooLarge, WeightFunction, build_group,
                              conjugate_generator_components,
                              named_coxeter_matrix, validate_weights)
+from klcells.specfile import parse_spec
+from test_klbasis_golden import SPECS_BY_COMMAND
 
 
 CLASSIFIED_ORDERS = [
@@ -250,3 +252,25 @@ def test_enumeration_order_matches_full_permutation_keys(name):
     assert [W.word(w) for w in range(len(W))] == words
     assert [W.inv(w) for w in range(len(W))] == inverses
     assert [[W.lmul_gen(s, w) for w in range(len(W))] for s in range(W.rank)] == lmul
+
+
+# One spec per distinct group of the goldens (the text before its weights).
+GOLDEN_GROUP_SPECS = dict({spec.split("\nL")[0]: (name, spec)
+                           for specs in SPECS_BY_COMMAND.values()
+                           for name, spec in specs.items()}.values())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GROUP_SPECS))
+def test_walk_sets_every_edge_from_both_ends(name):
+    """The enumeration looks a key up only along an ascent w -> ws and sets
+    the descent ws -> w with it; on every group of the goldens, each right
+    product is set, right multiplication by s is an involution, and the
+    two ends of each edge differ in length by one."""
+    spec = parse_spec(GOLDEN_GROUP_SPECS[name])
+    W = build_group(spec.matrix, gen_names=spec.gen_names)
+    n = len(W)
+    for w, row in enumerate(W._rmul):
+        assert len(row) == W.rank and all(0 <= ws < n for ws in row)
+        for s, ws in enumerate(row):
+            assert W._rmul[ws][s] == w
+            assert abs(W.length(ws) - W.length(w)) == 1

@@ -72,8 +72,8 @@ SPECS_BY_COMMAND = {
               "A5": "group A 5\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\n",
               "F4": F4_MATRIX + "L s = 1\nL t = 1\nL u = 1\nL v = 1\n",
               "F4_1_1_2_2": F4_MATRIX + "L s = 1\nL t = 1\nL u = 2\nL v = 2\n"},
-    # Rational tables (A3, B3, D4, B4, F4, D5), irrational real values
-    # (H3, I2(5), I2(8)) and the reducible A1 x A2.
+    # Rational tables (A3, B3, D4, B4, F4, D5, B5, A6), irrational real
+    # values (H3, I2(5), I2(8)) and the reducible A1 x A2 and (Z/2)^6.
     "characters": {
         "A3": SPECS["A3"],
         "B3": "group B 3\nL s = 1\nL t = 1\nL u = 1\n",
@@ -85,6 +85,12 @@ SPECS_BY_COMMAND = {
         "F4": F4_MATRIX + "L s = 1\nL t = 1\nL u = 1\nL v = 1\n",
         "D5": "group D 5\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\n",
         "A1xA2": "group matrix\n3\n2 2\n3\nL s = 1\nL t = 1\nL u = 1\n",
+        # The benchmark's exact_algebra groups, and 64 classes of one
+        # element each.
+        "B5": "group B 5\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\n",
+        "A6": "group A 6\nL s = 1\nL t = 1\nL u = 1\nL v = 1\nL w = 1\nL x = 1\n",
+        "A1^6": "group matrix\n6\n2 2 2 2 2\n2 2 2 2\n2 2 2\n2 2\n2\n"
+                + "".join(f"L {g} = 1\n" for g in "stuvwx"),
     },
 }
 

@@ -30,8 +30,8 @@ holding tools/; made if missing), with every sample and the median of
 each figure.  <rev> is the tree's short git HEAD, followed by "+" and the
 first 8 hex digits of `src_sha256` (a digest of src/klcells/*.py) when
 src/ differs from HEAD.  On a 2-core Xeon (CPython 3.11) the default rungs
-take about 11 s a run and 80 MB at most; --slow adds B5 and A6, about
-85 s more, and B5 peaks at 0.42 GB.
+take about 12 s a run and 80 MB at most, (Z/2)^7 about 0.7 s of it;
+--slow adds B5 and A6, about 85 s more, and B5 peaks at 0.42 GB.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ from typing import Dict, List
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 F4 = "group matrix\n4\n3 2 2\n4 2\n3\n"
+# (Z/2)^7: 128 classes of one element each, for the character table and
+# cells_report on many classes.
+A1_7 = "group matrix\n7\n" + "".join(" ".join("2" * n) + "\n" for n in range(6, 0, -1))
 
 # rung -> (head of its spec, its weights per generator in order)
 RUNGS = {
@@ -59,6 +62,7 @@ RUNGS = {
     "F4": (F4, "1,1,1,1"),
     "F4 (1,1,2,2)": (F4, "1,1,2,2"),
     "F4 lex": (F4, "e_1,e_1,e_2,e_2"),
+    "(Z/2)^7": (A1_7, "1,1,1,1,1,1,1"),
 }
 SLOW_RUNGS = {
     "B5 (1,1,1,1,2)": ("group B 5\n", "1,1,1,1,2"),
