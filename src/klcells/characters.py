@@ -50,14 +50,19 @@ class CharacterTable:
         D is the lcm of their denominators, so that
         <f, chi_r> = sum_l f(l) * dual[r][l] / scale.  A rational row has
         index 0 alone.  Built on first use, since most tables are never used
-        to decompose."""
+        to decompose.
+
+        The numerators are read off each entry v = num / den, conjugated
+        only when v is irrational, with no Cyclotomic formed: conjugation
+        maps Z[zeta] onto itself, so conj(v) is again in lowest terms over
+        den, and |C_l| conj(v) reduces to a denominator of
+        den / gcd(den, |C_l|)."""
         sizes = self.classes.sizes
-        conj = [[v.conj() * size for v, size in zip(row, sizes)]
-                for row in self.rows]
-        d = lcm(*(v.den for row in conj for v in row))
+        d = lcm(*(v.den // gcd(v.den, size) for row in self.rows for v, size in zip(row, sizes)))
         dual = []
-        for row in conj:
-            nums = [[c * (d // v.den) for c in v.num] for v in row]
+        for row in self.rows:
+            nums = [[a * (size * d // v.den) for a in (v.num if v.is_rational() else v.conj().num)]
+                    for v, size in zip(row, sizes)]
             dual.append([(j, list(ints)) for j, ints in enumerate(zip(*nums)) if any(ints)])
         return d * sum(sizes), dual
 

@@ -47,8 +47,13 @@ coordinate, at every step.  When the construction ends, the part of the
 table that the KL cache stores (below) is decoded to LaurentElt once,
 and no packed int leaves it.  A table that does not pack (a slot box of
 more than _MAX_SLOTS slots, or a digit or exponent bound its slots do
-not hold) is built term by term as LaurentElt instead, with the same
-cancellation (`_construct_terms`).
+not hold) is built in the dict ring instead, every coefficient a
+LaurentElt and every cancellation `_cancel_terms`, which carries no
+bound.  The two are coefficient forms, `_Packing` and `_Terms`, of one
+construction loop (`_build`), which never asks which form it runs: the
+relabelling of a zero weight, the construction steps, the corrections of
+the other ascent pairs and the orbit walk (below) are the same steps in
+both, so both cancel at the same pairs and build the same table.
 
 The corrections are all the construction needs to know about the C_s C_w
 table; `KLTable.cs_product_in_c` derives every entry from them:
@@ -94,9 +99,10 @@ for g a generator and x a member walked before w, has p_{g(y),w} =
 p_{y,x}: its row is x's relabelled.  So the ShortLex order and the set
 of symmetries the search finds are part of the format: a change to
 either must bump CACHE_FORMAT.  With equal parameters `kl_basis` builds
-the representatives' rows alone and relabels the others; with unequal
-ones it builds every row, as w -> w^-1 does not carry the corrections
-of C_s C_u (it turns left products into right ones).
+the representatives' rows alone and relabels the others, packed and in
+the dict ring alike; with unequal ones it builds every row, as w -> w^-1
+does not carry the corrections of C_s C_u (it turns left products into
+right ones).
 
 Of each written row only the coefficients extremal on both sides are
 kept.  For s in L(w) with L(s) > 0, comparing T_y coefficients in
@@ -422,6 +428,10 @@ class _Packing:
     max |x_i| over its exponents (its reach) is the one its construction
     step carried (`_cancel`), never read back off its digits: every term
     the step adds to the row lies within it, so the checks stay sound.
+    As the packed form of the construction (`_build`), it keeps both
+    bounds of every row, `digits` and `reach`: `cancel` sets them at a
+    construction step, the digit bound tightened (`tighten`), and
+    `relabel` copies them with the row.
 
     Digits are read (zero test, high part, mu, decode) only while a bound
     below `limit` = 2^(B-2) holds for every digit: then X has one balanced
@@ -447,6 +457,9 @@ class _Packing:
         self.one = 1 << self.BR
         self.limit = 1 << (bits - 2)
         self.zero_reach = (0,) * len(self.box)
+        n, self.left = len(algebra.group), algebra.group._lmul
+        self.digits = [1] * n  # bound on every digit of C_w's coefficients
+        self.reach = [self.zero_reach] * n  # bound on |x_i| over their exponents
         # the weights are multiples of the units, so x / unit is exact
         coords = [[int(x / unit) for x, unit in zip(L.value, self.units)] for L in exps]
         self.shift = [bits * sum(map(mul, x, self.places)) for x in coords]
@@ -551,6 +564,20 @@ class _Packing:
             every = ((1 << (bits * (2 * self.R + 1))) - 1) // ((1 << bits) - 1)
             masks = self._masks[t] = (every << t, every * ((1 << bits) - (1 << (t + 1))))
         return masks
+
+    # -- the construction steps (`_build`) ------------------------------
+
+    def cancel(self, s: int, u: int, w: int, c_exp: List[Packed], build: bool) -> Packed:
+        row, correction, bound, reach = _cancel(self, s, self.left[s], u, w, c_exp,
+                                                self.digits, self.reach)
+        if build:
+            c_exp[w], self.reach[w] = row, reach
+            self.digits[w] = self.tighten(row.values(), bound)
+        return correction
+
+    def relabel(self, c_exp: List[Packed], w: int, x: int, g: List[int]) -> None:
+        c_exp[w] = {g[y]: c for y, c in c_exp[x].items()}
+        self.digits[w], self.reach[w] = self.digits[x], self.reach[x]
 
     # -- the boundary ----------------------------------------------------
 
@@ -980,60 +1007,14 @@ def _cancel(pk: _Packing, s: int, left: List[int], u: int, w: int,
     return {y: x for y, x in cand.items() if x}, correction, bound, top
 
 
-def _construct(algebra: HeckeAlgebra) -> KLTable:
-    """The KL table, built packed (`_Packing`).  With equal
-    parameters only the rows of the orbit representatives are built, and
-    each other row is its orbit walk's relabelling (module docstring),
-    filled in as soon as its representative is built: every row an
-    element of smaller index reads is then there."""
-    pk = _Packing(algebra)
-    group, positive = algebra.group, algebra.positive
-    n = len(group)
-    left = group._lmul
-    c_exp: List[Packed] = [{group.identity: pk.one}] + [None] * (n - 1)
-    digits = [1] * n  # bound on every digit of C_w's coefficients
-    reach = [pk.zero_reach] * n  # bound on |x_i| over their exponents
-    equal = algebra.equal_parameters  # then the corrections are derived, not kept
-    orbits = algebra.orbits
-    corrections: Dict[Tuple[int, int], Packed] = {}
-    for w in range(1, n):
-        if equal and w not in orbits:
-            continue  # filled in with its representative
-        first = group.word(w)[0]
-        for s in group.left_descents(w):
-            u = left[s][w]
-            if not positive[s]:
-                # T_s^2 = 1, so T_s T_y = T_{sy}: C_w = T_s C_u is C_u
-                # relabelled, with no cancellation.
-                if s == first:
-                    c_exp[w] = {left[s][y]: x for y, x in c_exp[u].items()}
-                    digits[w], reach[w] = digits[u], reach[u]
-            elif s == first:
-                c_exp[w], correction, bound, reach[w] = _cancel(
-                    pk, s, left[s], u, w, c_exp, digits, reach)
-                digits[w] = pk.tighten(c_exp[w].values(), bound)
-                if not equal:
-                    corrections[(s, u)] = correction
-            elif not equal:
-                corrections[(s, u)] = _cancel(pk, s, left[s], u, w, c_exp, digits, reach)[1]
-        if equal:
-            for v, p, g in orbits[w]:  # v = g[p], p built or filled before v
-                c_exp[v] = {g[y]: x for y, x in c_exp[p].items()}
-                digits[v], reach[v] = digits[p], reach[p]
-    decode = pk.decode
-    return KLTable(algebra,
-                   {w: {y: decode(x) for y, x in row.items()}
-                    for w, row in _stored_rows(algebra, enumerate(c_exp)).items()},
-                   None if equal else {pair: {y: decode(m) for y, m in h.items()}
-                                       for pair, h in corrections.items()})
-
-
 def _cancel_terms(algebra: HeckeAlgebra, s: int, u: int, w: int, c_exp: List[HeckeCoeffs],
                   v_plus: LaurentElt, v_minus: LaurentElt) -> Tuple[HeckeCoeffs, HeckeCoeffs]:
-    """`_cancel` in the dict ring, with the same candidates and pass: (C_w,
-    {y: m_y}) with C_s C_u = C_w + sum_y m_y C_y, each m_y the
-    bar-symmetric extension of the part of the T_y coefficient with
-    exponents >= 0 (v^0 once); v_plus and v_minus are v^(+-L(s))."""
+    """`_cancel` in the dict ring, the cancellation of `_Terms`, with the
+    same candidates and pass, so `_build` calls it at the same steps as
+    `_cancel`: (C_w, {y: m_y}) with C_s C_u = C_w + sum_y m_y C_y, each
+    m_y the bar-symmetric extension of the part of the T_y coefficient
+    with exponents >= 0 (v^0 once); v_plus and v_minus are v^(+-L(s)).
+    It carries no bound."""
     left, grid = algebra.group._lmul[s], algebra.grid
     zero = LaurentElt(grid, {})
     cand: HeckeCoeffs = {}
@@ -1056,39 +1037,91 @@ def _cancel_terms(algebra: HeckeAlgebra, s: int, u: int, w: int, c_exp: List[Hec
     return {y: c for y, c in cand.items() if c}, correction
 
 
-def _construct_terms(algebra: HeckeAlgebra) -> KLTable:
-    """`_construct` in the dict ring, for a table that does not pack: with
-    unequal parameters, every ascent pair by the full cancellation."""
-    group, grid = algebra.group, algebra.grid
-    n = len(group)
-    equal = algebra.equal_parameters
-    v_pm = [(LaurentElt.v_power(L, grid=grid), LaurentElt.v_power(-L, grid=grid))
-            for L in algebra.weights.exps]
-    c_exp: List[HeckeCoeffs] = [{group.identity: algebra.one_coeff()}] + [None] * (n - 1)
-    corrections: Dict[Tuple[int, int], HeckeCoeffs] = {}
+class _Terms:
+    """The dict-ring form of the construction (`_build`): a coefficient is
+    a LaurentElt, and a step is `_cancel_terms`."""
+
+    def __init__(self, algebra: HeckeAlgebra):
+        grid = algebra.grid
+        self.algebra, self.one = algebra, algebra.one_coeff()
+        self.v_pm = [(LaurentElt.v_power(L, grid=grid), LaurentElt.v_power(-L, grid=grid))
+                     for L in algebra.weights.exps]
+
+    def cancel(self, s: int, u: int, w: int, c_exp: List[HeckeCoeffs], build: bool) -> HeckeCoeffs:
+        row, correction = _cancel_terms(self.algebra, s, u, w, c_exp, *self.v_pm[s])
+        if build:
+            c_exp[w] = row
+        return correction
+
+    def relabel(self, c_exp: List[HeckeCoeffs], w: int, x: int, g: List[int]) -> None:
+        c_exp[w] = {g[y]: c for y, c in c_exp[x].items()}
+
+    @staticmethod
+    def decode(c: LaurentElt) -> LaurentElt:
+        return c
+
+
+def _build(algebra: HeckeAlgebra, form) -> KLTable:
+    """The KL table, built in one pass over w in index order (module
+    docstring), in the coefficient form `form`, `_Packing` or `_Terms`:
+    form.one is the coefficient 1, form.cancel(s, u, w, c_exp, build) runs
+    the cancellation of C_s C_u, returns its corrections and, when `build`,
+    stores C_w as c_exp[w], form.relabel(c_exp, w, x, g) stores C_w as
+    {g[y]: p_{y,x}}, and form.decode gives the LaurentElt of a coefficient.
+    With equal parameters only the rows of the orbit representatives are
+    built, and each other row is its orbit walk's relabelling (module
+    docstring), filled in as soon as its representative is built: every
+    row an element of smaller index reads is then there."""
+    group, positive = algebra.group, algebra.positive
+    n, left = len(group), group._lmul
+    c_exp: list = [{group.identity: form.one}] + [None] * (n - 1)
+    equal = algebra.equal_parameters  # then the corrections are derived, not kept
+    orbits = algebra.orbits
+    corrections: Dict[Tuple[int, int], dict] = {}
     for w in range(1, n):
+        if equal and w not in orbits:
+            continue  # filled in with its representative
         first = group.word(w)[0]
         for s in group.left_descents(w):
-            u = group.lmul_gen(s, w)
-            if not algebra.positive[s]:
+            u = left[s][w]
+            if not positive[s]:
+                # T_s^2 = 1, so T_s T_y = T_{sy}: C_w = T_s C_u is C_u
+                # relabelled, with no cancellation.
                 if s == first:
-                    c_exp[w] = {group.lmul_gen(s, y): c for y, c in c_exp[u].items()}
+                    form.relabel(c_exp, w, u, left[s])
             elif s == first or not equal:
-                cw, correction = _cancel_terms(algebra, s, u, w, c_exp, *v_pm[s])
-                if s == first:
-                    c_exp[w] = cw
+                correction = form.cancel(s, u, w, c_exp, s == first)
                 if not equal:
                     corrections[(s, u)] = correction
-    return KLTable(algebra, _stored_rows(algebra, enumerate(c_exp)),
-                   None if equal else corrections)
+        if equal:
+            for v, x, g in orbits[w]:  # v = g[x], x built or filled before v
+                form.relabel(c_exp, v, x, g)
+    decode = form.decode
+    return KLTable(algebra,
+                   {w: {y: decode(x) for y, x in row.items()}
+                    for w, row in _stored_rows(algebra, enumerate(c_exp)).items()},
+                   None if equal else {pair: {y: decode(m) for y, m in h.items()}
+                                       for pair, h in corrections.items()})
+
+
+def _construct(algebra: HeckeAlgebra) -> KLTable:
+    """The KL table, built packed (`_Packing`)."""
+    return _build(algebra, _Packing(algebra))
+
+
+def _construct_terms(algebra: HeckeAlgebra) -> KLTable:
+    """The KL table, built in the dict ring (`_Terms`)."""
+    return _build(algebra, _Terms(algebra))
 
 
 def kl_basis(algebra: HeckeAlgebra) -> KLTable:
     """Compute the full KL basis and the corrections of every ascent pair.
 
     Every left descent s of w with L(s) > 0, with u = sw, gives the
-    corrections of the ascent pair (s, u); see the module docstring.  The
-    table is built packed, and in the dict ring if it does not pack.
+    corrections of the ascent pair (s, u); see the module docstring.  One
+    loop builds the table (`_build`), packed (`_construct`), or in the
+    dict ring (`_construct_terms`) if it does not pack (`_Unpackable`):
+    both take the same steps and give the same table.
     """
     try:
         return _construct(algebra)

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -435,6 +435,40 @@ def test_altered_tables():
         assert not verify_orthogonality(altered)
         coeffs, _ = decompose(f, altered)
         assert coeffs == [inner_product(f, row, altered) for row in rows]
+
+
+def cyclotomic_dual(table):
+    """(scale, dual) as `CharacterTable.dual` states it, formed entry by
+    entry as the Cyclotomic |C_l| conj(chi_r(l)) and brought to the lcm D
+    of their denominators: the reference for the numerators it reads off."""
+    sizes = table.classes.sizes
+    conj = [[v.conj() * size for v, size in zip(row, sizes)] for row in table.rows]
+    d = lcm(*(v.den for row in conj for v in row))
+    dual = []
+    for row in conj:
+        nums = [[c * (d // v.den) for c in v.num] for v in row]
+        dual.append([(j, list(ints)) for j, ints in enumerate(zip(*nums)) if any(ints)])
+    return d * sum(sizes), dual
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHARACTER_SPECS))
+def test_dual_matches_cyclotomic_products_on_golden_tables(name):
+    spec = parse_spec(GOLDEN_CHARACTER_SPECS[name])
+    table = character_table(build_group(spec.matrix, gen_names=spec.gen_names))
+    assert table.dual == cyclotomic_dual(table)
+
+
+def test_dual_matches_cyclotomic_products_on_altered_tables():
+    """The tables of test_altered_tables: a repeated row, and a row with
+    value 1/2, whose entries reduce by different factors against the
+    class sizes 1, 3 and 2."""
+    table = character_table(build_group(named_coxeter_matrix("A", 2)))
+    triv, sign, std = table.rows
+    half = [v * Fraction(1, 2) for v in sign]
+    for rows in ([triv, triv, std], [triv, std, half]):
+        altered = CharacterTable(table.group, table.classes, table.field, rows,
+                                 table.class_orders)
+        assert altered.dual == cyclotomic_dual(altered)
 
 
 # Primes above 12, the largest d drawn, as Faddeev-LeVerrier needs p > d;

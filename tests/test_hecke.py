@@ -561,13 +561,13 @@ def test_packed_matches_dict_ring_at_large_weight_ratios(text):
     ("B", 2, [1, 2]),
 ], ids=["D4", "D4 L=2", "A4", "A5", "I2(7)", "B2 (1,1)", "B3 (1,1,1)", "B2 (1,2)"])
 def test_symmetric_construction_matches_dict_ring(kind, n, weights):
-    """With equal parameters the packed kl_basis builds the rows of the
-    orbit representatives alone and relabels the others, while the dict
-    ring (`_construct_terms`) builds every row by cancellation: both write
-    the same KL cache and the same `klbasis` document, key order
-    included.  Every row and C_s C_w product of the packed table is that
-    of a dict-ring table of the algebra with no symmetry, which builds
-    and stores every row.  B3 (1,1,1) has only w -> w^-1, and with
+    """With equal parameters kl_basis builds the rows of the orbit
+    representatives alone and relabels the others, packed and in the dict
+    ring (`_construct_terms`) alike: both write the same KL cache and the
+    same `klbasis` document, key order included.  Every row and C_s C_w
+    product of the packed table is that of a dict-ring table of the
+    algebra with no symmetry, which builds and stores every row by
+    cancellation.  B3 (1,1,1) has only w -> w^-1, and with
     L = (1,2) no automorphism of B2 keeps the weights."""
     alg = make_algebra(kind, n, weights)
     packed, terms = kl_basis(alg), _construct_terms(alg)
@@ -581,6 +581,33 @@ def test_symmetric_construction_matches_dict_ring(kind, n, weights):
         assert rows[w] == reference_rows[w], W.name(w)
         for s in range(W.rank):
             assert packed.cs_product_in_c(s, w) == reference.cs_product_in_c(s, w), (s, W.name(w))
+
+
+@pytest.mark.parametrize("text, calls", [
+    ("group D 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n", 42),
+    ("group A 4\nL s = 1\nL t = 1\nL u = 1\nL v = 1\n", 44),
+    ("group matrix\n3\n5 2\n3\nL s = 1\nL t = 1\nL u = 1\n", 75),
+    ("group B 3\nL s = 1\nL t = 1\nL u = 3/2\n", 72),
+], ids=["D4", "A4", "H3", "B3 (1,1,3/2)"])
+def test_dict_ring_cancels_where_the_packed_build_does(text, calls, monkeypatch):
+    """One loop builds the table in both coefficient forms: with
+    _MAX_SLOTS forced to 1, so that nothing packs, the dict ring calls
+    `_cancel_terms` exactly as often as the packed build calls `_cancel`
+    (with equal weights, at the construction steps of the orbit
+    representatives alone), and writes the same KL cache."""
+    counts = {"_cancel": 0, "_cancel_terms": 0}
+    for name in counts:
+        def counted(*args, name=name, real=getattr(hecke, name)):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(hecke, name, counted)
+    spec = parse_spec(text)
+    alg = HeckeAlgebra(build_group(spec.matrix, gen_names=spec.gen_names), spec.weights)
+    packed = kl_basis(alg).to_cache_text()
+    assert counts == {"_cancel": calls, "_cancel_terms": 0}
+    monkeypatch.setattr(hecke, "_MAX_SLOTS", 1)
+    assert kl_basis(alg).to_cache_text() == packed
+    assert counts == {"_cancel": calls, "_cancel_terms": calls}
 
 
 F4 = CoxeterMatrix.from_rows([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]])

@@ -4,6 +4,13 @@ oracle.
 
 * Scaling: the weights cL give the cells and cell characters of L, and
   the `klbasis` entries of L with every exponent times c.
+* Relabelling: permuting the generators, the rows and columns of the
+  Coxeter matrix with their weights, gives the same group with its
+  elements renamed (an element is the product of the letters of its
+  word, each letter renamed).  Under that renaming the cells are the
+  same sets, the cell characters the same up to the induced bijections
+  of the classes and of the irreducible rows, and every `klbasis`
+  coefficient the same.
 * Lex to rational: B3 with lex weights (e_2, e_2, e_1) lies in the
   asymptotic chamber of (1, 1, N) for N > 2, so e_1 -> N, e_2 -> 1 maps
   its `klbasis` entries to those of (1, 1, N) and its cells are theirs;
@@ -20,7 +27,9 @@ import pytest
 
 from api_helpers import laurent_from_terms, laurent_terms
 from klcells.cli import main
+from klcells.coxeter import build_group
 from klcells.ordered_coeffs import LaurentElt, OrderedExponent
+from klcells.specfile import parse_spec
 
 F4_MATRIX = "group matrix\n4\n3 2 2\n4 2\n3\n"
 
@@ -31,10 +40,10 @@ def weighted(head, weights, lex=False):
     return head + "".join(f"{style} {g} = {x}\n" for g, x in zip("stuv", weights))
 
 
-def run(capsys, tmp_path, command, spec):
+def run(capsys, tmp_path, command, spec, options=("--no-cache",)):
     path = tmp_path / "in.spec"
     path.write_text(spec, encoding="utf-8")
-    code = main([command, str(path), "--no-cache"])
+    code = main([command, str(path), *options])
     out = capsys.readouterr()
     assert (code, out.err) == (0, ""), out.err
     return json.loads(out.out)
@@ -96,3 +105,78 @@ def test_lex_klbasis_maps_into_its_chamber(tmp_path, capsys):
         rational = run(capsys, tmp_path, "klbasis",
                        weighted("group B 3\n", ["1", "1", str(n)]))
         assert_entries_map(lex, rational, lambda e: n * e[0] + e[1], 1037)
+
+
+RELABELLINGS = {
+    "B3 (1,1,3/2)": (weighted("group B 3\n", ["1", "1", "3/2"]), (2, 0, 1)),
+    "B4 (1,1,1,2)": (weighted("group B 4\n", ["1", "1", "1", "2"]), (3, 1, 0, 2)),
+    "D4": (weighted("group D 4\n", ["1", "1", "1", "1"]), (1, 3, 0, 2)),
+    "F4 (1,1,2,2)": (weighted(F4_MATRIX, ["1", "1", "2", "2"]), (2, 0, 3, 1)),
+}
+
+
+def relabelled(text, perm):
+    """(spec, group, names): the spec `text` with generator i the old
+    generator perm[i], its rows and columns of the Coxeter matrix and its
+    weight moved with it, the group of that spec, and the renaming {old
+    name: new name} of the generators and of the elements, an element
+    renamed as the product of the renamed letters of its word."""
+    old = parse_spec(text)
+    m, rank = old.matrix.entries, len(perm)
+    spec = (f"group matrix\n{rank}\n"
+            + "".join(" ".join(str(m[perm[i]][perm[j]]) for j in range(i + 1, rank)) + "\n"
+                      for i in range(rank - 1))
+            + weighted("", [old.weights[p].render() for p in perm]))
+    new = parse_spec(spec)
+    old_group = build_group(old.matrix, gen_names=old.gen_names)
+    group = build_group(new.matrix, gen_names=new.gen_names)
+    position = {p: i for i, p in enumerate(perm)}
+    names = {old.gen_names[p]: new.gen_names[i] for i, p in enumerate(perm)}
+    names.update((old_group.name(w), group.name(group.element_by_word(
+        position[g] for g in old_group.word(w)))) for w in range(len(old_group)))
+    return spec, group, names
+
+
+@pytest.mark.parametrize("case", RELABELLINGS.values(), ids=RELABELLINGS)
+def test_relabelled_generators_rename_every_output(case, tmp_path, capsys):
+    """The relabelling relation on `cells`, `characters` and `klbasis`:
+    the same cells, cell characters that agree under the bijections of
+    classes and of irreducible rows that the renaming induces, and the
+    same `klbasis` entries."""
+    text, perm = case
+    spec, group, names = relabelled(text, perm)
+    options = ("--cache-dir", str(tmp_path / "kl"))  # cells and klbasis share each table
+    a, b = (run(capsys, tmp_path, "cells", s, options) for s in (text, spec))
+    blocks = {kind: [frozenset(block) for block in b[kind]["blocks"]]
+              for kind in ("left_cells", "right_cells", "two_sided_cells")}
+    for kind, theirs in blocks.items():
+        assert {frozenset(map(names.get, block)) for block in a[kind]["blocks"]} == set(theirs)
+    # Old class k goes to the new class holding the image of its
+    # representative, and old row r to the new row with its values there.
+    element = {group.name(w): w for w in range(len(group))}
+    classes = group.conjugacy_classes()
+    assert [group.name(r) for r in classes.representatives] == b["class_representatives"]
+    class_map = [classes.class_of[element[names[rep]]] for rep in a["class_representatives"]]
+    assert sorted(class_map) == list(range(len(class_map)))
+    old_rows, new_rows = (run(capsys, tmp_path, "characters", s, ())["irreducibles"]
+                          for s in (text, spec))
+    row_index = {tuple(map(tuple, row)): r for r, row in enumerate(new_rows)}
+    moved = sorted(range(len(class_map)), key=class_map.__getitem__)  # old k at new class j
+    row_map = [row_index[tuple(tuple(row[k]) for k in moved)] for row in old_rows]
+    assert sorted(row_map) == list(range(len(new_rows)))
+    cell_of = {block: i for i, block in enumerate(blocks["left_cells"])}
+    theirs = {c["cell"]: c for c in b["cell_characters"]}
+    for mine in a["cell_characters"]:
+        block = a["left_cells"]["blocks"][mine["cell"]]
+        other = theirs[cell_of[frozenset(map(names.get, block))]]
+        assert [other["values"][b["class_representatives"][j]] for j in class_map] == [
+            mine["values"][rep] for rep in a["class_representatives"]]
+        assert [other["multiplicities"][r] for r in row_map] == mine["multiplicities"]
+    a, b = (run(capsys, tmp_path, "klbasis", s, options) for s in (text, spec))
+    assert {names[w]: {names[y]: t for y, t in row.items()}
+            for w, row in a["c_basis"].items()} == b["c_basis"]
+    products = {}
+    for key, row in a["cs_products"].items():
+        g, w = key.split("|")
+        products[f"{names[g]}|{names[w]}"] = {names[y]: t for y, t in row.items()}
+    assert products == b["cs_products"]

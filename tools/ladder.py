@@ -30,7 +30,8 @@ holding tools/; made if missing), with every sample and the median of
 each figure.  <rev> is the tree's short git HEAD, followed by "+" and the
 first 8 hex digits of `src_sha256` (a digest of src/klcells/*.py) when
 src/ differs from HEAD.  On a 2-core Xeon (CPython 3.11) the default rungs
-take about 12 s a run and 80 MB at most, (Z/2)^7 about 0.7 s of it;
+take about 9 s a run and 330 MB at most (F4 lex), (Z/2)^7 about 0.45 s of
+it and B4×A1 lex, whose KL table is built in the dict ring, about 1.7 s;
 --slow adds B5 and A6, about 85 s more, and B5 peaks at 0.42 GB.
 """
 
@@ -53,6 +54,9 @@ F4 = "group matrix\n4\n3 2 2\n4 2\n3\n"
 # cells_report on many classes.
 A1_7 = "group matrix\n7\n" + "".join(" ".join("2" * n) + "\n" for n in range(6, 0, -1))
 
+# B4 x A1, the A1 on the fifth generator.
+B4_A1 = "group matrix\n5\n3 2 2 2\n3 2 2\n4 2\n2\n"
+
 # rung -> (head of its spec, its weights per generator in order)
 RUNGS = {
     "A4": ("group A 4\n", "1,1,1,1"),
@@ -63,6 +67,8 @@ RUNGS = {
     "F4 (1,1,2,2)": (F4, "1,1,2,2"),
     "F4 lex": (F4, "e_1,e_1,e_2,e_2"),
     "(Z/2)^7": (A1_7, "1,1,1,1,1,1,1"),
+    # 1485 slots, past _MAX_SLOTS: KL in the dict ring
+    "B4×A1 lex": (B4_A1, "e_1,e_1,e_1,e_2,e_3"),
 }
 SLOW_RUNGS = {
     "B5 (1,1,1,1,2)": ("group B 5\n", "1,1,1,1,2"),
